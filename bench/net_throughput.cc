@@ -1,13 +1,14 @@
 // Network serving throughput: loopback HTTP clients driving the full
 // stack with the mixed workload a deployment sees — snapshot ingest,
-// deviation polls, and cache-served compares. Two front ends:
-//   default      HttpServer event loop → HttpApi → MonitorService
-//   --shards=N   N SO_REUSEPORT reactors → ShardedApi → ShardRouter →
-//                N in-process ShardWorkers (full wire codec per call)
+// deviation polls, and cache-served compares — through focus_served's
+// front end: max(N, 1) SO_REUSEPORT reactors → ShardedApi → ShardRouter →
+// max(N, 1) in-process ShardWorkers (full wire codec per call), for
+// --shards=N (default 0, the single-node deployment: one of each).
 // Emits JSON lines:
 //   {"bench":"net_throughput","config":…,"clients":N,"shards":…,
 //    "requests":…,"seconds":…,"requests_per_sec":…,…}
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -25,7 +26,6 @@
 #include "io/data_io.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
-#include "serve/http_api.h"
 #include "serve/metrics.h"
 #include "serve/monitor_service.h"
 #include "shard/shard_router.h"
@@ -76,10 +76,10 @@ struct DriveCounts {
 };
 
 // Drives `clients` concurrent keep-alive connections against the server
-// at `port`, each issuing ingest/deviation/compare in a 2:3:1 mix. Both
-// front ends (single-loop HttpApi and the sharded reactors) see the
-// identical byte stream. `flush` runs inside the measured window so the
-// figure includes draining the ingest queue, as a real deployment would.
+// at `port`, each issuing ingest/deviation/compare in a 2:3:1 mix; every
+// shard count sees the identical byte stream. `flush` runs inside the
+// measured window so the figure includes draining the ingest queue, as a
+// real deployment would.
 DriveCounts DriveClients(uint16_t port, int clients, int requests_per_client,
                          const std::vector<std::string>& bodies,
                          const std::function<void()>& flush) {
@@ -182,50 +182,23 @@ std::vector<std::string> SnapshotPool(int unique_snapshots,
   return bodies;
 }
 
-// Single event loop front end: HttpServer → HttpApi → MonitorService.
-void RunConfig(const char* label, int clients, int requests_per_client,
-               int64_t snapshot_size, int unique_snapshots) {
-  serve::MetricsRegistry metrics;
-  serve::MonitorService service(ServiceConfig(), &metrics);
-  const data::TransactionDb reference = SnapshotDb(snapshot_size, 1000);
-
-  serve::HttpApiOptions api_options;
-  serve::HttpApi api(api_options, &service, &reference, &metrics);
-  net::HttpServer server(net::HttpServerOptions{}, api.BuildRouter());
-  api.AttachServer(&server);
-  if (!server.Start()) {
-    std::fprintf(stderr, "net_throughput: cannot start server\n");
-    return;
-  }
-
-  const std::vector<std::string> bodies =
-      SnapshotPool(unique_snapshots, snapshot_size);
-  const DriveCounts counts =
-      DriveClients(server.port(), clients, requests_per_client, bodies,
-                   [&]() { service.Flush(); });
-  server.Stop();
-  service.Shutdown();
-
-  EmitLine(label, clients, /*shards=*/0, server.stats().requests_handled,
-           snapshot_size, counts, service.processed());
-}
-
-// Sharded front end: one SO_REUSEPORT reactor per shard, each running its
-// own ShardedApi + ShardRouter over in-process ShardWorkers (the law
-// tests pin that this path answers bit-identically to the single node).
-// Every call still encodes and decodes full wire frames, so the protocol
-// cost is measured; only the kernel socket hop is elided. Each shard owns
-// a full MonitorService, as in a real scale-out deployment.
+// One SO_REUSEPORT reactor per worker, each running its own ShardedApi +
+// ShardRouter over in-process ShardWorkers (the law tests pin that every
+// shard count answers bit-identically). Every call still encodes and
+// decodes full wire frames, so the protocol cost is measured; only the
+// kernel socket hop is elided. Each worker owns a full MonitorService, as
+// in a real deployment; --shards 0 runs one, as focus_served does.
 void RunShardedConfig(const char* label, int clients, int requests_per_client,
                       int64_t snapshot_size, int unique_snapshots,
                       int num_shards) {
   serve::MetricsRegistry metrics;
   const data::TransactionDb reference = SnapshotDb(snapshot_size, 1000);
 
+  const int num_workers = std::max(num_shards, 1);
   std::vector<std::unique_ptr<shard::ShardWorker>> workers;
   std::vector<std::unique_ptr<shard::LocalShardChannel>> channels;
   std::vector<shard::ShardChannel*> channel_ptrs;
-  for (int s = 0; s < num_shards; ++s) {
+  for (int s = 0; s < num_workers; ++s) {
     shard::ShardWorkerOptions worker_options;
     worker_options.shard_index = static_cast<uint32_t>(s);
     worker_options.service = ServiceConfig();
@@ -244,7 +217,7 @@ void RunShardedConfig(const char* label, int clients, int requests_per_client,
     std::unique_ptr<shard::ShardedApi> api;
     std::unique_ptr<net::HttpServer> server;
   };
-  std::vector<Reactor> reactors(static_cast<size_t>(num_shards));
+  std::vector<Reactor> reactors(static_cast<size_t>(num_workers));
   uint16_t port = 0;
   for (size_t r = 0; r < reactors.size(); ++r) {
     reactors[r].router = std::make_unique<shard::ShardRouter>(channel_ptrs);
@@ -308,13 +281,11 @@ int Run(int argc, char** argv) {
     if (shards > 0) {
       std::snprintf(label, sizeof(label), "mixed_%d_clients_shards%d",
                     clients, shards);
-      RunShardedConfig(label, clients, requests_per_client, snapshot_size,
-                       /*unique_snapshots=*/8, shards);
     } else {
       std::snprintf(label, sizeof(label), "mixed_%d_clients", clients);
-      RunConfig(label, clients, requests_per_client, snapshot_size,
-                /*unique_snapshots=*/8);
     }
+    RunShardedConfig(label, clients, requests_per_client, snapshot_size,
+                     /*unique_snapshots=*/8, shards);
   }
   return 0;
 }

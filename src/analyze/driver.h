@@ -28,13 +28,12 @@ FileModel BuildFileModel(const std::string& rel_path,
 AnalyzeResult AnalyzeFiles(
     const std::vector<std::pair<std::string, std::string>>& files);
 
-// Command-line entry point shared by tools/focus_analyze and the
-// deprecated tools/focus_lint shim:
-//   <tool> [--root DIR] [--list-checkers] [paths...]
+// Command-line entry point of tools/focus_analyze:
+//   focus_analyze [--root DIR] [--list-checkers] [paths...]
 // With no paths scans src/ tools/ tests/ bench/ fuzz/ examples/ under
 // --root, skipping build trees, fuzz corpora, and the analyzer's own
 // fixture directories. Exit status: 0 clean, 1 findings, 2 usage/IO.
-int AnalyzerMain(int argc, char** argv, const char* tool_name);
+int AnalyzerMain(int argc, char** argv);
 
 }  // namespace focus::analyze
 

@@ -133,8 +133,7 @@ std::map<int, std::set<std::string>> AllowedCheckers(
   std::map<int, std::set<std::string>> allowed;
   for (size_t row = 0; row < stripped.comments.size(); ++row) {
     const std::string& comment = stripped.comments[row];
-    size_t at = comment.find("focus-analyze:");
-    if (at == std::string::npos) at = comment.find("focus-lint:");
+    const size_t at = comment.find("focus-analyze:");
     if (at == std::string::npos) continue;
     const size_t open = comment.find("allow(", at);
     if (open == std::string::npos) continue;

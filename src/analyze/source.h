@@ -26,9 +26,6 @@ StrippedSource Strip(const std::string& text);
 // the diagnostic line or the line directly above:
 //
 //   // focus-analyze: allow(checker-name) — why it is fine here
-//
-// The legacy `focus-lint: allow(...)` spelling is honored too so the
-// directives that predate the analyzer keep working.
 std::map<int, std::set<std::string>> AllowedCheckers(
     const StrippedSource& stripped);
 

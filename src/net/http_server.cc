@@ -93,7 +93,7 @@ HttpServerStats HttpServer::stats() const {
   stats.connections_refused = refused_.load(std::memory_order_relaxed);
   stats.requests_handled = requests_.load(std::memory_order_relaxed);
   stats.parse_errors = parse_errors_.load(std::memory_order_relaxed);
-  stats.deadline_closes = deadline_closes_.load(std::memory_order_relaxed);
+  stats.deadline_closes = deadline_closes_.load(std::memory_order_acquire);
   stats.open_connections = open_.load(std::memory_order_relaxed);
   return stats;
 }
@@ -336,8 +336,10 @@ void HttpServer::CloseExpired(std::chrono::steady_clock::time_point now) {
     if (now - conn->last_activity > deadline) expired.push_back(conn.get());
   }
   for (Connection* conn : expired) {
-    deadline_closes_.fetch_add(1, std::memory_order_relaxed);
+    // Count after the close, so a reader that sees the count also sees
+    // the connection gone from open_connections.
     CloseConnection(conn);
+    deadline_closes_.fetch_add(1, std::memory_order_release);
   }
 }
 

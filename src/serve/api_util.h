@@ -11,10 +11,11 @@
 
 namespace focus::serve {
 
-// Helpers shared by the single-node HttpApi and the sharded front end
-// (src/shard/sharded_api). Keeping one copy is not just hygiene: the shard
-// law checker asserts bit-identical answers, which requires both faces to
-// parse parameters and fold aggregates through the same code.
+// Helpers of focus_served's HTTP front end (src/shard/sharded_api) and its
+// scatter-gather router. Keeping one copy is not just hygiene: the shard
+// law checker asserts bit-identical answers against a bare MonitorService,
+// which requires the oracle and the router to fold aggregates through the
+// same code.
 
 // 16-digit lowercase hex of a content hash, and its inverse.
 std::string HashHex(uint64_t hash);
@@ -46,8 +47,8 @@ struct SummaryResult {
 
 // Canonical cross-stream aggregate: sorts `entries` by stream name in
 // place and folds the deviations in that order with core::AggregateValues.
-// Both the single-node /v1/deviation/summary handler and the sharded
-// scatter-gather merge call exactly this function — sorting before the
+// Both the sharded scatter-gather merge and the single-node law oracle
+// call exactly this function — sorting before the
 // fold is what makes the distributed g_sum bit-identical (floating-point
 // addition is order-sensitive; max would merge in any order, sum will
 // not).

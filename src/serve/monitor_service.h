@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
@@ -38,6 +39,12 @@ struct MonitorServiceOptions {
   data::IndexBackend index_backend = data::IndexBackend::kFlat;
 };
 
+// The service flags focus_monitord and focus_served share, with their
+// defaults: --minsup 0.01 --factor 2.0 --calibration 5 --replicates 9
+// --warmup 5 --slack 0.5 --decision 5.0 --threads 4 --queue 64 --cache 64.
+MonitorServiceOptions MonitorServiceOptionsFromFlags(
+    const common::Flags& flags);
+
 // One processed snapshot produces one event.
 struct StreamEvent {
   std::string stream;
@@ -60,6 +67,12 @@ enum class SubmitResult {
   kAccepted,    // queued; will be processed in stream order
   kOverloaded,  // backpressure persisted past the deadline — retry later
   kShutdown,    // service is stopping; the snapshot was dropped
+};
+
+// Verdict of MonitorService::Ingest.
+struct IngestResult {
+  SubmitResult status = SubmitResult::kShutdown;
+  int64_t sequence = -1;  // the stream's dense sequence number if accepted
 };
 
 // Point-in-time view of one stream, answering GET /v1/streams/{name}/…
@@ -141,6 +154,17 @@ class MonitorService {
                             std::chrono::milliseconds timeout)
       EXCLUDES(state_mutex_);
 
+  // The one ingest path of both daemons. Registers `snapshot.stream`
+  // against `reference` on its first snapshot, stamps the stream's next
+  // sequence number, and submits: waiting at most `wait` for backpressure
+  // to clear, or until there is room when `wait` is nullopt. Calls are
+  // serialized, so a stream registers exactly once and its sequence order
+  // is its queue order; a snapshot that is not accepted burns no number,
+  // which keeps every stream's sequences dense.
+  IngestResult Ingest(Snapshot snapshot, const data::TransactionDb& reference,
+                      std::optional<std::chrono::milliseconds> wait)
+      EXCLUDES(ingest_mutex_, state_mutex_);
+
   // Latest per-stream state; nullopt for unknown streams. O(1), no data
   // scan.
   std::optional<StreamStatus> GetStreamStatus(const std::string& name) const
@@ -181,11 +205,19 @@ class MonitorService {
     // queries never race the worker that owns the stream.
     StreamStatus status;
     MinedSnapshot last_mined;      // model+index of the latest snapshot
+    // Sequence number of the next accepted Ingest; guarded by the
+    // service's ingest_mutex_.
+    int64_t next_sequence = 0;
 
     explicit Stream(const core::CusumOptions& cusum_options)
         : cusum(cusum_options) {}
   };
 
+  // Submit and TrySubmitFor share this body: waits for an in-flight slot
+  // (at most `timeout`, or indefinitely when nullopt), then queues.
+  SubmitResult Enqueue(Snapshot snapshot,
+                       std::optional<std::chrono::milliseconds> timeout)
+      EXCLUDES(state_mutex_);
   void DispatchLoop();
   void Route(Snapshot snapshot) EXCLUDES(state_mutex_);
   void DrainStream(Stream* stream) EXCLUDES(state_mutex_);
@@ -207,6 +239,9 @@ class MonitorService {
   SnapshotQueue queue_;
   std::unique_ptr<common::ThreadPool> pool_;
 
+  // Serializes Ingest: registration, sequencing and queueing happen as one
+  // step. Acquired before state_mutex_, never after it.
+  common::Mutex ingest_mutex_;
   mutable common::Mutex state_mutex_;
   common::CondVar idle_cv_;
   std::unordered_map<std::string, std::unique_ptr<Stream>> streams_

@@ -9,9 +9,9 @@ namespace focus::shard {
 
 // Transport to one shard. Two implementations: ShardClient speaks the
 // wire protocol over a Unix socket to a forked worker process, and
-// LocalShardChannel calls a ShardWorker in the same process (law tests,
-// the in-process bench). Both carry the identical encoded frames, so the
-// tests exercise the same codecs the daemon uses.
+// LocalShardChannel calls a ShardWorker in the same process (focus_served
+// --shards 0, the law tests, the in-process bench). Both carry the
+// identical encoded frames, so every deployment runs the same codecs.
 class ShardChannel {
  public:
   virtual ~ShardChannel() = default;

@@ -7,6 +7,27 @@
 #include "core/lits_deviation.h"
 
 namespace focus::shard {
+namespace {
+
+// One request/reply exchange with a shard. False (with `error`) on a
+// transport failure or a reply that is not a well-formed `reply_type`.
+template <typename Body>
+bool Exchange(ShardChannel* shard, MessageType type,
+              const std::string& payload, MessageType reply_type,
+              Body* reply, std::string* error) {
+  Frame response;
+  if (!shard->Call(type, payload, &response, error)) return false;
+  if (response.type != reply_type || !reply->Decode(response.payload)) {
+    if (error != nullptr) {
+      *error = "malformed reply of type " +
+               std::to_string(static_cast<int>(response.type));
+    }
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 bool LocalShardChannel::Call(MessageType type, const std::string& payload,
                              Frame* response, std::string* error) {
@@ -42,18 +63,11 @@ ShardRouter::Status ShardRouter::Submit(const std::string& stream,
   body.stream = stream;
   body.source = source;
   body.snapshot = snapshot_text;
-  Frame response;
-  if (!shards_[ring_.ShardFor(stream)]->Call(MessageType::kSubmitSnapshot,
-                                             body.Encode(), &response,
-                                             error)) {
-    return Status::kShardDown;
-  }
-  if (response.type != MessageType::kSubmitResult ||
-      !result->Decode(response.payload)) {
-    if (error != nullptr) *error = "malformed submit response";
-    return Status::kShardDown;
-  }
-  return Status::kOk;
+  return Exchange(shards_[ring_.ShardFor(stream)],
+                  MessageType::kSubmitSnapshot, body.Encode(),
+                  MessageType::kSubmitResult, result, error)
+             ? Status::kOk
+             : Status::kShardDown;
 }
 
 ShardRouter::Status ShardRouter::QueryDeviation(const std::string& stream,
@@ -70,15 +84,9 @@ ShardRouter::Status ShardRouter::QueryDeviation(const std::string& stream,
   body.stream = stream;
   body.f_code = f_code;
   body.g_code = g_code;
-  Frame response;
-  if (!shards_[ring_.ShardFor(stream)]->Call(MessageType::kDeviationQuery,
-                                             body.Encode(), &response,
-                                             error)) {
-    return Status::kShardDown;
-  }
-  if (response.type != MessageType::kDeviationResult ||
-      !result->Decode(response.payload)) {
-    if (error != nullptr) *error = "malformed deviation response";
+  if (!Exchange(shards_[ring_.ShardFor(stream)],
+                MessageType::kDeviationQuery, body.Encode(),
+                MessageType::kDeviationResult, result, error)) {
     return Status::kShardDown;
   }
   return result->found != 0 ? Status::kOk : Status::kNotFound;
@@ -107,14 +115,9 @@ ShardRouter::Status ShardRouter::Compare(uint64_t left_hash,
   // single-node compare — and short-circuits the fan-out.
   int left_shard = -1, right_shard = -1;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    Frame response;
-    if (!shards_[i]->Call(MessageType::kCompare, payload, &response, error)) {
-      return Status::kShardDown;
-    }
     CompareResultBody result;
-    if (response.type != MessageType::kCompareResult ||
-        !result.Decode(response.payload)) {
-      if (error != nullptr) *error = "malformed compare response";
+    if (!Exchange(shards_[i], MessageType::kCompare, payload,
+                  MessageType::kCompareResult, &result, error)) {
       return Status::kShardDown;
     }
     switch (result.outcome) {
@@ -153,14 +156,8 @@ ShardRouter::Status ShardRouter::CrossShardCompare(
                                  ModelRegionsResultBody* out) {
     ModelRegionsBody body;
     body.content_hash = hash;
-    Frame response;
-    if (!shards_[shard]->Call(MessageType::kModelRegions, body.Encode(),
-                              &response, error)) {
-      return Status::kShardDown;
-    }
-    if (response.type != MessageType::kModelRegionsResult ||
-        !out->Decode(response.payload)) {
-      if (error != nullptr) *error = "malformed model-regions response";
+    if (!Exchange(shards_[shard], MessageType::kModelRegions, body.Encode(),
+                  MessageType::kModelRegionsResult, out, error)) {
       return Status::kShardDown;
     }
     // The cache can evict between the scatter and this fetch.
@@ -188,14 +185,8 @@ ShardRouter::Status ShardRouter::CrossShardCompare(
     ExtendRegionsBody body;
     body.content_hash = hash;
     body.regions = gcr;
-    Frame response;
-    if (!shards_[shard]->Call(MessageType::kExtendRegions, body.Encode(),
-                              &response, error)) {
-      return Status::kShardDown;
-    }
-    if (response.type != MessageType::kExtendRegionsResult ||
-        !out->Decode(response.payload)) {
-      if (error != nullptr) *error = "malformed extend-regions response";
+    if (!Exchange(shards_[shard], MessageType::kExtendRegions, body.Encode(),
+                  MessageType::kExtendRegionsResult, out, error)) {
       return Status::kShardDown;
     }
     if (out->found == 0) return Status::kNotFound;
@@ -241,15 +232,9 @@ ShardRouter::Status ShardRouter::Summary(
 
   entries->clear();
   for (ShardChannel* shard : shards_) {
-    Frame response;
-    if (!shard->Call(MessageType::kStreamPartials, payload, &response,
-                     error)) {
-      return Status::kShardDown;
-    }
     PartialAggregateBody partial;
-    if (response.type != MessageType::kPartialAggregate ||
-        !partial.Decode(response.payload)) {
-      if (error != nullptr) *error = "malformed partial-aggregate response";
+    if (!Exchange(shard, MessageType::kStreamPartials, payload,
+                  MessageType::kPartialAggregate, &partial, error)) {
       return Status::kShardDown;
     }
     for (PartialAggregateBody::Entry& entry : partial.entries) {
@@ -270,14 +255,9 @@ ShardRouter::Status ShardRouter::Summary(
 
 bool ShardRouter::PingAll(std::string* error) {
   for (ShardChannel* shard : shards_) {
-    Frame response;
-    if (!shard->Call(MessageType::kPing, std::string(), &response, error)) {
-      return false;
-    }
     PongBody body;
-    if (response.type != MessageType::kPong ||
-        !body.Decode(response.payload)) {
-      if (error != nullptr) *error = "malformed pong";
+    if (!Exchange(shard, MessageType::kPing, std::string(),
+                  MessageType::kPong, &body, error)) {
       return false;
     }
   }

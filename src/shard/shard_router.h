@@ -32,8 +32,9 @@ class LocalShardChannel : public ShardChannel {
 // deviation) go to the owning shard only; /v1/compare falls back to a
 // two-phase exchange when the two snapshots live on different shards; the
 // cross-stream summary merges every shard's partial aggregates through
-// serve::AggregateSummary, the same fold the single-node handler uses —
-// which is why sharded answers are bit-identical (tests/laws pins this).
+// serve::AggregateSummary, the same fold a single MonitorService's streams
+// go through — which is why sharded answers are bit-identical (tests/laws
+// pins this).
 //
 // Any transport failure surfaces as kShardDown: the front end answers 503
 // and the daemon begins its drain (docs/SHARDING.md).

@@ -111,20 +111,14 @@ Frame ShardWorker::HandleSubmit(const Frame& request) {
   }
   result.content_hash = serve::TransactionDbContentHash(*db);
 
-  // Registration + sequence assignment + submission serialize so the
-  // stream registers exactly once and sequences stay dense.
-  common::MutexLock lock(&streams_mutex_);
-  if (!service_.HasStream(body.stream)) {
-    service_.AddStream(body.stream, *reference_);
-  }
   serve::Snapshot snapshot;
-  snapshot.stream = body.stream;
-  snapshot.sequence = next_sequence_[body.stream];
-  snapshot.source = body.source;
+  snapshot.stream = std::move(body.stream);
+  snapshot.source = std::move(body.source);
   snapshot.db = std::move(*db);
-  const serve::SubmitResult submit = service_.TrySubmitFor(
-      std::move(snapshot), std::chrono::milliseconds(options_.ingest_wait_ms));
-  switch (submit) {
+  const serve::IngestResult ingest = service_.Ingest(
+      std::move(snapshot), *reference_,
+      std::chrono::milliseconds(options_.ingest_wait_ms));
+  switch (ingest.status) {
     case serve::SubmitResult::kOverloaded:
       result.status = 429;
       result.error = "ingest queue is full; retry later";
@@ -135,7 +129,7 @@ Frame ShardWorker::HandleSubmit(const Frame& request) {
       break;
     case serve::SubmitResult::kAccepted:
       result.status = 202;
-      result.sequence = next_sequence_[body.stream]++;
+      result.sequence = ingest.sequence;
       break;
   }
   return {MessageType::kSubmitResult, request.request_id, result.Encode()};

@@ -3,11 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <unordered_map>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "data/transaction_db.h"
 #include "serve/metrics.h"
 #include "serve/monitor_service.h"
@@ -20,19 +18,21 @@ struct ShardWorkerOptions {
   uint32_t shard_index = 0;
   serve::MonitorServiceOptions service;
   // How long kSubmitSnapshot waits for ingest backpressure to clear
-  // before answering 429 (mirrors HttpApiOptions::ingest_wait_ms).
+  // before answering 429 (focus_served --ingest-wait-ms). Keep small: the
+  // wait runs on the front-end reactor that forwarded the ingest.
   int ingest_wait_ms = 20;
 };
 
 // One shard: a full MonitorService + ModelCache owning a subset of the
 // streams, exposed through the wire protocol. HandleFrame() is the entire
 // behavior — Serve() merely runs it behind a WireServer on a Unix socket,
-// which is how forked worker processes host it; the law tests and the
-// in-process bench call HandleFrame directly (same code, no sockets).
+// which is how forked worker processes host it; focus_served --shards 0,
+// the law tests and the in-process bench call HandleFrame directly through
+// a LocalShardChannel (same code, no sockets).
 //
-// The worker owns per-stream sequence assignment (it is the single owner
-// of each of its streams, so numbers stay dense no matter how many
-// front-end reactors forward ingests).
+// Sequence numbers come from MonitorService::Ingest: the worker is the
+// single owner of each of its streams, so numbers stay dense no matter how
+// many front-end reactors forward ingests.
 class ShardWorker {
  public:
   // `reference` is the calibration dataset for lazily added streams;
@@ -45,7 +45,7 @@ class ShardWorker {
   ShardWorker& operator=(const ShardWorker&) = delete;
 
   // Dispatches one request frame to a response frame. Thread-safe.
-  Frame HandleFrame(const Frame& request) EXCLUDES(streams_mutex_);
+  Frame HandleFrame(const Frame& request);
 
   // Starts a WireServer for this worker on `server_options.unix_path`.
   bool Serve(const WireServerOptions& server_options,
@@ -62,7 +62,7 @@ class ShardWorker {
 
  private:
   Frame HandlePing(const Frame& request);
-  Frame HandleSubmit(const Frame& request) EXCLUDES(streams_mutex_);
+  Frame HandleSubmit(const Frame& request);
   Frame HandleDeviationQuery(const Frame& request);
   Frame HandleCompare(const Frame& request);
   Frame HandleModelRegions(const Frame& request);
@@ -75,13 +75,6 @@ class ShardWorker {
   serve::MonitorService service_;
   std::unique_ptr<WireServer> server_;
   std::atomic<bool> draining_{false};
-
-  // Per-stream sequence numbers; serialized with lazy registration so a
-  // shed snapshot does not burn a number (same contract as the single-node
-  // HTTP ingest path).
-  common::Mutex streams_mutex_;
-  std::unordered_map<std::string, int64_t> next_sequence_
-      GUARDED_BY(streams_mutex_);
 };
 
 }  // namespace focus::shard

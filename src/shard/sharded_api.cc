@@ -257,6 +257,8 @@ net::HttpResponse ShardedApi::HandleMetrics(const net::HttpRequest& request) {
     requests.Increment(stats.requests_handled - requests.Value());
     auto& parse_errors = metrics_->GetCounter("http_parse_errors" + label);
     parse_errors.Increment(stats.parse_errors - parse_errors.Value());
+    auto& refused = metrics_->GetCounter("http_connections_refused" + label);
+    refused.Increment(stats.connections_refused - refused.Value());
   }
   net::HttpResponse response;
   const auto format = request.query.find("format");

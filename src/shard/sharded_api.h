@@ -22,13 +22,28 @@ struct ShardedApiOptions {
   int reactor_index = 0;
 };
 
-// The sharded twin of serve::HttpApi: same endpoints, same response
-// bodies, but every operation routes through a ShardRouter instead of a
-// local MonitorService. The front end never parses snapshot bodies — an
-// ingest forwards the raw bytes to the owning shard, which parses, hashes,
-// and sequences them. Response formats match the single-node api exactly
-// (the shard law checker diffs the two), with one addition: a shard
-// transport failure answers 503 with Retry-After while the daemon drains.
+// The HTTP face of focus_served for every --shards value: binds the API
+// routes to a ShardRouter (--shards 0 routes to one in-process worker
+// through a LocalShardChannel, --shards N to N forked workers):
+//
+//   POST /v1/streams/{name}/snapshots   body: focus-txns-v1 text
+//        202 {"stream","sequence","content_hash"} | 400 | 429 | 503
+//   GET  /v1/streams/{name}/deviation?f=abs|scaled&g=sum|max
+//        200 latest status + recomputed deviation | 404
+//   POST /v1/compare?left=HASH&right=HASH&f=…&g=…   (params may also be a
+//        form-encoded body) — deviation between two previously ingested
+//        snapshots via the model caches; 404 when a hash is unknown.
+//   GET  /v1/deviation/summary?f=…&g=…   cross-stream aggregate: every
+//        stream's latest deviation folded with g in sorted-name order.
+//   GET  /metrics        Prometheus text (?format=json for the registry
+//        JSON snapshot)
+//   GET  /healthz        {"status":"ok"|"draining"}
+//
+// The front end never parses snapshot bodies — an ingest forwards the raw
+// bytes to the owning shard, which parses, hashes, and sequences them.
+// Handlers run on the reactor's event loop; the heavy work (mining,
+// screening) stays on the workers' MonitorService pools. A shard
+// transport failure answers 503 with Retry-After.
 class ShardedApi {
  public:
   // `router` and `metrics` must outlive the api; `metrics` may be null.

@@ -1,4 +1,4 @@
-// Fixture: the legacy focus-lint allow() spelling still suppresses.
+// Fixture: an allow() directive on the line above suppresses raw-mutex.
 #include <mutex>
 
 namespace focus::serve {
@@ -6,7 +6,7 @@ namespace focus::serve {
 class Legacy {
  private:
   // Interop with a vendored API that hands out std::unique_lock.
-  // focus-lint: allow(raw-mutex)
+  // focus-analyze: allow(raw-mutex)
   std::mutex vendored_mu_;
 };
 

@@ -2,13 +2,11 @@
 // by fixtures that trip it at pinned file:line positions, the sanctioned
 // patterns / allow() escapes / path exemptions are proven inert, and the
 // repo itself must scan clean (this is the gate that keeps `ctest -L
-// analyze` equivalent to CI's static-analysis job). The deprecated
-// focus_lint shim is also pinned to keep forwarding.
+// analyze` equivalent to CI's static-analysis job).
 //
-// Binary paths and the fixture root are injected at compile time
-// (FOCUS_ANALYZE_PATH / FOCUS_LINT_PATH / FOCUS_ANALYZE_FIXTURES /
-// FOCUS_ANALYZE_REPO_ROOT, see tests/CMakeLists.txt) so the test works
-// from any build directory.
+// The binary path and the fixture root are injected at compile time
+// (FOCUS_ANALYZE_PATH / FOCUS_ANALYZE_FIXTURES / FOCUS_ANALYZE_REPO_ROOT,
+// see tests/CMakeLists.txt) so the test works from any build directory.
 
 #include <sys/wait.h>
 
@@ -94,13 +92,6 @@ TEST(FocusAnalyzeTest, ListCheckersNamesEveryChecker) {
   }
 }
 
-TEST(FocusAnalyzeTest, ListRulesIsAnAliasForListCheckers) {
-  const RunResult rules = RunAnalyze("--list-rules");
-  const RunResult checkers = RunAnalyze("--list-checkers");
-  EXPECT_EQ(rules.exit_code, 0) << rules.output;
-  EXPECT_EQ(rules.output, checkers.output);
-}
-
 TEST(FocusAnalyzeTest, UnknownFlagIsUsageError) {
   const RunResult result = RunAnalyze("--no-such-flag");
   EXPECT_EQ(result.exit_code, 2) << result.output;
@@ -179,27 +170,6 @@ TEST(FocusAnalyzeTest, RepositoryScansClean) {
       RunAnalyze(std::string("--root ") + FOCUS_ANALYZE_REPO_ROOT);
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_TRUE(ParseFindings(result.output).empty()) << result.output;
-}
-
-// focus_lint is a deprecated shim over the same driver: same flags, same
-// checkers, plus a one-line notice on stderr.
-TEST(FocusAnalyzeTest, FocusLintShimForwardsWithDeprecationNotice) {
-  const RunResult result = RunTool(FOCUS_LINT_PATH, "--list-rules");
-  EXPECT_EQ(result.exit_code, 0) << result.output;
-  EXPECT_NE(result.output.find("deprecated"), std::string::npos)
-      << result.output;
-  for (const char* checker : kAllCheckers) {
-    EXPECT_NE(result.output.find(checker), std::string::npos)
-        << "missing checker " << checker << " in:\n"
-        << result.output;
-  }
-}
-
-TEST(FocusAnalyzeTest, FocusLintShimStillEnforcesTheGate) {
-  const RunResult result = RunTool(
-      FOCUS_LINT_PATH, std::string("--root ") + FOCUS_ANALYZE_FIXTURES);
-  EXPECT_EQ(result.exit_code, 1) << result.output;
-  EXPECT_EQ(ParseFindings(result.output).size(), 24u) << result.output;
 }
 
 }  // namespace

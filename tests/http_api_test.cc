@@ -1,7 +1,9 @@
 // Socket-level integration tests for the network serving stack: a real
-// HttpServer on an ephemeral loopback port routing into serve::HttpApi →
-// MonitorService. Run under TSan in CI: concurrent clients hammer ingest
-// while the event loop, dispatcher, and worker pool all interact.
+// HttpServer on an ephemeral loopback port routing into shard::ShardedApi
+// → ShardRouter → LocalShardChannel → one in-process ShardWorker →
+// MonitorService, the stack focus_served --shards 0 runs. Run under TSan
+// in CI: concurrent clients hammer ingest while the event loop,
+// dispatcher, and worker pool all interact.
 
 #include <gtest/gtest.h>
 
@@ -18,9 +20,11 @@
 #include "io/data_io.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
-#include "serve/http_api.h"
 #include "serve/metrics.h"
 #include "serve/monitor_service.h"
+#include "shard/shard_router.h"
+#include "shard/shard_worker.h"
+#include "shard/sharded_api.h"
 
 namespace focus::serve {
 namespace {
@@ -59,15 +63,28 @@ std::string JsonField(const std::string& json, const std::string& key) {
   return json.substr(begin, end - begin);
 }
 
-// Boots the whole stack (service + api + server) around one reference db.
+shard::ShardWorkerOptions WorkerOptions(
+    const MonitorServiceOptions& service_options, int ingest_wait_ms) {
+  shard::ShardWorkerOptions options;
+  options.service = service_options;
+  options.ingest_wait_ms = ingest_wait_ms;
+  return options;
+}
+
+// Boots the whole stack (worker + router + api + server) around one
+// reference db.
 class ApiStack {
  public:
   explicit ApiStack(MonitorServiceOptions service_options =
                         MonitorServiceOptions(),
-                    HttpApiOptions api_options = HttpApiOptions())
+                    int ingest_wait_ms = 20)
       : reference_(QuestDb(1)),
-        service_(service_options, &metrics_),
-        api_(api_options, &service_, &reference_, &metrics_),
+        worker_(WorkerOptions(service_options, ingest_wait_ms), &reference_,
+                &metrics_),
+        service_(worker_.service()),
+        channel_(&worker_),
+        router_(std::vector<shard::ShardChannel*>{&channel_}),
+        api_(shard::ShardedApiOptions{}, &router_, &metrics_),
         server_(net::HttpServerOptions{}, api_.BuildRouter()) {
     api_.AttachServer(&server_);
     std::string error;
@@ -77,7 +94,7 @@ class ApiStack {
 
   ~ApiStack() {
     server_.Stop();
-    service_.Shutdown();
+    worker_.Stop();
   }
 
   net::HttpClient Client(int timeout_ms = 10'000) {
@@ -88,8 +105,11 @@ class ApiStack {
 
   MetricsRegistry metrics_;
   data::TransactionDb reference_;
-  MonitorService service_;
-  HttpApi api_;
+  shard::ShardWorker worker_;
+  MonitorService& service_;
+  shard::LocalShardChannel channel_;
+  shard::ShardRouter router_;
+  shard::ShardedApi api_;
   net::HttpServer server_;
   bool started_ = false;
 };
@@ -219,6 +239,8 @@ TEST(HttpApiTest, MetricsAndHealthEndpoints) {
   EXPECT_NE(prom->body.find("focus_inspect_latency_ms_bucket{le=\"+Inf\"}"),
             std::string::npos);
   EXPECT_NE(prom->body.find("focus_http_requests_total"), std::string::npos);
+  EXPECT_NE(prom->body.find("focus_http_connections_refused_total"),
+            std::string::npos);
 
   const auto json = client.Get("/metrics?format=json");
   ASSERT_TRUE(json.has_value());
@@ -301,9 +323,7 @@ TEST(HttpApiTest, BackpressureAnswers429WithRetryAfter) {
   MonitorServiceOptions service_options;
   service_options.num_threads = 1;
   service_options.queue_capacity = 1;  // in-flight bound: 1
-  HttpApiOptions api_options;
-  api_options.ingest_wait_ms = 1;
-  ApiStack stack(service_options, api_options);
+  ApiStack stack(service_options, /*ingest_wait_ms=*/1);
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 4;

@@ -9,9 +9,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -72,9 +74,18 @@ class ServedHttpTest : public ::testing::Test {
     fs::remove_all(root_);
   }
 
-  // Spawns the daemon and waits for --port-file to announce the bound
-  // port. Returns false (failing the test) on a boot timeout.
-  bool StartDaemon() {
+  // Spawns the daemon (plus `extra_args`) and waits for --port-file to
+  // announce the bound port. Returns false (failing the test) on a boot
+  // timeout.
+  bool StartDaemon(const std::vector<std::string>& extra_args = {}) {
+    std::vector<std::string> args = {
+        FOCUS_SERVED_PATH, "--reference", reference_path_, "--port", "0",
+        "--port-file", port_file_, "--calibration", "1", "--replicates",
+        "1", "--threads", "2", "--queue", "8"};
+    args.insert(args.end(), extra_args.begin(), extra_args.end());
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    argv.push_back(nullptr);
     pid_ = fork();
     if (pid_ == 0) {
       // Child: exec the daemon on an ephemeral port, logs to files.
@@ -82,10 +93,7 @@ class ServedHttpTest : public ::testing::Test {
                            O_WRONLY | O_CREAT | O_TRUNC, 0644);
       dup2(out, STDOUT_FILENO);
       dup2(out, STDERR_FILENO);
-      execl(FOCUS_SERVED_PATH, FOCUS_SERVED_PATH, "--reference",
-            reference_path_.c_str(), "--port", "0", "--port-file",
-            port_file_.c_str(), "--calibration", "1", "--replicates", "1",
-            "--threads", "2", "--queue", "8", static_cast<char*>(nullptr));
+      execv(FOCUS_SERVED_PATH, argv.data());
       _exit(127);  // exec failed
     }
     for (int i = 0; i < 200; ++i) {
@@ -196,6 +204,59 @@ TEST_F(ServedHttpTest, SigtermFinishesQueuedSnapshotsBeforeExit) {
   std::stringstream text;
   text << log.rdbuf();
   EXPECT_NE(text.str().find(std::to_string(accepted) +
+                            " snapshots processed"),
+            std::string::npos)
+      << text.str();
+}
+
+// Single-node with two reactors: both SO_REUSEPORT event loops forward
+// into the one in-process worker, so concurrent connections posting to
+// one stream still get a dense 0..n-1 numbering, every post is accepted,
+// and SIGTERM drains all of it.
+TEST_F(ServedHttpTest, ReactorsShareOneWorkerWithDenseSequences) {
+  ASSERT_TRUE(StartDaemon({"--shards", "0", "--reactors", "2",
+                           "--ingest-wait-ms", "5000"}));
+  constexpr int kConnections = 4;
+  constexpr int kPerConnection = 5;
+  std::vector<std::vector<int>> sequences(kConnections);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kConnections; ++c) {
+    threads.emplace_back([&, c]() {
+      net::HttpClient client;
+      ASSERT_TRUE(client.Connect("127.0.0.1", port_));
+      for (int i = 0; i < kPerConnection; ++i) {
+        const auto response = client.Post(
+            "/v1/streams/shared/snapshots",
+            Serialize(SmallDb(10, 40, c * kPerConnection + i)),
+            "text/plain");
+        ASSERT_TRUE(response.has_value());
+        ASSERT_EQ(response->status, 202) << response->body;
+        const std::string key = "\"sequence\":";
+        const size_t at = response->body.find(key);
+        ASSERT_NE(at, std::string::npos) << response->body;
+        sequences[c].push_back(
+            std::stoi(response->body.substr(at + key.size())));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  std::vector<int> all;
+  for (const std::vector<int>& seen : sequences) {
+    all.insert(all.end(), seen.begin(), seen.end());
+  }
+  std::sort(all.begin(), all.end());
+  std::vector<int> dense(kConnections * kPerConnection);
+  std::iota(dense.begin(), dense.end(), 0);
+  EXPECT_EQ(all, dense);
+
+  EXPECT_EQ(TerminateDaemon(), 0);
+  std::ifstream log(root_ / "stdout.txt");
+  std::stringstream text;
+  text << log.rdbuf();
+  EXPECT_NE(text.str().find("x 2 reactors"), std::string::npos)
+      << text.str();
+  EXPECT_NE(text.str().find(std::to_string(kConnections * kPerConnection) +
                             " snapshots processed"),
             std::string::npos)
       << text.str();

@@ -263,5 +263,32 @@ TEST_F(ServedShardedTest, SigtermFinishesAcceptedWorkAcrossShards) {
   EXPECT_EQ(processed, accepted) << log;
 }
 
+// Forked workers keep no event log, so --events with --shards >= 1 is a
+// usage error up front instead of a flag that silently writes nothing.
+TEST_F(ServedShardedTest, EventsFlagIsAUsageError) {
+  const std::string events_path = (root_ / "events.jsonl").string();
+  pid_ = fork();
+  if (pid_ == 0) {
+    const int out = open((root_ / "stdout.txt").c_str(),
+                         O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    dup2(out, STDOUT_FILENO);
+    dup2(out, STDERR_FILENO);
+    execl(FOCUS_SERVED_PATH, FOCUS_SERVED_PATH, "--reference",
+          reference_path_.c_str(), "--port", "0", "--port-file",
+          port_file_.c_str(), "--shards", "2", "--shard-dir",
+          (root_ / "shards").c_str(), "--events", events_path.c_str(),
+          static_cast<char*>(nullptr));
+    _exit(127);  // exec failed
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid_, &status, 0), pid_);
+  pid_ = -1;
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1) << ReadLog();
+  EXPECT_NE(ReadLog().find("--events"), std::string::npos) << ReadLog();
+  EXPECT_FALSE(fs::exists(port_file_));
+  EXPECT_FALSE(fs::exists(root_ / "shards"));
+}
+
 }  // namespace
 }  // namespace focus

@@ -1,5 +1,5 @@
-// focus_analyze — the repo's static-analysis pipeline (successor to
-// focus_lint). Stages: strip -> lex -> parse -> symbols -> dataflow ->
+// focus_analyze — the repo's static-analysis pipeline. Stages:
+// strip -> lex -> parse -> symbols -> dataflow ->
 // checkers -> driver; docs/STATIC_ANALYSIS.md documents the checker
 // catalog and the allow() escape hatch.
 //
@@ -9,5 +9,5 @@
 #include "analyze/driver.h"
 
 int main(int argc, char** argv) {
-  return focus::analyze::AnalyzerMain(argc, argv, "focus_analyze");
+  return focus::analyze::AnalyzerMain(argc, argv);
 }

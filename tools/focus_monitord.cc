@@ -44,9 +44,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/flags.h"
@@ -164,20 +164,8 @@ int Run(const common::Flags& flags) {
     return 2;
   }
 
-  serve::MonitorServiceOptions options;
-  options.monitor.apriori.min_support = flags.GetDouble("minsup", 0.01);
-  options.monitor.alert_factor = flags.GetDouble("factor", 2.0);
-  options.monitor.calibration_replicates =
-      static_cast<int>(flags.GetInt("calibration", 5));
-  options.monitor.significance.num_replicates =
-      static_cast<int>(flags.GetInt("replicates", 9));
-  options.cusum.warmup = static_cast<int>(flags.GetInt("warmup", 5));
-  options.cusum.slack = flags.GetDouble("slack", 0.5);
-  options.cusum.decision_threshold = flags.GetDouble("decision", 5.0);
-  options.num_threads = static_cast<int>(flags.GetInt("threads", 4));
-  options.queue_capacity = static_cast<size_t>(flags.GetInt("queue", 64));
-  options.model_cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache", 64));
+  serve::MonitorServiceOptions options =
+      serve::MonitorServiceOptionsFromFlags(flags);
   const bool ooc = flags.GetInt("ooc", 0) != 0;
   const int64_t block_size =
       std::max<int64_t>(1, flags.GetInt("block-size-kib", 1024)) * 1024;
@@ -220,7 +208,6 @@ int Run(const common::Flags& flags) {
               static_cast<long long>(reference->num_transactions()),
               options.num_threads);
 
-  std::unordered_map<std::string, int64_t> next_sequence;
   int64_t accepted = 0;
   int64_t idle_ms = 0;
   int64_t since_metrics_ms = metrics_every_ms;  // emit one snapshot upfront
@@ -260,16 +247,19 @@ int Run(const common::Flags& flags) {
                      name.c_str(), load_error.c_str());
         continue;
       }
-      const std::string stream = StreamOfFile(path);
-      if (!service.HasStream(stream)) {
-        std::printf("new stream '%s': calibrating against reference…\n",
-                    stream.c_str());
-        service.AddStream(stream, *reference);
-      }
-      snapshot.stream = stream;
-      snapshot.sequence = next_sequence[stream]++;
+      snapshot.stream = StreamOfFile(path);
       snapshot.source = name;
-      service.Submit(std::move(snapshot));  // blocks on backpressure
+      if (!service.HasStream(snapshot.stream)) {
+        std::printf("new stream '%s': calibrating against reference…\n",
+                    snapshot.stream.c_str());
+      }
+      // Registers a new stream, sequences, and blocks on backpressure
+      // until the snapshot is accepted. A refusal (shutdown) leaves the
+      // file in the spool for the next run.
+      if (service.Ingest(std::move(snapshot), *reference, std::nullopt)
+              .status != serve::SubmitResult::kAccepted) {
+        break;
+      }
       fs::rename(path, fs::path(spool) / "processed" / name, ec);
       ++accepted;
     }

@@ -11,6 +11,7 @@
 //   POST /v1/compare?left=H&right=H&f=…&g=…
 //        deviation between two previously ingested snapshots (by content
 //        hash, via the model cache — no raw-data rescan)
+//   GET  /v1/deviation/summary?f=…&g=…   cross-stream aggregate
 //   GET  /metrics   Prometheus text exposition (?format=json)
 //   GET  /healthz   {"status":"ok"|"draining"}
 //
@@ -27,20 +28,23 @@
 // bound port as a single line once the server is listening (how the
 // integration tests and scripts find it).
 //
-// --shards N (N >= 1) switches to the sharded deployment of
-// docs/SHARDING.md: N worker processes are forked, each running a full
-// MonitorService behind the shard wire protocol on a Unix socket under
-// --shard-dir (default: a fresh temp directory), and the parent serves
-// the same HTTP API through --reactors SO_REUSEPORT event loops that
-// scatter-gather over the workers. Workers are forked before any thread
-// exists, so the daemon stays clean under TSan. The answers are
-// bit-identical to --shards 0 (tests/laws/laws_shard_test.cc).
+// Every deployment is the one of docs/SHARDING.md: --reactors
+// SO_REUSEPORT event loops, each with its own shard::ShardedApi and
+// ShardRouter, in front of shard workers that each run a full
+// MonitorService. --shards 0 (the default) runs one worker in this
+// process behind a LocalShardChannel; --events PATH appends its
+// StreamEvent JSONL there. --shards N (N >= 1) forks N worker processes,
+// each behind the shard wire protocol on a Unix socket under --shard-dir
+// (default: a fresh temp directory); they keep no event log, so --events
+// is a usage error there. Workers are forked before any thread exists, so
+// the daemon stays clean under TSan. The answers are bit-identical for
+// every N (tests/laws/laws_shard_test.cc).
 //
 // SIGTERM/SIGINT trigger a graceful drain: /healthz flips to "draining",
-// the listener closes, idle keep-alive connections are shut, in-flight
-// requests finish, the ingest queue is flushed — and in sharded mode
-// every worker is SIGTERMed, drains the same way, and is reaped — then
-// the process exits 0.
+// the listeners close, idle keep-alive connections are shut, in-flight
+// requests finish, then every worker flushes its ingest queue (forked
+// workers are SIGTERMed, drain the same way, and are reaped) and the
+// process exits 0.
 //
 // Exit status: 0 on success (including signal-triggered drain), 1 on
 // usage errors, 2 on I/O or bind failures (or a worker that did not
@@ -51,6 +55,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -64,7 +69,6 @@
 #include "common/flags.h"
 #include "io/data_io.h"
 #include "net/http_server.h"
-#include "serve/http_api.h"
 #include "serve/metrics.h"
 #include "serve/monitor_service.h"
 #include "shard/shard_client.h"
@@ -87,42 +91,39 @@ void InstallSignalHandlers() {
 #endif
 }
 
-serve::MonitorServiceOptions ServiceOptions(const common::Flags& flags) {
-  serve::MonitorServiceOptions options;
-  options.monitor.apriori.min_support = flags.GetDouble("minsup", 0.01);
-  options.monitor.alert_factor = flags.GetDouble("factor", 2.0);
-  options.monitor.calibration_replicates =
-      static_cast<int>(flags.GetInt("calibration", 5));
-  options.monitor.significance.num_replicates =
-      static_cast<int>(flags.GetInt("replicates", 9));
-  options.cusum.warmup = static_cast<int>(flags.GetInt("warmup", 5));
-  options.cusum.slack = flags.GetDouble("slack", 0.5);
-  options.cusum.decision_threshold = flags.GetDouble("decision", 5.0);
-  options.num_threads = static_cast<int>(flags.GetInt("threads", 4));
-  options.queue_capacity = static_cast<size_t>(flags.GetInt("queue", 64));
-  options.model_cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache", 64));
+shard::ShardWorkerOptions WorkerOptions(const common::Flags& flags,
+                                        uint32_t shard_index) {
+  shard::ShardWorkerOptions options;
+  options.shard_index = shard_index;
+  options.service = serve::MonitorServiceOptionsFromFlags(flags);
+  options.ingest_wait_ms =
+      static_cast<int>(flags.GetInt("ingest-wait-ms", 20));
   return options;
 }
 
-// ------------------------------------------------------------ sharded mode
+int ReadDeadlineMs(const common::Flags& flags) {
+  return static_cast<int>(flags.GetInt("read-deadline-ms", 10'000));
+}
 
-// The forked worker process: one ShardWorker on one Unix socket, drained
-// on SIGTERM exactly like the single-node daemon.
+// Stops taking work, waits for in-flight frames, flushes the ingest queue;
+// returns the snapshots the worker processed.
+int64_t DrainWorker(shard::ShardWorker* worker, int deadline_ms) {
+  worker->BeginDrain();
+  worker->WaitDrained(deadline_ms);
+  worker->Stop();
+  return worker->service().processed();
+}
+
+// A forked worker process: one ShardWorker on one Unix socket, drained on
+// SIGTERM.
 int WorkerMain(uint32_t shard_index, const common::Flags& flags,
                const data::TransactionDb& reference,
                const std::string& socket_path) {
-  shard::ShardWorkerOptions worker_options;
-  worker_options.shard_index = shard_index;
-  worker_options.service = ServiceOptions(flags);
-  worker_options.ingest_wait_ms =
-      static_cast<int>(flags.GetInt("ingest-wait-ms", 20));
-
-  shard::ShardWorker worker(worker_options, &reference, nullptr);
+  shard::ShardWorker worker(WorkerOptions(flags, shard_index), &reference,
+                            nullptr);
   shard::WireServerOptions server_options;
   server_options.unix_path = socket_path;
-  server_options.read_deadline_ms =
-      static_cast<int>(flags.GetInt("read-deadline-ms", 10'000));
+  server_options.read_deadline_ms = ReadDeadlineMs(flags);
   server_options.force_poll = flags.GetInt("force-poll", 0) != 0;
   std::string error;
   if (!worker.Serve(server_options, &error)) {
@@ -134,12 +135,86 @@ int WorkerMain(uint32_t shard_index, const common::Flags& flags,
   while (g_signal == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  worker.BeginDrain();
-  worker.WaitDrained(server_options.read_deadline_ms);
-  worker.Stop();
+  const int64_t processed =
+      DrainWorker(&worker, server_options.read_deadline_ms);
   std::printf("focus_served[shard %u]: drained; %lld snapshots processed\n",
-              shard_index,
-              static_cast<long long>(worker.service().processed()));
+              shard_index, static_cast<long long>(processed));
+  return 0;
+}
+
+// --shards N: the forked worker processes and their socket directory.
+struct ForkedShards {
+  std::string dir;
+  bool made_dir = false;
+  std::vector<std::string> socket_paths;
+  std::vector<pid_t> pids;
+
+  // Signals and reaps every worker, then removes the sockets (and the
+  // directory, if this process created it). True when all exited 0.
+  bool Shutdown(int sig) {
+    for (const pid_t pid : pids) ::kill(pid, sig);
+    bool all_clean = true;
+    for (const pid_t pid : pids) {
+      int status = 0;
+      if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
+          WEXITSTATUS(status) != 0) {
+        all_clean = false;
+      }
+    }
+    pids.clear();
+    if (made_dir) {
+      for (const std::string& path : socket_paths) ::unlink(path.c_str());
+      ::rmdir(dir.c_str());
+    }
+    return all_clean;
+  }
+};
+
+// Creates --shard-dir and forks one worker per shard. Must run while this
+// process is still single-threaded (no servers, no clients, no in-process
+// worker) — the only fork() discipline that is safe under TSan and avoids
+// inheriting locked mutexes. Returns an exit status; 0 on success.
+int ForkShards(const common::Flags& flags,
+               const data::TransactionDb& reference, int num_shards,
+               ForkedShards* shards) {
+  shards->dir = flags.Get("shard-dir", "");
+  if (shards->dir.empty()) {
+    const char* tmp = std::getenv("TMPDIR");
+    std::string pattern =
+        std::string(tmp != nullptr ? tmp : "/tmp") + "/focus_shard_XXXXXX";
+    std::vector<char> buffer(pattern.begin(), pattern.end());
+    buffer.push_back('\0');
+    if (::mkdtemp(buffer.data()) == nullptr) {
+      std::perror("focus_served: mkdtemp");
+      return 2;
+    }
+    shards->dir.assign(buffer.data());
+    shards->made_dir = true;
+  } else if (::mkdir(shards->dir.c_str(), 0700) == 0) {
+    // Same contract as focus_monitord's spool dir: create a missing
+    // --shard-dir instead of erroring (and clean it up on exit).
+    shards->made_dir = true;
+  } else if (errno != EEXIST) {
+    std::fprintf(stderr, "focus_served: cannot create shard dir %s: %s\n",
+                 shards->dir.c_str(), std::strerror(errno));
+    return 2;
+  }
+
+  for (int i = 0; i < num_shards; ++i) {
+    shards->socket_paths.push_back(shards->dir + "/shard-" +
+                                   std::to_string(i) + ".sock");
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      std::perror("focus_served: fork");
+      shards->Shutdown(SIGKILL);
+      return 2;
+    }
+    if (pid == 0) {
+      std::exit(WorkerMain(static_cast<uint32_t>(i), flags, reference,
+                           shards->socket_paths.back()));
+    }
+    shards->pids.push_back(pid);
+  }
   return 0;
 }
 
@@ -153,85 +228,71 @@ struct Reactor {
   std::unique_ptr<net::HttpServer> server;
 };
 
-int RunSharded(const common::Flags& flags,
-               const data::TransactionDb& reference, int num_shards) {
-  const int num_reactors =
-      static_cast<int>(flags.GetInt("reactors", 1));
+int Run(const common::Flags& flags) {
+  const std::string reference_path = flags.Get("reference", "");
+  if (reference_path.empty()) {
+    std::fprintf(stderr, "focus_served requires --reference\n");
+    return 1;
+  }
+  const int num_shards = static_cast<int>(flags.GetInt("shards", 0));
+  if (num_shards < 0) {
+    std::fprintf(stderr, "--shards must be >= 0\n");
+    return 1;
+  }
+  const int num_reactors = static_cast<int>(flags.GetInt("reactors", 1));
   if (num_reactors < 1) {
     std::fprintf(stderr, "--reactors must be >= 1\n");
     return 1;
   }
-
-  std::string shard_dir = flags.Get("shard-dir", "");
-  bool made_dir = false;
-  if (shard_dir.empty()) {
-    const char* tmp = std::getenv("TMPDIR");
-    std::string pattern =
-        std::string(tmp != nullptr ? tmp : "/tmp") + "/focus_shard_XXXXXX";
-    std::vector<char> buffer(pattern.begin(), pattern.end());
-    buffer.push_back('\0');
-    if (::mkdtemp(buffer.data()) == nullptr) {
-      std::perror("focus_served: mkdtemp");
-      return 2;
-    }
-    shard_dir.assign(buffer.data());
-    made_dir = true;
-  } else if (::mkdir(shard_dir.c_str(), 0700) == 0) {
-    // Same contract as focus_monitord's spool dir: create a missing
-    // --shard-dir instead of erroring (and clean it up on exit).
-    made_dir = true;
-  } else if (errno != EEXIST) {
-    std::fprintf(stderr, "focus_served: cannot create shard dir %s: %s\n",
-                 shard_dir.c_str(), std::strerror(errno));
+  const std::string events_path = flags.Get("events", "");
+  if (num_shards > 0 && !events_path.empty()) {
+    std::fprintf(stderr,
+                 "--events needs --shards 0: forked shard workers keep no "
+                 "event log\n");
+    return 1;
+  }
+  const auto reference = io::LoadTransactionDbFromFile(reference_path);
+  if (!reference.has_value()) {
+    std::fprintf(stderr, "cannot read --reference %s\n",
+                 reference_path.c_str());
     return 2;
   }
 
-  // Handlers go in before the forks so workers inherit them; g_signal is
-  // per-process after the fork.
+  // Handlers go in before any fork so forked workers inherit them;
+  // g_signal is per-process after the fork.
   InstallSignalHandlers();
 
-  // Fork every worker while this process is still single-threaded (no
-  // servers, no clients yet) — the only fork() discipline that is safe
-  // under TSan and avoids inheriting locked mutexes.
-  std::vector<pid_t> worker_pids;
-  std::vector<std::string> socket_paths;
-  for (int i = 0; i < num_shards; ++i) {
-    socket_paths.push_back(shard_dir + "/shard-" + std::to_string(i) +
-                           ".sock");
-  }
-  for (int i = 0; i < num_shards; ++i) {
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      std::perror("focus_served: fork");
-      for (const pid_t child : worker_pids) ::kill(child, SIGKILL);
-      return 2;
-    }
-    if (pid == 0) {
-      std::exit(
-          WorkerMain(static_cast<uint32_t>(i), flags, reference,
-                     socket_paths[static_cast<size_t>(i)]));
-    }
-    worker_pids.push_back(pid);
-  }
-
-  auto shutdown_workers = [&](int sig) {
-    for (const pid_t pid : worker_pids) ::kill(pid, sig);
-    bool all_clean = true;
-    for (const pid_t pid : worker_pids) {
-      int status = 0;
-      if (::waitpid(pid, &status, 0) != pid ||
-          !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-        all_clean = false;
-      }
-    }
-    if (made_dir) {
-      for (const std::string& path : socket_paths) ::unlink(path.c_str());
-      ::rmdir(shard_dir.c_str());
-    }
-    return all_clean;
-  };
-
+  // The workers: N forked processes, or (--shards 0) one in this process
+  // that shares the daemon's registry, so /metrics carries its unlabelled
+  // service and cache series.
+  ForkedShards forked;
   serve::MetricsRegistry metrics;
+  std::ofstream events;
+  std::unique_ptr<shard::ShardWorker> local_worker;
+  std::unique_ptr<shard::LocalShardChannel> local_channel;
+  if (num_shards > 0) {
+    const int status = ForkShards(flags, *reference, num_shards, &forked);
+    if (status != 0) return status;
+  } else {
+    local_worker = std::make_unique<shard::ShardWorker>(
+        WorkerOptions(flags, 0), &*reference, &metrics);
+    local_channel =
+        std::make_unique<shard::LocalShardChannel>(local_worker.get());
+    if (!events_path.empty()) {
+      events.open(events_path, std::ios::app);
+      if (!events) {
+        std::fprintf(stderr, "cannot open --events %s for append\n",
+                     events_path.c_str());
+        return 2;
+      }
+      local_worker->service().SetEventSink(
+          [&events](const serve::StreamEvent& event) {
+            events << event.ToJson() << '\n';
+            events.flush();
+          });
+    }
+  }
+
   const int num_connections =
       static_cast<int>(flags.GetInt("max-connections", 256));
   std::vector<Reactor> reactors(static_cast<size_t>(num_reactors));
@@ -239,7 +300,8 @@ int RunSharded(const common::Flags& flags,
   for (int r = 0; r < num_reactors; ++r) {
     Reactor& reactor = reactors[static_cast<size_t>(r)];
     std::vector<shard::ShardChannel*> channels;
-    for (const std::string& path : socket_paths) {
+    if (local_channel != nullptr) channels.push_back(local_channel.get());
+    for (const std::string& path : forked.socket_paths) {
       reactor.clients.push_back(std::make_unique<shard::ShardClient>(path));
       channels.push_back(reactor.clients.back().get());
     }
@@ -258,8 +320,7 @@ int RunSharded(const common::Flags& flags,
                : bound_port;
     server_options.reuse_port = num_reactors > 1;
     server_options.max_connections = num_connections / num_reactors;
-    server_options.read_deadline_ms =
-        static_cast<int>(flags.GetInt("read-deadline-ms", 10'000));
+    server_options.read_deadline_ms = ReadDeadlineMs(flags);
     server_options.force_poll = flags.GetInt("force-poll", 0) != 0;
     reactor.server = std::make_unique<net::HttpServer>(
         server_options, reactor.api->BuildRouter());
@@ -269,14 +330,14 @@ int RunSharded(const common::Flags& flags,
       std::fprintf(stderr, "cannot start reactor %d on %s:%d: %s\n", r,
                    server_options.bind_address.c_str(),
                    static_cast<int>(server_options.port), error.c_str());
-      shutdown_workers(SIGTERM);
+      forked.Shutdown(SIGTERM);
       return 2;
     }
     if (r == 0) bound_port = reactor.server->port();
   }
 
-  // Wait until every worker answers a ping (sockets appear as each child
-  // binds); tolerate a slow start, not a dead child.
+  // Wait until every worker answers a ping (forked sockets appear as each
+  // child binds); tolerate a slow start, not a dead child.
   {
     std::string error;
     bool up = false;
@@ -290,7 +351,7 @@ int RunSharded(const common::Flags& flags,
     if (!up && g_signal == 0) {
       std::fprintf(stderr, "focus_served: shard workers not up: %s\n",
                    error.c_str());
-      shutdown_workers(SIGTERM);
+      forked.Shutdown(SIGTERM);
       return 2;
     }
   }
@@ -302,17 +363,21 @@ int RunSharded(const common::Flags& flags,
     if (!out) {
       std::fprintf(stderr, "cannot write --port-file %s\n",
                    port_file.c_str());
-      shutdown_workers(SIGTERM);
+      forked.Shutdown(SIGTERM);
       return 2;
     }
   }
 
+  const std::string workers =
+      num_shards == 0 ? std::string("1 in-process worker")
+                      : std::to_string(num_shards) + " shards";
   std::printf(
-      "focus_served: listening on %s:%u, %d shards x %d reactors, "
-      "reference %lld txns\n",
+      "focus_served: listening on %s:%u, %s x %d reactors, reference=%s "
+      "(%lld txns)\n",
       flags.Get("address", "127.0.0.1").c_str(),
-      static_cast<unsigned>(bound_port), num_shards, num_reactors,
-      static_cast<long long>(reference.num_transactions()));
+      static_cast<unsigned>(bound_port), workers.c_str(), num_reactors,
+      reference_path.c_str(),
+      static_cast<long long>(reference->num_transactions()));
   std::fflush(stdout);
 
   while (g_signal == 0) {
@@ -322,14 +387,25 @@ int RunSharded(const common::Flags& flags,
   std::printf("focus_served: signal %d, draining…\n",
               static_cast<int>(g_signal));
   std::fflush(stdout);
-  // Front end first (stop taking requests), then the workers.
+  // Front end first (stop taking requests), then the workers, which
+  // finish everything already accepted.
   for (Reactor& reactor : reactors) reactor.api->SetDraining(true);
   for (Reactor& reactor : reactors) reactor.server->BeginDrain();
-  const int deadline_ms =
-      static_cast<int>(flags.GetInt("read-deadline-ms", 10'000));
-  for (Reactor& reactor : reactors) reactor.server->WaitDrained(deadline_ms);
+  for (Reactor& reactor : reactors) {
+    reactor.server->WaitDrained(ReadDeadlineMs(flags));
+  }
   for (Reactor& reactor : reactors) reactor.server->Stop();
-  const bool workers_clean = shutdown_workers(SIGTERM);
+  bool workers_clean = true;
+  std::string worker_summary;
+  if (local_worker != nullptr) {
+    const int64_t processed =
+        DrainWorker(local_worker.get(), ReadDeadlineMs(flags));
+    worker_summary = std::to_string(processed) + " snapshots processed";
+  } else {
+    workers_clean = forked.Shutdown(SIGTERM);
+    worker_summary = std::to_string(num_shards) + " workers " +
+                     (workers_clean ? "clean" : "UNCLEAN");
+  }
 
   int64_t requests = 0, connections = 0;
   for (const Reactor& reactor : reactors) {
@@ -337,122 +413,11 @@ int RunSharded(const common::Flags& flags,
     requests += stats.requests_handled;
     connections += stats.connections_accepted;
   }
-  std::printf(
-      "focus_served: drained; %lld requests over %lld connections, "
-      "%d workers %s\n",
-      static_cast<long long>(requests), static_cast<long long>(connections),
-      num_shards, workers_clean ? "clean" : "UNCLEAN");
+  std::printf("focus_served: drained; %lld requests over %lld connections, "
+              "%s\n",
+              static_cast<long long>(requests),
+              static_cast<long long>(connections), worker_summary.c_str());
   return workers_clean ? 0 : 2;
-}
-
-// --------------------------------------------------------- single-node mode
-
-int Run(const common::Flags& flags) {
-  const std::string reference_path = flags.Get("reference", "");
-  if (reference_path.empty()) {
-    std::fprintf(stderr, "focus_served requires --reference\n");
-    return 1;
-  }
-  const auto reference = io::LoadTransactionDbFromFile(reference_path);
-  if (!reference.has_value()) {
-    std::fprintf(stderr, "cannot read --reference %s\n",
-                 reference_path.c_str());
-    return 2;
-  }
-
-  const int num_shards = static_cast<int>(flags.GetInt("shards", 0));
-  if (num_shards < 0) {
-    std::fprintf(stderr, "--shards must be >= 0\n");
-    return 1;
-  }
-  if (num_shards > 0) return RunSharded(flags, *reference, num_shards);
-
-  const serve::MonitorServiceOptions options = ServiceOptions(flags);
-
-  serve::MetricsRegistry metrics;
-  serve::MonitorService service(options, &metrics);
-
-  const std::string events_path = flags.Get("events", "");
-  std::ofstream events;
-  if (!events_path.empty()) {
-    events.open(events_path, std::ios::app);
-    if (!events) {
-      std::fprintf(stderr, "cannot open --events %s for append\n",
-                   events_path.c_str());
-      return 2;
-    }
-    service.SetEventSink([&events](const serve::StreamEvent& event) {
-      events << event.ToJson() << '\n';
-      events.flush();
-    });
-  }
-
-  serve::HttpApiOptions api_options;
-  api_options.ingest_wait_ms =
-      static_cast<int>(flags.GetInt("ingest-wait-ms", 20));
-  serve::HttpApi api(api_options, &service, &*reference, &metrics);
-
-  net::HttpServerOptions server_options;
-  server_options.bind_address = flags.Get("address", "127.0.0.1");
-  server_options.port = static_cast<uint16_t>(flags.GetInt("port", 8080));
-  server_options.max_connections =
-      static_cast<int>(flags.GetInt("max-connections", 256));
-  server_options.read_deadline_ms =
-      static_cast<int>(flags.GetInt("read-deadline-ms", 10'000));
-  server_options.force_poll = flags.GetInt("force-poll", 0) != 0;
-
-  net::HttpServer server(server_options, api.BuildRouter());
-  api.AttachServer(&server);
-  std::string error;
-  if (!server.Start(&error)) {
-    std::fprintf(stderr, "cannot start server on %s:%d: %s\n",
-                 server_options.bind_address.c_str(),
-                 static_cast<int>(server_options.port), error.c_str());
-    return 2;
-  }
-
-  const std::string port_file = flags.Get("port-file", "");
-  if (!port_file.empty()) {
-    std::ofstream out(port_file);
-    out << server.port() << '\n';
-    if (!out) {
-      std::fprintf(stderr, "cannot write --port-file %s\n", port_file.c_str());
-      return 2;
-    }
-  }
-
-  InstallSignalHandlers();
-
-  std::printf("focus_served: listening on %s:%u, reference=%s (%lld txns)\n",
-              server_options.bind_address.c_str(),
-              static_cast<unsigned>(server.port()), reference_path.c_str(),
-              static_cast<long long>(reference->num_transactions()));
-  std::fflush(stdout);
-
-  while (g_signal == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-
-  // Graceful drain: stop accepting, let in-flight requests finish, flush
-  // everything already accepted into the queue, then tear down.
-  std::printf("focus_served: signal %d, draining…\n",
-              static_cast<int>(g_signal));
-  std::fflush(stdout);
-  api.SetDraining(true);
-  server.BeginDrain();
-  server.WaitDrained(server_options.read_deadline_ms);
-  server.Stop();
-  service.Flush();
-  service.Shutdown();
-
-  const net::HttpServerStats stats = server.stats();
-  std::printf(
-      "focus_served: drained; %lld requests over %lld connections, "
-      "%lld snapshots processed\n",
-      static_cast<long long>(stats.requests_handled),
-      static_cast<long long>(stats.connections_accepted),
-      static_cast<long long>(service.processed()));
-  return 0;
 }
 
 }  // namespace
