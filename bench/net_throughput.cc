@@ -203,7 +203,7 @@ void RunShardedConfig(const char* label, int clients, int requests_per_client,
     worker_options.shard_index = static_cast<uint32_t>(s);
     worker_options.service = ServiceConfig();
     workers.push_back(std::make_unique<shard::ShardWorker>(
-        worker_options, &reference, &metrics));
+        worker_options, reference, &metrics));
     channels.push_back(
         std::make_unique<shard::LocalShardChannel>(workers.back().get()));
     channel_ptrs.push_back(channels.back().get());

@@ -1,14 +1,22 @@
 // End-to-end MonitorService throughput: snapshots/second through the full
 // ingest → mine/cache → screen → CUSUM pipeline, with and without cache
-// hits. Emits JSON lines:
-//   {"bench":"serve_throughput","snapshots":N,"seconds":…,
-//    "snapshots_per_sec":…,"cache_hit_rate":…}
+// hits, plus what registering a stream costs. Emits JSON lines:
+//   {"bench":"serve_throughput","config":"unique_snapshots",
+//    "snapshots":N,"seconds":…,"snapshots_per_sec":…,"cache_hit_rate":…}
+//   {"bench":"serve_throughput","config":"add_stream","streams":64,
+//    "build_ms":…,"add_stream_ms_p50":…,"rss_kib_per_stream":…}
+// Every row carries host_cpus and the build type.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
+#include "common/timer.h"
 #include "datagen/quest_gen.h"
 #include "serve/metrics.h"
 #include "serve/monitor_service.h"
@@ -23,8 +31,17 @@ data::TransactionDb SnapshotDb(int64_t num_transactions, uint64_t seed) {
   return datagen::GenerateQuest(params);
 }
 
-void RunConfig(const char* label, int num_snapshots, bool repeat_content,
-               int64_t snapshot_size) {
+// This process's resident set (VmRSS), in KiB; 0 where /proc is absent.
+long long ResidentKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoll(line.substr(6));
+  }
+  return 0;
+}
+
+serve::MonitorServiceOptions BenchOptions() {
   serve::MonitorServiceOptions options;
   options.monitor.apriori.min_support = 0.02;
   options.monitor.apriori.max_itemset_size = 2;
@@ -32,9 +49,52 @@ void RunConfig(const char* label, int num_snapshots, bool repeat_content,
   options.monitor.significance.num_replicates = 5;
   options.num_threads = 4;
   options.queue_capacity = 32;
+  return options;
+}
+
+// What a stream costs to register. The service builds its one reference
+// monitor (index, mine, calibrate) in its constructor, timed as build_ms;
+// AddStream then only creates the stream's CUSUM and queue state.
+void RunAddStream(int64_t reference_size) {
+  constexpr int kStreams = 64;
+  const data::TransactionDb reference =
+      SnapshotDb(reference_size, /*seed=*/1000);
+  const common::Timer build_timer;
+  serve::MonitorService service(BenchOptions(), reference,
+                                /*metrics=*/nullptr);
+  const double build_ms = build_timer.Millis();
+
+  const long long rss_before = ResidentKiB();
+  std::vector<double> add_ms;
+  for (int i = 0; i < kStreams; ++i) {
+    const std::string name = "stream-" + std::to_string(i);
+    const common::Timer timer;
+    service.AddStream(name);
+    add_ms.push_back(timer.Millis());
+  }
+  const long long rss_after = ResidentKiB();
+  std::sort(add_ms.begin(), add_ms.end());
+
+  char line[384];
+  std::snprintf(
+      line, sizeof(line),
+      "{\"bench\":\"serve_throughput\",\"config\":\"add_stream\","
+      "\"reference_transactions\":%lld,\"streams\":%d,\"build_ms\":%.2f,"
+      "\"add_stream_ms_p50\":%.4f,\"rss_kib_per_stream\":%.1f,"
+      "\"host_cpus\":%u,\"build_type\":\"%s\"}",
+      static_cast<long long>(reference_size), kStreams, build_ms,
+      add_ms[add_ms.size() / 2],
+      static_cast<double>(rss_after - rss_before) / kStreams,
+      std::thread::hardware_concurrency(), FOCUS_BUILD_TYPE);
+  bench::EmitBenchJson(line);
+}
+
+void RunConfig(const char* label, int num_snapshots, bool repeat_content,
+               int64_t snapshot_size) {
   serve::MetricsRegistry metrics;
-  serve::MonitorService service(options, &metrics);
-  service.AddStream("bench", SnapshotDb(snapshot_size, /*seed=*/1000));
+  serve::MonitorService service(
+      BenchOptions(), SnapshotDb(snapshot_size, /*seed=*/1000), &metrics);
+  service.AddStream("bench");
 
   // Pre-generate so generation cost stays out of the measured window.
   std::vector<serve::Snapshot> snapshots;
@@ -60,19 +120,21 @@ void RunConfig(const char* label, int num_snapshots, bool repeat_content,
       stats.hits + stats.misses == 0
           ? 0.0
           : static_cast<double>(stats.hits) / (stats.hits + stats.misses);
-  char line[384];
+  char line[448];
   std::snprintf(
       line, sizeof(line),
       "{\"bench\":\"serve_throughput\",\"config\":\"%s\","
       "\"snapshots\":%d,\"snapshot_transactions\":%lld,"
       "\"seconds\":%.4f,\"snapshots_per_sec\":%.2f,"
-      "\"cache_hit_rate\":%.3f,\"mean_inspect_ms\":%.3f}",
+      "\"cache_hit_rate\":%.3f,\"mean_inspect_ms\":%.3f,"
+      "\"host_cpus\":%u,\"build_type\":\"%s\"}",
       label, num_snapshots, static_cast<long long>(snapshot_size),
       elapsed.count(), num_snapshots / elapsed.count(), hit_rate,
       metrics.GetHistogram("inspect_latency_ms").count() == 0
           ? 0.0
           : metrics.GetHistogram("inspect_latency_ms").sum() /
-                metrics.GetHistogram("inspect_latency_ms").count());
+                metrics.GetHistogram("inspect_latency_ms").count(),
+      std::thread::hardware_concurrency(), FOCUS_BUILD_TYPE);
   bench::EmitBenchJson(line);
 }
 
@@ -84,6 +146,7 @@ int Run() {
             snapshot_size);
   RunConfig("repeated_snapshots", num_snapshots, /*repeat_content=*/true,
             snapshot_size);
+  RunAddStream(snapshot_size);
   return 0;
 }
 

@@ -57,9 +57,11 @@ std::string StreamEvent::ToJson() const {
 }
 
 MonitorService::MonitorService(const MonitorServiceOptions& options,
+                               const data::TransactionDb& reference,
                                MetricsRegistry* metrics)
     : options_(options),
       metrics_(metrics),
+      monitor_(reference, options.monitor),
       model_cache_(options.model_cache_capacity, options.monitor.apriori,
                    metrics, options.index_backend),
       queue_(options.queue_capacity),
@@ -69,27 +71,23 @@ MonitorService::MonitorService(const MonitorServiceOptions& options,
 
 MonitorService::~MonitorService() { Shutdown(); }
 
-void MonitorService::AddStream(const std::string& name,
-                               const data::TransactionDb& reference) {
-  // Mining + calibration run outside the state lock; only registration
-  // takes it.
-  auto stream = std::make_unique<Stream>(options_.cusum);
-  stream->monitor =
-      std::make_unique<core::LitsChangeMonitor>(reference, options_.monitor);
-  {
-    MutexLock lock(&state_mutex_);
-    FOCUS_CHECK(streams_.find(name) == streams_.end())
-        << "stream '" << name << "' registered twice";
-    streams_[name] = std::move(stream);
+void MonitorService::AddStream(const std::string& name) {
+  MutexLock lock(&state_mutex_);
+  FOCUS_CHECK(streams_.find(name) == streams_.end())
+      << "stream '" << name << "' registered twice";
+  FindOrAddStreamLocked(name);
+}
+
+MonitorService::Stream* MonitorService::FindOrAddStreamLocked(
+    const std::string& name) {
+  auto [it, inserted] = streams_.try_emplace(name);
+  if (inserted) {
+    it->second = std::make_unique<Stream>(options_.cusum);
     if (metrics_ != nullptr) {
       metrics_->GetGauge("streams").Set(static_cast<double>(streams_.size()));
     }
   }
-}
-
-bool MonitorService::HasStream(const std::string& name) const {
-  MutexLock lock(&state_mutex_);
-  return streams_.count(name) > 0;
+  return it->second.get();
 }
 
 std::vector<std::string> MonitorService::ListStreams() const {
@@ -119,14 +117,12 @@ SubmitResult MonitorService::TrySubmitFor(Snapshot snapshot,
 }
 
 IngestResult MonitorService::Ingest(
-    Snapshot snapshot, const data::TransactionDb& reference,
-    std::optional<std::chrono::milliseconds> wait) {
+    Snapshot snapshot, std::optional<std::chrono::milliseconds> wait) {
   MutexLock ingest(&ingest_mutex_);
-  if (!HasStream(snapshot.stream)) AddStream(snapshot.stream, reference);
   Stream* stream = nullptr;
   {
     MutexLock lock(&state_mutex_);
-    stream = streams_.at(snapshot.stream).get();
+    stream = FindOrAddStreamLocked(snapshot.stream);
   }
   snapshot.sequence = stream->next_sequence;
   IngestResult result;
@@ -190,14 +186,12 @@ std::optional<StreamDeviation> MonitorService::QueryDeviation(
     const std::string& name, const core::DeviationFunction& fn) const {
   StreamDeviation result;
   MinedSnapshot last;
-  const core::LitsChangeMonitor* monitor = nullptr;
   {
     MutexLock lock(&state_mutex_);
     const auto it = streams_.find(name);
     if (it == streams_.end()) return std::nullopt;
     result.status = it->second->status;
     last = it->second->last_mined;
-    monitor = it->second->monitor.get();
   }
   if (!result.status.has_snapshot || last.model == nullptr ||
       !last.has_index()) {
@@ -206,10 +200,10 @@ std::optional<StreamDeviation> MonitorService::QueryDeviation(
   // Recompute under the requested (f,g) from the CACHED model + vertical
   // index of the latest snapshot against the monitor's reference pair —
   // GCR extension via bitmap AND+popcount, no raw-data scan. The monitor
-  // itself is immutable after AddStream, so reading it unlocked is safe.
+  // is immutable after construction, so reading it unlocked is safe.
   result.deviation =
-      core::LitsDeviation(monitor->reference_model(),
-                          monitor->reference_index(), *last.model,
+      core::LitsDeviation(monitor_.reference_model(),
+                          monitor_.reference_index(), *last.model,
                           last.index_ref(), fn);
   result.has_deviation = true;
   return result;
@@ -290,8 +284,8 @@ StreamEvent MonitorService::Process(Stream* stream, Snapshot snapshot) {
   // The cached vertical index lets stage 2 (when the screen fires) extend
   // both models via bitmap probes — window re-comparisons never re-scan
   // the snapshot's raw transactions.
-  event.report = stream->monitor->InspectWithModel(source, *mined.model,
-                                                   mined.index_ref());
+  event.report =
+      monitor_.InspectWithModel(source, *mined.model, mined.index_ref());
 
   // The CUSUM series runs over delta*: unlike the exact deviation it is
   // computed for every snapshot (screened or not), giving a uniform

@@ -25,8 +25,9 @@
 namespace focus::serve {
 
 struct MonitorServiceOptions {
-  // Per-stream two-stage screening (delta* screen, then exact deviation +
-  // bootstrap significance) — the paper's monitoring deployment.
+  // Two-stage screening (delta* screen, then exact deviation + bootstrap
+  // significance) — the paper's monitoring deployment. Configures the
+  // service's one reference monitor, which every stream shares.
   core::MonitorOptions monitor;
   // Sequential change-point detection over each stream's delta* series.
   core::CusumOptions cusum;
@@ -103,33 +104,37 @@ struct StreamDeviation {
 };
 
 // Long-running monitoring service: N independent snapshot streams served
-// concurrently on a shared worker pool.
+// concurrently on a shared worker pool, all screened against one reference
+// (the paper's §1 workflow: one baseline, many snapshots).
 //
 // Ingestion path:  Submit → bounded SnapshotQueue (backpressure) →
 // dispatcher thread → per-stream pending deques → pool drain jobs.
 // Snapshots of ONE stream are processed strictly in submission order (the
 // CUSUM statistic is sequential); distinct streams proceed in parallel.
 // Each snapshot is mined at most once via the content-hash model cache,
-// screened by the stream's LitsChangeMonitor, and fed to the stream's
-// DeviationCusum; the resulting event goes to the (serialized) event sink
-// and into the metrics registry.
+// screened by the service's one immutable LitsChangeMonitor, and fed to
+// the stream's DeviationCusum; the resulting event goes to the
+// (serialized) event sink and into the metrics registry.
 class MonitorService {
  public:
-  // `metrics` may be null (no telemetry); it must outlive the service.
+  // Builds the reference monitor every stream shares: copies `reference`,
+  // indexes and mines it, and calibrates the stage-1 threshold. This is
+  // the expensive step, and it runs here, once per service, before any
+  // thread starts; nothing on an ingest or query path builds a reference.
+  // `reference` may die after the constructor returns. `metrics` may be
+  // null (no telemetry); it must outlive the service.
   MonitorService(const MonitorServiceOptions& options,
+                 const data::TransactionDb& reference,
                  MetricsRegistry* metrics);
   ~MonitorService();  // Shutdown()
 
   MonitorService(const MonitorService&) = delete;
   MonitorService& operator=(const MonitorService&) = delete;
 
-  // Registers a stream: mines the reference model and calibrates the
-  // stage-1 threshold (expensive). Must happen before snapshots of that
-  // stream are submitted.
-  void AddStream(const std::string& name,
-                 const data::TransactionDb& reference)
-      EXCLUDES(state_mutex_);
-  bool HasStream(const std::string& name) const EXCLUDES(state_mutex_);
+  // Registers a stream: O(1), it only creates the stream's CUSUM and
+  // queue state. Must happen before snapshots of that stream are
+  // submitted; Ingest does it on a stream's first snapshot.
+  void AddStream(const std::string& name) EXCLUDES(state_mutex_);
 
   // Names of all registered streams, sorted. The canonical enumeration
   // order for cross-stream aggregates: single-node and sharded summaries
@@ -154,14 +159,14 @@ class MonitorService {
                             std::chrono::milliseconds timeout)
       EXCLUDES(state_mutex_);
 
-  // The one ingest path of both daemons. Registers `snapshot.stream`
-  // against `reference` on its first snapshot, stamps the stream's next
+  // The one ingest path of both daemons. Registers `snapshot.stream` on
+  // its first snapshot (O(1), like AddStream), stamps the stream's next
   // sequence number, and submits: waiting at most `wait` for backpressure
   // to clear, or until there is room when `wait` is nullopt. Calls are
   // serialized, so a stream registers exactly once and its sequence order
   // is its queue order; a snapshot that is not accepted burns no number,
   // which keeps every stream's sequences dense.
-  IngestResult Ingest(Snapshot snapshot, const data::TransactionDb& reference,
+  IngestResult Ingest(Snapshot snapshot,
                       std::optional<std::chrono::milliseconds> wait)
       EXCLUDES(ingest_mutex_, state_mutex_);
 
@@ -171,8 +176,8 @@ class MonitorService {
       EXCLUDES(state_mutex_);
 
   // Status plus the deviation of the latest processed snapshot against
-  // the stream's reference under an arbitrary (f,g), computed over the
-  // CACHED models and vertical indexes (never the raw transactions).
+  // the reference under an arbitrary (f,g), computed over the CACHED
+  // models and vertical indexes (never the raw transactions).
   // nullopt for unknown streams.
   std::optional<StreamDeviation> QueryDeviation(
       const std::string& name, const core::DeviationFunction& fn) const
@@ -193,7 +198,6 @@ class MonitorService {
 
  private:
   struct Stream {
-    std::unique_ptr<core::LitsChangeMonitor> monitor;
     core::DeviationCusum cusum;
     // The next four fields are guarded by the owning service's
     // state_mutex_ (a nested struct cannot name the outer instance's
@@ -218,6 +222,9 @@ class MonitorService {
   SubmitResult Enqueue(Snapshot snapshot,
                        std::optional<std::chrono::milliseconds> timeout)
       EXCLUDES(state_mutex_);
+  // The stream named `name`, registered first if it is new.
+  Stream* FindOrAddStreamLocked(const std::string& name)
+      REQUIRES(state_mutex_);
   void DispatchLoop();
   void Route(Snapshot snapshot) EXCLUDES(state_mutex_);
   void DrainStream(Stream* stream) EXCLUDES(state_mutex_);
@@ -235,6 +242,10 @@ class MonitorService {
 
   const MonitorServiceOptions options_;
   MetricsRegistry* const metrics_;  // may be null
+  // Built in the constructor, before the pool and the dispatcher start,
+  // and never mutated after: every stream's drain job and QueryDeviation
+  // read it concurrently without a lock.
+  const core::LitsChangeMonitor monitor_;
   ModelCache model_cache_;
   SnapshotQueue queue_;
   std::unique_ptr<common::ThreadPool> pool_;

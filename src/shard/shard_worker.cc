@@ -20,12 +20,11 @@ Frame ErrorFrame(uint32_t request_id, std::string message) {
 }  // namespace
 
 ShardWorker::ShardWorker(const ShardWorkerOptions& options,
-                         const data::TransactionDb* reference,
+                         const data::TransactionDb& reference,
                          serve::MetricsRegistry* metrics)
     : options_(options),
-      reference_(reference),
       metrics_(metrics),
-      service_(options.service, metrics) {}
+      service_(options.service, reference, metrics) {}
 
 bool ShardWorker::Serve(const WireServerOptions& server_options,
                         std::string* error) {
@@ -116,8 +115,7 @@ Frame ShardWorker::HandleSubmit(const Frame& request) {
   snapshot.source = std::move(body.source);
   snapshot.db = std::move(*db);
   const serve::IngestResult ingest = service_.Ingest(
-      std::move(snapshot), *reference_,
-      std::chrono::milliseconds(options_.ingest_wait_ms));
+      std::move(snapshot), std::chrono::milliseconds(options_.ingest_wait_ms));
   switch (ingest.status) {
     case serve::SubmitResult::kOverloaded:
       result.status = 429;

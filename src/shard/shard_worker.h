@@ -24,21 +24,24 @@ struct ShardWorkerOptions {
 };
 
 // One shard: a full MonitorService + ModelCache owning a subset of the
-// streams, exposed through the wire protocol. HandleFrame() is the entire
-// behavior — Serve() merely runs it behind a WireServer on a Unix socket,
-// which is how forked worker processes host it; focus_served --shards 0,
-// the law tests and the in-process bench call HandleFrame directly through
-// a LocalShardChannel (same code, no sockets).
+// streams, all screened against the one reference the service calibrated
+// at construction, exposed through the wire protocol. HandleFrame() is
+// the entire behavior — Serve() merely runs it behind a WireServer on a
+// Unix socket, which is how forked worker processes host it;
+// focus_served --shards 0, the law tests and the in-process bench call
+// HandleFrame directly through a LocalShardChannel (same code, no
+// sockets).
 //
 // Sequence numbers come from MonitorService::Ingest: the worker is the
 // single owner of each of its streams, so numbers stay dense no matter how
 // many front-end reactors forward ingests.
 class ShardWorker {
  public:
-  // `reference` is the calibration dataset for lazily added streams;
-  // `metrics` may be null. Both must outlive the worker.
+  // Hands `reference` to the MonitorService, which indexes, mines and
+  // calibrates it here, before the worker serves a frame; the worker keeps
+  // no pointer to it. `metrics` may be null; it must outlive the worker.
   ShardWorker(const ShardWorkerOptions& options,
-              const data::TransactionDb* reference,
+              const data::TransactionDb& reference,
               serve::MetricsRegistry* metrics);
 
   ShardWorker(const ShardWorker&) = delete;
@@ -70,7 +73,6 @@ class ShardWorker {
   Frame HandleStreamPartials(const Frame& request);
 
   const ShardWorkerOptions options_;
-  const data::TransactionDb* const reference_;
   serve::MetricsRegistry* const metrics_;  // may be null
   serve::MonitorService service_;
   std::unique_ptr<WireServer> server_;

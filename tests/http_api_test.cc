@@ -16,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/timer.h"
+#include "core/monitor.h"
 #include "datagen/quest_gen.h"
 #include "io/data_io.h"
 #include "net/http_client.h"
@@ -72,14 +74,15 @@ shard::ShardWorkerOptions WorkerOptions(
 }
 
 // Boots the whole stack (worker + router + api + server) around one
-// reference db.
+// reference db, which the worker's service calibrates before the server
+// starts.
 class ApiStack {
  public:
   explicit ApiStack(MonitorServiceOptions service_options =
                         MonitorServiceOptions(),
-                    int ingest_wait_ms = 20)
-      : reference_(QuestDb(1)),
-        worker_(WorkerOptions(service_options, ingest_wait_ms), &reference_,
+                    int ingest_wait_ms = 20,
+                    const data::TransactionDb& reference = QuestDb(1))
+      : worker_(WorkerOptions(service_options, ingest_wait_ms), reference,
                 &metrics_),
         service_(worker_.service()),
         channel_(&worker_),
@@ -104,7 +107,6 @@ class ApiStack {
   }
 
   MetricsRegistry metrics_;
-  data::TransactionDb reference_;
   shard::ShardWorker worker_;
   MonitorService& service_;
   shard::LocalShardChannel channel_;
@@ -315,6 +317,41 @@ TEST(HttpApiTest, ConcurrentIngestLosesNothing) {
       }
     }
   }
+}
+
+// Streams register in O(1): the service built its one reference monitor
+// before the server started, so a new stream's first POST only parses,
+// hashes and queues. With a reference far larger than the posts, each
+// first POST must answer in well under the time one reference build
+// takes, timed here as well so a sanitizer build slows both sides alike.
+TEST(HttpApiTest, FirstPostOfNewStreamsNeverWaitsForAReferenceBuild) {
+  MonitorServiceOptions service_options;
+  // Screen every post out, so their background processing stays a small
+  // mine and never runs stage 2 against the large reference.
+  service_options.monitor.alert_factor = 1e9;
+  const data::TransactionDb reference = QuestDb(1, 50'000);
+  const common::Timer build_timer;
+  const core::LitsChangeMonitor standalone(reference, service_options.monitor);
+  const double build_ms = build_timer.Millis();
+
+  ApiStack stack(service_options, /*ingest_wait_ms=*/20, reference);
+  auto client = stack.Client();
+  const std::string body = Serialize(QuestDb(2, 100));
+  for (int s = 0; s < 8; ++s) {
+    const std::string stream = "fresh-" + std::to_string(s);
+    const common::Timer post_timer;
+    const auto response =
+        client.Post("/v1/streams/" + stream + "/snapshots", body, "text/plain");
+    const double post_ms = post_timer.Millis();
+    ASSERT_TRUE(response.has_value());
+    ASSERT_EQ(response->status, 202) << response->body;
+    EXPECT_EQ(JsonField(response->body, "sequence"), "0");
+    EXPECT_LT(post_ms, build_ms / 2)
+        << stream << ": first POST took " << post_ms
+        << " ms; one reference build takes " << build_ms << " ms";
+  }
+  stack.service_.Flush();
+  EXPECT_EQ(stack.service_.processed(), 8);
 }
 
 // Saturate a tiny service so the bounded ingest wait expires: clients must

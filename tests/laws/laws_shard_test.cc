@@ -73,11 +73,9 @@ serve::MonitorServiceOptions ServiceOptions() {
 // The single-node oracle: one MonitorService holding every stream.
 class SingleNode {
  public:
-  explicit SingleNode(const data::TransactionDb* reference)
-      : service_(ServiceOptions(), nullptr) {
-    for (int i = 0; i < kNumStreams; ++i) {
-      service_.AddStream(StreamName(i), *reference);
-    }
+  explicit SingleNode(const data::TransactionDb& reference)
+      : service_(ServiceOptions(), reference, nullptr) {
+    for (int i = 0; i < kNumStreams; ++i) service_.AddStream(StreamName(i));
   }
 
   ~SingleNode() { service_.Shutdown(); }
@@ -98,7 +96,7 @@ class SingleNode {
 // the same frame codecs as the socket path, without the sockets).
 class Sharded {
  public:
-  Sharded(int num_shards, const data::TransactionDb* reference) {
+  Sharded(int num_shards, const data::TransactionDb& reference) {
     for (int i = 0; i < num_shards; ++i) {
       ShardWorkerOptions options;
       options.shard_index = static_cast<uint32_t>(i);
@@ -169,8 +167,8 @@ TEST(LawsShard, PerStreamDeviationIdenticalToSingleNode) {
     // A fresh oracle per shard count: CUSUM is sequential, so re-feeding
     // one long-lived single node would accumulate state the fresh sharded
     // deployment never saw.
-    SingleNode single(&reference);
-    Sharded sharded(num_shards, &reference);
+    SingleNode single(reference);
+    Sharded sharded(num_shards, reference);
     FeedBoth(&single, &sharded);
     for (int i = 0; i < kNumStreams; ++i) {
       for (const FgCase& fg : kFgCases) {
@@ -206,9 +204,9 @@ TEST(LawsShard, PerStreamDeviationIdenticalToSingleNode) {
 
 TEST(LawsShard, CompareIdenticalToSingleNodeIncludingCrossShard) {
   const data::TransactionDb reference = QuestDb(1);
-  SingleNode single(&reference);
+  SingleNode single(reference);
   for (const int num_shards : kShardCounts) {
-    Sharded sharded(num_shards, &reference);
+    Sharded sharded(num_shards, reference);
     const std::map<int, uint64_t> hashes = FeedBoth(&single, &sharded);
 
     auto single_compare = [&](uint64_t left, uint64_t right,
@@ -253,9 +251,9 @@ TEST(LawsShard, CompareIdenticalToSingleNodeIncludingCrossShard) {
 
 TEST(LawsShard, SummaryIdenticalToSingleNodeFold) {
   const data::TransactionDb reference = QuestDb(1);
-  SingleNode single(&reference);
+  SingleNode single(reference);
   for (const int num_shards : kShardCounts) {
-    Sharded sharded(num_shards, &reference);
+    Sharded sharded(num_shards, reference);
     FeedBoth(&single, &sharded);
     for (const FgCase& fg : kFgCases) {
       core::DeviationFunction fn;
@@ -300,7 +298,7 @@ TEST(LawsShard, SequencesStayDensePerStreamAcrossShardCounts) {
   const data::TransactionDb reference = QuestDb(1);
   const std::string snapshot = Serialize(QuestDb(2));
   for (const int num_shards : kShardCounts) {
-    Sharded sharded(num_shards, &reference);
+    Sharded sharded(num_shards, reference);
     for (int64_t k = 0; k < 3; ++k) {
       SubmitResultBody result;
       std::string error;

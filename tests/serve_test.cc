@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -501,10 +502,10 @@ MonitorServiceOptions SmallServiceOptions() {
 
 TEST(MonitorServiceTest, ProcessesStreamInSubmissionOrder) {
   MetricsRegistry metrics;
-  MonitorService service(SmallServiceOptions(), &metrics);
-  service.AddStream("s", QuestDb(1000));
-  EXPECT_TRUE(service.HasStream("s"));
-  EXPECT_FALSE(service.HasStream("other"));
+  MonitorService service(SmallServiceOptions(), QuestDb(1000), &metrics);
+  service.AddStream("s");
+  EXPECT_TRUE(service.GetStreamStatus("s").has_value());
+  EXPECT_FALSE(service.GetStreamStatus("other").has_value());
 
   std::vector<int64_t> order;
   service.SetEventSink(
@@ -521,8 +522,8 @@ TEST(MonitorServiceTest, ProcessesStreamInSubmissionOrder) {
 
 TEST(MonitorServiceTest, UnknownStreamIsRejectedNotProcessed) {
   MetricsRegistry metrics;
-  MonitorService service(SmallServiceOptions(), &metrics);
-  service.AddStream("known", QuestDb(1000));
+  MonitorService service(SmallServiceOptions(), QuestDb(1000), &metrics);
+  service.AddStream("known");
   std::atomic<int> events{0};
   service.SetEventSink([&events](const StreamEvent&) { ++events; });
   EXPECT_TRUE(service.Submit(MakeSnapshot("unknown", 0, 1)));
@@ -535,8 +536,8 @@ TEST(MonitorServiceTest, UnknownStreamIsRejectedNotProcessed) {
 
 TEST(MonitorServiceTest, RepeatedSnapshotHitsModelCache) {
   MetricsRegistry metrics;
-  MonitorService service(SmallServiceOptions(), &metrics);
-  service.AddStream("s", QuestDb(1000));
+  MonitorService service(SmallServiceOptions(), QuestDb(1000), &metrics);
+  service.AddStream("s");
   bool saw_cache_hit = false;
   service.SetEventSink([&saw_cache_hit](const StreamEvent& event) {
     if (event.cache_hit) saw_cache_hit = true;
@@ -550,11 +551,13 @@ TEST(MonitorServiceTest, RepeatedSnapshotHitsModelCache) {
   EXPECT_EQ(metrics.GetCounter("cache_hits").Value(), 1);
 }
 
+// One reference, two streams from different processes: each keeps its
+// own order, CUSUM and status.
 TEST(MonitorServiceTest, TwoStreamsProcessIndependently) {
   MetricsRegistry metrics;
-  MonitorService service(SmallServiceOptions(), &metrics);
-  service.AddStream("a", QuestDb(1000));
-  service.AddStream("b", QuestDb(1001, /*pattern_seed=*/123));
+  MonitorService service(SmallServiceOptions(), QuestDb(1000), &metrics);
+  service.AddStream("a");
+  service.AddStream("b");
   std::vector<std::string> seen_a, seen_b;
   common::Mutex mutex;
   service.SetEventSink([&](const StreamEvent& event) {
@@ -569,6 +572,73 @@ TEST(MonitorServiceTest, TwoStreamsProcessIndependently) {
   service.Flush();
   EXPECT_EQ(seen_a.size(), 3u);
   EXPECT_EQ(seen_b.size(), 3u);
+  const auto a = service.GetStreamStatus("a");
+  const auto b = service.GetStreamStatus("b");
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  EXPECT_EQ(a->processed, 3);
+  EXPECT_EQ(b->processed, 3);
+  // b's process differs from the reference's; a's does not.
+  EXPECT_LT(a->delta_star, b->delta_star);
+}
+
+// Every stream screens through the service's one shared monitor, and
+// several drain jobs run its screen and stage 2 at once. Each event must
+// still be exactly what a standalone monitor over the same reference
+// reports for that snapshot. (Run under TSan in CI.)
+TEST(MonitorServiceTest, SharedMonitorMatchesStandaloneUnderConcurrency) {
+  MonitorServiceOptions options = SmallServiceOptions();
+  options.num_threads = 4;
+  options.queue_capacity = 16;
+  options.model_cache_capacity = 64;
+  const data::TransactionDb reference = QuestDb(1000);
+  MonitorService service(options, reference, /*metrics=*/nullptr);
+  common::Mutex mutex;
+  std::vector<StreamEvent> events;
+  service.SetEventSink([&](const StreamEvent& event) {
+    common::MutexLock lock(&mutex);
+    events.push_back(event);
+  });
+
+  // Interleaved across streams; every other snapshot comes from a drifted
+  // process, so the screen fires (stage 2) beside screened-out ones.
+  constexpr int kStreams = 5;
+  constexpr int kPerStream = 6;
+  const auto seed_of = [](int stream, int64_t sequence) {
+    return static_cast<uint64_t>(9000 + 100 * stream + sequence);
+  };
+  const auto pattern_seed_of = [](int stream, int64_t sequence) {
+    return static_cast<uint64_t>((stream + sequence) % 2 == 1 ? 7 : 99);
+  };
+  for (int i = 0; i < kPerStream; ++i) {
+    for (int s = 0; s < kStreams; ++s) {
+      Snapshot snapshot =
+          MakeSnapshot("s" + std::to_string(s), /*sequence=*/-1,
+                       seed_of(s, i), pattern_seed_of(s, i));
+      const IngestResult result =
+          service.Ingest(std::move(snapshot), std::nullopt);
+      ASSERT_EQ(result.status, SubmitResult::kAccepted);
+      ASSERT_EQ(result.sequence, i);
+    }
+  }
+  service.Flush();
+  ASSERT_EQ(events.size(), static_cast<size_t>(kStreams * kPerStream));
+
+  const core::LitsChangeMonitor standalone(reference, options.monitor);
+  int screened = 0;
+  for (const StreamEvent& event : events) {
+    const int s = std::stoi(event.stream.substr(1));
+    const core::MonitorReport want = standalone.Inspect(QuestDb(
+        seed_of(s, event.sequence), pattern_seed_of(s, event.sequence)));
+    EXPECT_EQ(event.report.upper_bound, want.upper_bound) << event.ToJson();
+    EXPECT_EQ(event.report.screened_out, want.screened_out) << event.ToJson();
+    EXPECT_EQ(event.report.deviation, want.deviation) << event.ToJson();
+    EXPECT_EQ(event.report.significance_percent, want.significance_percent)
+        << event.ToJson();
+    if (event.report.screened_out) ++screened;
+  }
+  // Both branches ran: the screen alone, and the screen plus stage 2.
+  EXPECT_GT(screened, 0);
+  EXPECT_LT(screened, kStreams * kPerStream);
 }
 
 TEST(MonitorServiceTest, RegimeShiftTripsCusumChangePoint) {
@@ -576,10 +646,10 @@ TEST(MonitorServiceTest, RegimeShiftTripsCusumChangePoint) {
   options.cusum.warmup = 5;
   options.cusum.decision_threshold = 4.0;
   MetricsRegistry metrics;
-  MonitorService service(options, &metrics);
   // Reference and the first snapshots share pattern_seed 99: same
   // generating process, independent samples.
-  service.AddStream("s", QuestDb(1000));
+  MonitorService service(options, QuestDb(1000), &metrics);
+  service.AddStream("s");
   bool change_point = false;
   service.SetEventSink([&change_point](const StreamEvent& event) {
     if (event.change_point) change_point = true;
@@ -599,8 +669,9 @@ TEST(MonitorServiceTest, RegimeShiftTripsCusumChangePoint) {
 }
 
 TEST(MonitorServiceTest, SubmitAfterShutdownIsRefused) {
-  MonitorService service(SmallServiceOptions(), /*metrics=*/nullptr);
-  service.AddStream("s", QuestDb(1000));
+  MonitorService service(SmallServiceOptions(), QuestDb(1000),
+                         /*metrics=*/nullptr);
+  service.AddStream("s");
   service.Shutdown();
   EXPECT_FALSE(service.Submit(MakeSnapshot("s", 0, 1)));
   service.Shutdown();  // idempotent
@@ -611,8 +682,8 @@ TEST(MonitorServiceTest, TrySubmitForShedsUnderSaturationThenRecovers) {
   options.num_threads = 1;
   options.queue_capacity = 1;  // in-flight bound: 1
   MetricsRegistry metrics;
-  MonitorService service(options, &metrics);
-  service.AddStream("s", QuestDb(1000));
+  MonitorService service(options, QuestDb(1000), &metrics);
+  service.AddStream("s");
 
   // The event sink runs on the worker BEFORE the snapshot stops counting
   // as in flight — blocking it holds the service at capacity
@@ -660,8 +731,9 @@ TEST(MonitorServiceTest, TrySubmitForShedsUnderSaturationThenRecovers) {
 }
 
 TEST(MonitorServiceTest, StatusAndQueryDeviationTrackLatestSnapshot) {
-  MonitorService service(SmallServiceOptions(), /*metrics=*/nullptr);
-  service.AddStream("s", QuestDb(1000));
+  MonitorService service(SmallServiceOptions(), QuestDb(1000),
+                         /*metrics=*/nullptr);
+  service.AddStream("s");
 
   EXPECT_FALSE(service.GetStreamStatus("ghost").has_value());
   auto empty = service.GetStreamStatus("s");

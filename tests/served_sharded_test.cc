@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/timer.h"
 #include "data/transaction_db.h"
 #include "io/data_io.h"
 #include "net/http_client.h"
@@ -288,6 +289,39 @@ TEST_F(ServedShardedTest, EventsFlagIsAUsageError) {
   EXPECT_NE(ReadLog().find("--events"), std::string::npos) << ReadLog();
   EXPECT_FALSE(fs::exists(port_file_));
   EXPECT_FALSE(fs::exists(root_ / "shards"));
+}
+
+// A worker that exits during start-up fails the daemon at once: the front
+// end notices the exit instead of pinging until a timeout. The worker
+// cannot bind because shard-0.sock's path overflows sun_path.
+TEST_F(ServedShardedTest, WorkerThatCannotBindFailsStartupFast) {
+  const fs::path shard_dir = root_ / std::string(120, 'd');
+  const common::Timer timer;
+  pid_ = fork();
+  if (pid_ == 0) {
+    const int out = open((root_ / "stdout.txt").c_str(),
+                         O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    dup2(out, STDOUT_FILENO);
+    dup2(out, STDERR_FILENO);
+    execl(FOCUS_SERVED_PATH, FOCUS_SERVED_PATH, "--reference",
+          reference_path_.c_str(), "--port", "0", "--port-file",
+          port_file_.c_str(), "--shards", "2", "--shard-dir",
+          shard_dir.c_str(), "--minsup", "0.3", "--calibration", "1",
+          "--replicates", "1", "--threads", "1",
+          static_cast<char*>(nullptr));
+    _exit(127);  // exec failed
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid_, &status, 0), pid_);
+  pid_ = -1;
+  const double seconds = timer.Seconds();
+  ASSERT_TRUE(WIFEXITED(status)) << ReadLog();
+  EXPECT_EQ(WEXITSTATUS(status), 2) << ReadLog();
+  EXPECT_LT(seconds, 5.0) << ReadLog();
+  EXPECT_NE(ReadLog().find("cannot listen"), std::string::npos) << ReadLog();
+  EXPECT_NE(ReadLog().find("not up"), std::string::npos) << ReadLog();
+  EXPECT_FALSE(fs::exists(port_file_));
+  EXPECT_FALSE(fs::exists(shard_dir));  // created by the daemon, removed
 }
 
 }  // namespace

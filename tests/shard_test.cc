@@ -334,7 +334,7 @@ class WireSocketTest : public ::testing::Test {
     reference_ = QuestDb(1);
     ShardWorkerOptions options;
     options.shard_index = 3;
-    worker_ = std::make_unique<ShardWorker>(options, &reference_, nullptr);
+    worker_ = std::make_unique<ShardWorker>(options, reference_, nullptr);
     WireServerOptions server_options;
     server_options.unix_path = SocketPath("socket");
     std::string error;
@@ -434,7 +434,7 @@ TEST_F(WireSocketTest, ClientReportsServerGone) {
 
 TEST(ShardWorkerTest, RejectsMalformedSnapshotWithoutBurningSequence) {
   const data::TransactionDb reference = QuestDb(1);
-  ShardWorker worker(ShardWorkerOptions{}, &reference, nullptr);
+  ShardWorker worker(ShardWorkerOptions{}, reference, nullptr);
 
   SubmitSnapshotBody bad;
   bad.stream = "s";
@@ -459,7 +459,7 @@ TEST(ShardWorkerTest, RejectsMalformedSnapshotWithoutBurningSequence) {
 
 TEST(ShardWorkerTest, DrainingWorkerAnswers503) {
   const data::TransactionDb reference = QuestDb(1);
-  ShardWorker worker(ShardWorkerOptions{}, &reference, nullptr);
+  ShardWorker worker(ShardWorkerOptions{}, reference, nullptr);
   worker.BeginDrain();
 
   SubmitSnapshotBody submit;
@@ -475,7 +475,7 @@ TEST(ShardWorkerTest, DrainingWorkerAnswers503) {
 
 TEST(ShardWorkerTest, ResponseEchoesRequestId) {
   const data::TransactionDb reference = QuestDb(1);
-  ShardWorker worker(ShardWorkerOptions{}, &reference, nullptr);
+  ShardWorker worker(ShardWorkerOptions{}, reference, nullptr);
   const Frame response =
       worker.HandleFrame(Frame{MessageType::kPing, 0xCAFE, ""});
   EXPECT_EQ(response.request_id, 0xCAFEu);
@@ -493,7 +493,7 @@ TEST(ShardRouterTest, RoutesIngestAndQueriesToOwningShard) {
     ShardWorkerOptions options;
     options.shard_index = i;
     workers.push_back(
-        std::make_unique<ShardWorker>(options, &reference, nullptr));
+        std::make_unique<ShardWorker>(options, reference, nullptr));
     channels.push_back(
         std::make_unique<LocalShardChannel>(workers.back().get()));
     shards.push_back(channels.back().get());
@@ -526,11 +526,9 @@ TEST(ShardRouterTest, RoutesIngestAndQueriesToOwningShard) {
     EXPECT_EQ(result.has_deviation, 1);
     // The stream landed on exactly the shard the ring names.
     const int owner = router.ShardFor(stream);
-    EXPECT_TRUE(workers[owner]->service().HasStream(stream));
-    for (int other = 0; other < 3; ++other) {
-      if (other != owner) {
-        EXPECT_FALSE(workers[other]->service().HasStream(stream));
-      }
+    for (int shard = 0; shard < 3; ++shard) {
+      EXPECT_EQ(workers[shard]->service().GetStreamStatus(stream).has_value(),
+                shard == owner);
     }
   }
 
@@ -564,7 +562,7 @@ TEST(ShardRouterTest, CompareAcrossShards) {
     ShardWorkerOptions options;
     options.shard_index = i;
     workers.push_back(
-        std::make_unique<ShardWorker>(options, &reference, nullptr));
+        std::make_unique<ShardWorker>(options, reference, nullptr));
     channels.push_back(
         std::make_unique<LocalShardChannel>(workers.back().get()));
     shards.push_back(channels.back().get());

@@ -183,8 +183,10 @@ int Run(const common::Flags& flags) {
     return 2;
   }
 
+  // The one reference build: indexing, mining and calibration all happen
+  // here, before the first spool scan.
   serve::MetricsRegistry metrics;
-  serve::MonitorService service(options, &metrics);
+  serve::MonitorService service(options, *reference, &metrics);
   service.SetEventSink([&events](const serve::StreamEvent& event) {
     events.WriteLine(event.ToJson());
     if (event.change_point || event.report.alert) {
@@ -203,10 +205,12 @@ int Run(const common::Flags& flags) {
   const int64_t poll_ms = std::max<int64_t>(1, flags.GetInt("poll-ms", 200));
   const int64_t metrics_every_ms = flags.GetInt("metrics-every-ms", 2000);
 
-  std::printf("focus_monitord: spool=%s reference=%s (%lld txns) threads=%d\n",
-              spool.c_str(), reference_path.c_str(),
-              static_cast<long long>(reference->num_transactions()),
-              options.num_threads);
+  std::printf(
+      "focus_monitord: spool=%s reference=%s (%lld txns, calibrated once "
+      "for every stream) threads=%d\n",
+      spool.c_str(), reference_path.c_str(),
+      static_cast<long long>(reference->num_transactions()),
+      options.num_threads);
 
   int64_t accepted = 0;
   int64_t idle_ms = 0;
@@ -249,15 +253,11 @@ int Run(const common::Flags& flags) {
       }
       snapshot.stream = StreamOfFile(path);
       snapshot.source = name;
-      if (!service.HasStream(snapshot.stream)) {
-        std::printf("new stream '%s': calibrating against reference…\n",
-                    snapshot.stream.c_str());
-      }
       // Registers a new stream, sequences, and blocks on backpressure
       // until the snapshot is accepted. A refusal (shutdown) leaves the
       // file in the spool for the next run.
-      if (service.Ingest(std::move(snapshot), *reference, std::nullopt)
-              .status != serve::SubmitResult::kAccepted) {
+      if (service.Ingest(std::move(snapshot), std::nullopt).status !=
+          serve::SubmitResult::kAccepted) {
         break;
       }
       fs::rename(path, fs::path(spool) / "processed" / name, ec);

@@ -40,6 +40,11 @@
 // the daemon stays clean under TSan. The answers are bit-identical for
 // every N (tests/laws/laws_shard_test.cc).
 //
+// Each worker mines and calibrates the reference once, at start-up, before
+// --port-file is written; streams then register in O(1), so no request
+// waits for a reference build. A worker that exits during start-up fails
+// the daemon with status 2.
+//
 // SIGTERM/SIGINT trigger a graceful drain: /healthz flips to "draining",
 // the listeners close, idle keep-alive connections are shut, in-flight
 // requests finish, then every worker flushes its ingest queue (forked
@@ -115,11 +120,12 @@ int64_t DrainWorker(shard::ShardWorker* worker, int deadline_ms) {
 }
 
 // A forked worker process: one ShardWorker on one Unix socket, drained on
-// SIGTERM.
+// SIGTERM. The worker calibrates against the reference before it binds,
+// so the front end's start-up ping waits for that.
 int WorkerMain(uint32_t shard_index, const common::Flags& flags,
                const data::TransactionDb& reference,
                const std::string& socket_path) {
-  shard::ShardWorker worker(WorkerOptions(flags, shard_index), &reference,
+  shard::ShardWorker worker(WorkerOptions(flags, shard_index), reference,
                             nullptr);
   shard::WireServerOptions server_options;
   server_options.unix_path = socket_path;
@@ -148,6 +154,27 @@ struct ForkedShards {
   bool made_dir = false;
   std::vector<std::string> socket_paths;
   std::vector<pid_t> pids;
+
+  // Reaps, without blocking, every worker that has already exited and
+  // drops it from `pids`, so Shutdown neither signals nor waits on it
+  // again. False when one had; `error` then names it.
+  bool AllRunning(std::string* error) {
+    bool running = true;
+    for (auto it = pids.begin(); it != pids.end();) {
+      int status = 0;
+      if (::waitpid(*it, &status, WNOHANG) != *it) {
+        ++it;
+        continue;
+      }
+      *error = "worker pid " + std::to_string(*it) + " exited" +
+               (WIFEXITED(status)
+                    ? " with status " + std::to_string(WEXITSTATUS(status))
+                    : " on a signal");
+      it = pids.erase(it);
+      running = false;
+    }
+    return running;
+  }
 
   // Signals and reaps every worker, then removes the sockets (and the
   // directory, if this process created it). True when all exited 0.
@@ -275,7 +302,7 @@ int Run(const common::Flags& flags) {
     if (status != 0) return status;
   } else {
     local_worker = std::make_unique<shard::ShardWorker>(
-        WorkerOptions(flags, 0), &*reference, &metrics);
+        WorkerOptions(flags, 0), *reference, &metrics);
     local_channel =
         std::make_unique<shard::LocalShardChannel>(local_worker.get());
     if (!events_path.empty()) {
@@ -336,23 +363,19 @@ int Run(const common::Flags& flags) {
     if (r == 0) bound_port = reactor.server->port();
   }
 
-  // Wait until every worker answers a ping (forked sockets appear as each
-  // child binds); tolerate a slow start, not a dead child.
+  // Wait until every worker answers a ping (a forked socket appears once
+  // its child has calibrated and bound). However long calibration takes,
+  // keep waiting; stop at once on a worker that exited, or on a signal.
   {
     std::string error;
-    bool up = false;
-    for (int attempt = 0; attempt < 500 && g_signal == 0; ++attempt) {
-      if (reactors[0].router->PingAll(&error)) {
-        up = true;
-        break;
+    while (g_signal == 0 && !reactors[0].router->PingAll(&error)) {
+      if (!forked.AllRunning(&error)) {
+        std::fprintf(stderr, "focus_served: shard workers not up: %s\n",
+                     error.c_str());
+        forked.Shutdown(SIGTERM);
+        return 2;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    if (!up && g_signal == 0) {
-      std::fprintf(stderr, "focus_served: shard workers not up: %s\n",
-                   error.c_str());
-      forked.Shutdown(SIGTERM);
-      return 2;
     }
   }
 
