@@ -104,6 +104,14 @@ TransactionDb TakeTransactionsPooled(TxnSourceRef a, TxnSourceRef b,
                                      const std::vector<int64_t>& indices) {
   FOCUS_CHECK_EQ(a.num_items(), b.num_items());
   const int64_t na = a.num_transactions();
+  if (a.memory() != nullptr && b.memory() != nullptr) {
+    TransactionDb out(a.num_items());
+    for (const int64_t t : indices) {
+      out.AddTransaction(t < na ? a.memory()->Transaction(t)
+                                : b.memory()->Transaction(t - na));
+    }
+    return out;
+  }
   std::vector<std::pair<int64_t, int64_t>> a_slots;
   std::vector<std::pair<int64_t, int64_t>> b_slots;
   for (size_t i = 0; i < indices.size(); ++i) {

@@ -62,7 +62,11 @@ struct AprioriOptions {
 };
 
 // Classic Apriori (Agrawal & Srikant [5]): level-wise candidate
-// generation with subset pruning, one counting scan per level.
+// generation with subset pruning, one counting scan per level. Level 2
+// needs no candidates: every pair of frequent items survives the prune
+// step, so the pairs are counted directly (one triangular scan, or one
+// index intersection per pair) and only the frequent ones become
+// itemsets. The model fills in the same order either way.
 //
 // When `index` is non-empty it must be a vertical index (flat
 // data::VerticalIndex or compressed data::RoaringIndex) built from `db`;

@@ -1,6 +1,7 @@
 #include "serve/monitor_service.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -12,22 +13,70 @@ namespace focus::serve {
 
 using common::MutexLock;
 
-MonitorServiceOptions MonitorServiceOptionsFromFlags(
-    const common::Flags& flags) {
+namespace {
+
+// Reads integer flag `name` into `*out`. False, with `*error` naming the
+// flag and its range, when the value is below `min` or does not fit an int.
+bool ReadIntFlag(const common::Flags& flags, const char* name,
+                 int64_t fallback, int64_t min, int* out, std::string* error) {
+  const int64_t value = flags.GetInt(name, fallback);
+  if (value < min || value > std::numeric_limits<int>::max()) {
+    *error = std::string("--") + name + " must be an integer in [" +
+             std::to_string(min) + ", " +
+             std::to_string(std::numeric_limits<int>::max()) + "], got " +
+             flags.Get(name, "");
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
+// Reads double flag `name` into `*out`. False, with `*error` naming the
+// flag and `range`, when `in_range` rejects the value (NaN included).
+bool ReadDoubleFlag(const common::Flags& flags, const char* name,
+                    double fallback, bool (*in_range)(double),
+                    const char* range, double* out, std::string* error) {
+  const double value = flags.GetDouble(name, fallback);
+  if (!in_range(value)) {
+    *error = std::string("--") + name + " must be " + range + ", got " +
+             flags.Get(name, "");
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+}  // namespace
+
+std::optional<MonitorServiceOptions> MonitorServiceOptionsFromFlags(
+    const common::Flags& flags, std::string* error) {
   MonitorServiceOptions options;
-  options.monitor.apriori.min_support = flags.GetDouble("minsup", 0.01);
-  options.monitor.alert_factor = flags.GetDouble("factor", 2.0);
-  options.monitor.calibration_replicates =
-      static_cast<int>(flags.GetInt("calibration", 5));
-  options.monitor.significance.num_replicates =
-      static_cast<int>(flags.GetInt("replicates", 9));
-  options.cusum.warmup = static_cast<int>(flags.GetInt("warmup", 5));
-  options.cusum.slack = flags.GetDouble("slack", 0.5);
-  options.cusum.decision_threshold = flags.GetDouble("decision", 5.0);
-  options.num_threads = static_cast<int>(flags.GetInt("threads", 4));
-  options.queue_capacity = static_cast<size_t>(flags.GetInt("queue", 64));
-  options.model_cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache", 64));
+  int queue_capacity = 0;
+  int model_cache_capacity = 0;
+  const auto positive = [](double v) { return v > 0.0; };
+  if (!ReadDoubleFlag(flags, "minsup", 0.01,
+                      [](double v) { return v > 0.0 && v <= 1.0; },
+                      "in (0, 1]", &options.monitor.apriori.min_support,
+                      error) ||
+      !ReadDoubleFlag(flags, "factor", 2.0, positive, "> 0",
+                      &options.monitor.alert_factor, error) ||
+      !ReadIntFlag(flags, "calibration", 5, 1,
+                   &options.monitor.calibration_replicates, error) ||
+      !ReadIntFlag(flags, "replicates", 9, 1,
+                   &options.monitor.significance.num_replicates, error) ||
+      !ReadIntFlag(flags, "warmup", 5, 2, &options.cusum.warmup, error) ||
+      !ReadDoubleFlag(flags, "slack", 0.5,
+                      [](double v) { return v >= 0.0; }, ">= 0",
+                      &options.cusum.slack, error) ||
+      !ReadDoubleFlag(flags, "decision", 5.0, positive, "> 0",
+                      &options.cusum.decision_threshold, error) ||
+      !ReadIntFlag(flags, "threads", 4, 1, &options.num_threads, error) ||
+      !ReadIntFlag(flags, "queue", 64, 1, &queue_capacity, error) ||
+      !ReadIntFlag(flags, "cache", 64, 1, &model_cache_capacity, error)) {
+    return std::nullopt;
+  }
+  options.queue_capacity = static_cast<size_t>(queue_capacity);
+  options.model_cache_capacity = static_cast<size_t>(model_cache_capacity);
   return options;
 }
 

@@ -276,9 +276,11 @@ TEST(LawsBlockStore, SamplingPooledAndContentHashExact) {
       pool_db.num_transactions(), pool_db.num_transactions(), rng);
   ExpectSameDb(TakeTransactions(pool_db, pooled_indices),
                TakeTransactionsPooled(s1, s2, pooled_indices));
-  // Mixed backends pool too.
+  // Mixed backends pool too, and so do two in-memory operands.
   ExpectSameDb(TakeTransactions(pool_db, pooled_indices),
                TakeTransactionsPooled(d1, s2, pooled_indices));
+  ExpectSameDb(TakeTransactions(pool_db, pooled_indices),
+               TakeTransactionsPooled(d1, d2, pooled_indices));
 
   EXPECT_EQ(serve::TxnSourceContentHash(s1),
             serve::TransactionDbContentHash(d1));

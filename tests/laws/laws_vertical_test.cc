@@ -5,19 +5,32 @@
 // parallel-over-itemsets variant equal for every pool size. The same
 // contract lifted through the stack: Apriori mining and the GCR-extension
 // deviation must not change when handed a prebuilt index.
+// Apriori's level 2 is pinned at the scale its pair counting targets:
+// hundreds of frequent items, so tens of thousands of pairs.
 
+#include <algorithm>
+#include <memory>
+#include <random>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
 #include "core/lits_deviation.h"
+#include "data/block_store.h"
+#include "data/block_txn_db.h"
+#include "data/roaring_index.h"
 #include "data/vertical_index.h"
+#include "datagen/quest_gen.h"
 #include "itemsets/apriori.h"
+#include "itemsets/fp_growth.h"
 #include "itemsets/support_counter.h"
 #include "proptest/generators.h"
 #include "proptest/proptest.h"
+#include "stats/rng.h"
 
 namespace focus::core {
 namespace {
@@ -116,6 +129,156 @@ TEST(LawsVertical, LitsDeviationIdenticalWithPrebuiltIndexes) {
         return PropResult::Ok();
       },
       proptest::Config::FromEnv(8)));
+}
+
+// A model's supports() in iteration order: the itemsets, their exact
+// supports, and the order the unordered map yields them in.
+std::vector<std::pair<std::string, double>> SupportSequence(
+    const lits::LitsModel& model) {
+  std::vector<std::pair<std::string, double>> sequence;
+  for (const auto& [itemset, support] : model.supports()) {
+    sequence.emplace_back(itemset.ToString(), support);
+  }
+  return sequence;
+}
+
+// Mines `db` with Apriori from the in-memory database, a block-backed copy
+// with small blocks, a flat and a roaring index, and expects one
+// supports() sequence from all four. Apriori fills its model level by
+// level in sorted order, so a model refilled in StructuralComponent()
+// order must iterate the same way. FpGrowth, which never enumerates pairs,
+// must find the same itemsets and supports. Returns the model.
+lits::LitsModel ExpectAllSourcesMineTheSameModel(
+    const data::TransactionDb& db, const lits::AprioriOptions& options,
+    const std::string& context) {
+  std::ostringstream bytes;
+  data::BlockTransactionDbWriter writer(bytes, db.num_items(), 512);
+  for (int64_t t = 0; t < db.num_transactions(); ++t) {
+    writer.Add(db.Transaction(t));
+  }
+  writer.Finish();
+  data::BlockStoreOptions block_options;
+  block_options.block_size = 512;
+  std::string error;
+  const auto blocks = data::BlockTransactionDb::Open(
+      std::make_unique<std::istringstream>(std::move(bytes).str()),
+      block_options, &error);
+  EXPECT_NE(blocks, nullptr) << error;
+  if (blocks == nullptr) return {};
+  EXPECT_GT(blocks->num_blocks(), 1) << context;
+
+  const data::VerticalIndex flat(db);
+  const data::RoaringIndex roaring(db);
+  const lits::LitsModel model = lits::Apriori(db, options);
+  const auto expected = SupportSequence(model);
+  EXPECT_EQ(SupportSequence(lits::Apriori(data::TxnSourceRef(*blocks),
+                                          options)),
+            expected)
+      << context << ", block-backed";
+  EXPECT_EQ(SupportSequence(lits::Apriori(db, options, flat)), expected)
+      << context << ", flat index";
+  EXPECT_EQ(SupportSequence(lits::Apriori(db, options, roaring)), expected)
+      << context << ", roaring index";
+
+  lits::LitsModel refilled(options.min_support, db.num_transactions(),
+                           db.num_items());
+  for (const lits::Itemset& itemset : model.StructuralComponent()) {
+    refilled.Add(itemset, model.SupportOr(itemset, -1.0));
+  }
+  EXPECT_EQ(SupportSequence(refilled), expected) << context << ", fill order";
+
+  auto as_set = [](std::vector<std::pair<std::string, double>> sequence) {
+    std::sort(sequence.begin(), sequence.end());
+    return sequence;
+  };
+  EXPECT_EQ(as_set(SupportSequence(lits::FpGrowth(db, options))),
+            as_set(expected))
+      << context << ", FpGrowth";
+  return model;
+}
+
+int64_t CountOfSize(const lits::LitsModel& model, int size) {
+  return std::count_if(
+      model.supports().begin(), model.supports().end(),
+      [size](const auto& entry) { return entry.first.size() == size; });
+}
+
+TEST(LawsVertical, AprioriSourcesAgreeWithHundredsOfFrequentItems) {
+  // The benchmark's snapshot shape: 2000 transactions over 2000 items,
+  // mean length 10, 2000 patterns.
+  datagen::QuestParams params;
+  params.num_transactions = 2000;
+  params.num_items = 2000;
+  params.avg_transaction_length = 10;
+  params.num_patterns = 2000;
+  params.seed = 31;
+  params.pattern_seed = 7;
+  const data::TransactionDb db = datagen::GenerateQuest(params);
+
+  for (const double min_support : {0.005, 0.01}) {
+    for (const int max_size : {0, 1, 2, 3}) {
+      for (const int64_t floor : {int64_t{2}, int64_t{25}}) {
+        lits::AprioriOptions options;
+        options.min_support = min_support;
+        options.max_itemset_size = max_size;
+        options.min_absolute_count = floor;
+        const std::string context =
+            "minsup " + std::to_string(min_support) + ", max size " +
+            std::to_string(max_size) + ", floor " + std::to_string(floor);
+        const lits::LitsModel model =
+            ExpectAllSourcesMineTheSameModel(db, options, context);
+        if (floor == 2) {
+          EXPECT_GT(CountOfSize(model, 1), 200) << context;
+        }
+        if (max_size == 1) {
+          EXPECT_EQ(CountOfSize(model, 2), 0) << context;
+        } else if (floor == 2) {
+          EXPECT_GT(CountOfSize(model, 2), 0) << context;
+        }
+      }
+    }
+  }
+}
+
+TEST(LawsVertical, AprioriSourcesAgreeWithNoPairsToCount) {
+  // Item 0 is in every transaction; every other item is rare.
+  data::TransactionDb db(50);
+  for (int32_t t = 0; t < 400; ++t) {
+    db.AddTransaction(std::vector<int32_t>{0, 1 + t % 49});
+  }
+  lits::AprioriOptions options;
+  options.min_support = 0.5;
+  const lits::LitsModel one =
+      ExpectAllSourcesMineTheSameModel(db, options, "one frequent item");
+  EXPECT_EQ(one.size(), 1);
+
+  options.min_support = 1.0;
+  options.min_absolute_count = 401;
+  const lits::LitsModel none =
+      ExpectAllSourcesMineTheSameModel(db, options, "no frequent item");
+  EXPECT_EQ(none.size(), 0);
+}
+
+TEST(LawsVertical, AprioriSourcesAgreeWhenEveryItemIsFrequent) {
+  // Each of 24 items joins a transaction with probability 1/2.
+  constexpr int32_t kItems = 24;
+  std::mt19937_64 rng = stats::MakeRng(5);
+  std::bernoulli_distribution coin(0.5);
+  data::TransactionDb db(kItems);
+  for (int t = 0; t < 300; ++t) {
+    std::vector<int32_t> items;
+    for (int32_t item = 0; item < kItems; ++item) {
+      if (coin(rng)) items.push_back(item);
+    }
+    db.AddTransaction(items);
+  }
+  lits::AprioriOptions options;
+  options.min_support = 0.05;
+  options.max_itemset_size = 3;
+  const lits::LitsModel model =
+      ExpectAllSourcesMineTheSameModel(db, options, "every item frequent");
+  EXPECT_EQ(CountOfSize(model, 1), kItems);
+  EXPECT_EQ(CountOfSize(model, 2), kItems * (kItems - 1) / 2);
 }
 
 }  // namespace

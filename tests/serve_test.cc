@@ -12,8 +12,10 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/flags.h"
 #include "core/functions.h"
 #include "core/lits_deviation.h"
 #include "core/monitor.h"
@@ -783,6 +785,62 @@ TEST(MonitorServiceTest, StatusAndQueryDeviationTrackLatestSnapshot) {
   const auto other = service.QueryDeviation("s", scaled_max);
   ASSERT_TRUE(other.has_value());
   EXPECT_TRUE(other->has_deviation);
+}
+
+// ------------------------------------------------------------ flags
+
+std::optional<MonitorServiceOptions> OptionsFromArgs(
+    std::vector<const char*> argv, std::string* error) {
+  argv.insert(argv.begin(), "daemon");
+  const auto flags = common::Flags::Parse(
+      static_cast<int>(argv.size()), const_cast<char* const*>(argv.data()),
+      1,
+      {"minsup", "factor", "calibration", "replicates", "warmup", "slack",
+       "decision", "threads", "queue", "cache"});
+  EXPECT_TRUE(flags.has_value());
+  return MonitorServiceOptionsFromFlags(*flags, error);
+}
+
+TEST(MonitorServiceOptionsTest, DefaultsAndRangeBoundsAreAccepted) {
+  std::string error;
+  const auto defaults = OptionsFromArgs({}, &error);
+  ASSERT_TRUE(defaults.has_value()) << error;
+  EXPECT_EQ(defaults->monitor.apriori.min_support, 0.01);
+  EXPECT_EQ(defaults->monitor.significance.num_replicates, 9);
+  EXPECT_EQ(defaults->cusum.warmup, 5);
+  EXPECT_EQ(defaults->queue_capacity, 64u);
+
+  const auto bounds = OptionsFromArgs(
+      {"--minsup", "1", "--factor", "0.001", "--calibration", "1",
+       "--replicates", "1", "--warmup", "2", "--slack", "0", "--decision",
+       "0.001", "--threads", "1", "--queue", "1", "--cache", "1"},
+      &error);
+  ASSERT_TRUE(bounds.has_value()) << error;
+  EXPECT_EQ(bounds->monitor.apriori.min_support, 1.0);
+  EXPECT_EQ(bounds->monitor.calibration_replicates, 1);
+  EXPECT_EQ(bounds->cusum.warmup, 2);
+  EXPECT_EQ(bounds->cusum.slack, 0.0);
+  EXPECT_EQ(bounds->num_threads, 1);
+  EXPECT_EQ(bounds->model_cache_capacity, 1u);
+}
+
+// Each value would otherwise reach a FOCUS_CHECK abort, or (--queue -1)
+// wrap to SIZE_MAX, or (--warmup 4294967298) wrap to an int of 2.
+TEST(MonitorServiceOptionsTest, OutOfRangeFlagIsAnErrorNamingTheFlag) {
+  const std::vector<std::pair<const char*, const char*>> cases = {
+      {"minsup", "0"},      {"minsup", "1.5"},      {"minsup", "nan"},
+      {"factor", "0"},      {"calibration", "0"},   {"replicates", "0"},
+      {"warmup", "1"},      {"warmup", "4294967298"}, {"slack", "-0.1"},
+      {"decision", "0"},    {"threads", "0"},       {"queue", "0"},
+      {"queue", "-1"},      {"cache", "0"}};
+  for (const auto& [name, value] : cases) {
+    const std::string flag = std::string("--") + name;
+    std::string error;
+    EXPECT_FALSE(OptionsFromArgs({flag.c_str(), value}, &error).has_value())
+        << flag << " " << value;
+    EXPECT_EQ(error.rfind(flag + " must be ", 0), 0u) << error;
+    EXPECT_NE(error.find(value), std::string::npos) << error;
+  }
 }
 
 TEST(StreamEventTest, ToJsonContainsCoreFields) {

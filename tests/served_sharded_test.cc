@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -289,6 +290,42 @@ TEST_F(ServedShardedTest, EventsFlagIsAUsageError) {
   EXPECT_NE(ReadLog().find("--events"), std::string::npos) << ReadLog();
   EXPECT_FALSE(fs::exists(port_file_));
   EXPECT_FALSE(fs::exists(root_ / "shards"));
+}
+
+// An out-of-range service flag is a usage error before the reference is
+// read. Without the check, --warmup 1 binds and aborts on the first POST,
+// and --replicates 0 on the first snapshot that passes the delta* screen.
+TEST_F(ServedShardedTest, OutOfRangeServiceFlagIsAUsageError) {
+  const std::vector<std::pair<const char*, const char*>> cases = {
+      {"--warmup", "1"}, {"--replicates", "0"}};
+  for (const auto& [flag, value] : cases) {
+    pid_ = fork();
+    if (pid_ == 0) {
+      const int out = open((root_ / "stdout.txt").c_str(),
+                           O_WRONLY | O_CREAT | O_TRUNC, 0644);
+      dup2(out, STDOUT_FILENO);
+      dup2(out, STDERR_FILENO);
+      execl(FOCUS_SERVED_PATH, FOCUS_SERVED_PATH, "--reference",
+            reference_path_.c_str(), "--port", "0", "--port-file",
+            port_file_.c_str(), flag, value, static_cast<char*>(nullptr));
+      _exit(127);  // exec failed
+    }
+    // A daemon that took the flag keeps serving; TearDown kills it.
+    int status = 0;
+    pid_t reaped = 0;
+    for (int i = 0; i < 500 && reaped == 0; ++i) {
+      reaped = waitpid(pid_, &status, WNOHANG);
+      if (reaped == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+    }
+    ASSERT_EQ(reaped, pid_) << flag << " " << value << " was accepted";
+    pid_ = -1;
+    ASSERT_TRUE(WIFEXITED(status)) << ReadLog();
+    EXPECT_EQ(WEXITSTATUS(status), 1) << ReadLog();
+    EXPECT_NE(ReadLog().find(flag), std::string::npos) << ReadLog();
+    EXPECT_FALSE(fs::exists(port_file_)) << flag;
+  }
 }
 
 // A worker that exits during start-up fails the daemon at once: the front

@@ -149,6 +149,13 @@ int Run(const common::Flags& flags) {
     std::fprintf(stderr, "focus_monitord requires --spool and --reference\n");
     return 1;
   }
+  std::string error;
+  std::optional<serve::MonitorServiceOptions> options =
+      serve::MonitorServiceOptionsFromFlags(flags, &error);
+  if (!options.has_value()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
+  }
   std::error_code ec;
   fs::create_directories(fs::path(spool) / "processed", ec);
   fs::create_directories(fs::path(spool) / "rejected", ec);
@@ -164,15 +171,13 @@ int Run(const common::Flags& flags) {
     return 2;
   }
 
-  serve::MonitorServiceOptions options =
-      serve::MonitorServiceOptionsFromFlags(flags);
   const bool ooc = flags.GetInt("ooc", 0) != 0;
   const int64_t block_size =
       std::max<int64_t>(1, flags.GetInt("block-size-kib", 1024)) * 1024;
   if (ooc) {
     // Occurrence-proportional snapshot indexes keep --ooc ingest memory
     // bounded; reports stay bit-identical to the flat backend.
-    options.index_backend = data::IndexBackend::kRoaring;
+    options->index_backend = data::IndexBackend::kRoaring;
   }
 
   JsonlWriter events(flags.Get("events", spool + "/events.jsonl"));
@@ -186,7 +191,7 @@ int Run(const common::Flags& flags) {
   // The one reference build: indexing, mining and calibration all happen
   // here, before the first spool scan.
   serve::MetricsRegistry metrics;
-  serve::MonitorService service(options, *reference, &metrics);
+  serve::MonitorService service(*options, *reference, &metrics);
   service.SetEventSink([&events](const serve::StreamEvent& event) {
     events.WriteLine(event.ToJson());
     if (event.change_point || event.report.alert) {
@@ -210,7 +215,7 @@ int Run(const common::Flags& flags) {
       "for every stream) threads=%d\n",
       spool.c_str(), reference_path.c_str(),
       static_cast<long long>(reference->num_transactions()),
-      options.num_threads);
+      options->num_threads);
 
   int64_t accepted = 0;
   int64_t idle_ms = 0;

@@ -67,6 +67,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -96,11 +97,15 @@ void InstallSignalHandlers() {
 #endif
 }
 
-shard::ShardWorkerOptions WorkerOptions(const common::Flags& flags,
-                                        uint32_t shard_index) {
+// The options every shard worker runs with, shard_index aside; nullopt,
+// with `*error` naming the flag, when a service flag is out of range.
+std::optional<shard::ShardWorkerOptions> WorkerOptions(
+    const common::Flags& flags, std::string* error) {
+  const std::optional<serve::MonitorServiceOptions> service =
+      serve::MonitorServiceOptionsFromFlags(flags, error);
+  if (!service.has_value()) return std::nullopt;
   shard::ShardWorkerOptions options;
-  options.shard_index = shard_index;
-  options.service = serve::MonitorServiceOptionsFromFlags(flags);
+  options.service = *service;
   options.ingest_wait_ms =
       static_cast<int>(flags.GetInt("ingest-wait-ms", 20));
   return options;
@@ -122,11 +127,12 @@ int64_t DrainWorker(shard::ShardWorker* worker, int deadline_ms) {
 // A forked worker process: one ShardWorker on one Unix socket, drained on
 // SIGTERM. The worker calibrates against the reference before it binds,
 // so the front end's start-up ping waits for that.
-int WorkerMain(uint32_t shard_index, const common::Flags& flags,
+int WorkerMain(const shard::ShardWorkerOptions& options,
+               const common::Flags& flags,
                const data::TransactionDb& reference,
                const std::string& socket_path) {
-  shard::ShardWorker worker(WorkerOptions(flags, shard_index), reference,
-                            nullptr);
+  const uint32_t shard_index = options.shard_index;
+  shard::ShardWorker worker(options, reference, nullptr);
   shard::WireServerOptions server_options;
   server_options.unix_path = socket_path;
   server_options.read_deadline_ms = ReadDeadlineMs(flags);
@@ -202,6 +208,7 @@ struct ForkedShards {
 // worker) — the only fork() discipline that is safe under TSan and avoids
 // inheriting locked mutexes. Returns an exit status; 0 on success.
 int ForkShards(const common::Flags& flags,
+               const shard::ShardWorkerOptions& worker_options,
                const data::TransactionDb& reference, int num_shards,
                ForkedShards* shards) {
   shards->dir = flags.Get("shard-dir", "");
@@ -237,8 +244,10 @@ int ForkShards(const common::Flags& flags,
       return 2;
     }
     if (pid == 0) {
-      std::exit(WorkerMain(static_cast<uint32_t>(i), flags, reference,
-                           shards->socket_paths.back()));
+      shard::ShardWorkerOptions options = worker_options;
+      options.shard_index = static_cast<uint32_t>(i);
+      std::exit(
+          WorkerMain(options, flags, reference, shards->socket_paths.back()));
     }
     shards->pids.push_back(pid);
   }
@@ -278,6 +287,13 @@ int Run(const common::Flags& flags) {
                  "event log\n");
     return 1;
   }
+  std::string flag_error;
+  const std::optional<shard::ShardWorkerOptions> worker_options =
+      WorkerOptions(flags, &flag_error);
+  if (!worker_options.has_value()) {
+    std::fprintf(stderr, "%s\n", flag_error.c_str());
+    return 1;
+  }
   const auto reference = io::LoadTransactionDbFromFile(reference_path);
   if (!reference.has_value()) {
     std::fprintf(stderr, "cannot read --reference %s\n",
@@ -298,11 +314,12 @@ int Run(const common::Flags& flags) {
   std::unique_ptr<shard::ShardWorker> local_worker;
   std::unique_ptr<shard::LocalShardChannel> local_channel;
   if (num_shards > 0) {
-    const int status = ForkShards(flags, *reference, num_shards, &forked);
+    const int status =
+        ForkShards(flags, *worker_options, *reference, num_shards, &forked);
     if (status != 0) return status;
   } else {
-    local_worker = std::make_unique<shard::ShardWorker>(
-        WorkerOptions(flags, 0), *reference, &metrics);
+    local_worker = std::make_unique<shard::ShardWorker>(*worker_options,
+                                                        *reference, &metrics);
     local_channel =
         std::make_unique<shard::LocalShardChannel>(local_worker.get());
     if (!events_path.empty()) {
