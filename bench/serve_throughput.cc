@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,7 +55,8 @@ serve::MonitorServiceOptions BenchOptions() {
 
 // What a stream costs to register. The service builds its one reference
 // monitor (index, mine, calibrate) in its constructor, timed as build_ms;
-// AddStream then only creates the stream's CUSUM and queue state.
+// AddStream then only creates the stream's CUSUM state and an empty
+// pending deque.
 void RunAddStream(int64_t reference_size) {
   constexpr int kStreams = 64;
   const data::TransactionDb reference =
@@ -94,7 +96,6 @@ void RunConfig(const char* label, int num_snapshots, bool repeat_content,
   serve::MetricsRegistry metrics;
   serve::MonitorService service(
       BenchOptions(), SnapshotDb(snapshot_size, /*seed=*/1000), &metrics);
-  service.AddStream("bench");
 
   // Pre-generate so generation cost stays out of the measured window.
   std::vector<serve::Snapshot> snapshots;
@@ -102,7 +103,6 @@ void RunConfig(const char* label, int num_snapshots, bool repeat_content,
   for (int i = 0; i < num_snapshots; ++i) {
     serve::Snapshot snapshot;
     snapshot.stream = "bench";
-    snapshot.sequence = i;
     snapshot.source = "bench";
     const uint64_t seed = repeat_content ? 2000 + (i % 4) : 2000 + i;
     snapshot.db = SnapshotDb(snapshot_size, seed);
@@ -110,7 +110,9 @@ void RunConfig(const char* label, int num_snapshots, bool repeat_content,
   }
 
   const auto start = std::chrono::steady_clock::now();
-  for (auto& snapshot : snapshots) service.Submit(std::move(snapshot));
+  for (auto& snapshot : snapshots) {
+    service.Ingest(std::move(snapshot), std::nullopt);
+  }
   service.Flush();
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;

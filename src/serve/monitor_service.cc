@@ -110,13 +110,18 @@ MonitorService::MonitorService(const MonitorServiceOptions& options,
                                MetricsRegistry* metrics)
     : options_(options),
       metrics_(metrics),
+      streams_gauge_(metrics != nullptr ? &metrics->GetGauge("streams")
+                                        : nullptr),
+      queue_depth_gauge_(metrics != nullptr
+                             ? &metrics->GetGauge("queue_depth")
+                             : nullptr),
+      submitted_counter_(metrics != nullptr
+                             ? &metrics->GetCounter("snapshots_submitted")
+                             : nullptr),
       monitor_(reference, options.monitor),
       model_cache_(options.model_cache_capacity, options.monitor.apriori,
                    metrics, options.index_backend),
-      queue_(options.queue_capacity),
-      pool_(std::make_unique<common::ThreadPool>(options.num_threads)) {
-  dispatcher_ = std::thread([this]() { DispatchLoop(); });
-}
+      pool_(std::make_unique<common::ThreadPool>(options.num_threads)) {}
 
 MonitorService::~MonitorService() { Shutdown(); }
 
@@ -132,8 +137,8 @@ MonitorService::Stream* MonitorService::FindOrAddStreamLocked(
   auto [it, inserted] = streams_.try_emplace(name);
   if (inserted) {
     it->second = std::make_unique<Stream>(options_.cusum);
-    if (metrics_ != nullptr) {
-      metrics_->GetGauge("streams").Set(static_cast<double>(streams_.size()));
+    if (streams_gauge_ != nullptr) {
+      streams_gauge_->Set(static_cast<double>(streams_.size()));
     }
   }
   return it->second.get();
@@ -156,71 +161,56 @@ void MonitorService::SetEventSink(
   sink_ = std::move(sink);
 }
 
-bool MonitorService::Submit(Snapshot snapshot) {
-  return Enqueue(std::move(snapshot), std::nullopt) == SubmitResult::kAccepted;
-}
-
-SubmitResult MonitorService::TrySubmitFor(Snapshot snapshot,
-                                          std::chrono::milliseconds timeout) {
-  return Enqueue(std::move(snapshot), timeout);
-}
-
 IngestResult MonitorService::Ingest(
     Snapshot snapshot, std::optional<std::chrono::milliseconds> wait) {
-  MutexLock ingest(&ingest_mutex_);
   Stream* stream = nullptr;
+  int64_t sequence = 0;
   {
-    MutexLock lock(&state_mutex_);
-    stream = FindOrAddStreamLocked(snapshot.stream);
-  }
-  snapshot.sequence = stream->next_sequence;
-  IngestResult result;
-  result.status = Enqueue(std::move(snapshot), wait);
-  if (result.status == SubmitResult::kAccepted) {
-    result.sequence = stream->next_sequence++;
-  }
-  return result;
-}
-
-SubmitResult MonitorService::Enqueue(
-    Snapshot snapshot, std::optional<std::chrono::milliseconds> timeout) {
-  {
-    // Bound the total number of snapshots in flight (queued + pending +
-    // processing) by the queue capacity: this is the backpressure the
-    // producer feels.
+    // Bound the snapshots in flight (pending + processing) by the queue
+    // capacity: this is the backpressure the producer feels.
     MutexLock lock(&state_mutex_);
     const auto has_room = [this]() REQUIRES(state_mutex_) {
       return shutdown_ ||
              in_flight_ < static_cast<int64_t>(options_.queue_capacity);
     };
     bool ready = true;
-    if (timeout.has_value()) {
-      ready = idle_cv_.WaitFor(state_mutex_, *timeout, has_room);
+    if (wait.has_value()) {
+      ready = idle_cv_.WaitFor(state_mutex_, *wait, has_room);
     } else {
       idle_cv_.Wait(state_mutex_, has_room);
     }
-    if (shutdown_) return SubmitResult::kShutdown;
+    if (shutdown_) return {.status = SubmitResult::kShutdown};
     if (!ready) {
       if (metrics_ != nullptr) {
         metrics_->GetCounter("snapshots_shed").Increment();
       }
-      return SubmitResult::kOverloaded;
+      return {.status = SubmitResult::kOverloaded};
     }
+    // Numbering and appending under one lock hold make the stream's
+    // sequence order its processing order.
+    stream = FindOrAddStreamLocked(snapshot.stream);
+    sequence = stream->next_sequence++;
+    snapshot.sequence = sequence;
+    stream->pending.push_back(std::move(snapshot));
     ++in_flight_;
+    if (queue_depth_gauge_ != nullptr) {
+      queue_depth_gauge_->Set(static_cast<double>(in_flight_));
+      submitted_counter_->Increment();
+    }
+    if (stream->draining) {  // the active drain job will take it
+      return {.status = SubmitResult::kAccepted, .sequence = sequence};
+    }
+    stream->draining = true;
   }
-  // in_flight_ < capacity guarantees queue room: items leave the queue
-  // before they stop counting as in flight, so this Push cannot block.
-  if (!queue_.Push(std::move(snapshot))) {
-    MutexLock lock(&state_mutex_);
-    --in_flight_;
-    idle_cv_.NotifyAll();
-    return SubmitResult::kShutdown;
-  }
-  if (metrics_ != nullptr) {
-    metrics_->GetGauge("queue_depth").Set(static_cast<double>(queue_.size()));
-    metrics_->GetCounter("snapshots_submitted").Increment();
-  }
-  return SubmitResult::kAccepted;
+  // One drain job per stream at a time: per-stream order is preserved
+  // while distinct streams run concurrently on the pool. The pool is still
+  // there: Shutdown resets it only once in_flight_, which counts this
+  // snapshot, is back to zero. Fire-and-forget: ThreadPool::Submit's future
+  // carries no value, and the drain job's outcome is reported through the
+  // event sink, not the return.
+  // focus-analyze: allow(unchecked-status)
+  pool_->Submit([this, stream]() { DrainStream(stream); });
+  return {.status = SubmitResult::kAccepted, .sequence = sequence};
 }
 
 std::optional<StreamStatus> MonitorService::GetStreamStatus(
@@ -256,38 +246,6 @@ std::optional<StreamDeviation> MonitorService::QueryDeviation(
                           last.index_ref(), fn);
   result.has_deviation = true;
   return result;
-}
-
-void MonitorService::DispatchLoop() {
-  while (auto snapshot = queue_.Pop()) {
-    Route(std::move(*snapshot));
-  }
-}
-
-void MonitorService::Route(Snapshot snapshot) {
-  Stream* stream = nullptr;
-  {
-    MutexLock lock(&state_mutex_);
-    const auto it = streams_.find(snapshot.stream);
-    if (it == streams_.end()) {
-      --in_flight_;
-      idle_cv_.NotifyAll();
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter("snapshots_rejected").Increment();
-      }
-      return;
-    }
-    stream = it->second.get();
-    stream->pending.push_back(std::move(snapshot));
-    if (stream->draining) return;  // the active drain job will pick it up
-    stream->draining = true;
-  }
-  // One drain job per stream at a time: per-stream order is preserved
-  // while distinct streams run concurrently on the pool. Fire-and-forget:
-  // ThreadPool::Submit's future carries no value, and the drain job's
-  // outcome is reported through the event sink, not the return.
-  // focus-analyze: allow(unchecked-status)
-  pool_->Submit([this, stream]() { DrainStream(stream); });
 }
 
 bool MonitorService::TakeNextPendingLocked(Stream* stream, Snapshot* out) {
@@ -361,7 +319,6 @@ StreamEvent MonitorService::Process(Stream* stream, Snapshot snapshot) {
     if (event.report.alert) metrics_->GetCounter("alerts").Increment();
     if (event.change_point) metrics_->GetCounter("change_points").Increment();
     metrics_->GetHistogram("inspect_latency_ms").Observe(event.latency_ms);
-    metrics_->GetGauge("queue_depth").Set(static_cast<double>(queue_.size()));
   }
   return event;
 }
@@ -391,6 +348,9 @@ void MonitorService::FinishOne() {
   MutexLock lock(&state_mutex_);
   --in_flight_;
   ++processed_;
+  if (queue_depth_gauge_ != nullptr) {
+    queue_depth_gauge_->Set(static_cast<double>(in_flight_));
+  }
   idle_cv_.NotifyAll();
 }
 
@@ -405,10 +365,8 @@ void MonitorService::Shutdown() {
     MutexLock lock(&state_mutex_);
     if (shutdown_) return;
     shutdown_ = true;
-    idle_cv_.NotifyAll();  // wake Submit callers blocked on backpressure
+    idle_cv_.NotifyAll();  // wake Ingest callers blocked on backpressure
   }
-  queue_.Close();
-  if (dispatcher_.joinable()) dispatcher_.join();
   Flush();        // drain jobs still running on the pool
   pool_.reset();  // joins the workers
 }

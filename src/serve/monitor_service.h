@@ -8,7 +8,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -18,9 +17,11 @@
 #include "common/thread_pool.h"
 #include "core/drift_series.h"
 #include "core/monitor.h"
+#include "data/block_txn_db.h"
+#include "data/transaction_db.h"
+#include "data/txn_source.h"
 #include "serve/metrics.h"
 #include "serve/model_cache.h"
-#include "serve/snapshot_queue.h"
 
 namespace focus::serve {
 
@@ -32,7 +33,9 @@ struct MonitorServiceOptions {
   // Sequential change-point detection over each stream's delta* series.
   core::CusumOptions cusum;
   int num_threads = 4;              // worker pool size
-  size_t queue_capacity = 64;       // ingest bound; Push blocks beyond it
+  // In-flight bound: Ingest waits while this many accepted snapshots are
+  // pending or being processed.
+  size_t queue_capacity = 64;
   size_t model_cache_capacity = 64; // mined-model LRU entries
   // Vertical index each cache miss builds. Block-backed (--ooc) ingest
   // should pick kRoaring so per-snapshot index memory stays proportional
@@ -51,6 +54,25 @@ struct MonitorServiceOptions {
 std::optional<MonitorServiceOptions> MonitorServiceOptionsFromFlags(
     const common::Flags& flags, std::string* error);
 
+// One unit of ingest work: a dataset snapshot bound for a monitored
+// stream. Exactly one of `db` / `block_db` carries the transactions:
+// the daemon's --ooc ingest hands over an out-of-core block store (the
+// snapshot is never materialized flat), every other producer fills the
+// in-memory db. Consumers scan through source_ref(), which works for
+// either, with bit-identical results.
+struct Snapshot {
+  std::string stream;      // monitored stream name
+  int64_t sequence = 0;    // position within the stream; set by Ingest
+  std::string source;      // originating file/path, echoed into events
+  data::TransactionDb db;
+  std::shared_ptr<const data::BlockTransactionDb> block_db;
+
+  data::TxnSourceRef source_ref() const {
+    return block_db != nullptr ? data::TxnSourceRef(block_db.get())
+                               : data::TxnSourceRef(db);
+  }
+};
+
 // One processed snapshot produces one event.
 struct StreamEvent {
   std::string stream;
@@ -68,7 +90,7 @@ struct StreamEvent {
   std::string ToJson() const;
 };
 
-// Outcome of a bounded-latency submission attempt (network ingest).
+// Outcome of one MonitorService::Ingest call.
 enum class SubmitResult {
   kAccepted,    // queued; will be processed in stream order
   kOverloaded,  // backpressure persisted past the deadline — retry later
@@ -112,9 +134,9 @@ struct StreamDeviation {
 // concurrently on a shared worker pool, all screened against one reference
 // (the paper's §1 workflow: one baseline, many snapshots).
 //
-// Ingestion path:  Submit → bounded SnapshotQueue (backpressure) →
-// dispatcher thread → per-stream pending deques → pool drain jobs.
-// Snapshots of ONE stream are processed strictly in submission order (the
+// Ingestion path: Ingest (waits for an in-flight slot: backpressure) →
+// the stream's pending deque → one pool drain job per stream.
+// Snapshots of ONE stream are processed strictly in sequence order (the
 // CUSUM statistic is sequential); distinct streams proceed in parallel.
 // Each snapshot is mined at most once via the content-hash model cache,
 // screened by the service's one immutable LitsChangeMonitor, and fed to
@@ -136,9 +158,9 @@ class MonitorService {
   MonitorService(const MonitorService&) = delete;
   MonitorService& operator=(const MonitorService&) = delete;
 
-  // Registers a stream: O(1), it only creates the stream's CUSUM and
-  // queue state. Must happen before snapshots of that stream are
-  // submitted; Ingest does it on a stream's first snapshot.
+  // Registers a stream with no snapshots yet: O(1), it only creates the
+  // stream's CUSUM state and an empty pending deque. Optional: Ingest
+  // registers a stream on its first accepted snapshot.
   void AddStream(const std::string& name) EXCLUDES(state_mutex_);
 
   // Names of all registered streams, sorted. The canonical enumeration
@@ -148,32 +170,24 @@ class MonitorService {
   std::vector<std::string> ListStreams() const EXCLUDES(state_mutex_);
 
   // Invoked once per processed snapshot; calls are serialized. Set before
-  // the first Submit.
+  // the first Ingest.
   void SetEventSink(std::function<void(const StreamEvent&)> sink)
       EXCLUDES(sink_mutex_);
 
-  // Enqueues a snapshot; blocks while the ingest queue is full. Returns
-  // false (dropping the snapshot) after Shutdown. Snapshots for streams
-  // that were never added are counted as rejected and dropped.
-  bool Submit(Snapshot snapshot) EXCLUDES(state_mutex_);
-
-  // Bounded-latency variant: waits at most `timeout` for backpressure to
-  // clear instead of blocking indefinitely. kOverloaded tells a network
-  // front end to answer 429 and shed the snapshot onto the client.
-  SubmitResult TrySubmitFor(Snapshot snapshot,
-                            std::chrono::milliseconds timeout)
-      EXCLUDES(state_mutex_);
-
-  // The one ingest path of both daemons. Registers `snapshot.stream` on
-  // its first snapshot (O(1), like AddStream), stamps the stream's next
-  // sequence number, and submits: waiting at most `wait` for backpressure
-  // to clear, or until there is room when `wait` is nullopt. Calls are
-  // serialized, so a stream registers exactly once and its sequence order
-  // is its queue order; a snapshot that is not accepted burns no number,
+  // The one ingest path. Waits for an in-flight slot (fewer than
+  // queue_capacity snapshots pending or processing): at most `wait`, or
+  // with no limit when `wait` is nullopt. Then, in one critical section,
+  // registers `snapshot.stream` on its first accepted snapshot (O(1), like
+  // AddStream), stamps the stream's next sequence number, appends the
+  // snapshot to the stream's pending deque and starts its drain job if
+  // none is running; so a stream's sequence order is its processing order.
+  // kOverloaded (the wait ran out) tells a network front end to answer 429
+  // and shed the snapshot onto the client; kShutdown follows Shutdown. A
+  // snapshot that is not accepted registers nothing and burns no number,
   // which keeps every stream's sequences dense.
   IngestResult Ingest(Snapshot snapshot,
                       std::optional<std::chrono::milliseconds> wait)
-      EXCLUDES(ingest_mutex_, state_mutex_);
+      EXCLUDES(state_mutex_);
 
   // Latest per-stream state; nullopt for unknown streams. O(1), no data
   // scan.
@@ -188,11 +202,12 @@ class MonitorService {
       const std::string& name, const core::DeviationFunction& fn) const
       EXCLUDES(state_mutex_);
 
-  // Blocks until every snapshot submitted so far has been processed.
+  // Blocks until every snapshot accepted so far has been processed.
   void Flush() EXCLUDES(state_mutex_);
 
-  // Stops intake, drains in-flight work, joins the workers. Idempotent;
-  // also run by the destructor.
+  // Stops intake (Ingest answers kShutdown, and callers blocked on
+  // backpressure wake), drains in-flight work, joins the workers.
+  // Idempotent; also run by the destructor.
   void Shutdown() EXCLUDES(state_mutex_);
 
   int64_t processed() const EXCLUDES(state_mutex_);
@@ -204,7 +219,7 @@ class MonitorService {
  private:
   struct Stream {
     core::DeviationCusum cusum;
-    // The next four fields are guarded by the owning service's
+    // The next five fields are guarded by the owning service's
     // state_mutex_ (a nested struct cannot name the outer instance's
     // mutex in GUARDED_BY); every access happens inside the REQUIRES(
     // state_mutex_) helpers below or under an explicit MutexLock.
@@ -214,24 +229,15 @@ class MonitorService {
     // queries never race the worker that owns the stream.
     StreamStatus status;
     MinedSnapshot last_mined;      // model+index of the latest snapshot
-    // Sequence number of the next accepted Ingest; guarded by the
-    // service's ingest_mutex_.
-    int64_t next_sequence = 0;
+    int64_t next_sequence = 0;     // of the next accepted Ingest
 
     explicit Stream(const core::CusumOptions& cusum_options)
         : cusum(cusum_options) {}
   };
 
-  // Submit and TrySubmitFor share this body: waits for an in-flight slot
-  // (at most `timeout`, or indefinitely when nullopt), then queues.
-  SubmitResult Enqueue(Snapshot snapshot,
-                       std::optional<std::chrono::milliseconds> timeout)
-      EXCLUDES(state_mutex_);
   // The stream named `name`, registered first if it is new.
   Stream* FindOrAddStreamLocked(const std::string& name)
       REQUIRES(state_mutex_);
-  void DispatchLoop();
-  void Route(Snapshot snapshot) EXCLUDES(state_mutex_);
   void DrainStream(Stream* stream) EXCLUDES(state_mutex_);
   StreamEvent Process(Stream* stream, Snapshot snapshot)
       EXCLUDES(state_mutex_);
@@ -247,30 +253,31 @@ class MonitorService {
 
   const MonitorServiceOptions options_;
   MetricsRegistry* const metrics_;  // may be null
-  // Built in the constructor, before the pool and the dispatcher start,
-  // and never mutated after: every stream's drain job and QueryDeviation
-  // read it concurrently without a lock.
+  // The series updated under state_mutex_, resolved once at construction
+  // (stable addresses) or null: a registry lookup there would hold the
+  // state lock while waiting for the registry's, e.g. behind a /metrics
+  // render.
+  Gauge* const streams_gauge_;
+  Gauge* const queue_depth_gauge_;
+  Counter* const submitted_counter_;
+  // Built in the constructor, before the pool starts, and never mutated
+  // after: every stream's drain job and QueryDeviation read it
+  // concurrently without a lock.
   const core::LitsChangeMonitor monitor_;
   ModelCache model_cache_;
-  SnapshotQueue queue_;
   std::unique_ptr<common::ThreadPool> pool_;
 
-  // Serializes Ingest: registration, sequencing and queueing happen as one
-  // step. Acquired before state_mutex_, never after it.
-  common::Mutex ingest_mutex_;
   mutable common::Mutex state_mutex_;
   common::CondVar idle_cv_;
   std::unordered_map<std::string, std::unique_ptr<Stream>> streams_
       GUARDED_BY(state_mutex_);
-  // submitted but not yet fully processed
+  // accepted but not yet fully processed; at most queue_capacity
   int64_t in_flight_ GUARDED_BY(state_mutex_) = 0;
   int64_t processed_ GUARDED_BY(state_mutex_) = 0;
   bool shutdown_ GUARDED_BY(state_mutex_) = false;
 
   common::Mutex sink_mutex_;
   std::function<void(const StreamEvent&)> sink_ GUARDED_BY(sink_mutex_);
-
-  std::thread dispatcher_;
 };
 
 }  // namespace focus::serve

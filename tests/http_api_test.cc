@@ -2,8 +2,8 @@
 // HttpServer on an ephemeral loopback port routing into shard::ShardedApi
 // → ShardRouter → LocalShardChannel → one in-process ShardWorker →
 // MonitorService, the stack focus_served --shards 0 runs. Run under TSan
-// in CI: concurrent clients hammer ingest while the event loop,
-// dispatcher, and worker pool all interact.
+// in CI: concurrent clients hammer ingest while the event loop, Ingest
+// and the worker pool all interact.
 
 #include <gtest/gtest.h>
 

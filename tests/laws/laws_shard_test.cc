@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -80,13 +81,13 @@ class SingleNode {
 
   ~SingleNode() { service_.Shutdown(); }
 
-  void Submit(int stream, int64_t sequence, const data::TransactionDb& db) {
+  void Submit(int stream, const data::TransactionDb& db) {
     serve::Snapshot snapshot;
     snapshot.stream = StreamName(stream);
-    snapshot.sequence = sequence;
     snapshot.source = "laws";
     snapshot.db = db;
-    ASSERT_TRUE(service_.Submit(std::move(snapshot)));
+    ASSERT_EQ(service_.Ingest(std::move(snapshot), std::nullopt).status,
+              serve::SubmitResult::kAccepted);
   }
 
   serve::MonitorService service_;
@@ -134,7 +135,7 @@ std::map<int, uint64_t> FeedBoth(SingleNode* single, Sharded* sharded) {
   std::map<int, uint64_t> hashes;
   for (int i = 0; i < kNumStreams; ++i) {
     const data::TransactionDb first = QuestDb(10 + i);
-    single->Submit(i, 0, first);
+    single->Submit(i, first);
     SubmitResultBody result;
     std::string error;
     EXPECT_EQ(sharded->router().Submit(StreamName(i), "laws",
@@ -146,7 +147,7 @@ std::map<int, uint64_t> FeedBoth(SingleNode* single, Sharded* sharded) {
     hashes[i] = result.content_hash;
     if (i % 2 == 0) {
       const data::TransactionDb second = QuestDb(100 + i);
-      single->Submit(i, 1, second);
+      single->Submit(i, second);
       EXPECT_EQ(sharded->router().Submit(StreamName(i), "laws",
                                          Serialize(second), &result, &error),
                 ShardRouter::Status::kOk)

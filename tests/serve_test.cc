@@ -1,14 +1,17 @@
-// Tests for the serving layer: snapshot queue semantics, the mined-model
-// LRU cache, the metrics registry/JSON export, and the MonitorService
-// end-to-end (per-stream ordering, cross-stream concurrency, change-point
-// detection on a shifted stream).
+// Tests for the serving layer: the mined-model LRU cache, the metrics
+// registry/JSON export, and the MonitorService end-to-end (per-stream
+// ordering, backpressure and shutdown through Ingest, cross-stream
+// concurrency, change-point detection on a shifted stream).
 
 #include <gtest/gtest.h>
 
 #include "common/mutex.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -16,6 +19,7 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "common/thread_annotations.h"
 #include "core/functions.h"
 #include "core/lits_deviation.h"
 #include "core/monitor.h"
@@ -25,7 +29,6 @@
 #include "serve/metrics.h"
 #include "serve/model_cache.h"
 #include "serve/monitor_service.h"
-#include "serve/snapshot_queue.h"
 
 namespace focus::serve {
 namespace {
@@ -42,238 +45,13 @@ data::TransactionDb QuestDb(uint64_t seed, uint64_t pattern_seed = 99) {
   return datagen::GenerateQuest(params);
 }
 
-Snapshot MakeSnapshot(const std::string& stream, int64_t sequence,
-                      uint64_t seed, uint64_t pattern_seed = 99) {
+Snapshot MakeSnapshot(const std::string& stream, uint64_t seed,
+                      uint64_t pattern_seed = 99) {
   Snapshot snapshot;
   snapshot.stream = stream;
-  snapshot.sequence = sequence;
   snapshot.source = "test";
   snapshot.db = QuestDb(seed, pattern_seed);
   return snapshot;
-}
-
-// ---------------------------------------------------------------- queue
-
-TEST(SnapshotQueueTest, DeliversInFifoOrder) {
-  SnapshotQueue queue(8);
-  for (int i = 0; i < 5; ++i) {
-    Snapshot s;
-    s.stream = "a";
-    s.sequence = i;
-    s.db = data::TransactionDb(1);
-    ASSERT_TRUE(queue.Push(std::move(s)));
-  }
-  for (int i = 0; i < 5; ++i) {
-    auto popped = queue.Pop();
-    ASSERT_TRUE(popped.has_value());
-    EXPECT_EQ(popped->sequence, i);
-  }
-}
-
-TEST(SnapshotQueueTest, TryPushFailsWhenFull) {
-  SnapshotQueue queue(2);
-  Snapshot s;
-  s.db = data::TransactionDb(1);
-  EXPECT_TRUE(queue.TryPush(s));
-  EXPECT_TRUE(queue.TryPush(s));
-  EXPECT_FALSE(queue.TryPush(s));  // full
-  EXPECT_EQ(queue.size(), 2u);
-}
-
-TEST(SnapshotQueueTest, PushBlocksUntilPopMakesRoom) {
-  SnapshotQueue queue(1);
-  Snapshot s;
-  s.db = data::TransactionDb(1);
-  ASSERT_TRUE(queue.Push(s));
-  std::atomic<bool> second_pushed{false};
-  std::thread producer([&] {
-    Snapshot t;
-    t.sequence = 2;
-    t.db = data::TransactionDb(1);
-    queue.Push(std::move(t));
-    second_pushed = true;
-  });
-  // The producer must be parked until a Pop frees a slot.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(second_pushed.load());
-  EXPECT_TRUE(queue.Pop().has_value());
-  producer.join();
-  EXPECT_TRUE(second_pushed.load());
-  EXPECT_EQ(queue.Pop()->sequence, 2);
-}
-
-TEST(SnapshotQueueTest, CloseDrainsThenSignalsEnd) {
-  SnapshotQueue queue(4);
-  Snapshot s;
-  s.sequence = 7;
-  s.db = data::TransactionDb(1);
-  ASSERT_TRUE(queue.Push(std::move(s)));
-  queue.Close();
-  Snapshot rejected;
-  rejected.db = data::TransactionDb(1);
-  EXPECT_FALSE(queue.Push(std::move(rejected)));  // closed to producers
-  auto popped = queue.Pop();                      // queued item still delivered
-  ASSERT_TRUE(popped.has_value());
-  EXPECT_EQ(popped->sequence, 7);
-  EXPECT_FALSE(queue.Pop().has_value());  // drained + closed => end
-}
-
-// Shutdown race: producers blocked in Push on a FULL queue while another
-// thread calls Close. Every blocked Push must wake and return false (the
-// snapshot is dropped, not enqueued past capacity), and the consumer must
-// still drain exactly the pre-close items. Run under TSan in CI.
-TEST(SnapshotQueueTest, CloseWakesProducersBlockedOnFullQueue) {
-  SnapshotQueue queue(2);
-  for (int i = 0; i < 2; ++i) {
-    Snapshot s;
-    s.sequence = i;
-    s.db = data::TransactionDb(1);
-    ASSERT_TRUE(queue.Push(std::move(s)));
-  }
-
-  constexpr int kProducers = 4;
-  std::atomic<int> refused{0};
-  std::atomic<int> started{0};
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, &refused, &started, p] {
-      Snapshot s;
-      s.sequence = 100 + p;
-      s.db = data::TransactionDb(1);
-      started.fetch_add(1);
-      if (!queue.Push(std::move(s))) refused.fetch_add(1);
-    });
-  }
-  // Give every producer a chance to park inside Push; none can proceed
-  // while the queue is at capacity.
-  while (started.load() < kProducers) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(queue.size(), 2u);
-
-  queue.Close();
-  for (std::thread& t : producers) t.join();
-  EXPECT_EQ(refused.load(), kProducers);
-
-  // Only the two pre-close snapshots drain; then closed+empty = end.
-  EXPECT_EQ(queue.Pop()->sequence, 0);
-  EXPECT_EQ(queue.Pop()->sequence, 1);
-  EXPECT_FALSE(queue.Pop().has_value());
-}
-
-// Close racing Pop on an EMPTY queue: a consumer parked in Pop must wake
-// and observe end-of-stream rather than deadlock.
-TEST(SnapshotQueueTest, CloseWakesConsumerBlockedOnEmptyQueue) {
-  SnapshotQueue queue(2);
-  std::atomic<bool> got_end{false};
-  std::thread consumer([&queue, &got_end] {
-    got_end.store(!queue.Pop().has_value());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  queue.Close();
-  consumer.join();
-  EXPECT_TRUE(got_end.load());
-}
-
-// Producers, a consumer, and Close all racing: no snapshot may be lost or
-// duplicated — every Push that returned true is Popped exactly once.
-TEST(SnapshotQueueTest, CloseMidTrafficLosesNothingAccepted) {
-  SnapshotQueue queue(3);
-  constexpr int kProducers = 3;
-  constexpr int kPerProducer = 50;
-  std::atomic<int> accepted{0};
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, &accepted, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        Snapshot s;
-        s.sequence = p * kPerProducer + i;
-        s.db = data::TransactionDb(1);
-        if (queue.Push(std::move(s))) accepted.fetch_add(1);
-      }
-    });
-  }
-  std::atomic<int> popped{0};
-  std::thread consumer([&queue, &popped] {
-    while (queue.Pop().has_value()) popped.fetch_add(1);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  queue.Close();
-  for (std::thread& t : producers) t.join();
-  consumer.join();
-  EXPECT_EQ(popped.load(), accepted.load());
-  EXPECT_EQ(queue.size(), 0u);
-}
-
-TEST(SnapshotQueueTest, TryPushForTimesOutOnAFullQueue) {
-  SnapshotQueue queue(1);
-  Snapshot s;
-  s.db = data::TransactionDb(1);
-  ASSERT_TRUE(queue.Push(s));
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(queue.TryPushFor(s, std::chrono::milliseconds(30)));
-  const auto waited = std::chrono::steady_clock::now() - start;
-  EXPECT_GE(waited, std::chrono::milliseconds(25));  // it really waited
-  EXPECT_FALSE(queue.closed());  // timeout, not closure
-  EXPECT_EQ(queue.size(), 1u);
-
-  // Zero timeout degenerates to TryPush.
-  EXPECT_FALSE(queue.TryPushFor(s, std::chrono::milliseconds(0)));
-}
-
-TEST(SnapshotQueueTest, TryPushForSucceedsWhenRoomAppears) {
-  SnapshotQueue queue(1);
-  Snapshot s;
-  s.sequence = 1;
-  s.db = data::TransactionDb(1);
-  ASSERT_TRUE(queue.Push(s));
-  std::thread consumer([&queue] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    queue.Pop();
-  });
-  Snapshot t;
-  t.sequence = 2;
-  t.db = data::TransactionDb(1);
-  EXPECT_TRUE(queue.TryPushFor(std::move(t), std::chrono::seconds(5)));
-  consumer.join();
-  EXPECT_EQ(queue.Pop()->sequence, 2);
-}
-
-TEST(SnapshotQueueTest, TryPushForRacingCloseNeverHangsOrLies) {
-  // Producers spin TryPushFor while Close lands mid-traffic: every true
-  // return must correspond to a popped snapshot, every false to nothing,
-  // and nobody may hang past the bounded wait.
-  SnapshotQueue queue(2);
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 40;
-  std::atomic<int> accepted{0};
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, &accepted] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        Snapshot s;
-        s.db = data::TransactionDb(1);
-        if (queue.TryPushFor(std::move(s), std::chrono::milliseconds(5))) {
-          accepted.fetch_add(1);
-        }
-      }
-    });
-  }
-  std::atomic<int> popped{0};
-  std::thread consumer([&queue, &popped] {
-    while (queue.Pop().has_value()) popped.fetch_add(1);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  queue.Close();
-  for (std::thread& t : producers) t.join();
-  consumer.join();
-  EXPECT_EQ(popped.load(), accepted.load());
-  // Snapshot() (value-init), not Snapshot{}: list-init of the aggregate
-  // trips GCC's explicit-constructor warning on the TransactionDb member.
-  EXPECT_FALSE(queue.TryPushFor(Snapshot(), std::chrono::milliseconds(1)));
-  EXPECT_TRUE(queue.closed());
 }
 
 // ------------------------------------------------------------ model cache
@@ -502,6 +280,55 @@ MonitorServiceOptions SmallServiceOptions() {
   return options;
 }
 
+// An event sink that holds every drain job inside the sink until Open().
+// The sink runs before a snapshot stops counting as in flight, so a closed
+// gate holds the service at its in-flight bound deterministically.
+class SinkGate {
+ public:
+  std::function<void(const StreamEvent&)> Sink() {
+    return [this](const StreamEvent& event) {
+      common::MutexLock lock(&mutex_);
+      sequences_.push_back(event.sequence);
+      cv_.NotifyAll();
+      cv_.Wait(mutex_, [this]() REQUIRES(mutex_) { return open_; });
+    };
+  }
+
+  // Blocks until `n` events have entered the sink.
+  void AwaitEvents(size_t n) {
+    common::MutexLock lock(&mutex_);
+    cv_.Wait(mutex_,
+             [this, n]() REQUIRES(mutex_) { return sequences_.size() >= n; });
+  }
+
+  void Open() {
+    common::MutexLock lock(&mutex_);
+    open_ = true;
+    cv_.NotifyAll();
+  }
+
+  // The sequence of every event that entered the sink, in sink order.
+  std::vector<int64_t> sequences() {
+    common::MutexLock lock(&mutex_);
+    return sequences_;
+  }
+
+ private:
+  common::Mutex mutex_;
+  common::CondVar cv_;
+  bool open_ GUARDED_BY(mutex_) = false;
+  std::vector<int64_t> sequences_ GUARDED_BY(mutex_);
+};
+
+// The service of the gated tests: one worker, and room for one snapshot in
+// flight.
+MonitorServiceOptions OneSlotOptions() {
+  MonitorServiceOptions options = SmallServiceOptions();
+  options.num_threads = 1;
+  options.queue_capacity = 1;
+  return options;
+}
+
 TEST(MonitorServiceTest, ProcessesStreamInSubmissionOrder) {
   MetricsRegistry metrics;
   MonitorService service(SmallServiceOptions(), QuestDb(1000), &metrics);
@@ -513,27 +340,16 @@ TEST(MonitorServiceTest, ProcessesStreamInSubmissionOrder) {
   service.SetEventSink(
       [&order](const StreamEvent& event) { order.push_back(event.sequence); });
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(service.Submit(MakeSnapshot("s", i, 2000 + i)));
+    const IngestResult result =
+        service.Ingest(MakeSnapshot("s", 2000 + i), std::nullopt);
+    ASSERT_EQ(result.status, SubmitResult::kAccepted);
+    ASSERT_EQ(result.sequence, i);
   }
   service.Flush();
   ASSERT_EQ(order.size(), 6u);
   for (int i = 0; i < 6; ++i) EXPECT_EQ(order[i], i);
   EXPECT_EQ(service.processed(), 6);
   EXPECT_EQ(metrics.GetCounter("snapshots_processed").Value(), 6);
-}
-
-TEST(MonitorServiceTest, UnknownStreamIsRejectedNotProcessed) {
-  MetricsRegistry metrics;
-  MonitorService service(SmallServiceOptions(), QuestDb(1000), &metrics);
-  service.AddStream("known");
-  std::atomic<int> events{0};
-  service.SetEventSink([&events](const StreamEvent&) { ++events; });
-  EXPECT_TRUE(service.Submit(MakeSnapshot("unknown", 0, 1)));
-  EXPECT_TRUE(service.Submit(MakeSnapshot("known", 0, 2)));
-  service.Flush();
-  EXPECT_EQ(events.load(), 1);
-  EXPECT_EQ(metrics.GetCounter("snapshots_rejected").Value(), 1);
-  EXPECT_EQ(service.processed(), 1);
 }
 
 TEST(MonitorServiceTest, RepeatedSnapshotHitsModelCache) {
@@ -544,9 +360,11 @@ TEST(MonitorServiceTest, RepeatedSnapshotHitsModelCache) {
   service.SetEventSink([&saw_cache_hit](const StreamEvent& event) {
     if (event.cache_hit) saw_cache_hit = true;
   });
-  // The same snapshot content submitted twice: second mine must be skipped.
-  ASSERT_TRUE(service.Submit(MakeSnapshot("s", 0, 77)));
-  ASSERT_TRUE(service.Submit(MakeSnapshot("s", 1, 77)));
+  // The same snapshot content ingested twice: second mine must be skipped.
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(service.Ingest(MakeSnapshot("s", 77), std::nullopt).status,
+              SubmitResult::kAccepted);
+  }
   service.Flush();
   EXPECT_TRUE(saw_cache_hit);
   EXPECT_GE(service.model_cache().stats().hits, 1);
@@ -567,9 +385,13 @@ TEST(MonitorServiceTest, TwoStreamsProcessIndependently) {
     (event.stream == "a" ? seen_a : seen_b).push_back(event.stream);
   });
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(service.Submit(MakeSnapshot("a", i, 3000 + i)));
-    ASSERT_TRUE(
-        service.Submit(MakeSnapshot("b", i, 4000 + i, /*pattern_seed=*/123)));
+    ASSERT_EQ(service.Ingest(MakeSnapshot("a", 3000 + i), std::nullopt).status,
+              SubmitResult::kAccepted);
+    ASSERT_EQ(service
+                  .Ingest(MakeSnapshot("b", 4000 + i, /*pattern_seed=*/123),
+                          std::nullopt)
+                  .status,
+              SubmitResult::kAccepted);
   }
   service.Flush();
   EXPECT_EQ(seen_a.size(), 3u);
@@ -582,7 +404,6 @@ TEST(MonitorServiceTest, TwoStreamsProcessIndependently) {
   // b's process differs from the reference's; a's does not.
   EXPECT_LT(a->delta_star, b->delta_star);
 }
-
 // Every stream screens through the service's one shared monitor, and
 // several drain jobs run its screen and stage 2 at once. Each event must
 // still be exactly what a standalone monitor over the same reference
@@ -613,11 +434,10 @@ TEST(MonitorServiceTest, SharedMonitorMatchesStandaloneUnderConcurrency) {
   };
   for (int i = 0; i < kPerStream; ++i) {
     for (int s = 0; s < kStreams; ++s) {
-      Snapshot snapshot =
-          MakeSnapshot("s" + std::to_string(s), /*sequence=*/-1,
-                       seed_of(s, i), pattern_seed_of(s, i));
-      const IngestResult result =
-          service.Ingest(std::move(snapshot), std::nullopt);
+      const IngestResult result = service.Ingest(
+          MakeSnapshot("s" + std::to_string(s), seed_of(s, i),
+                       pattern_seed_of(s, i)),
+          std::nullopt);
       ASSERT_EQ(result.status, SubmitResult::kAccepted);
       ASSERT_EQ(result.sequence, i);
     }
@@ -656,14 +476,17 @@ TEST(MonitorServiceTest, RegimeShiftTripsCusumChangePoint) {
   service.SetEventSink([&change_point](const StreamEvent& event) {
     if (event.change_point) change_point = true;
   });
-  int64_t seq = 0;
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(service.Submit(MakeSnapshot("s", seq++, 5000 + i)));
+    ASSERT_EQ(service.Ingest(MakeSnapshot("s", 5000 + i), std::nullopt).status,
+              SubmitResult::kAccepted);
   }
   // Regime shift: a different pattern table => different process.
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(
-        service.Submit(MakeSnapshot("s", seq++, 6000 + i, /*pattern_seed=*/7)));
+    ASSERT_EQ(service
+                  .Ingest(MakeSnapshot("s", 6000 + i, /*pattern_seed=*/7),
+                          std::nullopt)
+                  .status,
+              SubmitResult::kAccepted);
   }
   service.Flush();
   EXPECT_TRUE(change_point);
@@ -675,61 +498,215 @@ TEST(MonitorServiceTest, SubmitAfterShutdownIsRefused) {
                          /*metrics=*/nullptr);
   service.AddStream("s");
   service.Shutdown();
-  EXPECT_FALSE(service.Submit(MakeSnapshot("s", 0, 1)));
+  const IngestResult unbounded =
+      service.Ingest(MakeSnapshot("s", 1), std::nullopt);
+  EXPECT_EQ(unbounded.status, SubmitResult::kShutdown);
+  EXPECT_EQ(unbounded.sequence, -1);
+  EXPECT_EQ(service.Ingest(MakeSnapshot("s", 1), std::chrono::milliseconds(1))
+                .status,
+            SubmitResult::kShutdown);
   service.Shutdown();  // idempotent
 }
 
 TEST(MonitorServiceTest, TrySubmitForShedsUnderSaturationThenRecovers) {
-  MonitorServiceOptions options = SmallServiceOptions();
-  options.num_threads = 1;
-  options.queue_capacity = 1;  // in-flight bound: 1
   MetricsRegistry metrics;
-  MonitorService service(options, QuestDb(1000), &metrics);
-  service.AddStream("s");
+  MonitorService service(OneSlotOptions(), QuestDb(1000), &metrics);
+  SinkGate gate;
+  service.SetEventSink(gate.Sink());
 
-  // The event sink runs on the worker BEFORE the snapshot stops counting
-  // as in flight — blocking it holds the service at capacity
-  // deterministically.
-  common::Mutex gate_mutex;
-  common::CondVar gate_cv;
-  bool gate_open = false;
-  std::atomic<int> events{0};
-  service.SetEventSink([&](const StreamEvent&) {
-    events.fetch_add(1);
-    common::MutexLock lock(&gate_mutex);
-    gate_cv.Wait(gate_mutex, [&] { return gate_open; });
-  });
-
-  ASSERT_EQ(service.TrySubmitFor(MakeSnapshot("s", 0, 7000),
-                                 std::chrono::milliseconds(200)),
-            SubmitResult::kAccepted);
-  while (events.load() == 0) {  // the worker now sits inside the sink
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(service.TrySubmitFor(MakeSnapshot("s", 1, 7001),
-                                 std::chrono::milliseconds(5)),
-            SubmitResult::kOverloaded);
+  const IngestResult first =
+      service.Ingest(MakeSnapshot("s", 7000), std::chrono::milliseconds(200));
+  ASSERT_EQ(first.status, SubmitResult::kAccepted);
+  EXPECT_EQ(first.sequence, 0);
+  gate.AwaitEvents(1);  // the worker now sits inside the sink
+  // queue_depth reports what --queue bounds: the snapshots in flight.
+  EXPECT_EQ(metrics.GetGauge("queue_depth").Value(), 1.0);
+  const IngestResult shed =
+      service.Ingest(MakeSnapshot("s", 7001), std::chrono::milliseconds(5));
+  EXPECT_EQ(shed.status, SubmitResult::kOverloaded);
+  EXPECT_EQ(shed.sequence, -1);
   EXPECT_EQ(metrics.GetCounter("snapshots_shed").Value(), 1);
 
-  {
-    common::MutexLock lock(&gate_mutex);
-    gate_open = true;
-  }
-  gate_cv.NotifyAll();
+  gate.Open();
   service.Flush();
   EXPECT_EQ(service.processed(), 1);  // the shed snapshot was dropped clean
+  EXPECT_EQ(metrics.GetGauge("queue_depth").Value(), 0.0);
 
-  // After the backlog clears there is room again.
-  EXPECT_EQ(service.TrySubmitFor(MakeSnapshot("s", 1, 7002),
-                                 std::chrono::seconds(5)),
-            SubmitResult::kAccepted);
+  // After the backlog clears there is room again, and the shed snapshot
+  // burned no sequence number.
+  const IngestResult retry =
+      service.Ingest(MakeSnapshot("s", 7002), std::chrono::seconds(5));
+  EXPECT_EQ(retry.status, SubmitResult::kAccepted);
+  EXPECT_EQ(retry.sequence, 1);
   service.Flush();
   EXPECT_EQ(service.processed(), 2);
+  EXPECT_EQ(gate.sequences(), (std::vector<int64_t>{0, 1}));
+}
 
+// A shed snapshot and a post-shutdown one register nothing: a refused
+// first ingest must not create a stream that listings and summaries count.
+TEST(MonitorServiceTest, RefusedIngestRegistersNoStream) {
+  MetricsRegistry metrics;
+  MonitorService service(OneSlotOptions(), QuestDb(1000), &metrics);
+  SinkGate gate;
+  service.SetEventSink(gate.Sink());
+
+  ASSERT_EQ(service.Ingest(MakeSnapshot("s", 7100), std::nullopt).status,
+            SubmitResult::kAccepted);
+  gate.AwaitEvents(1);
+  EXPECT_EQ(
+      service.Ingest(MakeSnapshot("t", 7101), std::chrono::milliseconds(5))
+          .status,
+      SubmitResult::kOverloaded);
+  EXPECT_EQ(service.ListStreams(), (std::vector<std::string>{"s"}));
+  EXPECT_FALSE(service.GetStreamStatus("t").has_value());
+
+  gate.Open();
   service.Shutdown();
-  EXPECT_EQ(service.TrySubmitFor(MakeSnapshot("s", 99, 8001),
-                                 std::chrono::milliseconds(1)),
+  EXPECT_EQ(service.Ingest(MakeSnapshot("u", 7102), std::nullopt).status,
             SubmitResult::kShutdown);
+  EXPECT_EQ(service.ListStreams(), (std::vector<std::string>{"s"}));
+  EXPECT_FALSE(service.GetStreamStatus("u").has_value());
+  EXPECT_EQ(metrics.GetGauge("streams").Value(), 1.0);
+}
+
+// Ingest blocks while the service is at its in-flight bound, with no
+// limit or within its wait, and is accepted once a slot frees.
+TEST(MonitorServiceTest, IngestWaitsForASlotThenIsAccepted) {
+  MonitorService service(OneSlotOptions(), QuestDb(1000),
+                         /*metrics=*/nullptr);
+  SinkGate gate;
+  service.SetEventSink(gate.Sink());
+  ASSERT_EQ(service.Ingest(MakeSnapshot("s", 7200), std::nullopt).status,
+            SubmitResult::kAccepted);
+  gate.AwaitEvents(1);
+
+  const std::optional<std::chrono::milliseconds> waits[] = {
+      std::nullopt, std::chrono::milliseconds(5000)};
+  IngestResult results[2];
+  std::atomic<int> returned{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < 2; ++p) {
+    producers.emplace_back([&, p] {
+      results[p] = service.Ingest(MakeSnapshot("s", 7201 + p), waits[p]);
+      returned.fetch_add(1);
+    });
+  }
+  // Both producers must stay parked while the only slot is taken.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(returned.load(), 0);
+
+  gate.Open();
+  for (std::thread& t : producers) t.join();
+  EXPECT_EQ(results[0].status, SubmitResult::kAccepted);
+  EXPECT_EQ(results[1].status, SubmitResult::kAccepted);
+  // Which waiter takes the freed slot first is up to the scheduler; the
+  // two of them take sequences 1 and 2.
+  EXPECT_EQ(std::min(results[0].sequence, results[1].sequence), 1);
+  EXPECT_EQ(std::max(results[0].sequence, results[1].sequence), 2);
+  service.Flush();
+  EXPECT_EQ(gate.sequences(), (std::vector<int64_t>{0, 1, 2}));
+}
+
+// Shutdown wakes producers blocked on backpressure: each returns kShutdown
+// while the in-flight snapshot still sits in the sink, and burns no
+// sequence number.
+TEST(MonitorServiceTest, ShutdownWakesIngestBlockedOnBackpressure) {
+  MonitorService service(OneSlotOptions(), QuestDb(1000),
+                         /*metrics=*/nullptr);
+  SinkGate gate;
+  service.SetEventSink(gate.Sink());
+  ASSERT_EQ(service.Ingest(MakeSnapshot("s", 7300), std::nullopt).status,
+            SubmitResult::kAccepted);
+  gate.AwaitEvents(1);
+
+  constexpr int kProducers = 4;
+  IngestResult results[kProducers];
+  std::atomic<int> started{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      const std::optional<std::chrono::milliseconds> wait =
+          p % 2 == 0 ? std::nullopt
+                     : std::optional(std::chrono::milliseconds(60000));
+      started.fetch_add(1);
+      results[p] = service.Ingest(MakeSnapshot("s", 7301 + p), wait);
+    });
+  }
+  // Give every producer a chance to park inside Ingest.
+  while (started.load() < kProducers) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  // Shutdown flushes, so it cannot return before the gate opens; the
+  // producers must return before that.
+  std::thread stopper([&service] { service.Shutdown(); });
+  for (std::thread& t : producers) t.join();
+  for (const IngestResult& result : results) {
+    EXPECT_EQ(result.status, SubmitResult::kShutdown);
+    EXPECT_EQ(result.sequence, -1);
+  }
+  EXPECT_EQ(gate.sequences(), (std::vector<int64_t>{0}));  // still gated
+
+  gate.Open();
+  stopper.join();
+  EXPECT_EQ(service.processed(), 1);
+  EXPECT_EQ(gate.sequences(), (std::vector<int64_t>{0}));
+}
+
+// Producers on two streams, with and without a wait limit, race Shutdown:
+// every accepted snapshot is processed exactly once, in sequence order,
+// and each stream's accepted sequences are exactly 0..k-1. (Run under TSan
+// in CI.)
+TEST(MonitorServiceTest, ShutdownMidTrafficLosesNothingAccepted) {
+  MonitorServiceOptions options = SmallServiceOptions();
+  options.queue_capacity = 2;
+  MonitorService service(options, QuestDb(1000), /*metrics=*/nullptr);
+  common::Mutex mutex;
+  std::map<std::string, std::vector<int64_t>> processed;
+  service.SetEventSink([&](const StreamEvent& event) {
+    common::MutexLock lock(&mutex);
+    processed[event.stream].push_back(event.sequence);
+  });
+  // Pre-generated, so producers spend their time in Ingest.
+  const Snapshot samples[] = {MakeSnapshot("", 7400), MakeSnapshot("", 7401)};
+
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 200;
+  std::map<std::string, std::vector<int64_t>> accepted;
+  std::atomic<int> num_accepted{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        Snapshot snapshot = samples[i % 2];
+        snapshot.stream = p % 2 == 0 ? "a" : "b";
+        const std::optional<std::chrono::milliseconds> wait =
+            i % 2 == 0 ? std::nullopt
+                       : std::optional(std::chrono::milliseconds(1));
+        const IngestResult result = service.Ingest(snapshot, wait);
+        if (result.status == SubmitResult::kShutdown) return;
+        if (result.status == SubmitResult::kAccepted) {
+          common::MutexLock lock(&mutex);
+          accepted[snapshot.stream].push_back(result.sequence);
+          num_accepted.fetch_add(1);
+        }
+      }
+    });
+  }
+  // Mid-traffic: well before the producers' 800 snapshots are through.
+  while (num_accepted.load() < 20) std::this_thread::yield();
+  service.Shutdown();
+  for (std::thread& t : producers) t.join();
+
+  EXPECT_EQ(processed.size(), accepted.size());
+  for (auto& [stream, sequences] : accepted) {
+    std::sort(sequences.begin(), sequences.end());
+    for (size_t i = 0; i < sequences.size(); ++i) {
+      EXPECT_EQ(sequences[i], static_cast<int64_t>(i)) << stream;
+    }
+    // Drained in sequence order, each exactly once.
+    EXPECT_EQ(processed[stream], sequences) << stream;
+  }
 }
 
 TEST(MonitorServiceTest, StatusAndQueryDeviationTrackLatestSnapshot) {
@@ -751,8 +728,10 @@ TEST(MonitorServiceTest, StatusAndQueryDeviationTrackLatestSnapshot) {
   ASSERT_TRUE(no_data.has_value());
   EXPECT_FALSE(no_data->has_deviation);
 
-  ASSERT_TRUE(service.Submit(MakeSnapshot("s", 0, 42)));
-  ASSERT_TRUE(service.Submit(MakeSnapshot("s", 1, 43)));
+  for (const uint64_t seed : {42, 43}) {
+    ASSERT_EQ(service.Ingest(MakeSnapshot("s", seed), std::nullopt).status,
+              SubmitResult::kAccepted);
+  }
   service.Flush();
 
   const auto status = service.GetStreamStatus("s");

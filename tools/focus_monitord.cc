@@ -258,9 +258,9 @@ int Run(const common::Flags& flags) {
       }
       snapshot.stream = StreamOfFile(path);
       snapshot.source = name;
-      // Registers a new stream, sequences, and blocks on backpressure
-      // until the snapshot is accepted. A refusal (shutdown) leaves the
-      // file in the spool for the next run.
+      // Blocks on backpressure until the snapshot is accepted, which
+      // registers a new stream and sequences it. A refusal (shutdown)
+      // leaves the file in the spool for the next run.
       if (service.Ingest(std::move(snapshot), std::nullopt).status !=
           serve::SubmitResult::kAccepted) {
         break;
