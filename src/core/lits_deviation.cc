@@ -60,9 +60,9 @@ std::vector<double> ExtendModel(const std::vector<lits::Itemset>& regions,
 
 std::vector<double> ExtendModel(const std::vector<lits::Itemset>& regions,
                                 const lits::LitsModel& model,
-                                data::ItemIndexRef index) {
+                                const data::VerticalIndex& index) {
   return ExtendModelWith(
-      regions, model, [index](const std::vector<lits::Itemset>& missing) {
+      regions, model, [&index](const std::vector<lits::Itemset>& missing) {
         return lits::SupportCounter(missing, index.num_items())
             .CountRelative(index);
       });
@@ -83,8 +83,9 @@ double AggregateRegionDiffs(const std::vector<double>& s1, double n1,
 
 std::vector<double> LitsExtendModel(const std::vector<lits::Itemset>& regions,
                                     const lits::LitsModel& model,
-                                    data::ItemIndexRef index) {
-  return ExtendModel(regions, model, index);
+                                    const data::VerticalIndex* index) {
+  FOCUS_CHECK(index != nullptr) << "measure extension needs an index";
+  return ExtendModel(regions, model, *index);
 }
 
 double LitsAggregateRegionDiffs(const std::vector<double>& s1, double n1,
@@ -114,14 +115,16 @@ double LitsDeviationOverRegions(const std::vector<lits::Itemset>& regions,
 }
 
 double LitsDeviationOverRegions(const std::vector<lits::Itemset>& regions,
-                                data::ItemIndexRef i1, data::ItemIndexRef i2,
+                                const data::VerticalIndex* i1,
+                                const data::VerticalIndex* i2,
                                 const DeviationFunction& fn) {
-  const lits::SupportCounter counter1(regions, i1.num_items());
-  const lits::SupportCounter counter2(regions, i2.num_items());
-  return AggregateRegionDiffs(counter1.CountRelative(i1),
-                              static_cast<double>(i1.num_transactions()),
-                              counter2.CountRelative(i2),
-                              static_cast<double>(i2.num_transactions()), fn);
+  FOCUS_CHECK(i1 != nullptr && i2 != nullptr) << "deviation needs both indexes";
+  const lits::SupportCounter counter1(regions, i1->num_items());
+  const lits::SupportCounter counter2(regions, i2->num_items());
+  return AggregateRegionDiffs(counter1.CountRelative(*i1),
+                              static_cast<double>(i1->num_transactions()),
+                              counter2.CountRelative(*i2),
+                              static_cast<double>(i2->num_transactions()), fn);
 }
 
 double LitsDeviation(const lits::LitsModel& m1, const data::TransactionDb& d1,
@@ -134,14 +137,15 @@ double LitsDeviation(const lits::LitsModel& m1, const data::TransactionDb& d1,
                               static_cast<double>(d2.num_transactions()), fn);
 }
 
-double LitsDeviation(const lits::LitsModel& m1, data::ItemIndexRef i1,
-                     const lits::LitsModel& m2, data::ItemIndexRef i2,
+double LitsDeviation(const lits::LitsModel& m1, const data::VerticalIndex* i1,
+                     const lits::LitsModel& m2, const data::VerticalIndex* i2,
                      const DeviationFunction& fn) {
+  FOCUS_CHECK(i1 != nullptr && i2 != nullptr) << "deviation needs both indexes";
   const std::vector<lits::Itemset> gcr = LitsGcr(m1, m2);
-  return AggregateRegionDiffs(ExtendModel(gcr, m1, i1),
-                              static_cast<double>(i1.num_transactions()),
-                              ExtendModel(gcr, m2, i2),
-                              static_cast<double>(i2.num_transactions()), fn);
+  return AggregateRegionDiffs(ExtendModel(gcr, m1, *i1),
+                              static_cast<double>(i1->num_transactions()),
+                              ExtendModel(gcr, m2, *i2),
+                              static_cast<double>(i2->num_transactions()), fn);
 }
 
 double LitsDeviationOverRegions(const std::vector<lits::Itemset>& regions,

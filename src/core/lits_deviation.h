@@ -6,8 +6,8 @@
 
 #include "core/functions.h"
 #include "data/transaction_db.h"
-#include "data/item_index.h"
 #include "data/txn_source.h"
+#include "data/vertical_index.h"
 #include "itemsets/apriori.h"
 #include "itemsets/itemset.h"
 
@@ -39,17 +39,18 @@ double LitsDeviation(const lits::LitsModel& m1, const data::TransactionDb& d1,
 
 // Vertical-index overloads: identical results (counts are integers and the
 // divisions by |D| match), but the per-region supports missing from each
-// model come from AND+popcount over prebuilt TID sets — flat bitmaps or
-// roaring containers, whichever backs the data::ItemIndexRef — instead of
+// model come from AND+popcount over prebuilt TID bitmaps instead of
 // re-scanning raw transactions. This is the scan-once path the serving
-// layer uses: each snapshot's index is built one time and then probed by
-// every deviation the window evaluates against it.
+// layer uses: each in-memory snapshot's index is built one time and then
+// probed by every deviation the window evaluates against it. Both indexes
+// must be non-null (checked).
 double LitsDeviationOverRegions(const std::vector<lits::Itemset>& regions,
-                                data::ItemIndexRef i1, data::ItemIndexRef i2,
+                                const data::VerticalIndex* i1,
+                                const data::VerticalIndex* i2,
                                 const DeviationFunction& fn);
 
-double LitsDeviation(const lits::LitsModel& m1, data::ItemIndexRef i1,
-                     const lits::LitsModel& m2, data::ItemIndexRef i2,
+double LitsDeviation(const lits::LitsModel& m1, const data::VerticalIndex* i1,
+                     const lits::LitsModel& m2, const data::VerticalIndex* i2,
                      const DeviationFunction& fn);
 
 // Transaction-source overloads: the counting scans stream block by block
@@ -72,10 +73,10 @@ double LitsDeviation(const lits::LitsModel& m1, data::TxnSourceRef s1,
 
 // Measure extension of `model` to `regions` (Definition 3.4): stored
 // supports are reused, itemsets the model lacks are counted against the
-// prebuilt vertical index.
+// prebuilt vertical index, which must be non-null (checked).
 std::vector<double> LitsExtendModel(const std::vector<lits::Itemset>& regions,
                                     const lits::LitsModel& model,
-                                    data::ItemIndexRef index);
+                                    const data::VerticalIndex* index);
 
 // delta^1_(f,g) over already-extended measure components: per-region diffs
 // in region order, then AggregateValues(fn.g, ...).

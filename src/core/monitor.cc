@@ -61,14 +61,14 @@ MonitorReport LitsChangeMonitor::Inspect(data::TxnSourceRef snapshot) const {
 
 MonitorReport LitsChangeMonitor::InspectWithModel(
     const data::TransactionDb& snapshot, const lits::LitsModel& snapshot_model,
-    data::ItemIndexRef snapshot_index) const {
+    const data::VerticalIndex* snapshot_index) const {
   return InspectWithModel(data::TxnSourceRef(snapshot), snapshot_model,
                           snapshot_index);
 }
 
 MonitorReport LitsChangeMonitor::InspectWithModel(
     data::TxnSourceRef snapshot, const lits::LitsModel& snapshot_model,
-    data::ItemIndexRef snapshot_index) const {
+    const data::VerticalIndex* snapshot_index) const {
   MonitorReport report;
   report.upper_bound =
       LitsUpperBound(reference_model_, snapshot_model, options_.fn.g);
@@ -79,8 +79,8 @@ MonitorReport LitsChangeMonitor::InspectWithModel(
     return report;
   }
   report.deviation =
-      snapshot_index.has_value()
-          ? LitsDeviation(reference_model_, reference_index_, snapshot_model,
+      snapshot_index != nullptr
+          ? LitsDeviation(reference_model_, &reference_index_, snapshot_model,
                           snapshot_index, options_.fn)
           : LitsDeviation(reference_model_, reference_, snapshot_model,
                           snapshot, options_.fn);

@@ -5,7 +5,6 @@
 
 #include "core/functions.h"
 #include "core/significance.h"
-#include "data/item_index.h"
 #include "data/transaction_db.h"
 #include "data/txn_source.h"
 #include "data/vertical_index.h"
@@ -63,20 +62,21 @@ class LitsChangeMonitor {
   // Same, with a caller-supplied model of `snapshot` (e.g. from the
   // serving layer's mined-model cache) so stage 1 skips re-mining. The
   // model MUST have been mined from `snapshot` with this monitor's
-  // apriori options. When `snapshot_index` is non-empty (a vertical index
-  // — flat or roaring — built from `snapshot`, e.g. the serving layer's
-  // per-snapshot index cache), the stage-2 exact deviation extends both
-  // models via TID-set AND+popcount against this index and the monitor's
-  // own reference index — no re-scan of either dataset's raw
-  // transactions. The report is bit-identical with or without the index,
-  // and for either backend.
+  // apriori options. When `snapshot_index` is non-null (a vertical index
+  // built from `snapshot`, e.g. the serving layer's per-snapshot index
+  // cache), the stage-2 exact deviation extends both models via TID-bitmap
+  // AND+popcount against this index and the monitor's own reference
+  // index — no re-scan of either dataset's raw transactions. When it is
+  // null (a block-backed snapshot), stage 2 streams the snapshot's blocks
+  // instead. The report is bit-identical either way, and for either
+  // backend.
   MonitorReport InspectWithModel(
       const data::TransactionDb& snapshot,
       const lits::LitsModel& snapshot_model,
-      data::ItemIndexRef snapshot_index = {}) const;
+      const data::VerticalIndex* snapshot_index = nullptr) const;
   MonitorReport InspectWithModel(
       data::TxnSourceRef snapshot, const lits::LitsModel& snapshot_model,
-      data::ItemIndexRef snapshot_index = {}) const;
+      const data::VerticalIndex* snapshot_index = nullptr) const;
 
   // Replaces the reference with `snapshot` (e.g. after an accepted
   // regime change) and re-calibrates.

@@ -24,9 +24,9 @@ class ThreadPool;
 namespace focus::data {
 
 // ---------------------------------------------------------------------------
-// Block file substrate: the shared on-disk layer under BlockTransactionDb,
-// BlockDataset, and the RoaringIndex spill path. docs/OUT_OF_CORE.md has the
-// full format table; the shape is
+// Block file substrate: the shared on-disk layer under BlockTransactionDb
+// and BlockDataset. docs/OUT_OF_CORE.md has the full format table; the
+// shape is
 //
 //   [FileHeader 16B][payload blocks, back to back][Directory][Footer 16B]
 //

@@ -11,7 +11,7 @@
 namespace focus::data {
 namespace {
 
-// Same universe caps as RoaringIndex: hostile headers may claim anything.
+// Universe caps: hostile headers may claim anything.
 constexpr int64_t kMaxItems = int64_t{1} << 20;
 constexpr int64_t kMaxTransactions = int64_t{1} << 40;
 

@@ -34,10 +34,6 @@ int64_t IntersectPopcountScalar(const uint64_t* const* ptrs, int k,
   return count;
 }
 
-void AndWordsInPlaceScalar(uint64_t* dst, const uint64_t* src, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] &= src[i];
-}
-
 #if FOCUS_SIMD_X86
 
 // Mula's vpshufb popcount: per-byte counts from a nibble LUT, summed into
@@ -85,21 +81,6 @@ __attribute__((target("avx2"))) int64_t IntersectPopcountAvx2(
   return count;
 }
 
-__attribute__((target("avx2"))) void AndWordsInPlaceAvx2(uint64_t* dst,
-                                                         const uint64_t* src,
-                                                         int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_and_si256(a, b));
-  }
-  for (; i < n; ++i) dst[i] &= src[i];
-}
-
 // AVX-512BW has vpshufb over 512-bit lanes, so the same LUT popcount
 // covers 8 words per step without needing AVX512-VPOPCNTDQ.
 __attribute__((target("avx512f,avx512bw"))) inline __m512i Popcount512(
@@ -136,17 +117,6 @@ __attribute__((target("avx512f,avx512bw"))) int64_t IntersectPopcountAvx512(
     count += std::popcount(word);
   }
   return count;
-}
-
-__attribute__((target("avx512f,avx512bw"))) void AndWordsInPlaceAvx512(
-    uint64_t* dst, const uint64_t* src, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i a = _mm512_loadu_si512(dst + i);
-    const __m512i b = _mm512_loadu_si512(src + i);
-    _mm512_storeu_si512(dst + i, _mm512_and_si512(a, b));
-  }
-  for (; i < n; ++i) dst[i] &= src[i];
 }
 
 #endif  // FOCUS_SIMD_X86
@@ -238,33 +208,6 @@ int64_t IntersectPopcountWords(const uint64_t* const* ptrs, int k,
   }
 #endif
   return IntersectPopcountScalar(ptrs, k, exclude, n);
-}
-
-int64_t PopcountWords(const uint64_t* words, int64_t n) {
-  return IntersectPopcountWords(&words, 1, nullptr, n);
-}
-
-int64_t AndPopcountWords(const uint64_t* a, const uint64_t* b, int64_t n) {
-  const uint64_t* ptrs[2] = {a, b};
-  return IntersectPopcountWords(ptrs, 2, nullptr, n);
-}
-
-int64_t AndNotPopcountWords(const uint64_t* a, const uint64_t* b, int64_t n) {
-  return IntersectPopcountWords(&a, 1, b, n);
-}
-
-void AndWordsInPlace(uint64_t* dst, const uint64_t* src, int64_t n) {
-#if FOCUS_SIMD_X86
-  switch (CurrentLevel()) {
-    case Level::kAvx512:
-      return AndWordsInPlaceAvx512(dst, src, n);
-    case Level::kAvx2:
-      return AndWordsInPlaceAvx2(dst, src, n);
-    case Level::kScalar:
-      break;
-  }
-#endif
-  AndWordsInPlaceScalar(dst, src, n);
 }
 
 }  // namespace focus::data::simd

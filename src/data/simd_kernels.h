@@ -7,14 +7,13 @@
 
 namespace focus::data::simd {
 
-// Word-level counting kernels behind the vertical indexes: AND+popcount
-// (support of an itemset), AND-NOT+popcount (deviation paths: transactions
-// in one region but not another), and plain AND/popcount over 64-bit word
-// streams. Every kernel exists at three instruction levels selected by a
-// one-time runtime dispatcher, and ALL levels are bit-identical by
-// construction — they compute the same integer popcount of the same words,
-// so the horizontal == vertical == roaring differential laws hold at every
-// level. tests/laws/laws_kernel_oracle_test.cc sweeps the full
+// The word-level counting kernel behind data::VerticalIndex: the fused
+// k-way AND (+ optional AND-NOT) + popcount over 64-bit word streams that
+// gives the support of an itemset. It exists at three instruction levels
+// selected by a one-time runtime dispatcher, and ALL levels are
+// bit-identical by construction — they compute the same integer popcount
+// of the same words, so the horizontal == vertical differential laws hold
+// at every level. tests/laws/laws_kernel_oracle_test.cc sweeps the full
 // (kernel x level x pool) grid to keep that true.
 enum class Level : int {
   kScalar = 0,  // std::popcount loop; the portable baseline
@@ -56,24 +55,11 @@ class ScopedLevelForTesting {
   int previous_;
 };
 
-// popcount(words[0..n)).
-int64_t PopcountWords(const uint64_t* words, int64_t n);
-
-// popcount(a & b) over n words.
-int64_t AndPopcountWords(const uint64_t* a, const uint64_t* b, int64_t n);
-
-// popcount(a & ~b) over n words — the deviation-path kernel: transactions
-// holding region A but not region B.
-int64_t AndNotPopcountWords(const uint64_t* a, const uint64_t* b, int64_t n);
-
 // popcount(ptrs[0] & ... & ptrs[k-1] [& ~exclude]) over n words; k >= 1,
 // `exclude` may be null. The k streams advance together so they stay
 // cache-resident for any practical itemset size.
 int64_t IntersectPopcountWords(const uint64_t* const* ptrs, int k,
                                const uint64_t* exclude, int64_t n);
-
-// dst[i] &= src[i] for n words (the roaring bitmap-chunk fold).
-void AndWordsInPlace(uint64_t* dst, const uint64_t* src, int64_t n);
 
 }  // namespace focus::data::simd
 

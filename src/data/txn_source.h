@@ -11,8 +11,7 @@
 
 namespace focus::data {
 
-// Which transaction-store backend feeds a scan — the ingest-side analogue
-// of IndexBackend.
+// Which transaction-store backend feeds a scan.
 enum class TxnBackend {
   kMemory,  // data::TransactionDb: fully materialized flat row store
   kBlock,   // data::BlockTransactionDb: out-of-core fixed-size blocks
@@ -22,15 +21,15 @@ inline const char* TxnBackendName(TxnBackend backend) {
   return backend == TxnBackend::kMemory ? "memory" : "block";
 }
 
-// Non-owning reference to EITHER transaction store, mirroring ItemIndexRef:
-// implicitly constructible from both backends (and from pointers, which may
-// be null), so `f(db)` call sites keep compiling unchanged. Consumers
-// (VerticalIndex/RoaringIndex builds, SupportCounter, Apriori,
-// core::Monitor) iterate per-block TransactionDb views; for the in-memory
-// backend the whole database is block 0, at zero copies. Every kernel
-// computes integer counts over a bag of transactions, so results are
-// BIT-IDENTICAL across backends, block sizes, and block-aligned parallel
-// shardings — tests/laws/laws_block_store_test.cc pins it EXPECT_EQ-exact.
+// Non-owning reference to EITHER transaction store: implicitly
+// constructible from both backends (and from pointers, which may be null),
+// so `f(db)` call sites keep compiling unchanged. Consumers (VerticalIndex
+// builds, SupportCounter, Apriori, core::Monitor) iterate per-block
+// TransactionDb views; for the in-memory backend the whole database is
+// block 0, at zero copies. Every kernel computes integer counts over a bag
+// of transactions, so results are BIT-IDENTICAL across backends, block
+// sizes, and block-aligned parallel shardings —
+// tests/laws/laws_block_store_test.cc pins it EXPECT_EQ-exact.
 class TxnSourceRef {
  public:
   // A pinned per-block view: `db` stays valid while `pin` is held (the pin

@@ -56,25 +56,4 @@ int64_t VerticalIndex::CountIntersection(std::span<const int32_t> items) const {
                                       /*exclude=*/nullptr, words_);
 }
 
-int64_t VerticalIndex::CountDifference(std::span<const int32_t> items,
-                                       int32_t excluded) const {
-  const uint64_t* exclude =
-      bits_.data() + static_cast<size_t>(excluded) * words_;
-  if (items.empty()) return num_transactions_ - item_counts_[excluded];
-
-  constexpr size_t kStackStreams = 16;
-  const uint64_t* stack_ptrs[kStackStreams];
-  std::vector<const uint64_t*> heap_ptrs;
-  const uint64_t** ptrs = stack_ptrs;
-  if (items.size() > kStackStreams) {
-    heap_ptrs.resize(items.size());
-    ptrs = heap_ptrs.data();
-  }
-  for (size_t m = 0; m < items.size(); ++m) {
-    ptrs[m] = bits_.data() + static_cast<size_t>(items[m]) * words_;
-  }
-  return simd::IntersectPopcountWords(ptrs, static_cast<int>(items.size()),
-                                      exclude, words_);
-}
-
 }  // namespace focus::data

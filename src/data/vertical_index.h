@@ -65,12 +65,6 @@ class VerticalIndex {
   // itemset holds in every transaction.
   int64_t CountIntersection(std::span<const int32_t> items) const;
 
-  // Transactions containing every item of `items` but NOT `excluded` —
-  // the AND-NOT deviation kernel. Equals
-  // CountIntersection(items) - CountIntersection(items + excluded).
-  int64_t CountDifference(std::span<const int32_t> items,
-                          int32_t excluded) const;
-
   // Approximate heap footprint, for capacity planning in caches.
   int64_t MemoryBytes() const {
     return static_cast<int64_t>(bits_.capacity()) * 8 +

@@ -63,7 +63,7 @@ std::vector<Itemset> GenerateCandidates(const std::vector<Itemset>& frequent) {
 // emits them, so the model fills in the same order, and returns them
 // sorted.
 std::vector<Itemset> MineFrequentPairs(data::TxnSourceRef source,
-                                       data::ItemIndexRef index,
+                                       const data::VerticalIndex* index,
                                        const std::vector<int32_t>& items,
                                        int64_t threshold, LitsModel& model) {
   const int64_t num_frequent = static_cast<int64_t>(items.size());
@@ -72,7 +72,7 @@ std::vector<Itemset> MineFrequentPairs(data::TxnSourceRef source,
   // transaction adds for the same larger member are contiguous.
   const auto cell = [](int64_t a, int64_t b) { return b * (b - 1) / 2 + a; };
   std::vector<int64_t> pair_counts;
-  if (!index.has_value()) {
+  if (index == nullptr) {
     pair_counts.assign(static_cast<size_t>(cell(0, num_frequent)), 0);
     std::vector<int32_t> rank(source.num_items(), -1);
     for (int64_t r = 0; r < num_frequent; ++r) {
@@ -102,8 +102,8 @@ std::vector<Itemset> MineFrequentPairs(data::TxnSourceRef source,
   for (int64_t a = 0; a < num_frequent; ++a) {
     for (int64_t b = a + 1; b < num_frequent; ++b) {
       const int32_t pair[] = {items[a], items[b]};
-      const int64_t count = index.has_value()
-                                ? index.CountIntersection(pair)
+      const int64_t count = index != nullptr
+                                ? index->CountIntersection(pair)
                                 : pair_counts[cell(a, b)];
       if (count < threshold) continue;
       Itemset itemset({pair[0], pair[1]});
@@ -146,20 +146,20 @@ std::vector<Itemset> LitsModel::StructuralComponent() const {
 }
 
 LitsModel Apriori(const data::TransactionDb& db, const AprioriOptions& options,
-                  data::ItemIndexRef index) {
+                  const data::VerticalIndex* index) {
   return Apriori(data::TxnSourceRef(db), options, index);
 }
 
 LitsModel Apriori(data::TxnSourceRef source, const AprioriOptions& options,
-                  data::ItemIndexRef index) {
+                  const data::VerticalIndex* index) {
   FOCUS_CHECK_GT(options.min_support, 0.0);
   FOCUS_CHECK_LE(options.min_support, 1.0);
   const int32_t num_items = source.num_items();
   const int64_t num_transactions = source.num_transactions();
   FOCUS_CHECK_GT(num_transactions, 0);
-  if (index.has_value()) {
-    FOCUS_CHECK_EQ(index.num_items(), num_items);
-    FOCUS_CHECK_EQ(index.num_transactions(), num_transactions);
+  if (index != nullptr) {
+    FOCUS_CHECK_EQ(index->num_items(), num_items);
+    FOCUS_CHECK_EQ(index->num_transactions(), num_transactions);
   }
 
   LitsModel model(options.min_support, num_transactions, num_items);
@@ -172,9 +172,9 @@ LitsModel Apriori(data::TxnSourceRef source, const AprioriOptions& options,
   // L1: per-item counts — cached popcounts when the index is prebuilt,
   // otherwise one scan.
   std::vector<int64_t> item_counts(num_items, 0);
-  if (index.has_value()) {
+  if (index != nullptr) {
     for (int32_t item = 0; item < num_items; ++item) {
-      item_counts[item] = index.ItemCount(item);
+      item_counts[item] = index->ItemCount(item);
     }
   } else {
     source.ForEachTransaction(
@@ -202,8 +202,8 @@ LitsModel Apriori(data::TxnSourceRef source, const AprioriOptions& options,
     const std::vector<Itemset> candidates = GenerateCandidates(frequent);
     if (candidates.empty()) break;
     const SupportCounter counter(candidates, num_items);
-    const std::vector<int64_t> counts = index.has_value()
-                                            ? counter.CountAbsolute(index)
+    const std::vector<int64_t> counts = index != nullptr
+                                            ? counter.CountAbsolute(*index)
                                             : counter.CountAbsolute(source);
 
     std::vector<Itemset> next_frequent;

@@ -5,9 +5,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "data/item_index.h"
 #include "data/transaction_db.h"
 #include "data/txn_source.h"
+#include "data/vertical_index.h"
 #include "itemsets/itemset.h"
 
 namespace focus::lits {
@@ -68,17 +68,16 @@ struct AprioriOptions {
 // index intersection per pair) and only the frequent ones become
 // itemsets. The model fills in the same order either way.
 //
-// When `index` is non-empty it must be a vertical index (flat
-// data::VerticalIndex or compressed data::RoaringIndex) built from `db`;
+// When `index` is non-null it must be a vertical index built from `db`;
 // every counting pass (the L1 item scan and each level's candidate scan)
-// then runs against the per-item TID sets instead of re-scanning the raw
-// transactions. Counts are identical integers either way, so the mined
+// then runs against the per-item TID bitmaps instead of re-scanning the
+// raw transactions. Counts are identical integers either way, so the mined
 // model is bit-identical to the horizontal one — the index only changes
 // how fast the same supports are obtained, and it amortizes its single
 // build scan across all levels (and across every other counting consumer
 // of the same database).
 LitsModel Apriori(const data::TransactionDb& db, const AprioriOptions& options,
-                  data::ItemIndexRef index = {});
+                  const data::VerticalIndex* index = nullptr);
 
 // The same miner over either transaction backend: block-backed sources
 // stream each counting pass block by block in bounded memory (with the
@@ -87,7 +86,7 @@ LitsModel Apriori(const data::TransactionDb& db, const AprioriOptions& options,
 // `index`, the raw transactions are only consulted for the database
 // dimensions, so a 1M-transaction mine never materializes the database.
 LitsModel Apriori(data::TxnSourceRef source, const AprioriOptions& options,
-                  data::ItemIndexRef index = {});
+                  const data::VerticalIndex* index = nullptr);
 
 // Reference miner for tests: enumerates and counts every itemset up to
 // `max_size` by brute force. Exponential; only for tiny databases.

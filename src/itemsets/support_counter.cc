@@ -81,7 +81,7 @@ std::vector<int64_t> SupportCounter::CountAbsoluteParallel(
   return counts;
 }
 
-void SupportCounter::CountVerticalRange(data::ItemIndexRef index,
+void SupportCounter::CountVerticalRange(const data::VerticalIndex& index,
                                         int64_t begin, int64_t end,
                                         std::vector<int64_t>& counts) const {
   for (int64_t i = begin; i < end; ++i) {
@@ -90,7 +90,7 @@ void SupportCounter::CountVerticalRange(data::ItemIndexRef index,
 }
 
 std::vector<int64_t> SupportCounter::CountAbsolute(
-    data::ItemIndexRef index) const {
+    const data::VerticalIndex& index) const {
   FOCUS_CHECK_EQ(index.num_items(), num_items_);
   std::vector<int64_t> counts(itemsets_.size(), 0);
   CountVerticalRange(index, 0, static_cast<int64_t>(itemsets_.size()), counts);
@@ -98,7 +98,7 @@ std::vector<int64_t> SupportCounter::CountAbsolute(
 }
 
 std::vector<int64_t> SupportCounter::CountAbsoluteParallel(
-    data::ItemIndexRef index, common::ThreadPool& pool) const {
+    const data::VerticalIndex& index, common::ThreadPool& pool) const {
   FOCUS_CHECK_EQ(index.num_items(), num_items_);
   std::vector<int64_t> counts(itemsets_.size(), 0);
   // Shards write disjoint slots of `counts`; each slot's value depends
@@ -175,12 +175,12 @@ std::vector<double> SupportCounter::CountRelativeParallel(
 }
 
 std::vector<double> SupportCounter::CountRelative(
-    data::ItemIndexRef index) const {
+    const data::VerticalIndex& index) const {
   return ToRelative(CountAbsolute(index), index.num_transactions());
 }
 
 std::vector<double> SupportCounter::CountRelativeParallel(
-    data::ItemIndexRef index, common::ThreadPool& pool) const {
+    const data::VerticalIndex& index, common::ThreadPool& pool) const {
   return ToRelative(CountAbsoluteParallel(index, pool), index.num_transactions());
 }
 

@@ -7,8 +7,8 @@
 
 #include "common/thread_pool.h"
 #include "data/transaction_db.h"
-#include "data/item_index.h"
 #include "data/txn_source.h"
+#include "data/vertical_index.h"
 #include "itemsets/itemset.h"
 
 namespace focus::lits {
@@ -23,11 +23,10 @@ namespace focus::lits {
 //   * Horizontal: candidates are bucketed by their smallest item; a scan
 //     marks the items of each transaction in a presence bitmap and probes
 //     only the buckets of items that occur in the transaction.
-//   * Vertical: a prebuilt index — the flat data::VerticalIndex or the
-//     compressed data::RoaringIndex, taken through data::ItemIndexRef —
-//     supplies per-item TID sets; each itemset's count is the popcount of
-//     the AND of its members' bitmaps. The index is built in one scan and
-//     amortized across every counting pass over the same database.
+//   * Vertical: a prebuilt data::VerticalIndex supplies per-item TID
+//     bitmaps; each itemset's count is the popcount of the AND of its
+//     members' bitmaps. The index is built in one scan and amortized
+//     across every counting pass over the same database.
 class SupportCounter {
  public:
   SupportCounter(std::span<const Itemset> itemsets, int32_t num_items);
@@ -43,16 +42,16 @@ class SupportCounter {
   std::vector<int64_t> CountAbsoluteParallel(const data::TransactionDb& db,
                                              common::ThreadPool& pool) const;
 
-  // Vertical counting path over a prebuilt index (flat or roaring) of the
-  // same database: bit-identical to CountAbsolute(db) for an index built
-  // from db, at every simd dispatch level.
-  std::vector<int64_t> CountAbsolute(data::ItemIndexRef index) const;
+  // Vertical counting path over a prebuilt index of the same database:
+  // bit-identical to CountAbsolute(db) for an index built from db, at
+  // every simd dispatch level.
+  std::vector<int64_t> CountAbsolute(const data::VerticalIndex& index) const;
 
   // Vertical counting parallelized over ITEMSETS (not transactions): each
   // itemset's AND+popcount chain is independent, so shards write disjoint
   // count slots and no merge is needed — trivially bit-identical to the
   // serial vertical path for every pool size.
-  std::vector<int64_t> CountAbsoluteParallel(data::ItemIndexRef index,
+  std::vector<int64_t> CountAbsoluteParallel(const data::VerticalIndex& index,
                                              common::ThreadPool& pool) const;
 
   // Block-streaming horizontal counting over either transaction backend:
@@ -73,8 +72,8 @@ class SupportCounter {
   std::vector<double> CountRelative(const data::TransactionDb& db) const;
   std::vector<double> CountRelativeParallel(const data::TransactionDb& db,
                                             common::ThreadPool& pool) const;
-  std::vector<double> CountRelative(data::ItemIndexRef index) const;
-  std::vector<double> CountRelativeParallel(data::ItemIndexRef index,
+  std::vector<double> CountRelative(const data::VerticalIndex& index) const;
+  std::vector<double> CountRelativeParallel(const data::VerticalIndex& index,
                                             common::ThreadPool& pool) const;
   std::vector<double> CountRelative(data::TxnSourceRef source) const;
   std::vector<double> CountRelativeParallel(data::TxnSourceRef source,
@@ -86,7 +85,7 @@ class SupportCounter {
                   std::vector<int64_t>& counts) const;
 
   // Fills `counts` for itemsets [begin, end) from the vertical index.
-  void CountVerticalRange(data::ItemIndexRef index, int64_t begin,
+  void CountVerticalRange(const data::VerticalIndex& index, int64_t begin,
                           int64_t end, std::vector<int64_t>& counts) const;
 
   int32_t num_items_;

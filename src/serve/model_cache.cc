@@ -41,10 +41,9 @@ uint64_t TxnSourceContentHash(data::TxnSourceRef source) {
 }
 
 ModelCache::ModelCache(size_t capacity, const lits::AprioriOptions& options,
-                       MetricsRegistry* metrics, data::IndexBackend backend)
+                       MetricsRegistry* metrics)
     : capacity_(capacity),
       options_(options),
-      backend_(backend),
       hits_counter_(metrics != nullptr ? &metrics->GetCounter("cache_hits")
                                        : nullptr),
       misses_counter_(metrics != nullptr
@@ -105,20 +104,15 @@ MinedSnapshot ModelCache::GetOrMineIndexed(data::TxnSourceRef source,
   }
   if (cache_hit != nullptr) *cache_hit = false;
   // Build outside the lock so concurrent misses on different snapshots
-  // proceed in parallel: ONE scan materializes the configured vertical
-  // index, and Apriori's counting passes then run against it.
+  // proceed in parallel. An in-memory snapshot gets its vertical index in
+  // ONE scan, and Apriori's counting passes then run against it; a
+  // block-backed one is mined by streaming its blocks.
   MinedSnapshot mined;
-  if (backend_ == data::IndexBackend::kRoaring) {
-    auto roaring = std::make_shared<const data::RoaringIndex>(source);
-    mined.model = std::make_shared<const lits::LitsModel>(
-        lits::Apriori(source, options_, roaring.get()));
-    mined.roaring = std::move(roaring);
-  } else {
-    auto index = std::make_shared<const data::VerticalIndex>(source);
-    mined.model = std::make_shared<const lits::LitsModel>(
-        lits::Apriori(source, options_, index.get()));
-    mined.index = std::move(index);
+  if (source.memory() != nullptr) {
+    mined.index = std::make_shared<const data::VerticalIndex>(source);
   }
+  mined.model = std::make_shared<const lits::LitsModel>(
+      lits::Apriori(source, options_, mined.index.get()));
   common::MutexLock lock(&mutex_);
   InsertLocked(key, mined);
   return mined;

@@ -9,9 +9,9 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "data/item_index.h"
 #include "data/transaction_db.h"
 #include "data/txn_source.h"
+#include "data/vertical_index.h"
 #include "itemsets/apriori.h"
 #include "serve/metrics.h"
 
@@ -36,23 +36,19 @@ struct ModelCacheStats {
   int64_t evictions = 0;
 };
 
-// What one cache miss materializes from a snapshot: its vertical index
-// (built in the single scan §3.3.1 budgets) and the model mined THROUGH
-// that index. Window re-comparisons — the same snapshot re-entering as
-// reference or candidate across many model pairs — then probe the index
-// instead of touching raw transactions again. Exactly one of `index` /
-// `roaring` is set, per the cache's IndexBackend; counting paths go
-// through index_ref(), which works for either.
+// What one cache miss materializes from a snapshot: the mined model and,
+// for an in-memory snapshot, its vertical index (built in the single scan
+// §3.3.1 budgets) that the model was mined through. Window
+// re-comparisons — the same snapshot re-entering as reference or
+// candidate across many model pairs — then probe the index instead of
+// touching raw transactions again. `index` is null for a block-backed
+// snapshot: its mining and stage-2 counting stream its blocks, so the
+// entry holds only the model, and the read routes (which need the index)
+// answer as for a snapshot that has none. Only focus_monitord --ooc makes
+// block-backed snapshots, and it serves no reads.
 struct MinedSnapshot {
   std::shared_ptr<const lits::LitsModel> model;
   std::shared_ptr<const data::VerticalIndex> index;
-  std::shared_ptr<const data::RoaringIndex> roaring;
-
-  bool has_index() const { return index != nullptr || roaring != nullptr; }
-  data::ItemIndexRef index_ref() const {
-    return index != nullptr ? data::ItemIndexRef(index.get())
-                            : data::ItemIndexRef(roaring.get());
-  }
 };
 
 // LRU cache of mined lits-models + their vertical indexes keyed by
@@ -68,13 +64,8 @@ class ModelCache {
   // miss, and eviction also bumps the registry counters `cache_hits` /
   // `cache_misses` / `cache_evictions`, so cache behavior is visible on
   // /metrics and in the monitord JSONL export without polling stats().
-  // `backend` picks the vertical index each miss builds: the flat
-  // VerticalIndex (fastest probes, |D|-proportional memory) or the
-  // compressed RoaringIndex (occurrence-proportional memory). Counts are
-  // bit-identical either way.
   ModelCache(size_t capacity, const lits::AprioriOptions& options,
-             MetricsRegistry* metrics = nullptr,
-             data::IndexBackend backend = data::IndexBackend::kFlat);
+             MetricsRegistry* metrics = nullptr);
 
   // Returns the model + vertical index of `db` under the cache's mining
   // options, building both on a miss. `cache_hit`, when given, reports
@@ -82,11 +73,10 @@ class ModelCache {
   MinedSnapshot GetOrMineIndexed(const data::TransactionDb& db,
                                  bool* cache_hit = nullptr) EXCLUDES(mutex_);
 
-  // Either-backend variant: a block-backed snapshot streams through both
-  // the content hash and (on a miss) the index build + mining passes, so
-  // the only full-size allocation a miss makes is the index itself (use
-  // the roaring backend to keep that occurrence-proportional). The cached
-  // entry is bit-identical to the one an in-memory copy would produce.
+  // Either-backend variant: a block-backed snapshot streams its blocks
+  // through the content hash and (on a miss) every mining pass, and gets
+  // no index, so a miss allocates nothing the size of the snapshot. Its
+  // model is bit-identical to the one an in-memory copy would produce.
   MinedSnapshot GetOrMineIndexed(data::TxnSourceRef source,
                                  bool* cache_hit = nullptr) EXCLUDES(mutex_);
 
@@ -110,7 +100,6 @@ class ModelCache {
   size_t size() const EXCLUDES(mutex_);
   size_t capacity() const { return capacity_; }
   const lits::AprioriOptions& options() const { return options_; }
-  data::IndexBackend backend() const { return backend_; }
 
  private:
   void InsertLocked(uint64_t key, MinedSnapshot mined) REQUIRES(mutex_);
@@ -119,7 +108,6 @@ class ModelCache {
 
   const size_t capacity_;
   const lits::AprioriOptions options_;
-  const data::IndexBackend backend_;
   // Registry counters (stable addresses) or null; set at construction.
   Counter* const hits_counter_;
   Counter* const misses_counter_;

@@ -120,7 +120,7 @@ MonitorService::MonitorService(const MonitorServiceOptions& options,
                              : nullptr),
       monitor_(reference, options.monitor),
       model_cache_(options.model_cache_capacity, options.monitor.apriori,
-                   metrics, options.index_backend),
+                   metrics),
       pool_(std::make_unique<common::ThreadPool>(options.num_threads)) {}
 
 MonitorService::~MonitorService() { Shutdown(); }
@@ -232,8 +232,11 @@ std::optional<StreamDeviation> MonitorService::QueryDeviation(
     result.status = it->second->status;
     last = it->second->last_mined;
   }
+  // A block-backed latest snapshot has no index, so it reports no
+  // deviation. Only focus_monitord --ooc ingests such snapshots, and it
+  // serves no reads.
   if (!result.status.has_snapshot || last.model == nullptr ||
-      !last.has_index()) {
+      last.index == nullptr) {
     return result;
   }
   // Recompute under the requested (f,g) from the CACHED model + vertical
@@ -242,8 +245,8 @@ std::optional<StreamDeviation> MonitorService::QueryDeviation(
   // is immutable after construction, so reading it unlocked is safe.
   result.deviation =
       core::LitsDeviation(monitor_.reference_model(),
-                          monitor_.reference_index(), *last.model,
-                          last.index_ref(), fn);
+                          &monitor_.reference_index(), *last.model,
+                          last.index.get(), fn);
   result.has_deviation = true;
   return result;
 }
@@ -290,9 +293,10 @@ StreamEvent MonitorService::Process(Stream* stream, Snapshot snapshot) {
   event.cache_hit = cache_hit;
   // The cached vertical index lets stage 2 (when the screen fires) extend
   // both models via bitmap probes — window re-comparisons never re-scan
-  // the snapshot's raw transactions.
+  // the snapshot's raw transactions. A block-backed snapshot has no index,
+  // and stage 2 streams its blocks instead.
   event.report =
-      monitor_.InspectWithModel(source, *mined.model, mined.index_ref());
+      monitor_.InspectWithModel(source, *mined.model, mined.index.get());
 
   // The CUSUM series runs over delta*: unlike the exact deviation it is
   // computed for every snapshot (screened or not), giving a uniform

@@ -37,10 +37,6 @@ struct MonitorServiceOptions {
   // pending or being processed.
   size_t queue_capacity = 64;
   size_t model_cache_capacity = 64; // mined-model LRU entries
-  // Vertical index each cache miss builds. Block-backed (--ooc) ingest
-  // should pick kRoaring so per-snapshot index memory stays proportional
-  // to occurrences rather than |D|; results are bit-identical either way.
-  data::IndexBackend index_backend = data::IndexBackend::kFlat;
 };
 
 // The service flags focus_monitord and focus_served share, with their

@@ -170,8 +170,8 @@ Frame ShardWorker::HandleCompare(const Frame& request) {
     result.outcome = CompareOutcome::kBoth;
     // Both snapshots are local: the full single-node answer, same code as
     // the unsharded /v1/compare.
-    result.deviation = core::LitsDeviation(*left->model, left->index_ref(),
-                                           *right->model, right->index_ref(),
+    result.deviation = core::LitsDeviation(*left->model, left->index.get(),
+                                           *right->model, right->index.get(),
                                            fn);
     if (metrics_ != nullptr) metrics_->GetCounter("compares").Increment();
   } else if (left.has_value()) {
@@ -193,7 +193,7 @@ Frame ShardWorker::HandleModelRegions(const Frame& request) {
   const auto mined = service_.model_cache().LookupMined(body.content_hash);
   if (mined.has_value()) {
     result.found = 1;
-    result.num_transactions = mined->index_ref().num_transactions();
+    result.num_transactions = mined->model->num_transactions();
     result.regions = mined->model->StructuralComponent();
   }
   return {MessageType::kModelRegionsResult, request.request_id,
@@ -209,11 +209,11 @@ Frame ShardWorker::HandleExtendRegions(const Frame& request) {
   const auto mined = service_.model_cache().LookupMined(body.content_hash);
   if (mined.has_value()) {
     result.found = 1;
-    result.num_transactions = mined->index_ref().num_transactions();
+    result.num_transactions = mined->model->num_transactions();
     // The same measure extension LitsDeviation composes, so the router's
     // recombined answer matches the single-node one bit for bit.
     result.supports = core::LitsExtendModel(body.regions, *mined->model,
-                                            mined->index_ref());
+                                            mined->index.get());
   }
   return {MessageType::kExtendRegionsResult, request.request_id,
           result.Encode()};

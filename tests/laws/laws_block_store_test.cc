@@ -5,13 +5,12 @@
 // budgets that force eviction mid-scan, and pool sizes 1/2/4/8. Every
 // count is an integer and every derived double divides the same integers,
 // so nothing here allows a tolerance. Pinned consumers: SupportCounter
-// (serial + parallel), VerticalIndex and RoaringIndex builds (including
-// the spilled roaring build), Apriori mining, LitsDeviation, bootstrap
-// significance, sampling extraction (plain and pooled), the serving
-// layer's content hash, and the two-stage change monitor.
+// (serial + parallel), VerticalIndex builds, Apriori mining,
+// LitsDeviation, bootstrap significance, sampling extraction (plain and
+// pooled), the serving layer's content hash, and the two-stage change
+// monitor.
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -27,7 +26,6 @@
 #include "core/significance.h"
 #include "data/block_store.h"
 #include "data/block_txn_db.h"
-#include "data/roaring_index.h"
 #include "data/sampling.h"
 #include "data/transaction_db.h"
 #include "data/txn_source.h"
@@ -152,7 +150,6 @@ TEST(LawsBlockStore, CountsExactAcrossBlockSizesBudgetsAndPools) {
 TEST(LawsBlockStore, IndexBuildsExactAcrossBlockSizes) {
   const TransactionDb db = MakeDb(3000, 120, 103);
   const VerticalIndex vertical_ref(db);
-  const RoaringIndex roaring_ref(db);
 
   common::ThreadPool pool(4);
   for (const int64_t block_size : kBlockSizes) {
@@ -165,37 +162,7 @@ TEST(LawsBlockStore, IndexBuildsExactAcrossBlockSizes) {
 
     EXPECT_EQ(VerticalIndex(source), vertical_ref)
         << "block_size=" << block_size;
-    EXPECT_EQ(RoaringIndex(source), roaring_ref)
-        << "block_size=" << block_size;
   }
-}
-
-TEST(LawsBlockStore, RoaringSpilledBuildIdenticalToDirect) {
-  const TransactionDb db = MakeDb(3000, 120, 105);
-  const RoaringIndex direct(db);
-  const std::string scratch =
-      ::testing::TempDir() + "/laws_block_store_spill.blk";
-
-  common::ThreadPool pool(2);
-  BlockStoreOptions options;
-  options.pool = &pool;
-  const auto block_db = MustOpen(WriteBlockBytes(db, int64_t{4} << 10),
-                                 options);
-  ASSERT_NE(block_db, nullptr);
-  const TxnSourceRef source(*block_db);
-
-  RoaringBuildOptions spill;
-  spill.spill = RoaringBuildOptions::Spill::kAlways;
-  spill.scratch_path = scratch;
-  spill.scratch_block_size = int64_t{4} << 10;
-  EXPECT_EQ(RoaringIndex(source, spill), direct);
-  // The scratch file is deleted once the build finishes.
-  EXPECT_EQ(std::remove(scratch.c_str()), -1);
-
-  RoaringBuildOptions auto_spill = spill;
-  auto_spill.spill = RoaringBuildOptions::Spill::kAuto;
-  auto_spill.spill_budget_bytes = 1;  // always above budget -> spills
-  EXPECT_EQ(RoaringIndex(source, auto_spill), direct);
 }
 
 TEST(LawsBlockStore, MiningDeviationAndSignificanceExact) {

@@ -1,13 +1,13 @@
 // The kernel oracle: ONE differential law swept over every registered
-// counting kernel (horizontal scan, flat VerticalIndex, RoaringIndex) ×
-// every runnable simd dispatch level (scalar, avx2, avx512) × pool sizes
-// 1/2/4/8. The horizontal scan is the baseline; every other combination
-// must return EXACTLY the same integers (and the same doubles for
-// relative supports and deviations — same integers divided by the same
-// |D|). Workloads come from the proptest generators plus a fixed set of
-// adversarial density fixtures: all-dense, all-sparse, run-heavy, empty
-// items, and TID cardinalities straddling the array→bitmap promotion
-// threshold and the 65536-TID chunk boundary.
+// counting kernel (horizontal scan, VerticalIndex) × every runnable simd
+// dispatch level (scalar, avx2, avx512) × pool sizes 1/2/4/8. The
+// horizontal scan is the baseline; every other combination must return
+// EXACTLY the same integers (and the same doubles for relative supports
+// and deviations — same integers divided by the same |D|). Workloads come
+// from the proptest generators plus a fixed set of adversarial density
+// fixtures: all-dense, all-sparse, run-heavy, empty items, and odd TID
+// cardinalities and boundaries (4095–4097, 65535/65536) that leave
+// partial vector strides and partial words.
 
 #include <algorithm>
 #include <cstdint>
@@ -18,8 +18,6 @@
 
 #include "common/thread_pool.h"
 #include "core/lits_deviation.h"
-#include "data/item_index.h"
-#include "data/roaring_index.h"
 #include "data/simd_kernels.h"
 #include "data/transaction_db.h"
 #include "data/vertical_index.h"
@@ -48,31 +46,24 @@ std::vector<data::simd::Level> RunnableLevels() {
   return levels;
 }
 
-// Checks every (backend × pool) combination of `counter` against the
+// Checks every pool size of the vertical path of `counter` against the
 // horizontal baseline, under whatever dispatch level is active. Returns
 // an empty string on success, a diagnostic on the first mismatch.
 std::string CheckAllKernels(const lits::SupportCounter& counter,
                             const data::VerticalIndex& flat,
-                            const data::RoaringIndex& roaring,
                             const std::vector<int64_t>& horizontal,
                             const std::vector<double>& horizontal_rel) {
-  const struct {
-    const char* name;
-    data::ItemIndexRef ref;
-  } backends[] = {{"flat", flat}, {"roaring", roaring}};
-  for (const auto& backend : backends) {
-    if (counter.CountAbsolute(backend.ref) != horizontal) {
-      return std::string(backend.name) + " absolute counts differ";
-    }
-    if (counter.CountRelative(backend.ref) != horizontal_rel) {
-      return std::string(backend.name) + " relative supports differ";
-    }
-    for (const int threads : kPoolSizes) {
-      common::ThreadPool pool(threads);
-      if (counter.CountAbsoluteParallel(backend.ref, pool) != horizontal) {
-        return std::string(backend.name) + " parallel counts differ with " +
-               std::to_string(threads) + " threads";
-      }
+  if (counter.CountAbsolute(flat) != horizontal) {
+    return "flat absolute counts differ";
+  }
+  if (counter.CountRelative(flat) != horizontal_rel) {
+    return "flat relative supports differ";
+  }
+  for (const int threads : kPoolSizes) {
+    common::ThreadPool pool(threads);
+    if (counter.CountAbsoluteParallel(flat, pool) != horizontal) {
+      return "flat parallel counts differ with " + std::to_string(threads) +
+             " threads";
     }
   }
   return "";
@@ -84,7 +75,6 @@ TEST(LawsKernelOracle, CountsIdenticalAcrossKernelsLevelsAndPools) {
       [](const proptest::LitsWorkload& workload) {
         const data::TransactionDb db = proptest::MaterializeDb(workload);
         const data::VerticalIndex flat(db);
-        const data::RoaringIndex roaring(db);
 
         Rng itemset_rng(workload.quest.seed + 977);
         std::vector<lits::Itemset> itemsets;
@@ -100,8 +90,8 @@ TEST(LawsKernelOracle, CountsIdenticalAcrossKernelsLevelsAndPools) {
 
         for (const data::simd::Level level : RunnableLevels()) {
           data::simd::ScopedLevelForTesting scoped(level);
-          const std::string failure = CheckAllKernels(
-              counter, flat, roaring, horizontal, horizontal_rel);
+          const std::string failure =
+              CheckAllKernels(counter, flat, horizontal, horizontal_rel);
           if (!failure.empty()) {
             return PropResult::Fail(
                 failure + " at level " + data::simd::LevelName(level));
@@ -122,8 +112,6 @@ TEST(LawsKernelOracle, DeviationsIdenticalAcrossKernelsAndLevels) {
         const lits::LitsModel mb = proptest::Mine(pair.b, db);
         const data::VerticalIndex fa(da);
         const data::VerticalIndex fb(db);
-        const data::RoaringIndex ra(da);
-        const data::RoaringIndex rb(db);
 
         const DeviationFunction fn;  // (f_a, g_sum)
         const double horizontal = LitsDeviation(ma, da, mb, db, fn);
@@ -133,80 +121,21 @@ TEST(LawsKernelOracle, DeviationsIdenticalAcrossKernelsAndLevels) {
 
         for (const data::simd::Level level : RunnableLevels()) {
           data::simd::ScopedLevelForTesting scoped(level);
-          const struct {
-            const char* name;
-            data::ItemIndexRef a;
-            data::ItemIndexRef b;
-          } backends[] = {{"flat", fa, fb},
-                          {"roaring", ra, rb},
-                          {"mixed", fa, rb}};
-          for (const auto& backend : backends) {
-            if (LitsDeviation(ma, backend.a, mb, backend.b, fn) !=
-                horizontal) {
-              return PropResult::Fail(
-                  std::string(backend.name) + " deviation differs at level " +
-                  data::simd::LevelName(level));
-            }
-            if (LitsDeviationOverRegions(gcr, backend.a, backend.b, fn) !=
-                horizontal_regions) {
-              return PropResult::Fail(std::string(backend.name) +
-                                      " over-regions deviation differs at "
-                                      "level " +
-                                      data::simd::LevelName(level));
-            }
+          if (LitsDeviation(ma, &fa, mb, &fb, fn) != horizontal) {
+            return PropResult::Fail(
+                std::string("flat deviation differs at level ") +
+                data::simd::LevelName(level));
+          }
+          if (LitsDeviationOverRegions(gcr, &fa, &fb, fn) !=
+              horizontal_regions) {
+            return PropResult::Fail(
+                std::string("flat over-regions deviation differs at level ") +
+                data::simd::LevelName(level));
           }
         }
         return PropResult::Ok();
       },
       proptest::Config::FromEnv(6)));
-}
-
-TEST(LawsKernelOracle, AndNotDeviationKernelIdenticalAcrossBackends) {
-  EXPECT_TRUE(Check<proptest::LitsWorkload>(
-      "kernel-oracle/and-not-identical", proptest::LitsWorkloadDomain(),
-      [](const proptest::LitsWorkload& workload) {
-        const data::TransactionDb db = proptest::MaterializeDb(workload);
-        const data::VerticalIndex flat(db);
-        const data::RoaringIndex roaring(db);
-
-        Rng rng(workload.quest.seed + 1299);
-        for (int probe = 0; probe < 8; ++probe) {
-          const lits::Itemset itemset =
-              proptest::GenItemset(rng, workload.quest.num_items, 4);
-          const int32_t excluded = static_cast<int32_t>(
-              rng.IntIn(0, workload.quest.num_items - 1));
-          // Horizontal reference: |T(items)| - |T(items ∪ {excluded})|.
-          std::vector<int32_t> with_excluded = itemset.items();
-          if (!std::binary_search(with_excluded.begin(), with_excluded.end(),
-                                  excluded)) {
-            with_excluded.push_back(excluded);
-            std::sort(with_excluded.begin(), with_excluded.end());
-          }
-          const std::vector<lits::Itemset> both = {
-              itemset, lits::Itemset(std::move(with_excluded))};
-          const std::vector<int64_t> counts =
-              lits::SupportCounter(both, workload.quest.num_items)
-                  .CountAbsolute(db);
-          const int64_t expected = counts[0] - counts[1];
-
-          for (const data::simd::Level level : RunnableLevels()) {
-            data::simd::ScopedLevelForTesting scoped(level);
-            if (flat.CountDifference(itemset.items(), excluded) != expected) {
-              return PropResult::Fail(
-                  std::string("flat AND-NOT differs at level ") +
-                  data::simd::LevelName(level));
-            }
-            if (roaring.CountDifference(itemset.items(), excluded) !=
-                expected) {
-              return PropResult::Fail(
-                  std::string("roaring AND-NOT differs at level ") +
-                  data::simd::LevelName(level));
-            }
-          }
-        }
-        return PropResult::Ok();
-      },
-      proptest::Config::FromEnv(8)));
 }
 
 // ------------------------------------------------------------ fixtures
@@ -255,8 +184,8 @@ std::vector<DensityFixture> DensityFixtures() {
   std::vector<DensityFixture> fixtures;
 
   {
-    // All-dense: every item in (almost) every transaction — bitmap/run
-    // containers, full words, counts near |D|.
+    // All-dense: every item in (almost) every transaction — full words,
+    // counts near |D|.
     constexpr int64_t kN = 70000;
     std::vector<std::vector<int64_t>> tids(4);
     for (int64_t t = 0; t < kN; ++t) {
@@ -269,8 +198,8 @@ std::vector<DensityFixture> DensityFixtures() {
         {"all-dense", DbFromItemTids(4, kN, tids), ProbeItemsets(4)});
   }
   {
-    // All-sparse: a handful of scattered TIDs per item — tiny array
-    // containers, most chunks absent.
+    // All-sparse: a handful of scattered TIDs per item — almost every
+    // word is zero.
     constexpr int64_t kN = 200000;
     std::vector<std::vector<int64_t>> tids(6);
     for (int32_t item = 0; item < 6; ++item) {
@@ -289,7 +218,7 @@ std::vector<DensityFixture> DensityFixtures() {
         {"all-sparse", DbFromItemTids(6, kN, tids), ProbeItemsets(6)});
   }
   {
-    // Run-heavy: solid overlapping blocks spanning chunk boundaries.
+    // Run-heavy: solid overlapping blocks spanning 65536-TID boundaries.
     constexpr int64_t kN = 150000;
     std::vector<std::vector<int64_t>> tids(4);
     for (int32_t item = 0; item < 4; ++item) {
@@ -314,9 +243,8 @@ std::vector<DensityFixture> DensityFixtures() {
         {"empty-items", DbFromItemTids(5, kN, tids), ProbeItemsets(5)});
   }
   {
-    // Promotion boundary: scattered cardinalities 4095 / 4096 / 4097 in
-    // one chunk (array, array, bitmap) plus 4097 CONTIGUOUS (a run
-    // container above the array threshold).
+    // Odd cardinalities: scattered 4095 / 4096 / 4097 TIDs plus 4097
+    // CONTIGUOUS ones, so runs start and end inside words.
     constexpr int64_t kN = 16384;
     std::vector<std::vector<int64_t>> tids(4);
     for (int64_t i = 0; i < 4095; ++i) tids[0].push_back(2 * i);
@@ -327,8 +255,8 @@ std::vector<DensityFixture> DensityFixtures() {
                         ProbeItemsets(4)});
   }
   {
-    // Chunk boundary: TIDs packed tight around 65535/65536 and 131071,
-    // so containers split exactly at chunk edges.
+    // Power-of-two boundary: TIDs packed tight around 65535/65536 and
+    // 131071, with |D| one past the last full word.
     constexpr int64_t kN = 131073;
     std::vector<std::vector<int64_t>> tids(3);
     tids[0] = {65535, 65536, 131071, 131072};
@@ -344,7 +272,6 @@ TEST(LawsKernelOracle, AdversarialDensityFixtures) {
   for (const DensityFixture& fixture : DensityFixtures()) {
     SCOPED_TRACE(fixture.name);
     const data::VerticalIndex flat(fixture.db);
-    const data::RoaringIndex roaring(fixture.db);
     const lits::SupportCounter counter(fixture.itemsets,
                                        fixture.db.num_items());
     const std::vector<int64_t> horizontal = counter.CountAbsolute(fixture.db);
@@ -352,9 +279,7 @@ TEST(LawsKernelOracle, AdversarialDensityFixtures) {
         counter.CountRelative(fixture.db);
     for (const data::simd::Level level : RunnableLevels()) {
       data::simd::ScopedLevelForTesting scoped(level);
-      EXPECT_EQ(CheckAllKernels(counter, flat, roaring, horizontal,
-                                horizontal_rel),
-                "")
+      EXPECT_EQ(CheckAllKernels(counter, flat, horizontal, horizontal_rel), "")
           << "level=" << data::simd::LevelName(level);
     }
   }

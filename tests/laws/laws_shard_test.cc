@@ -218,8 +218,8 @@ TEST(LawsShard, CompareIdenticalToSingleNodeIncludingCrossShard) {
           single.service_.model_cache().LookupMined(right);
       EXPECT_TRUE(left_mined.has_value());
       EXPECT_TRUE(right_mined.has_value());
-      return core::LitsDeviation(*left_mined->model, left_mined->index_ref(),
-                                 *right_mined->model, right_mined->index_ref(),
+      return core::LitsDeviation(*left_mined->model, left_mined->index.get(),
+                                 *right_mined->model, right_mined->index.get(),
                                  fn);
     };
 

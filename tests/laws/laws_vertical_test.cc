@@ -22,7 +22,6 @@
 #include "core/lits_deviation.h"
 #include "data/block_store.h"
 #include "data/block_txn_db.h"
-#include "data/roaring_index.h"
 #include "data/vertical_index.h"
 #include "datagen/quest_gen.h"
 #include "itemsets/apriori.h"
@@ -118,12 +117,12 @@ TEST(LawsVertical, LitsDeviationIdenticalWithPrebuiltIndexes) {
 
         const DeviationFunction fn;  // (f_a, g_sum)
         const double horizontal = LitsDeviation(ma, da, mb, db, fn);
-        const double vertical = LitsDeviation(ma, ia, mb, ib, fn);
+        const double vertical = LitsDeviation(ma, &ia, mb, &ib, fn);
         if (vertical != horizontal)  // bit-identical, not approximately
           return PropResult::Fail("indexed deviation differs");
 
         const std::vector<lits::Itemset> gcr = LitsGcr(ma, mb);
-        if (LitsDeviationOverRegions(gcr, ia, ib, fn) !=
+        if (LitsDeviationOverRegions(gcr, &ia, &ib, fn) !=
             LitsDeviationOverRegions(gcr, da, db, fn))
           return PropResult::Fail("indexed over-regions deviation differs");
         return PropResult::Ok();
@@ -143,8 +142,8 @@ std::vector<std::pair<std::string, double>> SupportSequence(
 }
 
 // Mines `db` with Apriori from the in-memory database, a block-backed copy
-// with small blocks, a flat and a roaring index, and expects one
-// supports() sequence from all four. Apriori fills its model level by
+// with small blocks and a vertical index, and expects one supports()
+// sequence from all three. Apriori fills its model level by
 // level in sorted order, so a model refilled in StructuralComponent()
 // order must iterate the same way. FpGrowth, which never enumerates pairs,
 // must find the same itemsets and supports. Returns the model.
@@ -168,17 +167,14 @@ lits::LitsModel ExpectAllSourcesMineTheSameModel(
   EXPECT_GT(blocks->num_blocks(), 1) << context;
 
   const data::VerticalIndex flat(db);
-  const data::RoaringIndex roaring(db);
   const lits::LitsModel model = lits::Apriori(db, options);
   const auto expected = SupportSequence(model);
   EXPECT_EQ(SupportSequence(lits::Apriori(data::TxnSourceRef(*blocks),
                                           options)),
             expected)
       << context << ", block-backed";
-  EXPECT_EQ(SupportSequence(lits::Apriori(db, options, flat)), expected)
+  EXPECT_EQ(SupportSequence(lits::Apriori(db, options, &flat)), expected)
       << context << ", flat index";
-  EXPECT_EQ(SupportSequence(lits::Apriori(db, options, roaring)), expected)
-      << context << ", roaring index";
 
   lits::LitsModel refilled(options.min_support, db.num_transactions(),
                            db.num_items());

@@ -1,9 +1,13 @@
-// End-to-end coverage of focus_monitord's rejected-file path: the REAL
-// daemon binary (compiled path in FOCUS_MONITORD_PATH) is run over a
-// spool seeded with malformed snapshot fixtures, and every fixture must
-// be quarantined in <spool>/rejected/ EXACTLY once with a reason logged
-// to stderr, while well-formed snapshots flow to <spool>/processed/.
+// End-to-end coverage of focus_monitord's spool: the REAL daemon binary
+// (compiled path in FOCUS_MONITORD_PATH) is run over a spool seeded with
+// malformed snapshot fixtures, and every fixture must be quarantined in
+// <spool>/rejected/ EXACTLY once with a reason logged to stderr, while
+// well-formed snapshots flow to <spool>/processed/. The same holds under
+// --ooc 1, which must also emit the same events as flat ingest.
 
+#include <sys/wait.h>
+
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "data/transaction_db.h"
+#include "datagen/quest_gen.h"
 #include "io/data_io.h"
 
 namespace focus {
@@ -85,23 +90,27 @@ class MonitordSpoolTest : public ::testing::Test {
 
   void TearDown() override { fs::remove_all(root_); }
 
-  // Runs the daemon once over the spool; returns its exit code and fills
-  // the captured stderr text.
-  int RunOnce(std::string* captured_stderr) {
+  // Runs the daemon once over <root>/`spool`, adding `extra_flags`;
+  // returns its std::system status and fills the captured stderr text.
+  int RunOnce(std::string* captured_stderr, const std::string& extra_flags = "",
+              const std::string& spool = "spool") {
     const fs::path err_file = root_ / "stderr.txt";
     const fs::path out_file = root_ / "stdout.txt";
     const std::string cmd =
         std::string(FOCUS_MONITORD_PATH) + " --spool " +
-        (root_ / "spool").string() + " --reference " + reference_ +
+        (root_ / spool).string() + " --reference " + reference_ +
         " --once 1 --threads 2 --queue 8 --replicates 1 --calibration 1" +
-        " --warmup 2 > " + out_file.string() + " 2> " + err_file.string();
+        " --warmup 2 " + extra_flags + " > " + out_file.string() + " 2> " +
+        err_file.string();
     const int status = std::system(cmd.c_str());
     *captured_stderr = Slurp(err_file);
     return status;
   }
 
-  void WriteSpoolFile(const std::string& name, const std::string& content) {
-    std::ofstream out(root_ / "spool" / name);
+  void WriteSpoolFile(const std::string& name, const std::string& content,
+                      const std::string& spool = "spool") {
+    fs::create_directories(root_ / spool);
+    std::ofstream out(root_ / spool / name);
     out << content;
   }
 
@@ -115,11 +124,17 @@ class MonitordSpoolTest : public ::testing::Test {
     return names;
   }
 
+  // Seeds the spool with every malformed fixture plus two good snapshots,
+  // runs the daemon with `extra_flags`, and checks each fixture was
+  // quarantined exactly once with its loader reason.
+  void ExpectEveryMalformedFixtureRejectedOnce(const std::string& extra_flags);
+
   fs::path root_;
   std::string reference_;
 };
 
-TEST_F(MonitordSpoolTest, EveryMalformedFixtureRejectedOnceWithReason) {
+void MonitordSpoolTest::ExpectEveryMalformedFixtureRejectedOnce(
+    const std::string& extra_flags) {
   for (const MalformedFixture& fixture : kMalformed) {
     WriteSpoolFile(fixture.name, fixture.content);
   }
@@ -130,7 +145,7 @@ TEST_F(MonitordSpoolTest, EveryMalformedFixtureRejectedOnceWithReason) {
   WriteSpoolFile("s2__000_good.txns", good.str());
 
   std::string log;
-  ASSERT_EQ(RunOnce(&log), 0) << log;
+  ASSERT_EQ(RunOnce(&log, extra_flags), 0) << log;
 
   // Exactly the malformed fixtures land in rejected/, each exactly once.
   std::map<std::string, int> rejected;
@@ -153,11 +168,13 @@ TEST_F(MonitordSpoolTest, EveryMalformedFixtureRejectedOnceWithReason) {
   EXPECT_EQ(processed["s1__100_good.txns"], 1);
   EXPECT_EQ(processed["s2__000_good.txns"], 1);
 
-  // Nothing is left behind in the spool root.
+  // Nothing is left behind in the spool root, --ooc block files included.
   for (const auto& entry : fs::directory_iterator(root_ / "spool")) {
     if (entry.is_regular_file()) {
       EXPECT_NE(entry.path().extension(), ".txns")
           << entry.path() << " left unconsumed";
+      EXPECT_NE(entry.path().extension(), ".fblk")
+          << entry.path() << " left behind";
     }
   }
 
@@ -167,6 +184,14 @@ TEST_F(MonitordSpoolTest, EveryMalformedFixtureRejectedOnceWithReason) {
                          std::to_string(std::size(kMalformed))),
             std::string::npos)
       << metrics;
+}
+
+TEST_F(MonitordSpoolTest, EveryMalformedFixtureRejectedOnceWithReason) {
+  ExpectEveryMalformedFixtureRejectedOnce("");
+}
+
+TEST_F(MonitordSpoolTest, OocRejectsEveryMalformedFixtureOnceWithReason) {
+  ExpectEveryMalformedFixtureRejectedOnce("--ooc 1");
 }
 
 TEST_F(MonitordSpoolTest, RerunDoesNotDoubleCountRejections) {
@@ -182,6 +207,86 @@ TEST_F(MonitordSpoolTest, RerunDoesNotDoubleCountRejections) {
   EXPECT_EQ(FilesIn("rejected").size(), 1u);
   EXPECT_EQ(second_log.find("rejected malformed snapshot"),
             std::string::npos);
+}
+
+// The event log of one run, one line per event with its `latency_ms`
+// field cut out, sorted so the two streams' interleaving does not matter.
+std::vector<std::string> EventsWithoutLatency(const fs::path& path) {
+  std::vector<std::string> events;
+  std::istringstream lines(Slurp(path));
+  for (std::string line; std::getline(lines, line);) {
+    const size_t at = line.find(",\"latency_ms\":");
+    if (at != std::string::npos) line.erase(at, line.find('}', at) - at);
+    events.push_back(line);
+  }
+  std::sort(events.begin(), events.end());
+  return events;
+}
+
+TEST_F(MonitordSpoolTest, OocIngestEmitsTheSameEventsAsFlat) {
+  datagen::QuestParams params;
+  params.avg_transaction_length = 10;
+  params.num_items = 100;
+  params.num_patterns = 300;
+  params.pattern_seed = 99;
+  params.num_transactions = 2000;
+  params.seed = 1000;
+  ASSERT_TRUE(
+      io::SaveTransactionDbToFile(datagen::GenerateQuest(params), reference_));
+
+  // Two streams of same-process snapshots, each ending on one from a
+  // drifted process, so stage 2 runs (on blocks, under --ooc). One spool
+  // per run, with identical files.
+  params.num_transactions = 1500;
+  for (int i = 0; i < 7; ++i) {
+    params.seed = 2000 + i;
+    params.pattern_seed = i == 3 || i == 6 ? 7 : 99;
+    std::stringstream bytes;
+    io::SaveTransactionDb(datagen::GenerateQuest(params), bytes);
+    const std::string name =
+        (i < 4 ? "a__" : "b__") + std::to_string(100 + i) + ".txns";
+    WriteSpoolFile(name, bytes.str(), "flat");
+    WriteSpoolFile(name, bytes.str(), "ooc");
+  }
+
+  const std::string flags = "--minsup 0.02 --factor 1.5";
+  std::string log;
+  ASSERT_EQ(RunOnce(&log, flags, "flat"), 0) << log;
+  // 4 KiB blocks: each ~16 KB snapshot spans about four.
+  ASSERT_EQ(RunOnce(&log, flags + " --ooc 1 --block-size-kib 4", "ooc"), 0)
+      << log;
+
+  const std::vector<std::string> flat =
+      EventsWithoutLatency(root_ / "flat" / "events.jsonl");
+  const std::vector<std::string> ooc =
+      EventsWithoutLatency(root_ / "ooc" / "events.jsonl");
+  ASSERT_EQ(flat.size(), 7u);
+  EXPECT_EQ(ooc, flat);
+  EXPECT_TRUE(std::any_of(ooc.begin(), ooc.end(), [](const std::string& e) {
+    return e.find("\"screened_out\":false") != std::string::npos;
+  }));
+
+  for (const auto& entry : fs::recursive_directory_iterator(root_ / "ooc")) {
+    EXPECT_NE(entry.path().extension(), ".fblk") << entry.path();
+  }
+}
+
+TEST_F(MonitordSpoolTest, OutOfRangeBlockSizeIsAUsageError) {
+  std::stringstream good;
+  io::SaveTransactionDb(SmallDb(8, 30), good);
+  WriteSpoolFile("s1__000_good.txns", good.str());
+  for (const char* value : {"0", "9007199254740992"}) {
+    std::string log;
+    const int status =
+        RunOnce(&log, std::string("--ooc 1 --block-size-kib ") + value);
+    ASSERT_TRUE(WIFEXITED(status)) << value << ": " << log;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << value << ": " << log;
+    EXPECT_NE(log.find("--block-size-kib must be an integer in [1, 2097151]"),
+              std::string::npos)
+        << log;
+    // The usage error comes before any spool work.
+    EXPECT_TRUE(fs::exists(root_ / "spool" / "s1__000_good.txns")) << value;
+  }
 }
 
 TEST(DataIoErrorReasons, LoaderReportsSpecificReasons) {

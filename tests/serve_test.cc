@@ -754,8 +754,8 @@ TEST(MonitorServiceTest, StatusAndQueryDeviationTrackLatestSnapshot) {
       latest, SmallServiceOptions().monitor.apriori, &latest_index);
   EXPECT_DOUBLE_EQ(result->deviation,
                    core::LitsDeviation(direct.reference_model(),
-                                       direct.reference_index(), latest_model,
-                                       latest_index, fn));
+                                       &direct.reference_index(), latest_model,
+                                       &latest_index, fn));
 
   // Different (f,g) choices answer from the same cached state.
   core::DeviationFunction scaled_max;

@@ -1,4 +1,4 @@
-// Unit tests for data::simd — the dispatched AND/AND-NOT popcount kernels.
+// Unit tests for data::simd — the dispatched AND/AND-NOT popcount kernel.
 // The contract under test is exactness: every dispatch level returns the
 // same integers as a std::popcount reference loop, on every length
 // (vector-width remainders included) and on adversarial word patterns.
@@ -68,9 +68,10 @@ TEST(SimdKernelsTest, PopcountMatchesReferenceAtEveryLevelAndLength) {
     std::vector<uint64_t> words(static_cast<size_t>(n));
     for (uint64_t& word : words) word = rng();
     const int64_t expected = ReferencePopcount(words);
+    const uint64_t* stream = words.data();
     for (Level level : SupportedLevels()) {
       ScopedLevelForTesting scoped(level);
-      EXPECT_EQ(PopcountWords(words.data(), n), expected)
+      EXPECT_EQ(IntersectPopcountWords(&stream, 1, nullptr, n), expected)
           << "n=" << n << " level=" << LevelName(level);
     }
   }
@@ -93,11 +94,12 @@ TEST(SimdKernelsTest, AndAndAndNotMatchReferenceAtEveryLevel) {
       expected_andnot += std::popcount(a[static_cast<size_t>(i)] &
                                        ~b[static_cast<size_t>(i)]);
     }
+    const uint64_t* both[] = {a.data(), b.data()};
     for (Level level : SupportedLevels()) {
       ScopedLevelForTesting scoped(level);
-      EXPECT_EQ(AndPopcountWords(a.data(), b.data(), n), expected_and)
+      EXPECT_EQ(IntersectPopcountWords(both, 2, nullptr, n), expected_and)
           << "n=" << n << " level=" << LevelName(level);
-      EXPECT_EQ(AndNotPopcountWords(a.data(), b.data(), n), expected_andnot)
+      EXPECT_EQ(IntersectPopcountWords(both, 1, b.data(), n), expected_andnot)
           << "n=" << n << " level=" << LevelName(level);
     }
   }
@@ -138,42 +140,21 @@ TEST(SimdKernelsTest, KWayIntersectWithExcludeMatchesReference) {
   }
 }
 
-TEST(SimdKernelsTest, AndWordsInPlaceMatchesScalarFold) {
-  std::mt19937_64 rng = stats::MakeRng(0xDADA);
-  for (const int64_t n : {1, 4, 8, 13, 1024}) {
-    std::vector<uint64_t> original(static_cast<size_t>(n));
-    std::vector<uint64_t> src(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
-      original[static_cast<size_t>(i)] = rng();
-      src[static_cast<size_t>(i)] = rng();
-    }
-    std::vector<uint64_t> expected(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
-      expected[static_cast<size_t>(i)] = original[static_cast<size_t>(i)] &
-                                         src[static_cast<size_t>(i)];
-    }
-    for (Level level : SupportedLevels()) {
-      std::vector<uint64_t> dst = original;
-      ScopedLevelForTesting scoped(level);
-      AndWordsInPlace(dst.data(), src.data(), n);
-      EXPECT_EQ(dst, expected) << "n=" << n << " level=" << LevelName(level);
-    }
-  }
-}
-
 TEST(SimdKernelsTest, ExtremeDensityWords) {
   // All-ones and all-zeros are where a miscounted LUT nibble or a double-
   // counted tail shows up most clearly.
   for (const int64_t n : {9, 16, 129}) {
     const std::vector<uint64_t> ones(static_cast<size_t>(n), ~uint64_t{0});
     const std::vector<uint64_t> zeros(static_cast<size_t>(n), 0);
+    const uint64_t* ones_zeros[] = {ones.data(), zeros.data()};
     for (Level level : SupportedLevels()) {
       ScopedLevelForTesting scoped(level);
-      EXPECT_EQ(PopcountWords(ones.data(), n), 64 * n);
-      EXPECT_EQ(PopcountWords(zeros.data(), n), 0);
-      EXPECT_EQ(AndPopcountWords(ones.data(), zeros.data(), n), 0);
-      EXPECT_EQ(AndNotPopcountWords(ones.data(), zeros.data(), n), 64 * n);
-      EXPECT_EQ(AndNotPopcountWords(ones.data(), ones.data(), n), 0);
+      EXPECT_EQ(IntersectPopcountWords(ones_zeros, 1, nullptr, n), 64 * n);
+      EXPECT_EQ(IntersectPopcountWords(ones_zeros + 1, 1, nullptr, n), 0);
+      EXPECT_EQ(IntersectPopcountWords(ones_zeros, 2, nullptr, n), 0);
+      EXPECT_EQ(IntersectPopcountWords(ones_zeros, 1, zeros.data(), n),
+                64 * n);
+      EXPECT_EQ(IntersectPopcountWords(ones_zeros, 1, ones.data(), n), 0);
     }
   }
 }

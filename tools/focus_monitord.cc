@@ -12,11 +12,12 @@
 //     [--ooc 1]          (out-of-core ingest: each spool snapshot is
 //                         stream-converted into a block file and served to
 //                         the monitor block-by-block, never materialized
-//                         flat; snapshot indexes use the roaring backend so
-//                         ingest memory is bounded by the block cache plus
-//                         occurrence-proportional index state. Reports are
-//                         bit-identical to flat ingest.)
-//     [--block-size-kib 1024]   (--ooc block size)
+//                         flat. Mining and stage-2 counting stream the
+//                         blocks and build no index, so ingest memory is
+//                         bounded by the block cache plus the counters.
+//                         Reports are bit-identical to flat ingest.)
+//     [--block-size-kib 1024]   (--ooc block size, in [1, 2097151] so a
+//                                block stays under the codec's 2 GiB cap)
 //     [--events PATH]    (default <spool>/events.jsonl)
 //     [--metrics PATH]   (default <spool>/metrics.jsonl)
 //     [--prom PATH]      (Prometheus textfile, atomically rewritten on
@@ -150,12 +151,22 @@ int Run(const common::Flags& flags) {
     return 1;
   }
   std::string error;
-  std::optional<serve::MonitorServiceOptions> options =
+  const std::optional<serve::MonitorServiceOptions> options =
       serve::MonitorServiceOptionsFromFlags(flags, &error);
   if (!options.has_value()) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
+  constexpr int64_t kMaxBlockSizeKib = (int64_t{1} << 21) - 1;
+  const int64_t block_size_kib = flags.GetInt("block-size-kib", 1024);
+  if (block_size_kib < 1 || block_size_kib > kMaxBlockSizeKib) {
+    std::fprintf(stderr,
+                 "--block-size-kib must be an integer in [1, %lld], got %s\n",
+                 static_cast<long long>(kMaxBlockSizeKib),
+                 flags.Get("block-size-kib", "").c_str());
+    return 1;
+  }
+  const int64_t block_size = block_size_kib * 1024;
   std::error_code ec;
   fs::create_directories(fs::path(spool) / "processed", ec);
   fs::create_directories(fs::path(spool) / "rejected", ec);
@@ -172,13 +183,6 @@ int Run(const common::Flags& flags) {
   }
 
   const bool ooc = flags.GetInt("ooc", 0) != 0;
-  const int64_t block_size =
-      std::max<int64_t>(1, flags.GetInt("block-size-kib", 1024)) * 1024;
-  if (ooc) {
-    // Occurrence-proportional snapshot indexes keep --ooc ingest memory
-    // bounded; reports stay bit-identical to the flat backend.
-    options->index_backend = data::IndexBackend::kRoaring;
-  }
 
   JsonlWriter events(flags.Get("events", spool + "/events.jsonl"));
   JsonlWriter metrics_log(flags.Get("metrics", spool + "/metrics.jsonl"));
