@@ -1,8 +1,11 @@
 // End-to-end MonitorService throughput: snapshots/second through the full
 // ingest → mine/cache → screen → CUSUM pipeline, with and without cache
-// hits, plus what registering a stream costs. Emits JSON lines:
+// hits, with every snapshot drifted (so each one also runs stage 2, the
+// bootstrap significance test), plus what registering a stream costs.
+// Emits JSON lines:
 //   {"bench":"serve_throughput","config":"unique_snapshots",
-//    "snapshots":N,"seconds":…,"snapshots_per_sec":…,"cache_hit_rate":…}
+//    "snapshots":N,"seconds":…,"snapshots_per_sec":…,"cache_hit_rate":…,
+//    "mean_inspect_ms":…,"screened_out":…}
 //   {"bench":"serve_throughput","config":"add_stream","streams":64,
 //    "build_ms":…,"add_stream_ms_p50":…,"rss_kib_per_stream":…}
 // Every row carries host_cpus and the build type.
@@ -25,10 +28,15 @@
 namespace focus {
 namespace {
 
-data::TransactionDb SnapshotDb(int64_t num_transactions, uint64_t seed) {
+// Pattern seed of the reference's process, and of a drifted one.
+constexpr uint64_t kProcess = 99;
+constexpr uint64_t kDriftedProcess = 7;
+
+data::TransactionDb SnapshotDb(int64_t num_transactions, uint64_t seed,
+                               uint64_t pattern_seed = kProcess) {
   datagen::QuestParams params = bench::PaperQuestParams(
       num_transactions, /*num_patterns=*/500, /*pattern_length=*/4, seed);
-  params.pattern_seed = 99;
+  params.pattern_seed = pattern_seed;
   return datagen::GenerateQuest(params);
 }
 
@@ -91,8 +99,10 @@ void RunAddStream(int64_t reference_size) {
   bench::EmitBenchJson(line);
 }
 
+// One stream of `num_snapshots` snapshots from process `pattern_seed`:
+// unique, or cycling through 4 contents when `repeat_content`.
 void RunConfig(const char* label, int num_snapshots, bool repeat_content,
-               int64_t snapshot_size) {
+               int64_t snapshot_size, uint64_t pattern_seed = kProcess) {
   serve::MetricsRegistry metrics;
   serve::MonitorService service(
       BenchOptions(), SnapshotDb(snapshot_size, /*seed=*/1000), &metrics);
@@ -105,7 +115,7 @@ void RunConfig(const char* label, int num_snapshots, bool repeat_content,
     snapshot.stream = "bench";
     snapshot.source = "bench";
     const uint64_t seed = repeat_content ? 2000 + (i % 4) : 2000 + i;
-    snapshot.db = SnapshotDb(snapshot_size, seed);
+    snapshot.db = SnapshotDb(snapshot_size, seed, pattern_seed);
     snapshots.push_back(std::move(snapshot));
   }
 
@@ -129,13 +139,14 @@ void RunConfig(const char* label, int num_snapshots, bool repeat_content,
       "\"snapshots\":%d,\"snapshot_transactions\":%lld,"
       "\"seconds\":%.4f,\"snapshots_per_sec\":%.2f,"
       "\"cache_hit_rate\":%.3f,\"mean_inspect_ms\":%.3f,"
-      "\"host_cpus\":%u,\"build_type\":\"%s\"}",
+      "\"screened_out\":%lld,\"host_cpus\":%u,\"build_type\":\"%s\"}",
       label, num_snapshots, static_cast<long long>(snapshot_size),
       elapsed.count(), num_snapshots / elapsed.count(), hit_rate,
       metrics.GetHistogram("inspect_latency_ms").count() == 0
           ? 0.0
           : metrics.GetHistogram("inspect_latency_ms").sum() /
                 metrics.GetHistogram("inspect_latency_ms").count(),
+      static_cast<long long>(metrics.GetCounter("screened_out").Value()),
       std::thread::hardware_concurrency(), FOCUS_BUILD_TYPE);
   bench::EmitBenchJson(line);
 }
@@ -148,6 +159,10 @@ int Run() {
             snapshot_size);
   RunConfig("repeated_snapshots", num_snapshots, /*repeat_content=*/true,
             snapshot_size);
+  // Every snapshot passes the delta* screen, so this row times stage 2,
+  // with no other stream contending for the pool.
+  RunConfig("drifted_snapshots", num_snapshots, /*repeat_content=*/false,
+            snapshot_size, kDriftedProcess);
   RunAddStream(snapshot_size);
   return 0;
 }

@@ -8,6 +8,7 @@
 #include "core/lits_deviation.h"
 #include "core/lits_upper_bound.h"
 #include "data/sampling.h"
+#include "stats/bootstrap.h"
 #include "stats/rng.h"
 
 namespace focus::core {
@@ -61,14 +62,16 @@ MonitorReport LitsChangeMonitor::Inspect(data::TxnSourceRef snapshot) const {
 
 MonitorReport LitsChangeMonitor::InspectWithModel(
     const data::TransactionDb& snapshot, const lits::LitsModel& snapshot_model,
-    const data::VerticalIndex* snapshot_index) const {
+    const data::VerticalIndex* snapshot_index,
+    common::ThreadPool* pool) const {
   return InspectWithModel(data::TxnSourceRef(snapshot), snapshot_model,
-                          snapshot_index);
+                          snapshot_index, pool);
 }
 
 MonitorReport LitsChangeMonitor::InspectWithModel(
     data::TxnSourceRef snapshot, const lits::LitsModel& snapshot_model,
-    const data::VerticalIndex* snapshot_index) const {
+    const data::VerticalIndex* snapshot_index,
+    common::ThreadPool* pool) const {
   MonitorReport report;
   report.upper_bound =
       LitsUpperBound(reference_model_, snapshot_model, options_.fn.g);
@@ -84,11 +87,15 @@ MonitorReport LitsChangeMonitor::InspectWithModel(
                           snapshot_index, options_.fn)
           : LitsDeviation(reference_model_, reference_, snapshot_model,
                           snapshot, options_.fn);
-  const SignificanceResult sig = LitsDeviationSignificance(
-      reference_, snapshot, options_.apriori, options_.fn,
-      options_.significance);
-  report.significance_percent = sig.significance_percent;
-  report.alert = sig.significance_percent >= 95.0;
+  // The deviation above is LitsDeviationSignificance's, bit for bit, so
+  // only its null distribution is left to compute.
+  SignificanceOptions significance = options_.significance;
+  significance.pool = pool;
+  report.significance_percent = stats::SignificancePercent(
+      report.deviation, LitsNullDeviations(reference_, snapshot,
+                                           options_.apriori, options_.fn,
+                                           significance));
+  report.alert = report.significance_percent >= 95.0;
   return report;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "common/thread_pool.h"
 #include "core/functions.h"
 #include "core/significance.h"
 #include "data/transaction_db.h"
@@ -68,15 +69,20 @@ class LitsChangeMonitor {
   // AND+popcount against this index and the monitor's own reference
   // index — no re-scan of either dataset's raw transactions. When it is
   // null (a block-backed snapshot), stage 2 streams the snapshot's blocks
-  // instead. The report is bit-identical either way, and for either
-  // backend.
+  // instead. Significance reuses that deviation and computes only the
+  // null distribution (LitsNullDeviations); with a `pool` (e.g. the
+  // serving layer's own, from inside one of its tasks), its replicates run
+  // across it. The report is bit-identical either way, for either
+  // backend, and with or without a pool.
   MonitorReport InspectWithModel(
       const data::TransactionDb& snapshot,
       const lits::LitsModel& snapshot_model,
-      const data::VerticalIndex* snapshot_index = nullptr) const;
+      const data::VerticalIndex* snapshot_index = nullptr,
+      common::ThreadPool* pool = nullptr) const;
   MonitorReport InspectWithModel(
       data::TxnSourceRef snapshot, const lits::LitsModel& snapshot_model,
-      const data::VerticalIndex* snapshot_index = nullptr) const;
+      const data::VerticalIndex* snapshot_index = nullptr,
+      common::ThreadPool* pool = nullptr) const;
 
   // Replaces the reference with `snapshot` (e.g. after an accepted
   // regime change) and re-calibrates.

@@ -1,5 +1,6 @@
 #include "core/significance.h"
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
@@ -11,6 +12,21 @@
 #include "stats/rng.h"
 
 namespace focus::core {
+
+namespace {
+
+// One replicate's null value: both models re-induced from the resampled
+// pair, then their deviation.
+double ReplicateDeviation(const data::TransactionDb& b1,
+                          const data::TransactionDb& b2,
+                          const lits::AprioriOptions& apriori_options,
+                          const DeviationFunction& fn) {
+  const lits::LitsModel bm1 = lits::Apriori(b1, apriori_options);
+  const lits::LitsModel bm2 = lits::Apriori(b2, apriori_options);
+  return LitsDeviation(bm1, b1, bm2, b2, fn);
+}
+
+}  // namespace
 
 SignificanceResult LitsDeviationSignificance(
     const data::TransactionDb& d1, const data::TransactionDb& d2,
@@ -32,30 +48,60 @@ SignificanceResult LitsDeviationSignificance(
 
   SignificanceResult result;
   result.deviation = LitsDeviation(m1, d1, m2, d2, fn);
+  result.significance_percent = stats::SignificancePercent(
+      result.deviation,
+      LitsNullDeviations(d1, d2, apriori_options, fn, options));
+  return result;
+}
+
+std::vector<double> LitsNullDeviations(
+    data::TxnSourceRef d1, data::TxnSourceRef d2,
+    const lits::AprioriOptions& apriori_options, const DeviationFunction& fn,
+    const SignificanceOptions& options) {
+  FOCUS_CHECK_GT(options.num_replicates, 0);
 
   // Replicates resample from the logical pool d1 ++ d2; index draws are
   // over [0, n1 + n2), exactly as if the pool had been materialized.
-  const int64_t pool_size = d1.num_transactions() + d2.num_transactions();
-
+  const int64_t n1 = d1.num_transactions();
+  const int64_t n2 = d2.num_transactions();
+  const int replicates = options.num_replicates;
   std::mt19937_64 rng = stats::MakeRng(options.seed);
-  std::vector<double> null_values;
-  null_values.reserve(options.num_replicates);
-  for (int r = 0; r < options.num_replicates; ++r) {
-    const data::TransactionDb b1 = data::TakeTransactionsPooled(
-        d1, d2,
-        data::SampleIndicesWithReplacement(pool_size, d1.num_transactions(),
-                                           rng));
-    const data::TransactionDb b2 = data::TakeTransactionsPooled(
-        d1, d2,
-        data::SampleIndicesWithReplacement(pool_size, d2.num_transactions(),
-                                           rng));
-    const lits::LitsModel bm1 = lits::Apriori(b1, apriori_options);
-    const lits::LitsModel bm2 = lits::Apriori(b2, apriori_options);
-    null_values.push_back(LitsDeviation(bm1, b1, bm2, b2, fn));
+  std::vector<double> null_values(replicates);
+
+  if (options.pool == nullptr) {
+    for (int r = 0; r < replicates; ++r) {
+      const data::TransactionDb b1 = data::TakeTransactionsPooled(
+          d1, d2, data::SampleIndicesWithReplacement(n1 + n2, n1, rng));
+      const data::TransactionDb b2 = data::TakeTransactionsPooled(
+          d1, d2, data::SampleIndicesWithReplacement(n1 + n2, n2, rng));
+      null_values[r] = ReplicateDeviation(b1, b2, apriori_options, fn);
+    }
+    return null_values;
   }
-  result.significance_percent =
-      stats::SignificancePercent(result.deviation, null_values);
-  return result;
+
+  // A batch's draws are made serially, in replicate order, so the rng
+  // sequence is the serial loop's; its replicates then run one per shard.
+  const int batch = options.pool->num_threads() + 1;
+  std::vector<std::vector<int64_t>> draws(2 * static_cast<size_t>(batch));
+  for (int first = 0; first < replicates; first += batch) {
+    const int count = std::min(batch, replicates - first);
+    for (int i = 0; i < count; ++i) {
+      draws[2 * i] = data::SampleIndicesWithReplacement(n1 + n2, n1, rng);
+      draws[2 * i + 1] = data::SampleIndicesWithReplacement(n1 + n2, n2, rng);
+    }
+    options.pool->ParallelFor(
+        0, count, count, [&](int /*shard*/, int64_t begin, int64_t end) {
+          for (int64_t i = begin; i < end; ++i) {
+            const data::TransactionDb b1 =
+                data::TakeTransactionsPooled(d1, d2, draws[2 * i]);
+            const data::TransactionDb b2 =
+                data::TakeTransactionsPooled(d1, d2, draws[2 * i + 1]);
+            null_values[first + i] =
+                ReplicateDeviation(b1, b2, apriori_options, fn);
+          }
+        });
+  }
+  return null_values;
 }
 
 SignificanceResult DtDeviationSignificance(const data::Dataset& d1,

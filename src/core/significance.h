@@ -2,7 +2,9 @@
 #define FOCUS_CORE_SIGNIFICANCE_H_
 
 #include <cstdint>
+#include <vector>
 
+#include "common/thread_pool.h"
 #include "core/functions.h"
 #include "data/dataset.h"
 #include "data/transaction_db.h"
@@ -27,6 +29,10 @@ namespace focus::core {
 struct SignificanceOptions {
   int num_replicates = 20;
   uint64_t seed = 0x5eed;
+  // Optional worker pool: LitsNullDeviations runs its replicates across
+  // it, at most num_threads() + 1 at a time (bit-identical result). The
+  // other procedures run serially either way.
+  common::ThreadPool* pool = nullptr;
 };
 
 struct SignificanceResult {
@@ -49,6 +55,25 @@ SignificanceResult LitsDeviationSignificance(
 // and every replicate database are identical to the in-memory overload,
 // so the result is bit-identical across backends.
 SignificanceResult LitsDeviationSignificance(
+    data::TxnSourceRef d1, data::TxnSourceRef d2,
+    const lits::AprioriOptions& apriori_options, const DeviationFunction& fn,
+    const SignificanceOptions& options);
+
+// The pooled null distribution alone: one deviation per bootstrap
+// replicate, in replicate order, for callers that already hold the
+// observed deviation (LitsChangeMonitor computes it through its indexes).
+// LitsDeviationSignificance(d1, d2, …).significance_percent equals
+// stats::SignificancePercent(observed, LitsNullDeviations(d1, d2, …)).
+//
+// Replicate r draws its |d1| then its |d2| pool indices from one rng
+// seeded with options.seed, in replicate order, so the draws do not
+// depend on the pool. With options.pool, the replicates run in batches
+// of at most pool->num_threads() + 1: the batch's indices are drawn
+// first, then its replicates resample, mine and deviate concurrently,
+// each into its own slot, so memory grows with the pool's width and not
+// with num_replicates. The calling thread runs replicates too, so the
+// call may be made from inside a task of the same pool.
+std::vector<double> LitsNullDeviations(
     data::TxnSourceRef d1, data::TxnSourceRef d2,
     const lits::AprioriOptions& apriori_options, const DeviationFunction& fn,
     const SignificanceOptions& options);

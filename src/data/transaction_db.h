@@ -38,7 +38,9 @@ class TransactionDb {
   }
 
   // Appends a transaction. `items` need not be sorted; duplicates are
-  // removed. Item ids must be in [0, num_items).
+  // removed. Item ids must be in [0, num_items). The items are copied to
+  // the end of the flat array and sorted there, so a row costs no
+  // allocation of its own; `items` may alias this database's storage.
   void AddTransaction(std::span<const int32_t> items);
 
   // Appends all transactions of `other` (same item universe).

@@ -163,6 +163,21 @@ void MonitorService::SetEventSink(
 
 IngestResult MonitorService::Ingest(
     Snapshot snapshot, std::optional<std::chrono::milliseconds> wait) {
+  // Refused before any wait, registration or numbering: such a snapshot
+  // would abort the miner or stage 2's pooled resampling later.
+  const data::TxnSourceRef source = snapshot.source_ref();
+  const int32_t reference_items = monitor_.reference_model().num_items();
+  if (source.num_transactions() == 0) {
+    return {.status = SubmitResult::kInvalid,
+            .reason = "snapshot has no transactions"};
+  }
+  if (source.num_items() != reference_items) {
+    return {.status = SubmitResult::kInvalid,
+            .reason = "snapshot declares " +
+                      std::to_string(source.num_items()) +
+                      " items; the reference has " +
+                      std::to_string(reference_items)};
+  }
   Stream* stream = nullptr;
   int64_t sequence = 0;
   {
@@ -294,9 +309,11 @@ StreamEvent MonitorService::Process(Stream* stream, Snapshot snapshot) {
   // The cached vertical index lets stage 2 (when the screen fires) extend
   // both models via bitmap probes — window re-comparisons never re-scan
   // the snapshot's raw transactions. A block-backed snapshot has no index,
-  // and stage 2 streams its blocks instead.
-  event.report =
-      monitor_.InspectWithModel(source, *mined.model, mined.index.get());
+  // and stage 2 streams its blocks instead. Stage 2's bootstrap replicates
+  // run across the service's own pool; this drain job runs replicates
+  // itself too, so the nesting cannot deadlock.
+  event.report = monitor_.InspectWithModel(source, *mined.model,
+                                           mined.index.get(), pool_.get());
 
   // The CUSUM series runs over delta*: unlike the exact deviation it is
   // computed for every snapshot (screened or not), giving a uniform

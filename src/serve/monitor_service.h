@@ -91,12 +91,14 @@ enum class SubmitResult {
   kAccepted,    // queued; will be processed in stream order
   kOverloaded,  // backpressure persisted past the deadline — retry later
   kShutdown,    // service is stopping; the snapshot was dropped
+  kInvalid,     // the snapshot cannot be screened; do not retry it as is
 };
 
 // Verdict of MonitorService::Ingest.
 struct IngestResult {
   SubmitResult status = SubmitResult::kShutdown;
   int64_t sequence = -1;  // the stream's dense sequence number if accepted
+  std::string reason{};   // why, when kInvalid
 };
 
 // Point-in-time view of one stream, answering GET /v1/streams/{name}/…
@@ -178,9 +180,12 @@ class MonitorService {
   // snapshot to the stream's pending deque and starts its drain job if
   // none is running; so a stream's sequence order is its processing order.
   // kOverloaded (the wait ran out) tells a network front end to answer 429
-  // and shed the snapshot onto the client; kShutdown follows Shutdown. A
-  // snapshot that is not accepted registers nothing and burns no number,
-  // which keeps every stream's sequences dense.
+  // and shed the snapshot onto the client; kShutdown follows Shutdown.
+  // Before any of this, a snapshot with no transactions, or with an item
+  // universe other than the reference's, is refused as kInvalid with a
+  // reason: mining and stage 2 need both. A snapshot that is not accepted
+  // registers nothing and burns no number, which keeps every stream's
+  // sequences dense.
   IngestResult Ingest(Snapshot snapshot,
                       std::optional<std::chrono::milliseconds> wait)
       EXCLUDES(state_mutex_);

@@ -125,6 +125,13 @@ Frame ShardWorker::HandleSubmit(const Frame& request) {
       result.status = 503;
       result.error = "shard is shutting down";
       break;
+    case serve::SubmitResult::kInvalid:
+      if (metrics_ != nullptr) {
+        metrics_->GetCounter("ingest_rejected").Increment();
+      }
+      result.status = 400;
+      result.error = ingest.reason;
+      break;
     case serve::SubmitResult::kAccepted:
       result.status = 202;
       result.sequence = ingest.sequence;

@@ -79,6 +79,23 @@ TEST(TransactionDbTest, SortsAndDeduplicates) {
   EXPECT_EQ(txn[0], 1);
   EXPECT_EQ(txn[1], 3);
   EXPECT_EQ(txn[2], 5);
+
+  // Rows that are sorted already, empty, or read from this very database
+  // (re-added until its storage has grown several times over).
+  db.AddTransaction(std::vector<int32_t>{0, 2, 9});
+  db.AddTransaction(std::vector<int32_t>{});
+  for (int i = 0; i < 100; ++i) db.AddTransaction(db.Transaction(0));
+  ASSERT_EQ(db.num_transactions(), 103);
+  const auto sorted = db.Transaction(1);
+  EXPECT_EQ(std::vector<int32_t>(sorted.begin(), sorted.end()),
+            (std::vector<int32_t>{0, 2, 9}));
+  EXPECT_TRUE(db.Transaction(2).empty());
+  for (int64_t t = 3; t < db.num_transactions(); ++t) {
+    const auto copy = db.Transaction(t);
+    EXPECT_EQ(std::vector<int32_t>(copy.begin(), copy.end()),
+              (std::vector<int32_t>{1, 3, 5}))
+        << "transaction " << t;
+  }
 }
 
 TEST(TransactionDbTest, AppendPreservesContents) {
@@ -95,6 +112,9 @@ TEST(TransactionDbTest, AppendPreservesContents) {
 TEST(TransactionDbDeathTest, RejectsOutOfUniverseItem) {
   TransactionDb db(3);
   EXPECT_DEATH(db.AddTransaction(std::vector<int32_t>{3}), "FOCUS_CHECK");
+  EXPECT_DEATH(db.AddTransaction(std::vector<int32_t>{0, 3}), "FOCUS_CHECK");
+  EXPECT_DEATH(db.AddTransaction(std::vector<int32_t>{-1, 2}), "FOCUS_CHECK");
+  EXPECT_DEATH(db.AddTransaction(std::vector<int32_t>{2, -1}), "FOCUS_CHECK");
 }
 
 TEST(SamplingTest, WithoutReplacementSizesAndUniqueness) {

@@ -190,6 +190,38 @@ TEST(HttpApiTest, RejectsBadInputsWithPreciseStatuses) {
   ASSERT_TRUE(empty_body.has_value());
   EXPECT_EQ(empty_body->status, 400);
 
+  // Bodies that load but cannot be screened against the 60-item
+  // reference: no transactions, and a dense snapshot over 120 items from
+  // another process, which would pass the delta* screen into stage 2.
+  const auto no_transactions = client.Post(
+      "/v1/streams/s/snapshots", "focus-txns-v1\n60 0\n", "text/plain");
+  ASSERT_TRUE(no_transactions.has_value());
+  EXPECT_EQ(no_transactions->status, 400);
+  EXPECT_NE(no_transactions->body.find("snapshot has no transactions"),
+            std::string::npos)
+      << no_transactions->body;
+  datagen::QuestParams wide;
+  wide.num_transactions = 300;
+  wide.num_items = 120;
+  wide.num_patterns = 10;
+  wide.avg_pattern_length = 6;
+  wide.avg_transaction_length = 16;
+  wide.seed = 4;
+  wide.pattern_seed = 7;
+  const auto other_universe =
+      client.Post("/v1/streams/s/snapshots",
+                  Serialize(datagen::GenerateQuest(wide)), "text/plain");
+  ASSERT_TRUE(other_universe.has_value());
+  EXPECT_EQ(other_universe->status, 400);
+  EXPECT_NE(other_universe->body.find(
+                "snapshot declares 120 items; the reference has 60"),
+            std::string::npos)
+      << other_universe->body;
+  stack.service_.Flush();
+  EXPECT_FALSE(stack.service_.GetStreamStatus("s").has_value());
+  // The loader's rejection and these two.
+  EXPECT_EQ(stack.metrics_.GetCounter("ingest_rejected").Value(), 3);
+
   const auto bad_name = client.Post("/v1/streams/bad%20name/snapshots",
                                     Serialize(QuestDb(2)), "text/plain");
   ASSERT_TRUE(bad_name.has_value());

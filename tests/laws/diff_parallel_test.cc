@@ -3,8 +3,15 @@
 // boundaries depend only on (|D|, num_shards) and per-shard integer
 // counts merge in shard order. Checked across generated workloads and
 // pool sizes 1/2/4/8 (the PR-1 guarantee every later perf PR must keep).
+// The same holds for the bootstrap replicates of the significance test,
+// which run one per shard, each into its own slot.
 
+#include <future>
+#include <map>
+#include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,9 +20,14 @@
 #include "core/cluster_deviation.h"
 #include "core/dt_deviation.h"
 #include "core/lits_deviation.h"
+#include "core/significance.h"
+#include "data/block_store.h"
+#include "data/block_txn_db.h"
+#include "data/txn_source.h"
 #include "itemsets/support_counter.h"
 #include "proptest/generators.h"
 #include "proptest/proptest.h"
+#include "stats/bootstrap.h"
 
 namespace focus::core {
 namespace {
@@ -156,6 +168,124 @@ TEST(DiffParallel, SharedPoolReusedAcrossCallsStaysIdentical) {
         return PropResult::Ok();
       },
       proptest::Config::FromEnv(8)));
+}
+
+// `db` as a block-backed source with `options`.
+std::unique_ptr<data::BlockTransactionDb> OpenBlocks(
+    const data::TransactionDb& db, const data::BlockStoreOptions& options) {
+  std::ostringstream out;
+  data::BlockTransactionDbWriter writer(out, db.num_items(),
+                                        options.block_size);
+  for (int64_t t = 0; t < db.num_transactions(); ++t) {
+    writer.Add(db.Transaction(t));
+  }
+  writer.Finish();
+  std::string error;
+  auto blocks = data::BlockTransactionDb::Open(
+      std::make_unique<std::istringstream>(std::move(out).str()), options,
+      &error);
+  EXPECT_NE(blocks, nullptr) << error;
+  return blocks;
+}
+
+// Stage 2's null distribution at pool width: with a pool, LitsNullDeviations
+// draws each batch of pool width + 1 replicates in the serial rng order,
+// then runs them one per shard. The vector and sig% must equal the serial
+// loop's for every pool size, for in-memory and block-backed operands, when
+// called from inside tasks of the same pool, and for 1 replicate, one full
+// batch and a count that leaves a partial last batch.
+TEST(DiffParallel, LitsNullDeviationsIdenticalAcrossPoolSizes) {
+  EXPECT_TRUE(Check<proptest::LitsWorkload>(
+      "diff/lits-null-deviations-parallel", proptest::LitsWorkloadDomain(),
+      [](const proptest::LitsWorkload& workload) {
+        // d2: the same universe, other draws, another size.
+        proptest::LitsWorkload other = workload;
+        other.quest.seed += 1;
+        other.quest.num_transactions =
+            workload.quest.num_transactions / 2 + 3;
+        const data::TransactionDb d1 = proptest::MaterializeDb(workload);
+        const data::TransactionDb d2 = proptest::MaterializeDb(other);
+        Rng fn_rng(workload.quest.seed + 29);
+        DeviationFunction fn;
+        if (fn_rng.Chance(0.5)) fn.f = ScaledDiff();
+        if (fn_rng.Chance(0.5)) fn.g = AggregateKind::kMax;
+        const double observed =
+            LitsDeviation(proptest::Mine(workload, d1), d1,
+                          proptest::Mine(workload, d2), d2, fn);
+
+        // 4 KiB blocks, so rows span blocks, behind a cache smaller than
+        // either operand: concurrent replicates share and evict it.
+        common::ThreadPool readahead(2);
+        data::BlockStoreOptions store;
+        store.block_size = int64_t{4} << 10;
+        store.cache_budget_bytes = int64_t{8} << 10;
+        store.pool = &readahead;
+        const auto b1 = OpenBlocks(d1, store);
+        const auto b2 = OpenBlocks(d2, store);
+        if (b1 == nullptr || b2 == nullptr) {
+          return PropResult::Fail("block store did not open");
+        }
+        const std::pair<data::TxnSourceRef, data::TxnSourceRef> operands[] = {
+            {data::TxnSourceRef(d1), data::TxnSourceRef(d2)},
+            {data::TxnSourceRef(*b1), data::TxnSourceRef(*b2)}};
+        const char* const backend_names[] = {"memory", "blocks"};
+
+        SignificanceOptions options;
+        options.seed = workload.quest.seed;
+        std::map<int, std::vector<double>> serial;  // by replicate count
+        for (const int threads : kPoolSizes) {
+          common::ThreadPool pool(threads);
+          for (const int replicates :
+               {1, threads + 1, 2 * (threads + 1) + 1}) {
+            options.num_replicates = replicates;
+            options.pool = nullptr;
+            if (serial.count(replicates) == 0) {
+              serial[replicates] = LitsNullDeviations(
+                  operands[0].first, operands[0].second, workload.apriori,
+                  fn, options);
+            }
+            const std::vector<double>& expected = serial[replicates];
+            const double expected_sig =
+                stats::SignificancePercent(observed, expected);
+            for (int backend = 0; backend < 2; ++backend) {
+              const auto [s1, s2] = operands[backend];
+              const std::string where =
+                  std::string(backend_names[backend]) + ", " +
+                  std::to_string(replicates) + " replicates, " +
+                  std::to_string(threads) + " threads";
+              std::vector<std::vector<double>> runs;
+              runs.push_back(
+                  LitsNullDeviations(s1, s2, workload.apriori, fn, options));
+              options.pool = &pool;
+              runs.push_back(
+                  LitsNullDeviations(s1, s2, workload.apriori, fn, options));
+              // Two calls from inside tasks of the same pool at once, as
+              // two streams' drain jobs make them.
+              std::vector<std::future<std::vector<double>>> nested;
+              for (int call = 0; call < 2; ++call) {
+                nested.push_back(pool.Submit([&, s1 = s1, s2 = s2]() {
+                  return LitsNullDeviations(s1, s2, workload.apriori, fn,
+                                            options);
+                }));
+              }
+              for (auto& call : nested) runs.push_back(call.get());
+              options.pool = nullptr;
+              for (const std::vector<double>& run : runs) {
+                if (run != expected) {
+                  return PropResult::Fail("null deviations differ (" + where +
+                                          ")");
+                }
+                if (stats::SignificancePercent(observed, run) !=
+                    expected_sig) {
+                  return PropResult::Fail("sig% differs (" + where + ")");
+                }
+              }
+            }
+          }
+        }
+        return PropResult::Ok();
+      },
+      proptest::Config::FromEnv(6)));
 }
 
 }  // namespace

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/thread_pool.h"
 #include "core/monitor.h"
+#include "core/significance.h"
+#include "data/vertical_index.h"
 #include "datagen/quest_gen.h"
+#include "itemsets/apriori.h"
 
 namespace focus::core {
 namespace {
@@ -68,6 +74,39 @@ TEST(LitsChangeMonitorTest, SelfInspectionIsQuiet) {
   const MonitorReport report = monitor.Inspect(reference);
   EXPECT_TRUE(report.screened_out);
   EXPECT_DOUBLE_EQ(report.upper_bound, 0.0);
+}
+
+// Stage 2 reuses the deviation the monitor computed through its indexes
+// and runs only the null distribution, across a pool when given one, from
+// inside one of the pool's tasks as the serving layer calls it. Both
+// numbers must equal the standalone significance test's, bit for bit.
+TEST(LitsChangeMonitorTest, PooledStageTwoMatchesStandaloneSignificance) {
+  const data::TransactionDb reference = MakeSnapshot(1, false);
+  MonitorOptions options = TestOptions();
+  options.alert_factor = 1e-9;  // every snapshot reaches stage 2
+  const LitsChangeMonitor monitor(reference, options);
+  common::ThreadPool pool(3);
+  for (const auto& [seed, drifted] :
+       std::vector<std::pair<uint64_t, bool>>{{2, false}, {3, false},
+                                              {9, true}}) {
+    const data::TransactionDb snapshot = MakeSnapshot(seed, drifted);
+    const data::VerticalIndex index(snapshot);
+    const lits::LitsModel model =
+        lits::Apriori(snapshot, options.apriori, &index);
+    const SignificanceResult expected = LitsDeviationSignificance(
+        reference, snapshot, options.apriori, options.fn,
+        options.significance);
+    const MonitorReport report =
+        pool.Submit([&]() {
+              return monitor.InspectWithModel(snapshot, model, &index, &pool);
+            })
+            .get();
+    ASSERT_FALSE(report.screened_out) << "seed " << seed;
+    EXPECT_EQ(report.deviation, expected.deviation) << "seed " << seed;
+    EXPECT_EQ(report.significance_percent, expected.significance_percent)
+        << "seed " << seed;
+    EXPECT_EQ(report.alert, expected.significance_percent >= 95.0);
+  }
 }
 
 }  // namespace

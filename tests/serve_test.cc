@@ -570,6 +570,49 @@ TEST(MonitorServiceTest, RefusedIngestRegistersNoStream) {
   EXPECT_EQ(metrics.GetGauge("streams").Value(), 1.0);
 }
 
+// A snapshot the service cannot screen (no transactions, or an item
+// universe other than the reference's 60 items) is refused with a reason
+// before it waits for a slot, registers a stream or takes a number.
+TEST(MonitorServiceTest, InvalidSnapshotIsRefusedBeforeItWaitsOrRegisters) {
+  MetricsRegistry metrics;
+  MonitorService service(OneSlotOptions(), QuestDb(1000), &metrics);
+  SinkGate gate;
+  service.SetEventSink(gate.Sink());
+  ASSERT_EQ(service.Ingest(MakeSnapshot("s", 7300), std::nullopt).status,
+            SubmitResult::kAccepted);
+  gate.AwaitEvents(1);  // the one in-flight slot stays taken
+
+  // Both calls wait without limit, so reaching the wait would hang here.
+  Snapshot empty;
+  empty.stream = "s";
+  empty.db = data::TransactionDb(60);
+  const IngestResult no_rows = service.Ingest(std::move(empty), std::nullopt);
+  EXPECT_EQ(no_rows.status, SubmitResult::kInvalid);
+  EXPECT_EQ(no_rows.sequence, -1);
+  EXPECT_EQ(no_rows.reason, "snapshot has no transactions");
+
+  Snapshot wide;
+  wide.stream = "t";
+  wide.db = data::TransactionDb(61);
+  wide.db.AddTransaction(std::vector<int32_t>{0, 60});
+  const IngestResult other = service.Ingest(std::move(wide), std::nullopt);
+  EXPECT_EQ(other.status, SubmitResult::kInvalid);
+  EXPECT_EQ(other.sequence, -1);
+  EXPECT_EQ(other.reason, "snapshot declares 61 items; the reference has 60");
+  EXPECT_EQ(service.ListStreams(), (std::vector<std::string>{"s"}));
+  EXPECT_FALSE(service.GetStreamStatus("t").has_value());
+
+  gate.Open();
+  const IngestResult next =
+      service.Ingest(MakeSnapshot("s", 7301), std::nullopt);
+  EXPECT_EQ(next.status, SubmitResult::kAccepted);
+  EXPECT_EQ(next.sequence, 1);
+  service.Flush();
+  EXPECT_EQ(gate.sequences(), (std::vector<int64_t>{0, 1}));
+  EXPECT_EQ(metrics.GetCounter("snapshots_submitted").Value(), 2);
+  EXPECT_EQ(metrics.GetGauge("streams").Value(), 1.0);
+}
+
 // Ingest blocks while the service is at its in-flight bound, with no
 // limit or within its wait, and is accepted once a slot frees.
 TEST(MonitorServiceTest, IngestWaitsForASlotThenIsAccepted) {

@@ -253,22 +253,30 @@ int Run(const common::Flags& flags) {
           loaded = true;
         }
       }
-      if (!loaded) {
+      // Moves the file to rejected/ and logs why.
+      const auto reject = [&](const std::string& reason) {
         metrics.GetCounter("spool_rejected_files").Increment();
         fs::rename(path, fs::path(spool) / "rejected" / name, ec);
         std::fprintf(stderr, "rejected malformed snapshot %s: %s\n",
-                     name.c_str(), load_error.c_str());
+                     name.c_str(), reason.c_str());
+      };
+      if (!loaded) {
+        reject(load_error);
         continue;
       }
       snapshot.stream = StreamOfFile(path);
       snapshot.source = name;
       // Blocks on backpressure until the snapshot is accepted, which
-      // registers a new stream and sequences it. A refusal (shutdown)
-      // leaves the file in the spool for the next run.
-      if (service.Ingest(std::move(snapshot), std::nullopt).status !=
-          serve::SubmitResult::kAccepted) {
-        break;
+      // registers a new stream and sequences it. A snapshot the service
+      // cannot screen is quarantined like a malformed file; a refusal at
+      // shutdown leaves the file in the spool for the next run.
+      const serve::IngestResult ingest =
+          service.Ingest(std::move(snapshot), std::nullopt);
+      if (ingest.status == serve::SubmitResult::kInvalid) {
+        reject(ingest.reason);
+        continue;
       }
+      if (ingest.status != serve::SubmitResult::kAccepted) break;
       fs::rename(path, fs::path(spool) / "processed" / name, ec);
       ++accepted;
     }
