@@ -1,8 +1,8 @@
 // dt-model measure scans: row-at-a-time FlatTreeRouter::Route vs the
 // 8-row lockstep RouteRows batches, the two scan shapes behind
 // DtMeasuresOverTree and the GCR measure pass (the product picks per
-// tree via FlatTreeRouter::PrefersBatchedRouting; FOCUS_DT_BATCH pins
-// it). Measured at BOTH regimes of that cutover: the paper's ~20-leaf
+// tree via FlatTreeRouter::PrefersBatchedRouting). Measured at BOTH
+// regimes of that cutover: the paper's ~20-leaf
 // tree, whose node array lives in L1 and where row-at-a-time wins, and a
 // deep min_leaf=2 tree whose node array misses cache and where the 8
 // parallel dependency chains hide node-load latency. The tree is induced

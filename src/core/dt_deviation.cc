@@ -71,7 +71,7 @@ std::vector<double> DtGcr::Measures(const dt::DecisionTree& t1,
   // cutover). Under focussing, each batch gathers only the in-R rows
   // before routing — filtered rows cost one Contains probe, never a
   // descent. Both shapes tally identical integer counts, which
-  // laws_dt_batch_test pins under forced FOCUS_DT_BATCH modes.
+  // laws_dt_batch_test pins with each routing mode forced.
   const FlatTreeRouter router1(t1);
   const FlatTreeRouter router2(t2);
   const int32_t* dense = dense_.empty() ? nullptr : dense_.data();

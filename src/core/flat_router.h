@@ -2,13 +2,10 @@
 #define FOCUS_CORE_FLAT_ROUTER_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "data/dataset.h"
 #include "data/schema.h"
 #include "tree/decision_tree.h"
@@ -19,26 +16,14 @@ namespace focus::core {
 // hide node-load latency, which only appears once the flattened node array
 // outgrows the fast cache levels; the paper's ~20-leaf trees live in L1,
 // where the row-at-a-time walk keeps its cursor in a register and wins
-// (BENCH_vertical.json carries both numbers at both tree sizes). kAuto
-// picks per flattened tree; FOCUS_DT_BATCH=always|never pins the choice
-// for A/B runs, the way FOCUS_SIMD pins the kernel dispatcher.
+// (BENCH_vertical.json carries both numbers at both tree sizes). kAuto,
+// the product's mode, picks per flattened tree; the law tests pin the
+// other two through ScopedBatchRoutingForTesting.
 enum class BatchRouting { kAuto, kAlways, kNever };
 
 namespace internal {
 inline BatchRouting& MutableBatchRouting() {
-  static BatchRouting mode = [] {
-    const std::string requested =
-        common::GetEnvString("FOCUS_DT_BATCH", "auto");
-    if (requested == "always") return BatchRouting::kAlways;
-    if (requested == "never") return BatchRouting::kNever;
-    if (!requested.empty() && requested != "auto") {
-      std::fprintf(stderr,
-                   "focus: FOCUS_DT_BATCH=%s is not auto|always|never; "
-                   "using auto\n",
-                   requested.c_str());
-    }
-    return BatchRouting::kAuto;
-  }();
+  static BatchRouting mode = BatchRouting::kAuto;
   return mode;
 }
 }  // namespace internal

@@ -41,20 +41,10 @@ std::vector<double> ExtendModelWith(const std::vector<lits::Itemset>& regions,
 
 std::vector<double> ExtendModel(const std::vector<lits::Itemset>& regions,
                                 const lits::LitsModel& model,
-                                const data::TransactionDb& db) {
-  return ExtendModelWith(regions, model,
-                         [&db](const std::vector<lits::Itemset>& missing) {
-                           return lits::CountSupports(db, missing);
-                         });
-}
-
-std::vector<double> ExtendModel(const std::vector<lits::Itemset>& regions,
-                                const lits::LitsModel& model,
                                 data::TxnSourceRef source) {
   return ExtendModelWith(
       regions, model, [source](const std::vector<lits::Itemset>& missing) {
-        return lits::SupportCounter(missing, source.num_items())
-            .CountRelative(source);
+        return lits::CountSupports(source, missing);
       });
 }
 
@@ -105,16 +95,6 @@ std::vector<lits::Itemset> LitsGcr(const lits::LitsModel& m1,
 }
 
 double LitsDeviationOverRegions(const std::vector<lits::Itemset>& regions,
-                                const data::TransactionDb& d1,
-                                const data::TransactionDb& d2,
-                                const DeviationFunction& fn) {
-  return AggregateRegionDiffs(lits::CountSupports(d1, regions),
-                              static_cast<double>(d1.num_transactions()),
-                              lits::CountSupports(d2, regions),
-                              static_cast<double>(d2.num_transactions()), fn);
-}
-
-double LitsDeviationOverRegions(const std::vector<lits::Itemset>& regions,
                                 const data::VerticalIndex* i1,
                                 const data::VerticalIndex* i2,
                                 const DeviationFunction& fn) {
@@ -125,16 +105,6 @@ double LitsDeviationOverRegions(const std::vector<lits::Itemset>& regions,
                               static_cast<double>(i1->num_transactions()),
                               counter2.CountRelative(*i2),
                               static_cast<double>(i2->num_transactions()), fn);
-}
-
-double LitsDeviation(const lits::LitsModel& m1, const data::TransactionDb& d1,
-                     const lits::LitsModel& m2, const data::TransactionDb& d2,
-                     const DeviationFunction& fn) {
-  const std::vector<lits::Itemset> gcr = LitsGcr(m1, m2);
-  return AggregateRegionDiffs(ExtendModel(gcr, m1, d1),
-                              static_cast<double>(d1.num_transactions()),
-                              ExtendModel(gcr, m2, d2),
-                              static_cast<double>(d2.num_transactions()), fn);
 }
 
 double LitsDeviation(const lits::LitsModel& m1, const data::VerticalIndex* i1,
@@ -151,11 +121,9 @@ double LitsDeviation(const lits::LitsModel& m1, const data::VerticalIndex* i1,
 double LitsDeviationOverRegions(const std::vector<lits::Itemset>& regions,
                                 data::TxnSourceRef s1, data::TxnSourceRef s2,
                                 const DeviationFunction& fn) {
-  const lits::SupportCounter counter1(regions, s1.num_items());
-  const lits::SupportCounter counter2(regions, s2.num_items());
-  return AggregateRegionDiffs(counter1.CountRelative(s1),
+  return AggregateRegionDiffs(lits::CountSupports(s1, regions),
                               static_cast<double>(s1.num_transactions()),
-                              counter2.CountRelative(s2),
+                              lits::CountSupports(s2, regions),
                               static_cast<double>(s2.num_transactions()), fn);
 }
 
@@ -169,10 +137,8 @@ double LitsDeviation(const lits::LitsModel& m1, data::TxnSourceRef s1,
                               static_cast<double>(s2.num_transactions()), fn);
 }
 
-double LitsDeviationFocused(const lits::LitsModel& m1,
-                            const data::TransactionDb& d1,
-                            const lits::LitsModel& m2,
-                            const data::TransactionDb& d2,
+double LitsDeviationFocused(const lits::LitsModel& m1, data::TxnSourceRef s1,
+                            const lits::LitsModel& m2, data::TxnSourceRef s2,
                             const ItemsetPredicate& focus,
                             const DeviationFunction& fn) {
   std::vector<lits::Itemset> focused;
@@ -180,10 +146,10 @@ double LitsDeviationFocused(const lits::LitsModel& m1,
     if (focus(itemset)) focused.push_back(std::move(itemset));
   }
   if (focused.empty()) return 0.0;
-  return AggregateRegionDiffs(ExtendModel(focused, m1, d1),
-                              static_cast<double>(d1.num_transactions()),
-                              ExtendModel(focused, m2, d2),
-                              static_cast<double>(d2.num_transactions()), fn);
+  return AggregateRegionDiffs(ExtendModel(focused, m1, s1),
+                              static_cast<double>(s1.num_transactions()),
+                              ExtendModel(focused, m2, s2),
+                              static_cast<double>(s2.num_transactions()), fn);
 }
 
 ItemsetPredicate WithinItems(std::vector<int32_t> department_items) {
@@ -205,21 +171,20 @@ ItemsetPredicate ContainsItem(int32_t item) {
 }
 
 std::vector<LitsRegionDeviation> LitsPerRegionDeviations(
-    const lits::LitsModel& m1, const data::TransactionDb& d1,
-    const lits::LitsModel& m2, const data::TransactionDb& d2,
-    const DiffFn& f) {
+    const lits::LitsModel& m1, data::TxnSourceRef s1,
+    const lits::LitsModel& m2, data::TxnSourceRef s2, const DiffFn& f) {
   const std::vector<lits::Itemset> gcr = LitsGcr(m1, m2);
-  const std::vector<double> s1 = ExtendModel(gcr, m1, d1);
-  const std::vector<double> s2 = ExtendModel(gcr, m2, d2);
-  const double n1 = static_cast<double>(d1.num_transactions());
-  const double n2 = static_cast<double>(d2.num_transactions());
+  const std::vector<double> supports1 = ExtendModel(gcr, m1, s1);
+  const std::vector<double> supports2 = ExtendModel(gcr, m2, s2);
+  const double n1 = static_cast<double>(s1.num_transactions());
+  const double n2 = static_cast<double>(s2.num_transactions());
 
   std::vector<LitsRegionDeviation> result(gcr.size());
   for (size_t i = 0; i < gcr.size(); ++i) {
     result[i].itemset = gcr[i];
-    result[i].support1 = s1[i];
-    result[i].support2 = s2[i];
-    result[i].deviation = f(s1[i] * n1, s2[i] * n2, n1, n2);
+    result[i].support1 = supports1[i];
+    result[i].support2 = supports2[i];
+    result[i].deviation = f(supports1[i] * n1, supports2[i] * n2, n1, n2);
   }
   return result;
 }

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/functions.h"
-#include "data/transaction_db.h"
 #include "data/txn_source.h"
 #include "data/vertical_index.h"
 #include "itemsets/apriori.h"
@@ -24,17 +23,19 @@ std::vector<lits::Itemset> LitsGcr(const lits::LitsModel& m1,
 // Extension of both models to an arbitrary common refinement `regions`:
 // counts the supports of every region in both databases (one scan each —
 // §3.3.1) and aggregates per-region differences. This is
-// delta^1_(f,g) of Definition 3.5 applied after extension.
+// delta^1_(f,g) of Definition 3.5 applied after extension. Either operand
+// may be block-backed: its counting scan then streams block by block in
+// bounded memory. Counts are integers either way, so the deviation doubles
+// are bit-identical across backends.
 double LitsDeviationOverRegions(const std::vector<lits::Itemset>& regions,
-                                const data::TransactionDb& d1,
-                                const data::TransactionDb& d2,
+                                data::TxnSourceRef s1, data::TxnSourceRef s2,
                                 const DeviationFunction& fn);
 
 // delta_(f,g)(M1, M2) of Definition 3.6: extension to the GCR. Models must
-// have been induced by d1/d2 respectively (their stored supports are
+// have been induced by s1/s2 respectively (their stored supports are
 // reused; only the itemsets missing from each model are re-counted).
-double LitsDeviation(const lits::LitsModel& m1, const data::TransactionDb& d1,
-                     const lits::LitsModel& m2, const data::TransactionDb& d2,
+double LitsDeviation(const lits::LitsModel& m1, data::TxnSourceRef s1,
+                     const lits::LitsModel& m2, data::TxnSourceRef s2,
                      const DeviationFunction& fn);
 
 // Vertical-index overloads: identical results (counts are integers and the
@@ -51,18 +52,6 @@ double LitsDeviationOverRegions(const std::vector<lits::Itemset>& regions,
 
 double LitsDeviation(const lits::LitsModel& m1, const data::VerticalIndex* i1,
                      const lits::LitsModel& m2, const data::VerticalIndex* i2,
-                     const DeviationFunction& fn);
-
-// Transaction-source overloads: the counting scans stream block by block
-// when an operand is block-backed (bounded memory), and run exactly as the
-// TransactionDb overloads when it is not. Counts are integers either way,
-// so the deviation doubles are bit-identical across backends.
-double LitsDeviationOverRegions(const std::vector<lits::Itemset>& regions,
-                                data::TxnSourceRef s1, data::TxnSourceRef s2,
-                                const DeviationFunction& fn);
-
-double LitsDeviation(const lits::LitsModel& m1, data::TxnSourceRef s1,
-                     const lits::LitsModel& m2, data::TxnSourceRef s2,
                      const DeviationFunction& fn);
 
 // The two halves of LitsDeviation, exposed for the sharded scatter-gather
@@ -90,10 +79,8 @@ double LitsAggregateRegionDiffs(const std::vector<double>& s1, double n1,
 // predicate are excluded (their intersection with R is empty).
 using ItemsetPredicate = std::function<bool(const lits::Itemset&)>;
 
-double LitsDeviationFocused(const lits::LitsModel& m1,
-                            const data::TransactionDb& d1,
-                            const lits::LitsModel& m2,
-                            const data::TransactionDb& d2,
+double LitsDeviationFocused(const lits::LitsModel& m1, data::TxnSourceRef s1,
+                            const lits::LitsModel& m2, data::TxnSourceRef s2,
                             const ItemsetPredicate& focus,
                             const DeviationFunction& fn);
 
@@ -111,9 +98,8 @@ struct LitsRegionDeviation {
 };
 
 std::vector<LitsRegionDeviation> LitsPerRegionDeviations(
-    const lits::LitsModel& m1, const data::TransactionDb& d1,
-    const lits::LitsModel& m2, const data::TransactionDb& d2,
-    const DiffFn& f);
+    const lits::LitsModel& m1, data::TxnSourceRef s1,
+    const lits::LitsModel& m2, data::TxnSourceRef s2, const DiffFn& f);
 
 }  // namespace focus::core
 

@@ -46,11 +46,6 @@ void LitsChangeMonitor::Calibrate() {
   alert_threshold_ = options_.alert_factor * level;
 }
 
-MonitorReport LitsChangeMonitor::Inspect(
-    const data::TransactionDb& snapshot) const {
-  return Inspect(data::TxnSourceRef(snapshot));
-}
-
 MonitorReport LitsChangeMonitor::Inspect(data::TxnSourceRef snapshot) const {
   // One scan builds the snapshot's index; mining and the (possible)
   // stage-2 extension then both run vertically against it.
@@ -58,14 +53,6 @@ MonitorReport LitsChangeMonitor::Inspect(data::TxnSourceRef snapshot) const {
   return InspectWithModel(
       snapshot, lits::Apriori(snapshot, options_.apriori, &snapshot_index),
       &snapshot_index);
-}
-
-MonitorReport LitsChangeMonitor::InspectWithModel(
-    const data::TransactionDb& snapshot, const lits::LitsModel& snapshot_model,
-    const data::VerticalIndex* snapshot_index,
-    common::ThreadPool* pool) const {
-  return InspectWithModel(data::TxnSourceRef(snapshot), snapshot_model,
-                          snapshot_index, pool);
 }
 
 MonitorReport LitsChangeMonitor::InspectWithModel(

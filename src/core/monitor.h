@@ -51,13 +51,10 @@ class LitsChangeMonitor {
   LitsChangeMonitor(const data::TransactionDb& reference,
                     const MonitorOptions& options);
 
-  // Inspects one snapshot; does NOT update the reference.
-  MonitorReport Inspect(const data::TransactionDb& snapshot) const;
-
-  // Either-backend variant: a block-backed snapshot streams through every
-  // stage (index build, mining, stage-2 counting, bootstrap resampling)
-  // without ever being materialized as one flat TransactionDb. Reports
-  // are bit-identical across backends.
+  // Inspects one snapshot; does NOT update the reference. A block-backed
+  // snapshot streams through every stage (index build, mining, stage-2
+  // counting, bootstrap resampling) without ever being materialized as one
+  // flat TransactionDb. Reports are bit-identical across backends.
   MonitorReport Inspect(data::TxnSourceRef snapshot) const;
 
   // Same, with a caller-supplied model of `snapshot` (e.g. from the
@@ -74,11 +71,6 @@ class LitsChangeMonitor {
   // serving layer's own, from inside one of its tasks), its replicates run
   // across it. The report is bit-identical either way, for either
   // backend, and with or without a pool.
-  MonitorReport InspectWithModel(
-      const data::TransactionDb& snapshot,
-      const lits::LitsModel& snapshot_model,
-      const data::VerticalIndex* snapshot_index = nullptr,
-      common::ThreadPool* pool = nullptr) const;
   MonitorReport InspectWithModel(
       data::TxnSourceRef snapshot, const lits::LitsModel& snapshot_model,
       const data::VerticalIndex* snapshot_index = nullptr,

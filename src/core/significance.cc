@@ -29,15 +29,6 @@ double ReplicateDeviation(const data::TransactionDb& b1,
 }  // namespace
 
 SignificanceResult LitsDeviationSignificance(
-    const data::TransactionDb& d1, const data::TransactionDb& d2,
-    const lits::AprioriOptions& apriori_options, const DeviationFunction& fn,
-    const SignificanceOptions& options) {
-  return LitsDeviationSignificance(data::TxnSourceRef(d1),
-                                   data::TxnSourceRef(d2), apriori_options, fn,
-                                   options);
-}
-
-SignificanceResult LitsDeviationSignificance(
     data::TxnSourceRef d1, data::TxnSourceRef d2,
     const lits::AprioriOptions& apriori_options, const DeviationFunction& fn,
     const SignificanceOptions& options) {

@@ -41,19 +41,13 @@ struct SignificanceResult {
 };
 
 // lits-models: models are mined from each (re)sampled database with
-// `apriori_options`.
-SignificanceResult LitsDeviationSignificance(
-    const data::TransactionDb& d1, const data::TransactionDb& d2,
-    const lits::AprioriOptions& apriori_options, const DeviationFunction& fn,
-    const SignificanceOptions& options);
-
-// Transaction-source variant: the observed deviation streams block-backed
-// operands block by block, and each bootstrap replicate resamples from the
-// LOGICAL pool d1 ++ d2 (data::TakeTransactionsPooled) instead of
-// materializing an appended copy — the pooled null never holds more than
-// one replicate in memory beyond the operands themselves. The RNG draws
-// and every replicate database are identical to the in-memory overload,
-// so the result is bit-identical across backends.
+// `apriori_options`. The observed deviation streams block-backed operands
+// block by block, and each bootstrap replicate resamples from the LOGICAL
+// pool d1 ++ d2 (data::TakeTransactionsPooled) instead of materializing an
+// appended copy — the pooled null never holds more than one replicate in
+// memory beyond the operands themselves. The RNG draws and every replicate
+// database are the same for either backend, so the result is
+// bit-identical across backends.
 SignificanceResult LitsDeviationSignificance(
     data::TxnSourceRef d1, data::TxnSourceRef d2,
     const lits::AprioriOptions& apriori_options, const DeviationFunction& fn,

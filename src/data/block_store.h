@@ -24,9 +24,9 @@ class ThreadPool;
 namespace focus::data {
 
 // ---------------------------------------------------------------------------
-// Block file substrate: the shared on-disk layer under BlockTransactionDb
-// and BlockDataset. docs/OUT_OF_CORE.md has the full format table; the
-// shape is
+// Block file substrate: the on-disk layer under BlockTransactionDb (the
+// tests and fuzzers also write blocks of a test-only kind).
+// docs/OUT_OF_CORE.md has the full format table; the shape is
 //
 //   [FileHeader 16B][payload blocks, back to back][Directory][Footer 16B]
 //
@@ -52,14 +52,13 @@ void AppendVarint(std::string& out, uint64_t value);
 bool ReadVarint(std::string_view bytes, size_t* pos, uint64_t* value);
 
 // Payload kinds (FileHeader.kind). Loaders check the kind byte before
-// touching any payload, so a transaction file handed to BlockDataset fails
-// with a clean error instead of a misdecode.
+// touching any payload, so a file of another kind fails with a clean error
+// instead of a misdecode. Kind 2 is retired; no writer emits it.
 inline constexpr uint32_t kBlockKindTransactions = 1;
-inline constexpr uint32_t kBlockKindDataset = 2;
 inline constexpr uint32_t kBlockKindScratch = 3;
 
-// Tuning knobs shared by the block-backed containers. docs/OUT_OF_CORE.md
-// discusses how they bound peak RSS.
+// Tuning knobs of the block-backed store. docs/OUT_OF_CORE.md discusses
+// how they bound peak RSS.
 struct BlockStoreOptions {
   // Nominal payload bytes per block: a block is closed once appending the
   // next record would push it past this (a single record larger than the

@@ -92,8 +92,6 @@ class BlockTransactionDb {
   int32_t num_items() const { return num_items_; }
   int64_t num_transactions() const { return num_transactions_; }
   int64_t num_blocks() const { return reader_->num_blocks(); }
-  // Encoded payload bytes on disk (spill/size heuristics).
-  int64_t TotalPayloadBytes() const { return reader_->total_payload_bytes(); }
   const BlockStoreOptions& options() const { return options_; }
 
   // Global index of the first transaction in `block`.

@@ -74,19 +74,12 @@ Dataset TakeRows(const Dataset& dataset, const std::vector<int64_t>& indices) {
   return out;
 }
 
-TransactionDb TakeTransactions(const TransactionDb& db,
-                               const std::vector<int64_t>& indices) {
-  TransactionDb out(db.num_items());
-  for (int64_t t : indices) {
-    out.AddTransaction(db.Transaction(t));
-  }
-  return out;
-}
-
 TransactionDb TakeTransactions(TxnSourceRef source,
                                const std::vector<int64_t>& indices) {
-  if (source.memory() != nullptr) {
-    return TakeTransactions(*source.memory(), indices);
+  if (const TransactionDb* db = source.memory()) {
+    TransactionDb out(db->num_items());
+    for (int64_t t : indices) out.AddTransaction(db->Transaction(t));
+    return out;
   }
   std::vector<std::pair<int64_t, int64_t>> txn_slots;
   txn_slots.reserve(indices.size());

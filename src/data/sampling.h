@@ -26,13 +26,12 @@ std::vector<int64_t> SampleIndicesWithReplacement(int64_t n, int64_t count,
 
 // Materializes the rows named by `indices`.
 Dataset TakeRows(const Dataset& dataset, const std::vector<int64_t>& indices);
-TransactionDb TakeTransactions(const TransactionDb& db,
-                               const std::vector<int64_t>& indices);
 
 // Same extraction over either transaction backend. Block-backed sources
 // are visited in ascending transaction order (each needed block decodes
 // once) but the result places transactions at their `indices` positions,
-// so the output is byte-identical to the in-memory overload.
+// so the output is byte-identical to an extraction from the in-memory
+// copy.
 TransactionDb TakeTransactions(TxnSourceRef source,
                                const std::vector<int64_t>& indices);
 

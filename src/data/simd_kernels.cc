@@ -23,12 +23,11 @@ namespace {
 std::atomic<int> g_level_override{-1};
 
 int64_t IntersectPopcountScalar(const uint64_t* const* ptrs, int k,
-                                const uint64_t* exclude, int64_t n) {
+                                int64_t n) {
   int64_t count = 0;
   for (int64_t i = 0; i < n; ++i) {
     uint64_t word = ptrs[0][i];
     for (int m = 1; m < k; ++m) word &= ptrs[m][i];
-    if (exclude != nullptr) word &= ~exclude[i];
     count += std::popcount(word);
   }
   return count;
@@ -52,7 +51,7 @@ __attribute__((target("avx2"))) inline __m256i Popcount256(__m256i v) {
 }
 
 __attribute__((target("avx2"))) int64_t IntersectPopcountAvx2(
-    const uint64_t* const* ptrs, int k, const uint64_t* exclude, int64_t n) {
+    const uint64_t* const* ptrs, int k, int64_t n) {
   __m256i totals = _mm256_setzero_si256();
   int64_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -62,11 +61,6 @@ __attribute__((target("avx2"))) int64_t IntersectPopcountAvx2(
       acc = _mm256_and_si256(acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
                                       ptrs[m] + i)));
     }
-    if (exclude != nullptr) {
-      acc = _mm256_andnot_si256(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(exclude + i)),
-          acc);
-    }
     totals = _mm256_add_epi64(totals, Popcount256(acc));
   }
   alignas(32) uint64_t lanes[4];
@@ -75,7 +69,6 @@ __attribute__((target("avx2"))) int64_t IntersectPopcountAvx2(
   for (; i < n; ++i) {
     uint64_t word = ptrs[0][i];
     for (int m = 1; m < k; ++m) word &= ptrs[m][i];
-    if (exclude != nullptr) word &= ~exclude[i];
     count += std::popcount(word);
   }
   return count;
@@ -96,7 +89,7 @@ __attribute__((target("avx512f,avx512bw"))) inline __m512i Popcount512(
 }
 
 __attribute__((target("avx512f,avx512bw"))) int64_t IntersectPopcountAvx512(
-    const uint64_t* const* ptrs, int k, const uint64_t* exclude, int64_t n) {
+    const uint64_t* const* ptrs, int k, int64_t n) {
   __m512i totals = _mm512_setzero_si512();
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -104,16 +97,12 @@ __attribute__((target("avx512f,avx512bw"))) int64_t IntersectPopcountAvx512(
     for (int m = 1; m < k; ++m) {
       acc = _mm512_and_si512(acc, _mm512_loadu_si512(ptrs[m] + i));
     }
-    if (exclude != nullptr) {
-      acc = _mm512_andnot_si512(_mm512_loadu_si512(exclude + i), acc);
-    }
     totals = _mm512_add_epi64(totals, Popcount512(acc));
   }
   int64_t count = static_cast<int64_t>(_mm512_reduce_add_epi64(totals));
   for (; i < n; ++i) {
     uint64_t word = ptrs[0][i];
     for (int m = 1; m < k; ++m) word &= ptrs[m][i];
-    if (exclude != nullptr) word &= ~exclude[i];
     count += std::popcount(word);
   }
   return count;
@@ -196,18 +185,18 @@ ScopedLevelForTesting::~ScopedLevelForTesting() {
 }
 
 int64_t IntersectPopcountWords(const uint64_t* const* ptrs, int k,
-                               const uint64_t* exclude, int64_t n) {
+                               int64_t n) {
 #if FOCUS_SIMD_X86
   switch (CurrentLevel()) {
     case Level::kAvx512:
-      return IntersectPopcountAvx512(ptrs, k, exclude, n);
+      return IntersectPopcountAvx512(ptrs, k, n);
     case Level::kAvx2:
-      return IntersectPopcountAvx2(ptrs, k, exclude, n);
+      return IntersectPopcountAvx2(ptrs, k, n);
     case Level::kScalar:
       break;
   }
 #endif
-  return IntersectPopcountScalar(ptrs, k, exclude, n);
+  return IntersectPopcountScalar(ptrs, k, n);
 }
 
 }  // namespace focus::data::simd

@@ -8,8 +8,8 @@
 namespace focus::data::simd {
 
 // The word-level counting kernel behind data::VerticalIndex: the fused
-// k-way AND (+ optional AND-NOT) + popcount over 64-bit word streams that
-// gives the support of an itemset. It exists at three instruction levels
+// k-way AND + popcount over 64-bit word streams that gives the support of
+// an itemset. It exists at three instruction levels
 // selected by a one-time runtime dispatcher, and ALL levels are
 // bit-identical by construction — they compute the same integer popcount
 // of the same words, so the horizontal == vertical differential laws hold
@@ -55,11 +55,10 @@ class ScopedLevelForTesting {
   int previous_;
 };
 
-// popcount(ptrs[0] & ... & ptrs[k-1] [& ~exclude]) over n words; k >= 1,
-// `exclude` may be null. The k streams advance together so they stay
-// cache-resident for any practical itemset size.
-int64_t IntersectPopcountWords(const uint64_t* const* ptrs, int k,
-                               const uint64_t* exclude, int64_t n);
+// popcount(ptrs[0] & ... & ptrs[k-1]) over n words; k >= 1. The k streams
+// advance together so they stay cache-resident for any practical itemset
+// size.
+int64_t IntersectPopcountWords(const uint64_t* const* ptrs, int k, int64_t n);
 
 }  // namespace focus::data::simd
 

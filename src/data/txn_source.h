@@ -11,23 +11,16 @@
 
 namespace focus::data {
 
-// Which transaction-store backend feeds a scan.
-enum class TxnBackend {
-  kMemory,  // data::TransactionDb: fully materialized flat row store
-  kBlock,   // data::BlockTransactionDb: out-of-core fixed-size blocks
-};
-
-inline const char* TxnBackendName(TxnBackend backend) {
-  return backend == TxnBackend::kMemory ? "memory" : "block";
-}
-
 // Non-owning reference to EITHER transaction store: implicitly
-// constructible from both backends (and from pointers, which may be null),
-// so `f(db)` call sites keep compiling unchanged. Consumers (VerticalIndex
-// builds, SupportCounter, Apriori, core::Monitor) iterate per-block
-// TransactionDb views; for the in-memory backend the whole database is
-// block 0, at zero copies. Every kernel computes integer counts over a bag
-// of transactions, so results are BIT-IDENTICAL across backends, block
+// constructible from both backends (and from pointers, which may be null).
+// It is the one transaction parameter of every scanning entry point
+// (VerticalIndex builds, SupportCounter, Apriori, the lits deviations and
+// significance, LitsChangeMonitor, ModelCache): none has a separate
+// TransactionDb overload, and `f(db)` call sites compile through the
+// implicit constructor. Consumers iterate per-block TransactionDb views;
+// for the in-memory backend the whole database is block 0, at zero
+// copies. Every kernel computes integer counts over a bag of
+// transactions, so results are BIT-IDENTICAL across backends, block
 // sizes, and block-aligned parallel shardings —
 // tests/laws/laws_block_store_test.cc pins it EXPECT_EQ-exact.
 class TxnSourceRef {
@@ -53,10 +46,6 @@ class TxnSourceRef {
 
   bool has_value() const { return memory_ != nullptr || block_ != nullptr; }
   explicit operator bool() const { return has_value(); }
-
-  TxnBackend backend() const {
-    return memory_ != nullptr ? TxnBackend::kMemory : TxnBackend::kBlock;
-  }
 
   int32_t num_items() const {
     return memory_ != nullptr ? memory_->num_items() : Block().num_items();

@@ -7,9 +7,6 @@
 
 namespace focus::data {
 
-VerticalIndex::VerticalIndex(const TransactionDb& db)
-    : VerticalIndex(TxnSourceRef(db)) {}
-
 VerticalIndex::VerticalIndex(TxnSourceRef source)
     : num_items_(source.num_items()),
       num_transactions_(source.num_transactions()),
@@ -53,7 +50,7 @@ int64_t VerticalIndex::CountIntersection(std::span<const int32_t> items) const {
     ptrs[m] = bits_.data() + static_cast<size_t>(items[m]) * words_;
   }
   return simd::IntersectPopcountWords(ptrs, static_cast<int>(items.size()),
-                                      /*exclude=*/nullptr, words_);
+                                      words_);
 }
 
 }  // namespace focus::data

@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "data/transaction_db.h"
 #include "data/txn_source.h"
 
 namespace focus::data {
@@ -29,15 +28,12 @@ namespace focus::data {
 // entirely. Build once, probe many.
 class VerticalIndex {
  public:
-  // One scan of `db`. Transactions must satisfy TransactionDb's
-  // sorted-unique invariant (they do, by construction).
-  explicit VerticalIndex(const TransactionDb& db);
-
-  // One scan of either backend: block-backed sources stream through the
-  // same build loop block-at-a-time (with read-ahead), touching each
-  // occurrence exactly once. The resulting index is identical — not just
-  // count-equal, operator==-equal — to an in-memory build of the same
-  // logical database.
+  // One scan of either backend. Transactions must satisfy TransactionDb's
+  // sorted-unique invariant (they do, by construction). Block-backed
+  // sources stream through the same build loop block-at-a-time (with
+  // read-ahead), touching each occurrence exactly once; the resulting index
+  // is identical — not just count-equal, operator==-equal — to an
+  // in-memory build of the same logical database.
   explicit VerticalIndex(TxnSourceRef source);
 
   bool operator==(const VerticalIndex& other) const = default;

@@ -145,11 +145,6 @@ std::vector<Itemset> LitsModel::StructuralComponent() const {
   return itemsets;
 }
 
-LitsModel Apriori(const data::TransactionDb& db, const AprioriOptions& options,
-                  const data::VerticalIndex* index) {
-  return Apriori(data::TxnSourceRef(db), options, index);
-}
-
 LitsModel Apriori(data::TxnSourceRef source, const AprioriOptions& options,
                   const data::VerticalIndex* index) {
   FOCUS_CHECK_GT(options.min_support, 0.0);

@@ -68,23 +68,20 @@ struct AprioriOptions {
 // index intersection per pair) and only the frequent ones become
 // itemsets. The model fills in the same order either way.
 //
-// When `index` is non-null it must be a vertical index built from `db`;
-// every counting pass (the L1 item scan and each level's candidate scan)
-// then runs against the per-item TID bitmaps instead of re-scanning the
-// raw transactions. Counts are identical integers either way, so the mined
-// model is bit-identical to the horizontal one — the index only changes
-// how fast the same supports are obtained, and it amortizes its single
-// build scan across all levels (and across every other counting consumer
-// of the same database).
-LitsModel Apriori(const data::TransactionDb& db, const AprioriOptions& options,
-                  const data::VerticalIndex* index = nullptr);
-
-// The same miner over either transaction backend: block-backed sources
-// stream each counting pass block by block in bounded memory (with the
-// usual read-ahead), and the mined model is bit-identical to the in-memory
-// run — every pass computes the same integer counts. With a prebuilt
-// `index`, the raw transactions are only consulted for the database
-// dimensions, so a 1M-transaction mine never materializes the database.
+// `source` is either transaction backend: block-backed sources stream each
+// counting pass block by block in bounded memory (with the usual
+// read-ahead), and the mined model is bit-identical to the in-memory run —
+// every pass computes the same integer counts.
+//
+// When `index` is non-null it must be a vertical index built from
+// `source`; every counting pass (the L1 item scan and each level's
+// candidate scan) then runs against the per-item TID bitmaps instead of
+// re-scanning the raw transactions, which are only consulted for the
+// database dimensions. Counts are identical integers either way, so the
+// mined model is bit-identical to the horizontal one — the index only
+// changes how fast the same supports are obtained, and it amortizes its
+// single build scan across all levels (and across every other counting
+// consumer of the same database).
 LitsModel Apriori(data::TxnSourceRef source, const AprioriOptions& options,
                   const data::VerticalIndex* index = nullptr);
 

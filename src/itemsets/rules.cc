@@ -18,10 +18,6 @@ std::string AssociationRule::ToString() const {
   return out.str();
 }
 
-bool AssociationRule::SameRegionAs(const AssociationRule& other) const {
-  return antecedent == other.antecedent && consequent == other.consequent;
-}
-
 std::vector<AssociationRule> GenerateRules(const LitsModel& model,
                                            const RuleOptions& options) {
   FOCUS_CHECK_GT(options.min_confidence, 0.0);

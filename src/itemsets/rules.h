@@ -22,8 +22,6 @@ struct AssociationRule {
   double lift = 0.0;        // confidence / sup(C)
 
   std::string ToString() const;
-  // Rules are identified by their (antecedent, consequent) pair.
-  bool SameRegionAs(const AssociationRule& other) const;
 };
 
 struct RuleOptions {

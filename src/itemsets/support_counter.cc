@@ -56,31 +56,6 @@ void SupportCounter::CountRange(const data::TransactionDb& db, int64_t begin,
   }
 }
 
-std::vector<int64_t> SupportCounter::CountAbsolute(
-    const data::TransactionDb& db) const {
-  FOCUS_CHECK_EQ(db.num_items(), num_items_);
-  std::vector<int64_t> counts(itemsets_.size(), 0);
-  CountRange(db, 0, db.num_transactions(), counts);
-  return counts;
-}
-
-std::vector<int64_t> SupportCounter::CountAbsoluteParallel(
-    const data::TransactionDb& db, common::ThreadPool& pool) const {
-  FOCUS_CHECK_EQ(db.num_items(), num_items_);
-  const int num_shards = pool.num_threads();
-  std::vector<std::vector<int64_t>> shard_counts(
-      num_shards, std::vector<int64_t>(itemsets_.size(), 0));
-  pool.ParallelFor(0, db.num_transactions(), num_shards,
-                   [&](int shard, int64_t begin, int64_t end) {
-                     CountRange(db, begin, end, shard_counts[shard]);
-                   });
-  std::vector<int64_t> counts(itemsets_.size(), 0);
-  for (const std::vector<int64_t>& shard : shard_counts) {
-    for (size_t i = 0; i < counts.size(); ++i) counts[i] += shard[i];
-  }
-  return counts;
-}
-
 void SupportCounter::CountVerticalRange(const data::VerticalIndex& index,
                                         int64_t begin, int64_t end,
                                         std::vector<int64_t>& counts) const {
@@ -124,24 +99,28 @@ std::vector<int64_t> SupportCounter::CountAbsolute(
 
 std::vector<int64_t> SupportCounter::CountAbsoluteParallel(
     data::TxnSourceRef source, common::ThreadPool& pool) const {
-  if (source.backend() == data::TxnBackend::kMemory) {
-    // One block == the whole database: the transaction-sharded path
-    // parallelizes better than block shards ever could here.
-    return CountAbsoluteParallel(*source.memory(), pool);
-  }
   FOCUS_CHECK_EQ(source.num_items(), num_items_);
   const int num_shards = pool.num_threads();
   std::vector<std::vector<int64_t>> shard_counts(
       num_shards, std::vector<int64_t>(itemsets_.size(), 0));
-  pool.ParallelFor(0, source.num_blocks(), num_shards,
-                   [&](int shard, int64_t begin, int64_t end) {
-                     for (int64_t b = begin; b < end; ++b) {
-                       const data::TxnSourceRef::BlockView view =
-                           source.GetBlock(b);
-                       CountRange(*view.db, 0, view.db->num_transactions(),
-                                  shard_counts[shard]);
-                     }
-                   });
+  if (const data::TransactionDb* db = source.memory()) {
+    // One block == the whole database: sharding its transactions
+    // parallelizes better than block shards ever could here.
+    pool.ParallelFor(0, db->num_transactions(), num_shards,
+                     [&](int shard, int64_t begin, int64_t end) {
+                       CountRange(*db, begin, end, shard_counts[shard]);
+                     });
+  } else {
+    pool.ParallelFor(0, source.num_blocks(), num_shards,
+                     [&](int shard, int64_t begin, int64_t end) {
+                       for (int64_t b = begin; b < end; ++b) {
+                         const data::TxnSourceRef::BlockView view =
+                             source.GetBlock(b);
+                         CountRange(*view.db, 0, view.db->num_transactions(),
+                                    shard_counts[shard]);
+                       }
+                     });
+  }
   std::vector<int64_t> counts(itemsets_.size(), 0);
   for (const std::vector<int64_t>& shard : shard_counts) {
     for (size_t i = 0; i < counts.size(); ++i) counts[i] += shard[i];
@@ -165,16 +144,6 @@ std::vector<double> ToRelative(const std::vector<int64_t>& absolute,
 }  // namespace
 
 std::vector<double> SupportCounter::CountRelative(
-    const data::TransactionDb& db) const {
-  return ToRelative(CountAbsolute(db), db.num_transactions());
-}
-
-std::vector<double> SupportCounter::CountRelativeParallel(
-    const data::TransactionDb& db, common::ThreadPool& pool) const {
-  return ToRelative(CountAbsoluteParallel(db, pool), db.num_transactions());
-}
-
-std::vector<double> SupportCounter::CountRelative(
     const data::VerticalIndex& index) const {
   return ToRelative(CountAbsolute(index), index.num_transactions());
 }
@@ -195,9 +164,9 @@ std::vector<double> SupportCounter::CountRelativeParallel(
                     source.num_transactions());
 }
 
-std::vector<double> CountSupports(const data::TransactionDb& db,
+std::vector<double> CountSupports(data::TxnSourceRef source,
                                   std::span<const Itemset> itemsets) {
-  return SupportCounter(itemsets, db.num_items()).CountRelative(db);
+  return SupportCounter(itemsets, source.num_items()).CountRelative(source);
 }
 
 }  // namespace focus::lits

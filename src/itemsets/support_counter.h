@@ -31,19 +31,23 @@ class SupportCounter {
  public:
   SupportCounter(std::span<const Itemset> itemsets, int32_t num_items);
 
-  // Absolute occurrence counts, aligned with the constructor's itemsets.
-  std::vector<int64_t> CountAbsolute(const data::TransactionDb& db) const;
+  // Horizontal counting over either transaction backend, aligned with the
+  // constructor's itemsets: each decoded block IS a TransactionDb, so the
+  // same CountRange kernel runs block by block and per-block counts sum —
+  // bit-identical to the in-memory scan for every block size.
+  std::vector<int64_t> CountAbsolute(data::TxnSourceRef source) const;
 
-  // Parallel CountAbsolute: shards the transaction scan across `pool`'s
-  // workers into per-shard count vectors (each worker keeps its own
-  // presence bitmap) and sums them in shard order. Counts are integers and
-  // shard boundaries depend only on (|D|, pool size), so the result is
-  // bit-identical to CountAbsolute.
-  std::vector<int64_t> CountAbsoluteParallel(const data::TransactionDb& db,
+  // Parallel CountAbsolute into per-shard count vectors (each worker keeps
+  // its own presence bitmap), summed in shard order. An in-memory source
+  // is sharded by transaction ranges, a block-backed one by BLOCK-ALIGNED
+  // ranges. Shard boundaries depend only on (|D| or num_blocks, pool size)
+  // and counts are integers, so the result is bit-identical to
+  // CountAbsolute(source).
+  std::vector<int64_t> CountAbsoluteParallel(data::TxnSourceRef source,
                                              common::ThreadPool& pool) const;
 
   // Vertical counting path over a prebuilt index of the same database:
-  // bit-identical to CountAbsolute(db) for an index built from db, at
+  // bit-identical to CountAbsolute(source) for an index built from it, at
   // every simd dispatch level.
   std::vector<int64_t> CountAbsolute(const data::VerticalIndex& index) const;
 
@@ -54,29 +58,12 @@ class SupportCounter {
   std::vector<int64_t> CountAbsoluteParallel(const data::VerticalIndex& index,
                                              common::ThreadPool& pool) const;
 
-  // Block-streaming horizontal counting over either transaction backend:
-  // each decoded block IS a TransactionDb, so the same CountRange kernel
-  // runs block by block and per-block counts sum — bit-identical to the
-  // in-memory scan for every block size.
-  std::vector<int64_t> CountAbsolute(data::TxnSourceRef source) const;
-
-  // Parallel over BLOCK-ALIGNED shards on the block backend (per-shard
-  // count vectors summed in shard order, like the transaction-sharded
-  // path, which the in-memory backend falls back to). Shard boundaries
-  // depend only on (num_blocks, pool size), so this too is bit-identical
-  // to CountAbsolute(source).
-  std::vector<int64_t> CountAbsoluteParallel(data::TxnSourceRef source,
-                                             common::ThreadPool& pool) const;
-
   // Relative supports (counts / |D|).
-  std::vector<double> CountRelative(const data::TransactionDb& db) const;
-  std::vector<double> CountRelativeParallel(const data::TransactionDb& db,
+  std::vector<double> CountRelative(data::TxnSourceRef source) const;
+  std::vector<double> CountRelativeParallel(data::TxnSourceRef source,
                                             common::ThreadPool& pool) const;
   std::vector<double> CountRelative(const data::VerticalIndex& index) const;
   std::vector<double> CountRelativeParallel(const data::VerticalIndex& index,
-                                            common::ThreadPool& pool) const;
-  std::vector<double> CountRelative(data::TxnSourceRef source) const;
-  std::vector<double> CountRelativeParallel(data::TxnSourceRef source,
                                             common::ThreadPool& pool) const;
 
  private:
@@ -97,7 +84,7 @@ class SupportCounter {
 };
 
 // One-call convenience wrapper.
-std::vector<double> CountSupports(const data::TransactionDb& db,
+std::vector<double> CountSupports(data::TxnSourceRef source,
                                   std::span<const Itemset> itemsets);
 
 }  // namespace focus::lits

@@ -179,12 +179,13 @@ void HttpServer::AcceptNew(std::chrono::steady_clock::time_point now) {
     if (draining_.load(std::memory_order_relaxed)) continue;  // close
     if (open_.load(std::memory_order_relaxed) >= options_.max_connections) {
       // Over the cap: answer 503 then close. The response is tiny; a
-      // fresh socket's send buffer always takes it without blocking.
+      // fresh socket's send buffer always takes it without blocking. The
+      // count goes up first, so a client that has read the 503 sees it.
+      refused_.fetch_add(1, std::memory_order_relaxed);
       const std::string bytes = SerializeResponse(
           ErrorResponse(503, "connection limit reached"), /*keep_alive=*/false);
       [[maybe_unused]] const ssize_t n =
           ::send(client.get(), bytes.data(), bytes.size(), MSG_NOSIGNAL);
-      refused_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     if (!SetNonBlocking(client.get())) continue;

@@ -21,11 +21,7 @@ inline uint64_t FnvMix(uint64_t hash, uint64_t value) {
 
 }  // namespace
 
-uint64_t TransactionDbContentHash(const data::TransactionDb& db) {
-  return TxnSourceContentHash(data::TxnSourceRef(db));
-}
-
-uint64_t TxnSourceContentHash(data::TxnSourceRef source) {
+uint64_t TransactionDbContentHash(data::TxnSourceRef source) {
   uint64_t hash = kFnvOffset;
   hash = FnvMix(hash, static_cast<uint64_t>(source.num_items()));
   hash = FnvMix(hash, static_cast<uint64_t>(source.num_transactions()));
@@ -65,12 +61,6 @@ void ModelCache::CountMissLocked() {
   if (misses_counter_ != nullptr) misses_counter_->Increment();
 }
 
-std::shared_ptr<const lits::LitsModel> ModelCache::Lookup(
-    uint64_t content_hash) {
-  const auto mined = LookupMined(content_hash);
-  return mined.has_value() ? mined->model : nullptr;
-}
-
 std::optional<MinedSnapshot> ModelCache::LookupMined(uint64_t content_hash) {
   common::MutexLock lock(&mutex_);
   const auto it = entries_.find(content_hash);
@@ -83,17 +73,12 @@ std::optional<MinedSnapshot> ModelCache::LookupMined(uint64_t content_hash) {
   return it->second.mined;
 }
 
-MinedSnapshot ModelCache::GetOrMineIndexed(const data::TransactionDb& db,
-                                           bool* cache_hit) {
-  return GetOrMineIndexed(data::TxnSourceRef(db), cache_hit);
-}
-
 MinedSnapshot ModelCache::GetOrMineIndexed(data::TxnSourceRef source,
+                                           uint64_t content_hash,
                                            bool* cache_hit) {
-  const uint64_t key = TxnSourceContentHash(source);
   {
     common::MutexLock lock(&mutex_);
-    const auto it = entries_.find(key);
+    const auto it = entries_.find(content_hash);
     if (it != entries_.end()) {
       CountHitLocked();
       lru_.splice(lru_.begin(), lru_, it->second.position);
@@ -114,13 +99,8 @@ MinedSnapshot ModelCache::GetOrMineIndexed(data::TxnSourceRef source,
   mined.model = std::make_shared<const lits::LitsModel>(
       lits::Apriori(source, options_, mined.index.get()));
   common::MutexLock lock(&mutex_);
-  InsertLocked(key, mined);
+  InsertLocked(content_hash, mined);
   return mined;
-}
-
-std::shared_ptr<const lits::LitsModel> ModelCache::GetOrMine(
-    const data::TransactionDb& db, bool* cache_hit) {
-  return GetOrMineIndexed(db, cache_hit).model;
 }
 
 void ModelCache::InsertLocked(uint64_t key, MinedSnapshot mined) {

@@ -9,7 +9,6 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "data/transaction_db.h"
 #include "data/txn_source.h"
 #include "data/vertical_index.h"
 #include "itemsets/apriori.h"
@@ -21,14 +20,11 @@ namespace focus::serve {
 // universe, transaction boundaries, items). Equal databases hash equally;
 // the cache treats a hash match as identity, which is fine for its
 // purpose (a collision merely serves a stale model for one entry, with
-// probability ~2^-64 per pair).
-uint64_t TransactionDbContentHash(const data::TransactionDb& db);
-
-// The same hash computed by streaming either backend block by block: a
-// block-backed database hashes equal to its in-memory materialization
-// (same mixing sequence), so --ooc and flat ingest share cache entries
-// for identical snapshots.
-uint64_t TxnSourceContentHash(data::TxnSourceRef source);
+// probability ~2^-64 per pair). A block-backed database streams block by
+// block and hashes equal to its in-memory materialization (same mixing
+// sequence), so --ooc and flat ingest share cache entries for identical
+// snapshots.
+uint64_t TransactionDbContentHash(data::TxnSourceRef source);
 
 struct ModelCacheStats {
   int64_t hits = 0;
@@ -67,27 +63,18 @@ class ModelCache {
   ModelCache(size_t capacity, const lits::AprioriOptions& options,
              MetricsRegistry* metrics = nullptr);
 
-  // Returns the model + vertical index of `db` under the cache's mining
-  // options, building both on a miss. `cache_hit`, when given, reports
-  // whether the build was skipped.
-  MinedSnapshot GetOrMineIndexed(const data::TransactionDb& db,
-                                 bool* cache_hit = nullptr) EXCLUDES(mutex_);
-
-  // Either-backend variant: a block-backed snapshot streams its blocks
-  // through the content hash and (on a miss) every mining pass, and gets
-  // no index, so a miss allocates nothing the size of the snapshot. Its
-  // model is bit-identical to the one an in-memory copy would produce.
+  // Returns the model + vertical index of `source` under the cache's
+  // mining options, building both on a miss. The entry is keyed by
+  // `content_hash`, which must be TransactionDbContentHash(source): the
+  // caller hashes once (MonitorService::Ingest does, for its 202 reply)
+  // and the cache does not hash again. `cache_hit`, when given, reports
+  // whether the build was skipped. A block-backed snapshot streams its
+  // blocks through every mining pass on a miss and gets no index, so a
+  // miss allocates nothing the size of the snapshot; its model is
+  // bit-identical to the one an in-memory copy would produce.
   MinedSnapshot GetOrMineIndexed(data::TxnSourceRef source,
+                                 uint64_t content_hash,
                                  bool* cache_hit = nullptr) EXCLUDES(mutex_);
-
-  // Model-only convenience wrapper around GetOrMineIndexed.
-  std::shared_ptr<const lits::LitsModel> GetOrMine(
-      const data::TransactionDb& db, bool* cache_hit = nullptr)
-      EXCLUDES(mutex_);
-
-  // Cached entry for a precomputed hash, or nullptr. Promotes on hit.
-  std::shared_ptr<const lits::LitsModel> Lookup(uint64_t content_hash)
-      EXCLUDES(mutex_);
 
   // Full cached entry (model + vertical index) for a precomputed hash —
   // what POST /v1/compare resolves ingested content hashes through so a

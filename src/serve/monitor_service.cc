@@ -178,6 +178,10 @@ IngestResult MonitorService::Ingest(
                       " items; the reference has " +
                       std::to_string(reference_items)};
   }
+  // The one content hash of this snapshot: the 202 reply's and the model
+  // cache's key.
+  snapshot.content_hash = TransactionDbContentHash(source);
+  const uint64_t content_hash = snapshot.content_hash;
   Stream* stream = nullptr;
   int64_t sequence = 0;
   {
@@ -213,7 +217,9 @@ IngestResult MonitorService::Ingest(
       submitted_counter_->Increment();
     }
     if (stream->draining) {  // the active drain job will take it
-      return {.status = SubmitResult::kAccepted, .sequence = sequence};
+      return {.status = SubmitResult::kAccepted,
+              .sequence = sequence,
+              .content_hash = content_hash};
     }
     stream->draining = true;
   }
@@ -225,7 +231,9 @@ IngestResult MonitorService::Ingest(
   // event sink, not the return.
   // focus-analyze: allow(unchecked-status)
   pool_->Submit([this, stream]() { DrainStream(stream); });
-  return {.status = SubmitResult::kAccepted, .sequence = sequence};
+  return {.status = SubmitResult::kAccepted,
+          .sequence = sequence,
+          .content_hash = content_hash};
 }
 
 std::optional<StreamStatus> MonitorService::GetStreamStatus(
@@ -304,7 +312,8 @@ StreamEvent MonitorService::Process(Stream* stream, Snapshot snapshot) {
   event.num_transactions = source.num_transactions();
 
   bool cache_hit = false;
-  const MinedSnapshot mined = model_cache_.GetOrMineIndexed(source, &cache_hit);
+  const MinedSnapshot mined =
+      model_cache_.GetOrMineIndexed(source, snapshot.content_hash, &cache_hit);
   event.cache_hit = cache_hit;
   // The cached vertical index lets stage 2 (when the screen fires) extend
   // both models via bitmap probes — window re-comparisons never re-scan

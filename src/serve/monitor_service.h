@@ -59,6 +59,7 @@ std::optional<MonitorServiceOptions> MonitorServiceOptionsFromFlags(
 struct Snapshot {
   std::string stream;      // monitored stream name
   int64_t sequence = 0;    // position within the stream; set by Ingest
+  uint64_t content_hash = 0;  // TransactionDbContentHash; set by Ingest
   std::string source;      // originating file/path, echoed into events
   data::TransactionDb db;
   std::shared_ptr<const data::BlockTransactionDb> block_db;
@@ -98,6 +99,9 @@ enum class SubmitResult {
 struct IngestResult {
   SubmitResult status = SubmitResult::kShutdown;
   int64_t sequence = -1;  // the stream's dense sequence number if accepted
+  // TransactionDbContentHash of the snapshot, the key its mined model is
+  // cached under, if accepted.
+  uint64_t content_hash = 0;
   std::string reason{};   // why, when kInvalid
 };
 
@@ -183,7 +187,9 @@ class MonitorService {
   // and shed the snapshot onto the client; kShutdown follows Shutdown.
   // Before any of this, a snapshot with no transactions, or with an item
   // universe other than the reference's, is refused as kInvalid with a
-  // reason: mining and stage 2 need both. A snapshot that is not accepted
+  // reason: mining and stage 2 need both. A valid snapshot is then hashed,
+  // once and before the wait: the hash goes back in the result and, with
+  // the snapshot, to the model cache. A snapshot that is not accepted
   // registers nothing and burns no number, which keeps every stream's
   // sequences dense.
   IngestResult Ingest(Snapshot snapshot,

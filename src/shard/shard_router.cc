@@ -246,8 +246,7 @@ ShardRouter::Status ShardRouter::Summary(
     }
   }
   // The canonical fold (sorted-name order) shared with the single-node
-  // summary handler: g_max would merge from the shards' partial_max values
-  // in any order, but g_sum only reproduces the single-node bits when the
+  // summary handler: g_sum only reproduces the single-node bits when the
   // per-stream terms recombine in the same global order.
   *result = serve::AggregateSummary(entries, fn.g);
   return Status::kOk;

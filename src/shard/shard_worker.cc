@@ -108,8 +108,6 @@ Frame ShardWorker::HandleSubmit(const Frame& request) {
     result.error = "malformed snapshot: " + load_error;
     return {MessageType::kSubmitResult, request.request_id, result.Encode()};
   }
-  result.content_hash = serve::TransactionDbContentHash(*db);
-
   serve::Snapshot snapshot;
   snapshot.stream = std::move(body.stream);
   snapshot.source = std::move(body.source);
@@ -135,6 +133,7 @@ Frame ShardWorker::HandleSubmit(const Frame& request) {
     case serve::SubmitResult::kAccepted:
       result.status = 202;
       result.sequence = ingest.sequence;
+      result.content_hash = ingest.content_hash;
       break;
   }
   return {MessageType::kSubmitResult, request.request_id, result.Encode()};
@@ -236,7 +235,6 @@ Frame ShardWorker::HandleStreamPartials(const Frame& request) {
     return ErrorFrame(request.request_id, "unknown deviation function codes");
   }
   PartialAggregateBody result;
-  std::vector<double> values;
   for (const std::string& name : service_.ListStreams()) {
     const auto deviation = service_.QueryDeviation(name, fn);
     if (!deviation.has_value()) continue;
@@ -244,15 +242,7 @@ Frame ShardWorker::HandleStreamPartials(const Frame& request) {
     entry.stream = name;
     entry.has_deviation = deviation->has_deviation ? 1 : 0;
     entry.deviation = deviation->deviation;
-    if (deviation->has_deviation) values.push_back(deviation->deviation);
     result.entries.push_back(std::move(entry));
-  }
-  result.value_count = static_cast<uint32_t>(values.size());
-  if (!values.empty()) {
-    result.partial_sum = core::AggregateValues(core::AggregateKind::kSum,
-                                               values);
-    result.partial_max = core::AggregateValues(core::AggregateKind::kMax,
-                                               values);
   }
   return {MessageType::kPartialAggregate, request.request_id, result.Encode()};
 }

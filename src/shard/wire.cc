@@ -506,9 +506,6 @@ std::string PartialAggregateBody::Encode() const {
     out.PutU8(entry.has_deviation);
     out.PutDouble(entry.deviation);
   }
-  out.PutDouble(partial_sum);
-  out.PutDouble(partial_max);
-  out.PutU32(value_count);
   return out.Take();
 }
 
@@ -528,8 +525,7 @@ bool PartialAggregateBody::Decode(std::string_view payload) {
     }
     entries.push_back(std::move(entry));
   }
-  return in.GetDouble(&partial_sum) && in.GetDouble(&partial_max) &&
-         in.GetU32(&value_count) && in.AtEnd();
+  return in.AtEnd();
 }
 
 std::string ErrorBody::Encode() const {

@@ -287,10 +287,9 @@ struct StreamPartialsBody {
 };
 
 // One shard's contribution to a cross-stream aggregate: the per-stream
-// deviations it owns plus its local partial g_sum/g_max over them. g_max
-// partials merge exactly (max is associative); g_sum is merged by
-// recombining the per-stream terms in canonical (sorted-name) order, since
-// floating-point addition is not associative — see docs/SHARDING.md.
+// deviations it owns. The router folds every shard's terms in canonical
+// (sorted-name) order, since floating-point addition is not associative —
+// see docs/SHARDING.md.
 struct PartialAggregateBody {
   struct Entry {
     std::string stream;
@@ -298,9 +297,6 @@ struct PartialAggregateBody {
     double deviation = 0.0;
   };
   std::vector<Entry> entries;
-  double partial_sum = 0.0;  // over entries with has_deviation, shard order
-  double partial_max = 0.0;
-  uint32_t value_count = 0;  // entries with has_deviation
 
   std::string Encode() const;
   bool Decode(std::string_view payload);

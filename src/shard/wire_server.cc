@@ -19,9 +19,7 @@ constexpr int kTickMs = 50;
 }  // namespace
 
 WireServer::WireServer(WireServerOptions options, Handler handler)
-    : options_(std::move(options)),
-      handler_(std::move(handler)),
-      poller_(options_.force_poll) {}
+    : options_(std::move(options)), handler_(std::move(handler)) {}
 
 WireServer::~WireServer() { Stop(); }
 

@@ -26,8 +26,6 @@ struct WireServerOptions {
   // A connection silent this long (mid-frame or between frames) is closed.
   int read_deadline_ms = 30'000;
   WireLimits limits;
-  // Use the poll(2) engine even where epoll exists (tests).
-  bool force_poll = false;
 };
 
 struct WireServerStats {

@@ -43,13 +43,14 @@ TEST(DiffCache, HitEqualsColdMiss) {
         const lits::LitsModel cold = lits::Apriori(db, workload.apriori);
 
         ModelCache cache(4, workload.apriori);
+        const uint64_t hash = TransactionDbContentHash(db);
         bool hit = true;
-        const auto missed = cache.GetOrMine(db, &hit);
+        const auto missed = cache.GetOrMineIndexed(db, hash, &hit).model;
         if (hit) return PropResult::Fail("first access reported a hit");
         if (!SameModel(*missed, cold))
           return PropResult::Fail("cached miss differs from cold mining");
 
-        const auto served = cache.GetOrMine(db, &hit);
+        const auto served = cache.GetOrMineIndexed(db, hash, &hit).model;
         if (!hit) return PropResult::Fail("second access reported a miss");
         if (served.get() != missed.get())
           return PropResult::Fail("hit returned a different object");
@@ -57,9 +58,9 @@ TEST(DiffCache, HitEqualsColdMiss) {
             0.0)
           return PropResult::Fail("delta*(hit, cold) != 0");
 
-        const auto looked_up = cache.Lookup(TransactionDbContentHash(db));
-        if (looked_up.get() != missed.get())
-          return PropResult::Fail("Lookup by content hash missed");
+        const auto looked_up = cache.LookupMined(hash);
+        if (!looked_up.has_value() || looked_up->model.get() != missed.get())
+          return PropResult::Fail("LookupMined by content hash missed");
 
         const ModelCacheStats stats = cache.stats();
         if (stats.hits != 2 || stats.misses != 1 || stats.evictions != 0)
@@ -73,18 +74,20 @@ TEST(DiffCache, HitEqualsColdMiss) {
 
 TEST(DiffCache, EvictionNeverChangesServedModels) {
   // Three distinct snapshots churning through a capacity-2 cache with a
-  // random access pattern: every GetOrMine must still serve exactly the
-  // cold-mined model for its snapshot, and the hit/miss/eviction ledger
-  // must add up.
+  // random access pattern: every GetOrMineIndexed must still serve exactly
+  // the cold-mined model for its snapshot, and the hit/miss/eviction
+  // ledger must add up.
   EXPECT_TRUE(Check<proptest::LitsTriple>(
       "diff/cache-eviction-consistency", proptest::LitsTripleDomain(),
       [](const proptest::LitsTriple& triple) {
         const std::vector<proptest::LitsWorkload> workloads = {
             triple.a, triple.b, triple.c};
         std::vector<data::TransactionDb> dbs;
+        std::vector<uint64_t> hashes;
         std::vector<lits::LitsModel> cold;
         for (const proptest::LitsWorkload& workload : workloads) {
           dbs.push_back(proptest::MaterializeDb(workload));
+          hashes.push_back(TransactionDbContentHash(dbs.back()));
           cold.push_back(lits::Apriori(dbs.back(), triple.a.apriori));
         }
 
@@ -94,7 +97,8 @@ TEST(DiffCache, EvictionNeverChangesServedModels) {
         for (int step = 0; step < 24; ++step) {
           const auto pick =
               static_cast<size_t>(access_rng.IntIn(0, 2));
-          const auto served = cache.GetOrMine(dbs[pick]);
+          const auto served =
+              cache.GetOrMineIndexed(dbs[pick], hashes[pick]).model;
           ++accesses;
           if (!SameModel(*served, cold[pick]))
             return PropResult::Fail("served model differs from cold mining");

@@ -5,10 +5,10 @@
 // budgets that force eviction mid-scan, and pool sizes 1/2/4/8. Every
 // count is an integer and every derived double divides the same integers,
 // so nothing here allows a tolerance. Pinned consumers: SupportCounter
-// (serial + parallel), VerticalIndex builds, Apriori mining,
-// LitsDeviation, bootstrap significance, sampling extraction (plain and
-// pooled), the serving layer's content hash, and the two-stage change
-// monitor.
+// (serial + parallel) and CountSupports, VerticalIndex builds, Apriori
+// mining, LitsDeviation and its focussed and per-region forms, bootstrap
+// significance, sampling extraction (plain and pooled), the serving
+// layer's content hash, and the two-stage change monitor.
 
 #include <cstdint>
 #include <memory>
@@ -178,6 +178,22 @@ TEST(LawsBlockStore, MiningDeviationAndSignificanceExact) {
   const lits::LitsModel m2 = lits::Apriori(d2, apriori);
   const double dev_mem = core::LitsDeviation(m1, d1, m2, d2, fn);
 
+  // A department of half the items focusses the deviation (§5.1).
+  std::vector<int32_t> department;
+  for (int32_t item = 0; item < d1.num_items() / 2; ++item) {
+    department.push_back(item);
+  }
+  const core::ItemsetPredicate focus = core::WithinItems(department);
+  const double focused_mem =
+      core::LitsDeviationFocused(m1, d1, m2, d2, focus, fn);
+  EXPECT_GT(focused_mem, 0.0);
+  EXPECT_LT(focused_mem, dev_mem);
+  const std::vector<core::LitsRegionDeviation> regions_mem =
+      core::LitsPerRegionDeviations(m1, d1, m2, d2, fn.f);
+  ASSERT_FALSE(regions_mem.empty());
+  const std::vector<lits::Itemset> probes = ProbeItemsets(d1.num_items());
+  const std::vector<double> supports_mem = lits::CountSupports(d1, probes);
+
   core::SignificanceOptions significance;
   significance.num_replicates = 5;
   const core::SignificanceResult sig_mem =
@@ -201,6 +217,20 @@ TEST(LawsBlockStore, MiningDeviationAndSignificanceExact) {
     ExpectSameModel(m2, bm2);
 
     EXPECT_EQ(core::LitsDeviation(bm1, s1, bm2, s2, fn), dev_mem)
+        << "block_size=" << block_size;
+    EXPECT_EQ(core::LitsDeviationFocused(bm1, s1, bm2, s2, focus, fn),
+              focused_mem)
+        << "block_size=" << block_size;
+    const std::vector<core::LitsRegionDeviation> regions_blk =
+        core::LitsPerRegionDeviations(bm1, s1, bm2, s2, fn.f);
+    ASSERT_EQ(regions_blk.size(), regions_mem.size());
+    for (size_t i = 0; i < regions_mem.size(); ++i) {
+      EXPECT_EQ(regions_blk[i].itemset, regions_mem[i].itemset);
+      EXPECT_EQ(regions_blk[i].support1, regions_mem[i].support1);
+      EXPECT_EQ(regions_blk[i].support2, regions_mem[i].support2);
+      EXPECT_EQ(regions_blk[i].deviation, regions_mem[i].deviation);
+    }
+    EXPECT_EQ(lits::CountSupports(s1, probes), supports_mem)
         << "block_size=" << block_size;
 
     const core::SignificanceResult sig_blk =
@@ -249,9 +279,7 @@ TEST(LawsBlockStore, SamplingPooledAndContentHashExact) {
   ExpectSameDb(TakeTransactions(pool_db, pooled_indices),
                TakeTransactionsPooled(d1, d2, pooled_indices));
 
-  EXPECT_EQ(serve::TxnSourceContentHash(s1),
-            serve::TransactionDbContentHash(d1));
-  EXPECT_EQ(serve::TxnSourceContentHash(d1),
+  EXPECT_EQ(serve::TransactionDbContentHash(s1),
             serve::TransactionDbContentHash(d1));
 }
 

@@ -3,7 +3,7 @@
 // row-at-a-time routing: every batched leaf equals both Route and the
 // tree's own LeafIndexOf — under arbitrary batch widths 1..8 and gathered
 // (non-contiguous, unsorted) row lists — and the dt measure scans and
-// deviations are EXPECT_EQ-exact across forced FOCUS_DT_BATCH modes
+// deviations are EXPECT_EQ-exact across forced batch-routing modes
 // (ScopedBatchRoutingForTesting both ways, since tiny proptest trees
 // would otherwise never take the batched product path) and serial vs
 // pool sizes 1/2/4/8, with and without a focussing box.

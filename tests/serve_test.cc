@@ -12,6 +12,7 @@
 #include <chrono>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -56,6 +57,13 @@ Snapshot MakeSnapshot(const std::string& stream, uint64_t seed,
 
 // ------------------------------------------------------------ model cache
 
+// The cached model of `db`, keyed by its content hash as Ingest keys it.
+std::shared_ptr<const lits::LitsModel> Mine(ModelCache& cache,
+                                            const data::TransactionDb& db,
+                                            bool* hit = nullptr) {
+  return cache.GetOrMineIndexed(db, TransactionDbContentHash(db), hit).model;
+}
+
 TEST(ModelCacheTest, ContentHashIsContentBased) {
   const data::TransactionDb a = QuestDb(1);
   const data::TransactionDb b = QuestDb(1);  // same content, fresh object
@@ -69,12 +77,12 @@ TEST(ModelCacheTest, HitsOnRepeatedSnapshotMissesOnNew) {
   options.min_support = 0.05;
   ModelCache cache(4, options);
   bool hit = true;
-  const auto first = cache.GetOrMine(QuestDb(1), &hit);
+  const auto first = Mine(cache, QuestDb(1), &hit);
   EXPECT_FALSE(hit);
-  const auto again = cache.GetOrMine(QuestDb(1), &hit);
+  const auto again = Mine(cache, QuestDb(1), &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(first.get(), again.get());  // same cached object
-  cache.GetOrMine(QuestDb(2), &hit);
+  Mine(cache, QuestDb(2), &hit);
   EXPECT_FALSE(hit);
   const ModelCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1);
@@ -86,16 +94,16 @@ TEST(ModelCacheTest, EvictsLeastRecentlyUsed) {
   lits::AprioriOptions options;
   options.min_support = 0.05;
   ModelCache cache(2, options);
-  cache.GetOrMine(QuestDb(1));
-  cache.GetOrMine(QuestDb(2));
-  cache.GetOrMine(QuestDb(1));  // promote db1; db2 is now LRU
-  cache.GetOrMine(QuestDb(3));  // evicts db2
+  Mine(cache, QuestDb(1));
+  Mine(cache, QuestDb(2));
+  Mine(cache, QuestDb(1));  // promote db1; db2 is now LRU
+  Mine(cache, QuestDb(3));  // evicts db2
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1);
   bool hit = false;
-  cache.GetOrMine(QuestDb(1), &hit);
+  Mine(cache, QuestDb(1), &hit);
   EXPECT_TRUE(hit);  // survivor
-  cache.GetOrMine(QuestDb(2), &hit);
+  Mine(cache, QuestDb(2), &hit);
   EXPECT_FALSE(hit);  // was evicted
 }
 
@@ -104,7 +112,7 @@ TEST(ModelCacheTest, CachedModelMatchesDirectMining) {
   options.min_support = 0.05;
   ModelCache cache(2, options);
   const data::TransactionDb db = QuestDb(5);
-  const auto cached = cache.GetOrMine(db);
+  const auto cached = Mine(cache, db);
   const lits::LitsModel direct = lits::Apriori(db, options);
   ASSERT_EQ(cached->size(), direct.size());
   for (const lits::Itemset& itemset : direct.StructuralComponent()) {
@@ -118,8 +126,8 @@ TEST(ModelCacheTest, LookupMinedResolvesOnlyCachedHashes) {
   options.min_support = 0.05;
   ModelCache cache(2, options);
   const data::TransactionDb db = QuestDb(1);
-  const MinedSnapshot mined = cache.GetOrMineIndexed(db);
   const uint64_t hash = TransactionDbContentHash(db);
+  const MinedSnapshot mined = cache.GetOrMineIndexed(db, hash);
 
   const auto found = cache.LookupMined(hash);
   ASSERT_TRUE(found.has_value());
@@ -129,12 +137,27 @@ TEST(ModelCacheTest, LookupMinedResolvesOnlyCachedHashes) {
 
   // Lookup promotes: after touching db1, inserting two more evicts db2,
   // not db1.
-  cache.GetOrMine(QuestDb(2));
+  Mine(cache, QuestDb(2));
   ASSERT_TRUE(cache.LookupMined(hash).has_value());
-  cache.GetOrMine(QuestDb(3));
+  Mine(cache, QuestDb(3));
   EXPECT_TRUE(cache.LookupMined(hash).has_value());
   EXPECT_FALSE(
       cache.LookupMined(TransactionDbContentHash(QuestDb(2))).has_value());
+}
+
+// The cache keys an entry on the hash its caller passes and never hashes
+// the snapshot itself.
+TEST(ModelCacheTest, KeysOnTheHashItIsGiven) {
+  lits::AprioriOptions options;
+  options.min_support = 0.05;
+  ModelCache cache(2, options);
+  const data::TransactionDb db = QuestDb(1);
+  const uint64_t key = TransactionDbContentHash(db) ^ 1;
+  const MinedSnapshot mined = cache.GetOrMineIndexed(db, key);
+  const auto found = cache.LookupMined(key);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->model.get(), mined.model.get());
+  EXPECT_FALSE(cache.LookupMined(TransactionDbContentHash(db)).has_value());
 }
 
 TEST(ModelCacheTest, SurfacesCountersThroughMetricsRegistry) {
@@ -142,9 +165,9 @@ TEST(ModelCacheTest, SurfacesCountersThroughMetricsRegistry) {
   options.min_support = 0.05;
   MetricsRegistry registry;
   ModelCache cache(1, options, &registry);
-  cache.GetOrMine(QuestDb(1));  // miss
-  cache.GetOrMine(QuestDb(1));  // hit
-  cache.GetOrMine(QuestDb(2));  // miss + evicts db1
+  Mine(cache, QuestDb(1));  // miss
+  Mine(cache, QuestDb(1));  // hit
+  Mine(cache, QuestDb(2));  // miss + evicts db1
   EXPECT_EQ(registry.GetCounter("cache_hits").Value(), 1);
   EXPECT_EQ(registry.GetCounter("cache_misses").Value(), 2);
   EXPECT_EQ(registry.GetCounter("cache_evictions").Value(), 1);
@@ -369,6 +392,23 @@ TEST(MonitorServiceTest, RepeatedSnapshotHitsModelCache) {
   EXPECT_TRUE(saw_cache_hit);
   EXPECT_GE(service.model_cache().stats().hits, 1);
   EXPECT_EQ(metrics.GetCounter("cache_hits").Value(), 1);
+}
+
+// Ingest hashes the snapshot once and returns that hash; processing then
+// caches the mined snapshot under it, so a compare by that hash resolves.
+TEST(MonitorServiceTest, IngestReturnsTheHashTheCacheKeysOn) {
+  MonitorService service(SmallServiceOptions(), QuestDb(1000), nullptr);
+  const uint64_t expected = TransactionDbContentHash(QuestDb(77));
+  const IngestResult result =
+      service.Ingest(MakeSnapshot("s", 77), std::nullopt);
+  ASSERT_EQ(result.status, SubmitResult::kAccepted);
+  EXPECT_EQ(result.content_hash, expected);
+  service.Flush();
+  const std::optional<MinedSnapshot> mined =
+      service.model_cache().LookupMined(result.content_hash);
+  ASSERT_TRUE(mined.has_value());
+  EXPECT_NE(mined->model, nullptr);
+  EXPECT_NE(mined->index, nullptr);
 }
 
 // One reference, two streams from different processes: each keeps its

@@ -262,5 +262,52 @@ TEST_F(ServedHttpTest, ReactorsShareOneWorkerWithDenseSequences) {
       << text.str();
 }
 
+// A --port outside [0, 65535] and a --max-connections below --reactors are
+// usage errors before the reference is read. Without the checks, --port
+// 65536 wraps to an ephemeral port and --max-connections 1 --reactors 2
+// leaves each reactor 0 slots, so every request answers 503.
+TEST_F(ServedHttpTest, OutOfRangePortAndConnectionCapAreUsageErrors) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"--port", "65536"},
+      {"--port", "-1"},
+      {"--max-connections", "1", "--reactors", "2", "--port", "0"}};
+  for (const std::vector<std::string>& flags : cases) {
+    std::vector<std::string> args = {FOCUS_SERVED_PATH, "--reference",
+                                     reference_path_, "--port-file",
+                                     port_file_};
+    args.insert(args.end(), flags.begin(), flags.end());
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    pid_ = fork();
+    if (pid_ == 0) {
+      const int out = open((root_ / "stdout.txt").c_str(),
+                           O_WRONLY | O_CREAT | O_TRUNC, 0644);
+      dup2(out, STDOUT_FILENO);
+      dup2(out, STDERR_FILENO);
+      execv(FOCUS_SERVED_PATH, argv.data());
+      _exit(127);  // exec failed
+    }
+    // A daemon that took the flags keeps serving; TearDown kills it.
+    int status = 0;
+    pid_t reaped = 0;
+    for (int i = 0; i < 500 && reaped == 0; ++i) {
+      reaped = waitpid(pid_, &status, WNOHANG);
+      if (reaped == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+    }
+    ASSERT_EQ(reaped, pid_) << flags[0] << " " << flags[1] << " was accepted";
+    pid_ = -1;
+    std::ifstream log(root_ / "stdout.txt");
+    std::stringstream text;
+    text << log.rdbuf();
+    ASSERT_TRUE(WIFEXITED(status)) << text.str();
+    EXPECT_EQ(WEXITSTATUS(status), 1) << text.str();
+    EXPECT_NE(text.str().find(flags[0]), std::string::npos) << text.str();
+    EXPECT_FALSE(fs::exists(port_file_)) << flags[0];
+  }
+}
+
 }  // namespace
 }  // namespace focus

@@ -1,4 +1,4 @@
-// Unit tests for data::simd — the dispatched AND/AND-NOT popcount kernel.
+// Unit tests for data::simd — the dispatched k-way AND popcount kernel.
 // The contract under test is exactness: every dispatch level returns the
 // same integers as a std::popcount reference loop, on every length
 // (vector-width remainders included) and on adversarial word patterns.
@@ -71,13 +71,13 @@ TEST(SimdKernelsTest, PopcountMatchesReferenceAtEveryLevelAndLength) {
     const uint64_t* stream = words.data();
     for (Level level : SupportedLevels()) {
       ScopedLevelForTesting scoped(level);
-      EXPECT_EQ(IntersectPopcountWords(&stream, 1, nullptr, n), expected)
+      EXPECT_EQ(IntersectPopcountWords(&stream, 1, n), expected)
           << "n=" << n << " level=" << LevelName(level);
     }
   }
 }
 
-TEST(SimdKernelsTest, AndAndAndNotMatchReferenceAtEveryLevel) {
+TEST(SimdKernelsTest, AndMatchesReferenceAtEveryLevel) {
   std::mt19937_64 rng = stats::MakeRng(0xBEEF);
   for (const int64_t n : {1, 7, 8, 9, 31, 32, 33, 500}) {
     std::vector<uint64_t> a(static_cast<size_t>(n));
@@ -87,54 +87,40 @@ TEST(SimdKernelsTest, AndAndAndNotMatchReferenceAtEveryLevel) {
       b[static_cast<size_t>(i)] = rng();
     }
     int64_t expected_and = 0;
-    int64_t expected_andnot = 0;
     for (int64_t i = 0; i < n; ++i) {
       expected_and += std::popcount(a[static_cast<size_t>(i)] &
                                     b[static_cast<size_t>(i)]);
-      expected_andnot += std::popcount(a[static_cast<size_t>(i)] &
-                                       ~b[static_cast<size_t>(i)]);
     }
     const uint64_t* both[] = {a.data(), b.data()};
     for (Level level : SupportedLevels()) {
       ScopedLevelForTesting scoped(level);
-      EXPECT_EQ(IntersectPopcountWords(both, 2, nullptr, n), expected_and)
-          << "n=" << n << " level=" << LevelName(level);
-      EXPECT_EQ(IntersectPopcountWords(both, 1, b.data(), n), expected_andnot)
+      EXPECT_EQ(IntersectPopcountWords(both, 2, n), expected_and)
           << "n=" << n << " level=" << LevelName(level);
     }
   }
 }
 
-TEST(SimdKernelsTest, KWayIntersectWithExcludeMatchesReference) {
+TEST(SimdKernelsTest, KWayIntersectMatchesReference) {
   std::mt19937_64 rng = stats::MakeRng(0xFACADE);
   constexpr int64_t kWords = 77;  // not a multiple of any vector stride
   for (const int k : {1, 2, 3, 5, 9}) {
     std::vector<std::vector<uint64_t>> streams(
         static_cast<size_t>(k), std::vector<uint64_t>(kWords));
-    std::vector<uint64_t> exclude(kWords);
     std::vector<const uint64_t*> ptrs;
     for (auto& stream : streams) {
       for (uint64_t& word : stream) word = rng();
       ptrs.push_back(stream.data());
     }
-    for (uint64_t& word : exclude) word = rng();
 
     int64_t expected = 0;
-    int64_t expected_excluded = 0;
     for (int64_t i = 0; i < kWords; ++i) {
       uint64_t acc = ~uint64_t{0};
       for (const auto& stream : streams) acc &= stream[static_cast<size_t>(i)];
       expected += std::popcount(acc);
-      expected_excluded +=
-          std::popcount(acc & ~exclude[static_cast<size_t>(i)]);
     }
     for (Level level : SupportedLevels()) {
       ScopedLevelForTesting scoped(level);
-      EXPECT_EQ(IntersectPopcountWords(ptrs.data(), k, nullptr, kWords),
-                expected)
-          << "k=" << k << " level=" << LevelName(level);
-      EXPECT_EQ(IntersectPopcountWords(ptrs.data(), k, exclude.data(), kWords),
-                expected_excluded)
+      EXPECT_EQ(IntersectPopcountWords(ptrs.data(), k, kWords), expected)
           << "k=" << k << " level=" << LevelName(level);
     }
   }
@@ -149,12 +135,9 @@ TEST(SimdKernelsTest, ExtremeDensityWords) {
     const uint64_t* ones_zeros[] = {ones.data(), zeros.data()};
     for (Level level : SupportedLevels()) {
       ScopedLevelForTesting scoped(level);
-      EXPECT_EQ(IntersectPopcountWords(ones_zeros, 1, nullptr, n), 64 * n);
-      EXPECT_EQ(IntersectPopcountWords(ones_zeros + 1, 1, nullptr, n), 0);
-      EXPECT_EQ(IntersectPopcountWords(ones_zeros, 2, nullptr, n), 0);
-      EXPECT_EQ(IntersectPopcountWords(ones_zeros, 1, zeros.data(), n),
-                64 * n);
-      EXPECT_EQ(IntersectPopcountWords(ones_zeros, 1, ones.data(), n), 0);
+      EXPECT_EQ(IntersectPopcountWords(ones_zeros, 1, n), 64 * n);
+      EXPECT_EQ(IntersectPopcountWords(ones_zeros + 1, 1, n), 0);
+      EXPECT_EQ(IntersectPopcountWords(ones_zeros, 2, n), 0);
     }
   }
 }

@@ -21,12 +21,15 @@
 //     [--warmup 5] [--slack 0.5] [--decision 5.0]
 //     [--threads 4] [--queue 64] [--cache 64]
 //     [--max-connections 256] [--read-deadline-ms 10000]
-//     [--ingest-wait-ms 20] [--events PATH] [--force-poll 0]
+//     [--ingest-wait-ms 20] [--events PATH]
 //     [--shards 0] [--reactors 1] [--shard-dir PATH]
 //
 // --port 0 binds a kernel-assigned ephemeral port; --port-file writes the
 // bound port as a single line once the server is listening (how the
-// integration tests and scripts find it).
+// integration tests and scripts find it). A --port outside [0, 65535], or
+// a --max-connections below --reactors (each reactor takes an equal share
+// of the connections), is a usage error, reported before the reference is
+// read, as is an out-of-range service flag.
 //
 // Every deployment is the one of docs/SHARDING.md: --reactors
 // SO_REUSEPORT event loops, each with its own shard::ShardedApi and
@@ -66,6 +69,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -136,7 +140,6 @@ int WorkerMain(const shard::ShardWorkerOptions& options,
   shard::WireServerOptions server_options;
   server_options.unix_path = socket_path;
   server_options.read_deadline_ms = ReadDeadlineMs(flags);
-  server_options.force_poll = flags.GetInt("force-poll", 0) != 0;
   std::string error;
   if (!worker.Serve(server_options, &error)) {
     std::fprintf(stderr, "focus_served[shard %u]: cannot listen on %s: %s\n",
@@ -280,6 +283,24 @@ int Run(const common::Flags& flags) {
     std::fprintf(stderr, "--reactors must be >= 1\n");
     return 1;
   }
+  const int64_t port = flags.GetInt("port", 8080);
+  if (port < 0 || port > 65535) {
+    std::fprintf(stderr, "--port must be an integer in [0, 65535], got %lld\n",
+                 static_cast<long long>(port));
+    return 1;
+  }
+  // Each reactor gets max-connections / reactors slots, so fewer
+  // connections than reactors would leave one with none.
+  const int64_t max_connections = flags.GetInt("max-connections", 256);
+  if (max_connections < num_reactors ||
+      max_connections > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr,
+                 "--max-connections must be an integer in [%d, %d] (at least "
+                 "--reactors), got %lld\n",
+                 num_reactors, std::numeric_limits<int>::max(),
+                 static_cast<long long>(max_connections));
+    return 1;
+  }
   const std::string events_path = flags.Get("events", "");
   if (num_shards > 0 && !events_path.empty()) {
     std::fprintf(stderr,
@@ -337,8 +358,6 @@ int Run(const common::Flags& flags) {
     }
   }
 
-  const int num_connections =
-      static_cast<int>(flags.GetInt("max-connections", 256));
   std::vector<Reactor> reactors(static_cast<size_t>(num_reactors));
   uint16_t bound_port = 0;
   for (int r = 0; r < num_reactors; ++r) {
@@ -359,13 +378,11 @@ int Run(const common::Flags& flags) {
     server_options.bind_address = flags.Get("address", "127.0.0.1");
     // Reactor 0 binds the requested port (possibly ephemeral); the rest
     // join it through SO_REUSEPORT so the kernel spreads connections.
-    server_options.port =
-        r == 0 ? static_cast<uint16_t>(flags.GetInt("port", 8080))
-               : bound_port;
+    server_options.port = r == 0 ? static_cast<uint16_t>(port) : bound_port;
     server_options.reuse_port = num_reactors > 1;
-    server_options.max_connections = num_connections / num_reactors;
+    server_options.max_connections =
+        static_cast<int>(max_connections / num_reactors);
     server_options.read_deadline_ms = ReadDeadlineMs(flags);
-    server_options.force_poll = flags.GetInt("force-poll", 0) != 0;
     reactor.server = std::make_unique<net::HttpServer>(
         server_options, reactor.api->BuildRouter());
     reactor.api->AttachServer(reactor.server.get());
@@ -469,7 +486,7 @@ int main(int argc, char** argv) {
       {"reference", "address", "port", "port-file", "minsup", "factor",
        "replicates", "calibration", "warmup", "slack", "decision", "threads",
        "queue", "cache", "max-connections", "read-deadline-ms",
-       "ingest-wait-ms", "events", "force-poll", "shards", "reactors",
+       "ingest-wait-ms", "events", "shards", "reactors",
        "shard-dir"});
   if (!flags.has_value()) return 1;
   return focus::daemon::Run(*flags);
