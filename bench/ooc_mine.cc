@@ -32,7 +32,8 @@
 //   --budget-mib=N      RSS budget asserted at FOCUS_FULL (default 256)
 //   --rlimit-as-mib=N   setrlimit(RLIMIT_AS) in the block-phase children —
 //                       the ctest row proves the out-of-core mine really
-//                       runs inside a hard address-space cap
+//                       runs inside a hard address-space cap (not applied,
+//                       and said so, in an AddressSanitizer build)
 //   --block-size-kib=N  block payload size (default 1024 = 1 MiB)
 
 #include <sys/resource.h>
@@ -64,6 +65,20 @@
 
 namespace focus {
 namespace {
+
+// AddressSanitizer reserves its shadow memory as address space up front,
+// far beyond any RLIMIT_AS the block phases could run under.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kAddressSanitizer = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+constexpr bool kAddressSanitizer = true;
+#else
+constexpr bool kAddressSanitizer = false;
+#endif
+#else
+constexpr bool kAddressSanitizer = false;
+#endif
 
 int64_t ReadVmHwmKib() {
   std::ifstream status("/proc/self/status");
@@ -169,6 +184,12 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 1;
     }
+  }
+  if (kAddressSanitizer && rlimit_as_mib > 0) {
+    std::printf("ooc_mine: AddressSanitizer build, --rlimit-as-mib=%lld "
+                "not applied\n",
+                static_cast<long long>(rlimit_as_mib));
+    rlimit_as_mib = 0;
   }
   const int64_t block_size = block_size_kib << 10;
   const bool full = common::GetEnvBool("FOCUS_FULL", false);

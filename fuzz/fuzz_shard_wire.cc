@@ -105,7 +105,8 @@ struct Outcome {
 };
 
 // Runs the decoder over `bytes` delivered in `chunk`-sized pieces,
-// draining completed frames through Reset like WireServer does.
+// draining completed frames through Reset like the server loop's wire
+// codec does (src/shard/wire_server.cc).
 Outcome Decode(std::string_view bytes, const WireLimits& limits,
                size_t chunk) {
   Outcome outcome;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace focus::common {
 
@@ -47,6 +48,20 @@ double Flags::GetDouble(const std::string& key, double fallback) const {
 int64_t Flags::GetInt(const std::string& key, int64_t fallback) const {
   const auto it = values_.find(key);
   return it == values_.end() ? fallback : std::atoll(it->second.c_str());
+}
+
+bool ReadIntFlag(const Flags& flags, const char* name, int64_t fallback,
+                 int64_t min, int* out, std::string* error) {
+  const int64_t value = flags.GetInt(name, fallback);
+  if (value < min || value > std::numeric_limits<int>::max()) {
+    *error = std::string("--") + name + " must be an integer in [" +
+             std::to_string(min) + ", " +
+             std::to_string(std::numeric_limits<int>::max()) + "], got " +
+             flags.Get(name, "");
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
 }
 
 }  // namespace focus::common

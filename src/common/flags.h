@@ -37,6 +37,11 @@ class Flags {
   std::map<std::string, std::string> values_;
 };
 
+// Reads integer flag `name` into `*out`. False, with `*error` naming the
+// flag and its range, when the value is below `min` or does not fit an int.
+bool ReadIntFlag(const Flags& flags, const char* name, int64_t fallback,
+                 int64_t min, int* out, std::string* error);
+
 }  // namespace focus::common
 
 #endif  // FOCUS_COMMON_FLAGS_H_

@@ -59,38 +59,36 @@ std::vector<double> LitsNullDeviations(
   std::mt19937_64 rng = stats::MakeRng(options.seed);
   std::vector<double> null_values(replicates);
 
-  if (options.pool == nullptr) {
-    for (int r = 0; r < replicates; ++r) {
-      const data::TransactionDb b1 = data::TakeTransactionsPooled(
-          d1, d2, data::SampleIndicesWithReplacement(n1 + n2, n1, rng));
-      const data::TransactionDb b2 = data::TakeTransactionsPooled(
-          d1, d2, data::SampleIndicesWithReplacement(n1 + n2, n2, rng));
-      null_values[r] = ReplicateDeviation(b1, b2, apriori_options, fn);
-    }
-    return null_values;
-  }
-
-  // A batch's draws are made serially, in replicate order, so the rng
-  // sequence is the serial loop's; its replicates then run one per shard.
-  const int batch = options.pool->num_threads() + 1;
+  // A batch's draws are made serially, in replicate order (d1's indices,
+  // then d2's), so the rng sequence does not depend on the batch size; its
+  // replicates then run one per pool shard. Without a pool, batches of one
+  // run inline.
+  const int batch =
+      options.pool == nullptr ? 1 : options.pool->num_threads() + 1;
   std::vector<std::vector<int64_t>> draws(2 * static_cast<size_t>(batch));
+  const auto run = [&](int first, int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      const data::TransactionDb b1 =
+          data::TakeTransactionsPooled(d1, d2, draws[2 * i]);
+      const data::TransactionDb b2 =
+          data::TakeTransactionsPooled(d1, d2, draws[2 * i + 1]);
+      null_values[first + i] = ReplicateDeviation(b1, b2, apriori_options, fn);
+    }
+  };
   for (int first = 0; first < replicates; first += batch) {
     const int count = std::min(batch, replicates - first);
     for (int i = 0; i < count; ++i) {
       draws[2 * i] = data::SampleIndicesWithReplacement(n1 + n2, n1, rng);
       draws[2 * i + 1] = data::SampleIndicesWithReplacement(n1 + n2, n2, rng);
     }
-    options.pool->ParallelFor(
-        0, count, count, [&](int /*shard*/, int64_t begin, int64_t end) {
-          for (int64_t i = begin; i < end; ++i) {
-            const data::TransactionDb b1 =
-                data::TakeTransactionsPooled(d1, d2, draws[2 * i]);
-            const data::TransactionDb b2 =
-                data::TakeTransactionsPooled(d1, d2, draws[2 * i + 1]);
-            null_values[first + i] =
-                ReplicateDeviation(b1, b2, apriori_options, fn);
-          }
-        });
+    if (options.pool == nullptr) {
+      run(first, 0, count);
+    } else {
+      options.pool->ParallelFor(
+          0, count, count, [&](int /*shard*/, int64_t begin, int64_t end) {
+            run(first, begin, end);
+          });
+    }
   }
   return null_values;
 }

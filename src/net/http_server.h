@@ -1,161 +1,33 @@
 #ifndef FOCUS_NET_HTTP_SERVER_H_
 #define FOCUS_NET_HTTP_SERVER_H_
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <string>
-#include <thread>
-#include <unordered_map>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "net/http_parser.h"
-#include "net/poller.h"
 #include "net/router.h"
-#include "net/socket_util.h"
+#include "net/server.h"
 
 namespace focus::net {
 
-struct HttpServerOptions {
+struct HttpServerOptions : ServerOptions {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;  // 0 = kernel-assigned ephemeral port
-  int backlog = 128;
-  // Beyond this many open connections, new ones are accepted only to send
-  // an immediate 503 and close — the kernel backlog never silently grows.
-  int max_connections = 256;
-  // A connection that has been silent this long mid-request (or between
-  // keep-alive requests) is closed.
-  int read_deadline_ms = 10'000;
   HttpParserLimits limits;
-  // Use the poll(2) engine even where epoll exists (tests).
-  bool force_poll = false;
   // Bind with SO_REUSEPORT so multiple server instances can share one
   // port (the sharded front end runs one reactor per instance and lets
   // the kernel spread accepts across them).
   bool reuse_port = false;
 };
 
-// Point-in-time counters, safe to read from any thread.
-struct HttpServerStats {
-  int64_t connections_accepted = 0;
-  int64_t connections_refused = 0;   // over the connection cap
-  int64_t requests_handled = 0;
-  int64_t parse_errors = 0;          // malformed requests answered 4xx/5xx
-  int64_t deadline_closes = 0;       // read-deadline expirations
-  int64_t open_connections = 0;
-};
-
-// Single-threaded HTTP/1.1 server: one event-loop thread multiplexes the
-// listener and every connection through a level-triggered Poller (epoll on
-// Linux, poll elsewhere); handlers run inline on that thread, so they must
-// either be fast or delegate to their own executor. Reads, writes, and
-// accepts are all non-blocking; per-connection state lives in a small
-// state machine (parse -> dispatch -> buffered write), keep-alive and
-// pipelined requests included.
-//
-// Lifecycle: Start() binds and spawns the loop. BeginDrain() stops
-// accepting, closes idle keep-alive connections, and lets in-flight
-// requests finish writing. Stop() drains (bounded by the read deadline)
-// and joins. Malformed input is answered with the parser's 4xx/5xx status
-// and a closed connection — never a crash or a hang.
-class HttpServer {
+// HTTP/1.1 over the shared Server loop: a TCP listener, an HttpParser
+// per connection (keep-alive and pipelined requests included) whose
+// requests the Router answers, and a 503 for connections over the cap.
+// Malformed requests get the parser's 4xx/5xx status and a close; while
+// draining, each request is answered with Connection: close.
+class HttpServer : public Server {
  public:
-  HttpServer(HttpServerOptions options, Router router);
-  ~HttpServer();  // Stop()
-
-  HttpServer(const HttpServer&) = delete;
-  HttpServer& operator=(const HttpServer&) = delete;
-
-  // Binds, listens, and starts the loop thread. False + `error` on
-  // failure.
-  bool Start(std::string* error = nullptr);
-
-  // The bound port (after Start); useful with port 0.
-  uint16_t port() const { return port_; }
-
-  // Stops accepting and closes connections that are idle between
-  // requests. Safe from any thread; idempotent.
-  void BeginDrain();
-
-  // Blocks until every connection is gone or `timeout_ms` elapsed.
-  // Returns true when fully drained. Call BeginDrain() first.
-  bool WaitDrained(int timeout_ms) EXCLUDES(drained_mutex_);
-
-  // BeginDrain + close everything + join the loop thread. Idempotent.
-  void Stop();
-
-  bool draining() const { return draining_.load(std::memory_order_relaxed); }
-  HttpServerStats stats() const;
-
- private:
-  struct Connection {
-    UniqueFd fd;
-    HttpParser parser;
-    // Serialized responses not yet written. Each queued response
-    // contributes its header block and (unless empty) its body as
-    // SEPARATE buffers; FlushWrites hands the queue front to sendmsg as
-    // one iovec batch, so header + body — and a whole burst of pipelined
-    // responses — go out in a single syscall without concatenation.
-    // Invariant: buffers are non-empty and the front one is never fully
-    // written (FlushWrites pops exhausted fronts), so a non-empty queue
-    // means bytes are pending.
-    std::deque<std::string> out;
-    size_t out_offset = 0;    // bytes of out.front() already written
-    bool close_after_write = false;
-    bool want_write = false;  // write interest currently registered
-    std::chrono::steady_clock::time_point last_activity;
-
-    explicit Connection(UniqueFd fd_in, const HttpParserLimits& limits)
-        : fd(std::move(fd_in)), parser(limits) {}
-  };
-
-  void Loop();
-  void AcceptNew(std::chrono::steady_clock::time_point now);
-  void HandleReadable(Connection* conn,
-                      std::chrono::steady_clock::time_point now);
-  void HandleWritable(Connection* conn);
-  // Runs parser results to completion (possibly several pipelined
-  // requests) and queues response bytes.
-  void DispatchParsed(Connection* conn, HttpParser::Status status);
-  // Takes the response by value so its body moves into the write queue
-  // instead of being copied.
-  void QueueResponse(Connection* conn, HttpResponse response,
-                     bool keep_alive);
-  // Flushes as much of conn->out as the socket accepts (iovec batches via
-  // sendmsg); adjusts write interest; may close. Returns false when the
-  // connection was closed.
-  bool FlushWrites(Connection* conn);
-  void CloseConnection(Connection* conn);
-  void CloseExpired(std::chrono::steady_clock::time_point now);
-  void Wake();
-
-  const HttpServerOptions options_;
-  const Router router_;
-
-  UniqueFd listen_fd_;
-  UniqueFd wake_read_, wake_write_;  // self-pipe: Stop/BeginDrain -> loop
-  uint16_t port_ = 0;
-
-  Poller poller_;
-  std::unordered_map<int, std::unique_ptr<Connection>> connections_;
-
-  std::thread loop_;
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> draining_{false};
-
-  // drained_cv_ broadcasts under drained_mutex_ when open_ reaches zero;
-  // the predicate itself reads the atomic open_ counter.
-  mutable common::Mutex drained_mutex_;
-  common::CondVar drained_cv_;
-
-  // Stats counters (relaxed atomics; read via stats()).
-  std::atomic<int64_t> accepted_{0}, refused_{0}, requests_{0},
-      parse_errors_{0}, deadline_closes_{0};
-  std::atomic<int64_t> open_{0};
+  HttpServer(const HttpServerOptions& options, Router router);
 };
 
 }  // namespace focus::net

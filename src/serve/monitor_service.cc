@@ -1,7 +1,6 @@
 #include "serve/monitor_service.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -14,22 +13,6 @@ namespace focus::serve {
 using common::MutexLock;
 
 namespace {
-
-// Reads integer flag `name` into `*out`. False, with `*error` naming the
-// flag and its range, when the value is below `min` or does not fit an int.
-bool ReadIntFlag(const common::Flags& flags, const char* name,
-                 int64_t fallback, int64_t min, int* out, std::string* error) {
-  const int64_t value = flags.GetInt(name, fallback);
-  if (value < min || value > std::numeric_limits<int>::max()) {
-    *error = std::string("--") + name + " must be an integer in [" +
-             std::to_string(min) + ", " +
-             std::to_string(std::numeric_limits<int>::max()) + "], got " +
-             flags.Get(name, "");
-    return false;
-  }
-  *out = static_cast<int>(value);
-  return true;
-}
 
 // Reads double flag `name` into `*out`. False, with `*error` naming the
 // flag and `range`, when `in_range` rejects the value (NaN included).

@@ -9,15 +9,6 @@
 #include "serve/model_cache.h"
 
 namespace focus::shard {
-namespace {
-
-Frame ErrorFrame(uint32_t request_id, std::string message) {
-  ErrorBody body;
-  body.message = std::move(message);
-  return {MessageType::kError, request_id, body.Encode()};
-}
-
-}  // namespace
 
 ShardWorker::ShardWorker(const ShardWorkerOptions& options,
                          const data::TransactionDb& reference,

@@ -61,7 +61,6 @@ class ShardWorker {
   void Stop();
 
   serve::MonitorService& service() { return service_; }
-  const WireServer* server() const { return server_.get(); }
 
  private:
   Frame HandlePing(const Frame& request);

@@ -250,7 +250,7 @@ net::HttpResponse ShardedApi::HandleMetrics(const net::HttpRequest& request) {
     // counter (each folds only its own server's stats).
     const std::string label =
         "{reactor=\"" + std::to_string(options_.reactor_index) + "\"}";
-    const net::HttpServerStats stats = server_->stats();
+    const net::ServerStats stats = server_->stats();
     metrics_->GetGauge("http_open_connections" + label)
         .Set(static_cast<double>(stats.open_connections));
     auto& requests = metrics_->GetCounter("http_requests" + label);

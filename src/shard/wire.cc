@@ -93,6 +93,12 @@ std::string EncodeFrame(const Frame& frame) {
   return out;
 }
 
+Frame ErrorFrame(uint32_t request_id, std::string message) {
+  ErrorBody body;
+  body.message = std::move(message);
+  return {MessageType::kError, request_id, body.Encode()};
+}
+
 WireDecoder::WireDecoder(const WireLimits& limits) : limits_(limits) {}
 
 WireDecoder::Status WireDecoder::Fail(std::string reason) {

@@ -61,6 +61,9 @@ struct Frame {
 // Serializes header + payload; the inverse of WireDecoder.
 std::string EncodeFrame(const Frame& frame);
 
+// A kError frame whose ErrorBody carries `message`.
+Frame ErrorFrame(uint32_t request_id, std::string message);
+
 // Incremental frame decoder for one connection, in the style of
 // net::HttpParser: feed bytes as they arrive, consume at most one frame
 // per Consume/Reset cycle, buffer any surplus for the next cycle. Errors

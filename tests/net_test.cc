@@ -11,6 +11,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "back_pressure.h"
 #include "net/http_client.h"
 #include "net/http_parser.h"
 #include "net/http_server.h"
@@ -488,7 +489,7 @@ TEST_P(HttpServerEngineTest, ServesRequestsOverLoopback) {
   EXPECT_EQ(missing->status, 404);
 
   server.Stop();
-  const HttpServerStats stats = server.stats();
+  const ServerStats stats = server.stats();
   EXPECT_EQ(stats.connections_accepted, 1);
   EXPECT_EQ(stats.requests_handled, 3);
   EXPECT_EQ(stats.parse_errors, 0);
@@ -612,6 +613,35 @@ TEST(HttpServerTest, DrainStopsAcceptingAndFinishesInFlight) {
     EXPECT_FALSE(late.Get("/ping").has_value());
   }
   server.Stop();
+}
+
+TEST(HttpServerTest, UnreadRepliesStopReadingUntilTheClientReads) {
+  // 512 pipelined requests for 64 KiB each: a server that kept reading
+  // would queue 32 MiB of replies for a client that takes none.
+  const std::string big(64 << 10, 'b');
+  Router router;
+  router.Handle("GET", "/big", [&big](const HttpRequest&, const PathParams&) {
+    HttpResponse response;
+    response.body = big;
+    return response;
+  });
+  HttpServer server(HttpServerOptions{}, std::move(router));
+  ASSERT_TRUE(server.Start());
+  std::string error;
+  const UniqueFd fd = ConnectTcp("127.0.0.1", server.port(), &error);
+  ASSERT_TRUE(fd.valid()) << error;
+
+  constexpr int kRequests = 512;
+  std::string requests;
+  for (int i = 0; i < kRequests; ++i) {
+    requests += "GET /big HTTP/1.1\r\nHost: x\r\n\r\n";
+  }
+  HttpResponse reply;
+  reply.body = big;
+  tests::ExpectBackPressure(
+      fd.get(), requests, kRequests,
+      SerializeResponse(reply, /*keep_alive=*/true).size(),
+      [&server]() { return server.stats().requests_handled; });
 }
 
 TEST(HttpServerTest, ConcurrentClientsAllServed) {

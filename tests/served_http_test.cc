@@ -270,7 +270,20 @@ TEST_F(ServedHttpTest, OutOfRangePortAndConnectionCapAreUsageErrors) {
   const std::vector<std::vector<std::string>> cases = {
       {"--port", "65536"},
       {"--port", "-1"},
-      {"--max-connections", "1", "--reactors", "2", "--port", "0"}};
+      {"--max-connections", "1", "--reactors", "2", "--port", "0"},
+      // Int flags that used to wrap: --shards 4294967296 served with 0
+      // shards, --reactors 4294967297 with 1 reactor, and a
+      // --read-deadline-ms of 4294967596 closed silent connections after
+      // 0.3 s. A deadline of 0 or less would turn the guard off.
+      {"--shards", "4294967296", "--port", "0"},
+      {"--shards", "-1", "--port", "0"},
+      {"--reactors", "4294967297", "--port", "0"},
+      {"--reactors", "0", "--port", "0"},
+      {"--read-deadline-ms", "4294967596", "--port", "0"},
+      {"--read-deadline-ms", "0", "--port", "0"},
+      {"--read-deadline-ms", "-5", "--port", "0"},
+      {"--ingest-wait-ms", "4294967296", "--port", "0"},
+      {"--ingest-wait-ms", "-1", "--port", "0"}};
   for (const std::vector<std::string>& flags : cases) {
     std::vector<std::string> args = {FOCUS_SERVED_PATH, "--reference",
                                      reference_path_, "--port-file",

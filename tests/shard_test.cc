@@ -1,17 +1,23 @@
 // Unit tests for the sharded scale-out stack: wire codec + incremental
 // decoder, consistent-hash ring, the Unix-socket WireServer/ShardClient
-// pair, and ShardWorker frame dispatch. The equivalence laws (sharded ≡
+// pair (the wire side of net::Server's loop, over both Poller engines),
+// and ShardWorker frame dispatch. The equivalence laws (sharded ≡
 // single-node, bit-identical) live in tests/laws/laws_shard_test.cc; this
 // file pins the byte-level and transport-level contracts.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "back_pressure.h"
 #include "datagen/quest_gen.h"
 #include "io/data_io.h"
 #include "shard/hash_ring.h"
@@ -425,6 +431,178 @@ TEST_F(WireSocketTest, ClientReportsServerGone) {
   EXPECT_FALSE(client.Call(MessageType::kPing, "", &response, &error));
   EXPECT_FALSE(error.empty());
 }
+
+// The wire side of the shared server loop, over both Poller engines.
+class WireSocketEngineTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    path_ = SocketPath(GetParam() ? "engine_poll" : "engine_native");
+  }
+
+  void TearDown() override {
+    if (server_ != nullptr) server_->Stop();
+    ::unlink(path_.c_str());
+  }
+
+  // Serves `options` on this test's socket; every frame is answered with
+  // a kPong carrying `reply_payload` bytes.
+  void StartServer(WireServerOptions options, size_t reply_payload = 0) {
+    options.unix_path = path_;
+    options.force_poll = GetParam();
+    server_ = std::make_unique<WireServer>(
+        options, [reply_payload](const Frame& request) {
+          return Frame{MessageType::kPong, request.request_id,
+                       std::string(reply_payload, 'p')};
+        });
+    std::string error;
+    ASSERT_TRUE(server_->Start(&error)) << error;
+  }
+
+  net::UniqueFd Connect() {
+    std::string error;
+    net::UniqueFd fd = net::ConnectUnix(path_, &error);
+    EXPECT_TRUE(fd.valid()) << error;
+    return fd;
+  }
+
+  // Sends `bytes`, then reads until the server closes (or 5 s pass) and
+  // decodes what arrived.
+  static std::vector<Frame> ExchangeUntilClose(int fd, std::string_view bytes) {
+    const timeval timeout{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    if (!bytes.empty()) {
+      EXPECT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+                static_cast<ssize_t>(bytes.size()));
+    }
+    std::string received;
+    char buffer[4096];
+    ssize_t n = 0;
+    while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
+      received.append(buffer, static_cast<size_t>(n));
+    }
+    EXPECT_EQ(n, 0) << "the server did not close the connection";
+    std::vector<Frame> frames;
+    WireDecoder decoder;
+    for (WireDecoder::Status status = decoder.Consume(received);
+         status == WireDecoder::Status::kComplete; status = decoder.Reset()) {
+      frames.push_back(decoder.frame());
+    }
+    EXPECT_TRUE(decoder.idle()) << "trailing bytes after the last frame";
+    return frames;
+  }
+
+  static std::string ErrorMessage(const Frame& frame) {
+    EXPECT_EQ(frame.type, MessageType::kError);
+    ErrorBody body;
+    EXPECT_TRUE(body.Decode(frame.payload));
+    return body.message;
+  }
+
+  std::string path_;
+  std::unique_ptr<WireServer> server_;
+};
+
+TEST_P(WireSocketEngineTest, WorkerAnswersPingAndSubmit) {
+  const data::TransactionDb reference = QuestDb(1);
+  ShardWorker worker(ShardWorkerOptions{}, reference, nullptr);
+  WireServerOptions options;
+  options.unix_path = path_;
+  options.force_poll = GetParam();
+  std::string error;
+  ASSERT_TRUE(worker.Serve(options, &error)) << error;
+
+  ShardClient client(path_);
+  Frame response;
+  ASSERT_TRUE(client.Call(MessageType::kPing, "", &response, &error))
+      << error;
+  EXPECT_EQ(response.type, MessageType::kPong);
+  SubmitSnapshotBody submit;
+  submit.stream = "payments";
+  submit.snapshot = Serialize(QuestDb(2));
+  ASSERT_TRUE(client.Call(MessageType::kSubmitSnapshot, submit.Encode(),
+                          &response, &error))
+      << error;
+  SubmitResultBody result;
+  ASSERT_TRUE(result.Decode(response.payload));
+  EXPECT_EQ(result.status, 202);
+  worker.Stop();
+}
+
+TEST_P(WireSocketEngineTest, OverCapConnectionGetsOneErrorFrame) {
+  WireServerOptions options;
+  options.max_connections = 1;
+  StartServer(options);
+  ShardClient first(path_);  // holds the one slot
+  Frame response;
+  std::string error;
+  ASSERT_TRUE(first.Call(MessageType::kPing, "", &response, &error))
+      << error;
+
+  const net::UniqueFd second = Connect();
+  const std::vector<Frame> frames = ExchangeUntilClose(second.get(), "");
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(ErrorMessage(frames[0]), "connection limit reached");
+  EXPECT_EQ(server_->stats().connections_refused, 1);
+  EXPECT_EQ(server_->stats().connections_accepted, 1);
+}
+
+TEST_P(WireSocketEngineTest, SilentConnectionClosesAtTheReadDeadline) {
+  WireServerOptions options;
+  options.read_deadline_ms = 100;
+  StartServer(options);
+  const net::UniqueFd fd = Connect();
+  // Three bytes of a nine-byte header, then silence.
+  EXPECT_TRUE(
+      ExchangeUntilClose(fd.get(), std::string_view("\x05\x00\x00", 3))
+          .empty());
+  for (int i = 0; i < 100 && server_->stats().open_connections > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(server_->stats().deadline_closes, 1);
+  EXPECT_EQ(server_->stats().open_connections, 0);
+}
+
+TEST_P(WireSocketEngineTest, BadFrameGetsOneErrorFrameAndAClose) {
+  WireServerOptions options;
+  options.limits.max_payload_bytes = 16;
+  StartServer(options);
+  const std::string oversized =
+      EncodeFrame({MessageType::kPing, 1, std::string(64, 'x')});
+  std::string unknown_type = EncodeFrame({MessageType::kPing, 2, ""});
+  unknown_type[4] = static_cast<char>(99);  // the type byte
+  for (const std::string& bytes : {oversized, unknown_type}) {
+    const net::UniqueFd fd = Connect();
+    const std::vector<Frame> frames = ExchangeUntilClose(fd.get(), bytes);
+    ASSERT_EQ(frames.size(), 1u);
+    EXPECT_FALSE(ErrorMessage(frames[0]).empty());
+  }
+  EXPECT_EQ(server_->stats().parse_errors, 2);
+  EXPECT_EQ(server_->stats().requests_handled, 0);
+}
+
+TEST_P(WireSocketEngineTest, UnreadRepliesStopReadingUntilTheClientReads) {
+  // 512 pipelined pings answered with 64 KiB each: a server that kept
+  // reading would queue 32 MiB of replies for a client that takes none.
+  constexpr size_t kReplyPayload = 64 << 10;
+  StartServer(WireServerOptions{}, kReplyPayload);
+  const net::UniqueFd fd = Connect();
+  constexpr int kFrames = 512;
+  std::string requests;
+  for (int i = 0; i < kFrames; ++i) {
+    requests += EncodeFrame({MessageType::kPing, static_cast<uint32_t>(i), ""});
+  }
+  tests::ExpectBackPressure(
+      fd.get(), requests, kFrames,
+      EncodeFrame({MessageType::kPong, 0, std::string(kReplyPayload, 'p')})
+          .size(),
+      [this]() { return server_->stats().requests_handled; });
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, WireSocketEngineTest,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "poll" : "native";
+                         });
 
 // --------------------------------------------------------- worker dispatch
 

@@ -26,10 +26,12 @@
 //
 // --port 0 binds a kernel-assigned ephemeral port; --port-file writes the
 // bound port as a single line once the server is listening (how the
-// integration tests and scripts find it). A --port outside [0, 65535], or
-// a --max-connections below --reactors (each reactor takes an equal share
-// of the connections), is a usage error, reported before the reference is
-// read, as is an out-of-range service flag.
+// integration tests and scripts find it). An int flag outside its range
+// is a usage error, reported before the reference is read, as is an
+// out-of-range service flag: --port [0, 65535], --shards and
+// --ingest-wait-ms [0, INT_MAX], --reactors and --read-deadline-ms
+// [1, INT_MAX], --max-connections [--reactors, INT_MAX] (each reactor
+// takes an equal share of the connections).
 //
 // Every deployment is the one of docs/SHARDING.md: --reactors
 // SO_REUSEPORT event loops, each with its own shard::ShardedApi and
@@ -37,7 +39,8 @@
 // MonitorService. --shards 0 (the default) runs one worker in this
 // process behind a LocalShardChannel; --events PATH appends its
 // StreamEvent JSONL there. --shards N (N >= 1) forks N worker processes,
-// each behind the shard wire protocol on a Unix socket under --shard-dir
+// each serving the shard wire protocol, over the same net::Server loop
+// as the reactors' HTTP, on a Unix socket under --shard-dir
 // (default: a fresh temp directory); they keep no event log, so --events
 // is a usage error there. Workers are forked before any thread exists, so
 // the daemon stays clean under TSan. The answers are bit-identical for
@@ -69,7 +72,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -110,13 +112,11 @@ std::optional<shard::ShardWorkerOptions> WorkerOptions(
   if (!service.has_value()) return std::nullopt;
   shard::ShardWorkerOptions options;
   options.service = *service;
-  options.ingest_wait_ms =
-      static_cast<int>(flags.GetInt("ingest-wait-ms", 20));
+  if (!common::ReadIntFlag(flags, "ingest-wait-ms", 20, 0,
+                           &options.ingest_wait_ms, error)) {
+    return std::nullopt;
+  }
   return options;
-}
-
-int ReadDeadlineMs(const common::Flags& flags) {
-  return static_cast<int>(flags.GetInt("read-deadline-ms", 10'000));
 }
 
 // Stops taking work, waits for in-flight frames, flushes the ingest queue;
@@ -131,15 +131,14 @@ int64_t DrainWorker(shard::ShardWorker* worker, int deadline_ms) {
 // A forked worker process: one ShardWorker on one Unix socket, drained on
 // SIGTERM. The worker calibrates against the reference before it binds,
 // so the front end's start-up ping waits for that.
-int WorkerMain(const shard::ShardWorkerOptions& options,
-               const common::Flags& flags,
+int WorkerMain(const shard::ShardWorkerOptions& options, int read_deadline_ms,
                const data::TransactionDb& reference,
                const std::string& socket_path) {
   const uint32_t shard_index = options.shard_index;
   shard::ShardWorker worker(options, reference, nullptr);
   shard::WireServerOptions server_options;
   server_options.unix_path = socket_path;
-  server_options.read_deadline_ms = ReadDeadlineMs(flags);
+  server_options.read_deadline_ms = read_deadline_ms;
   std::string error;
   if (!worker.Serve(server_options, &error)) {
     std::fprintf(stderr, "focus_served[shard %u]: cannot listen on %s: %s\n",
@@ -150,8 +149,7 @@ int WorkerMain(const shard::ShardWorkerOptions& options,
   while (g_signal == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  const int64_t processed =
-      DrainWorker(&worker, server_options.read_deadline_ms);
+  const int64_t processed = DrainWorker(&worker, read_deadline_ms);
   std::printf("focus_served[shard %u]: drained; %lld snapshots processed\n",
               shard_index, static_cast<long long>(processed));
   return 0;
@@ -212,8 +210,8 @@ struct ForkedShards {
 // inheriting locked mutexes. Returns an exit status; 0 on success.
 int ForkShards(const common::Flags& flags,
                const shard::ShardWorkerOptions& worker_options,
-               const data::TransactionDb& reference, int num_shards,
-               ForkedShards* shards) {
+               int read_deadline_ms, const data::TransactionDb& reference,
+               int num_shards, ForkedShards* shards) {
   shards->dir = flags.Get("shard-dir", "");
   if (shards->dir.empty()) {
     const char* tmp = std::getenv("TMPDIR");
@@ -249,8 +247,8 @@ int ForkShards(const common::Flags& flags,
     if (pid == 0) {
       shard::ShardWorkerOptions options = worker_options;
       options.shard_index = static_cast<uint32_t>(i);
-      std::exit(
-          WorkerMain(options, flags, reference, shards->socket_paths.back()));
+      std::exit(WorkerMain(options, read_deadline_ms, reference,
+                           shards->socket_paths.back()));
     }
     shards->pids.push_back(pid);
   }
@@ -273,32 +271,26 @@ int Run(const common::Flags& flags) {
     std::fprintf(stderr, "focus_served requires --reference\n");
     return 1;
   }
-  const int num_shards = static_cast<int>(flags.GetInt("shards", 0));
-  if (num_shards < 0) {
-    std::fprintf(stderr, "--shards must be >= 0\n");
-    return 1;
-  }
-  const int num_reactors = static_cast<int>(flags.GetInt("reactors", 1));
-  if (num_reactors < 1) {
-    std::fprintf(stderr, "--reactors must be >= 1\n");
+  // An int flag out of its range is a usage error; none may wrap. Each
+  // reactor gets max-connections / reactors slots, so fewer connections
+  // than reactors would leave one with none.
+  int num_shards = 0, num_reactors = 0, max_connections = 0;
+  int read_deadline_ms = 0;
+  std::string flag_error;
+  if (!common::ReadIntFlag(flags, "shards", 0, 0, &num_shards, &flag_error) ||
+      !common::ReadIntFlag(flags, "reactors", 1, 1, &num_reactors,
+                           &flag_error) ||
+      !common::ReadIntFlag(flags, "max-connections", 256, num_reactors,
+                           &max_connections, &flag_error) ||
+      !common::ReadIntFlag(flags, "read-deadline-ms", 10'000, 1,
+                           &read_deadline_ms, &flag_error)) {
+    std::fprintf(stderr, "%s\n", flag_error.c_str());
     return 1;
   }
   const int64_t port = flags.GetInt("port", 8080);
   if (port < 0 || port > 65535) {
     std::fprintf(stderr, "--port must be an integer in [0, 65535], got %lld\n",
                  static_cast<long long>(port));
-    return 1;
-  }
-  // Each reactor gets max-connections / reactors slots, so fewer
-  // connections than reactors would leave one with none.
-  const int64_t max_connections = flags.GetInt("max-connections", 256);
-  if (max_connections < num_reactors ||
-      max_connections > std::numeric_limits<int>::max()) {
-    std::fprintf(stderr,
-                 "--max-connections must be an integer in [%d, %d] (at least "
-                 "--reactors), got %lld\n",
-                 num_reactors, std::numeric_limits<int>::max(),
-                 static_cast<long long>(max_connections));
     return 1;
   }
   const std::string events_path = flags.Get("events", "");
@@ -308,7 +300,6 @@ int Run(const common::Flags& flags) {
                  "event log\n");
     return 1;
   }
-  std::string flag_error;
   const std::optional<shard::ShardWorkerOptions> worker_options =
       WorkerOptions(flags, &flag_error);
   if (!worker_options.has_value()) {
@@ -335,8 +326,8 @@ int Run(const common::Flags& flags) {
   std::unique_ptr<shard::ShardWorker> local_worker;
   std::unique_ptr<shard::LocalShardChannel> local_channel;
   if (num_shards > 0) {
-    const int status =
-        ForkShards(flags, *worker_options, *reference, num_shards, &forked);
+    const int status = ForkShards(flags, *worker_options, read_deadline_ms,
+                                  *reference, num_shards, &forked);
     if (status != 0) return status;
   } else {
     local_worker = std::make_unique<shard::ShardWorker>(*worker_options,
@@ -380,9 +371,8 @@ int Run(const common::Flags& flags) {
     // join it through SO_REUSEPORT so the kernel spreads connections.
     server_options.port = r == 0 ? static_cast<uint16_t>(port) : bound_port;
     server_options.reuse_port = num_reactors > 1;
-    server_options.max_connections =
-        static_cast<int>(max_connections / num_reactors);
-    server_options.read_deadline_ms = ReadDeadlineMs(flags);
+    server_options.max_connections = max_connections / num_reactors;
+    server_options.read_deadline_ms = read_deadline_ms;
     reactor.server = std::make_unique<net::HttpServer>(
         server_options, reactor.api->BuildRouter());
     reactor.api->AttachServer(reactor.server.get());
@@ -449,14 +439,13 @@ int Run(const common::Flags& flags) {
   for (Reactor& reactor : reactors) reactor.api->SetDraining(true);
   for (Reactor& reactor : reactors) reactor.server->BeginDrain();
   for (Reactor& reactor : reactors) {
-    reactor.server->WaitDrained(ReadDeadlineMs(flags));
+    reactor.server->WaitDrained(read_deadline_ms);
   }
   for (Reactor& reactor : reactors) reactor.server->Stop();
   bool workers_clean = true;
   std::string worker_summary;
   if (local_worker != nullptr) {
-    const int64_t processed =
-        DrainWorker(local_worker.get(), ReadDeadlineMs(flags));
+    const int64_t processed = DrainWorker(local_worker.get(), read_deadline_ms);
     worker_summary = std::to_string(processed) + " snapshots processed";
   } else {
     workers_clean = forked.Shutdown(SIGTERM);
@@ -466,7 +455,7 @@ int Run(const common::Flags& flags) {
 
   int64_t requests = 0, connections = 0;
   for (const Reactor& reactor : reactors) {
-    const net::HttpServerStats stats = reactor.server->stats();
+    const net::ServerStats stats = reactor.server->stats();
     requests += stats.requests_handled;
     connections += stats.connections_accepted;
   }
