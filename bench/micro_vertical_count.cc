@@ -1,29 +1,23 @@
 // GCR-extension support counting: horizontal transaction scan vs the
-// vertical TID-bitmap kernel (AND+popcount over a prebuilt
-// data::VerticalIndex), the hot path behind LitsDeviation's extension step
-// and Apriori's counting passes. Default is a scaled-down size; FOCUS_FULL=1
-// runs the ISSUE target of 1M transactions x 64 itemsets. Emits one JSON
-// line (appended to $FOCUS_BENCH_JSON when set):
+// vertical TID-bitmap loop (AND+popcount over a prebuilt
+// data::VerticalIndex), the hot path behind LitsDeviation's extension
+// step. Default is a scaled-down size; FOCUS_FULL=1 runs 1M transactions
+// x 64 itemsets. Emits one JSON line (appended to $FOCUS_BENCH_JSON when
+// set):
 //   {"bench":"micro_vertical_count","transactions":N,"itemsets":64,
-//    "horizontal_ms_per_pass":…,"index_build_ms":…,
-//    "vertical_ms_per_pass":…,"vertical_parallel_ms_per_pass":…,
-//    "speedup_vertical":…,"passes_to_amortize_build":…,
-//    "kernel_ms_per_pass":{"scalar":…,"avx2":…,"avx512":…},"checked":true}
-// The kernel sweep pins the dispatcher to each level the hardware
-// supports (ScopedLevelForTesting) and re-checks bit-identity per level.
+//    "horizontal_ms_per_pass":…,"index_build_ms":…,"index_mib":…,
+//    "vertical_ms_per_pass":…,"speedup_vertical":…,
+//    "passes_to_amortize_build":…,"checked":true}
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <numeric>
-#include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
-#include "data/simd_kernels.h"
 #include "data/vertical_index.h"
 #include "datagen/quest_gen.h"
 #include "itemsets/itemset.h"
@@ -102,41 +96,7 @@ int Run() {
   }
   const double vertical_ms = timer.Millis() / vertical_passes;
 
-  common::ThreadPool pool(4);
-  timer.Restart();
-  std::vector<int64_t> parallel;
-  for (int i = 0; i < vertical_passes; ++i) {
-    parallel = counter.CountAbsoluteParallel(index, pool);
-  }
-  const double parallel_ms = timer.Millis() / vertical_passes;
-
   FOCUS_CHECK(vertical == horizontal);  // the bit-identical contract
-  FOCUS_CHECK(parallel == horizontal);
-
-  // Kernel sweep: the same vertical pass pinned to each dispatch level the
-  // hardware can run. Counts must stay bit-identical; only time may move.
-  std::string kernel_json = "{";
-  for (const data::simd::Level level :
-       {data::simd::Level::kScalar, data::simd::Level::kAvx2,
-        data::simd::Level::kAvx512}) {
-    if (!data::simd::LevelSupported(level)) continue;
-    data::simd::ScopedLevelForTesting scoped(level);
-    timer.Restart();
-    std::vector<int64_t> leveled;
-    for (int i = 0; i < vertical_passes; ++i) {
-      leveled = counter.CountAbsolute(index);
-    }
-    const double level_ms = timer.Millis() / vertical_passes;
-    FOCUS_CHECK(leveled == horizontal);
-    char entry[64];
-    std::snprintf(entry, sizeof(entry), "%s\"%s\":%.3f",
-                  kernel_json.size() > 1 ? "," : "",
-                  data::simd::LevelName(level), level_ms);
-    kernel_json += entry;
-    std::printf("kernel %-7s %.3f ms/pass\n", data::simd::LevelName(level),
-                level_ms);
-  }
-  kernel_json += "}";
 
   const double speedup = horizontal_ms / vertical_ms;
   // Number of counting passes after which build + vertical probes beat
@@ -150,13 +110,13 @@ int Run() {
       "{\"bench\":\"micro_vertical_count\",\"transactions\":%lld,"
       "\"itemsets\":%zu,\"horizontal_ms_per_pass\":%.3f,"
       "\"index_build_ms\":%.3f,\"index_mib\":%.1f,"
-      "\"vertical_ms_per_pass\":%.3f,\"vertical_parallel_ms_per_pass\":%.3f,"
+      "\"vertical_ms_per_pass\":%.3f,"
       "\"speedup_vertical\":%.2f,\"passes_to_amortize_build\":%.2f,"
-      "\"kernel_ms_per_pass\":%s,\"checked\":true}",
+      "\"checked\":true}",
       static_cast<long long>(db.num_transactions()), itemsets.size(),
       horizontal_ms, build_ms,
       static_cast<double>(index.MemoryBytes()) / (1024.0 * 1024.0),
-      vertical_ms, parallel_ms, speedup, amortize, kernel_json.c_str());
+      vertical_ms, speedup, amortize);
   bench::EmitBenchJson(line);
   return 0;
 }

@@ -2,8 +2,8 @@
 // 1M-transaction Quest datasets (the paper's 1M.20L.1K family, same
 // generating process, independent samples) WITHOUT ever materializing
 // either database — against the in-memory pipeline doing the same work
-// the fast way (flat VerticalIndex per dataset, vertical Apriori,
-// index-extended deviation).
+// the way a served snapshot gets it (flat VerticalIndex per dataset,
+// Apriori over the materialized database, index-extended deviation).
 //
 // Each phase runs in a forked child so /proc/self/status VmHWM is a
 // per-phase peak (fork resets the high-water mark to the parent's small
@@ -12,8 +12,8 @@
 //                   datasets streamed straight to block files
 //   mine_block      BlockTransactionDb + TxnSourceRef Apriori + streaming
 //                   LitsDeviation, bounded by the block cache budget
-//   mine_memory     GenerateQuest (materialize) + VerticalIndex + vertical
-//                   Apriori + index deviation — RSS-unbounded. Generation
+//   mine_memory     GenerateQuest (materialize) + VerticalIndex + Apriori
+//                   + index deviation — RSS-unbounded. Generation
 //                   is timed apart (mine_memory_generate_s), so
 //                   mine_memory_s and mine_block_s time the same work.
 //
@@ -255,8 +255,9 @@ int Run(int argc, char** argv) {
   std::remove(path1.c_str());
   std::remove(path2.c_str());
 
-  // The two pipelines must agree bit for bit: same models (streamed
-  // horizontal counting vs. vertical AND+popcount), same deviation.
+  // The two pipelines must agree bit for bit: same models (streamed vs.
+  // in-memory scans), same deviation (streamed counting vs. vertical
+  // AND+popcount).
   FOCUS_CHECK_EQ(mine_block.aux, mine_memory.aux);
   FOCUS_CHECK(mine_block.deviation == mine_memory.deviation)
       << mine_block.deviation << " vs " << mine_memory.deviation;

@@ -1,11 +1,30 @@
 #include "common/flags.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
+#include <system_error>
 
 namespace focus::common {
+namespace {
+
+// Flag `name`'s value as a T, or `fallback` when the flag is absent;
+// nullopt unless the whole value is one number (std::from_chars takes no
+// leading space, no '+' and no base prefix, and nothing may follow).
+template <typename T>
+std::optional<T> ParseNumberFlag(const Flags& flags, const char* name,
+                                 T fallback) {
+  if (!flags.Has(name)) return fallback;
+  const std::string text = flags.Get(name, "");
+  const char* const end = text.data() + text.size();
+  T value{};
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
+
+}  // namespace
 
 std::optional<Flags> Flags::Parse(int argc, char* const* argv, int first,
                                   const std::vector<std::string>& allowed) {
@@ -51,16 +70,30 @@ int64_t Flags::GetInt(const std::string& key, int64_t fallback) const {
 }
 
 bool ReadIntFlag(const Flags& flags, const char* name, int64_t fallback,
-                 int64_t min, int* out, std::string* error) {
-  const int64_t value = flags.GetInt(name, fallback);
-  if (value < min || value > std::numeric_limits<int>::max()) {
+                 int64_t min, int* out, std::string* error, int max) {
+  const std::optional<int64_t> value =
+      ParseNumberFlag<int64_t>(flags, name, fallback);
+  if (!value.has_value() || *value < min || *value > max) {
     *error = std::string("--") + name + " must be an integer in [" +
-             std::to_string(min) + ", " +
-             std::to_string(std::numeric_limits<int>::max()) + "], got " +
+             std::to_string(min) + ", " + std::to_string(max) + "], got " +
              flags.Get(name, "");
     return false;
   }
-  *out = static_cast<int>(value);
+  *out = static_cast<int>(*value);
+  return true;
+}
+
+bool ReadDoubleFlag(const Flags& flags, const char* name, double fallback,
+                    bool (*in_range)(double), const char* range, double* out,
+                    std::string* error) {
+  const std::optional<double> value =
+      ParseNumberFlag<double>(flags, name, fallback);
+  if (!value.has_value() || !in_range(*value)) {
+    *error = std::string("--") + name + " must be " + range + ", got " +
+             flags.Get(name, "");
+    return false;
+  }
+  *out = *value;
   return true;
 }
 

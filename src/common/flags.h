@@ -2,6 +2,7 @@
 #define FOCUS_COMMON_FLAGS_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -37,10 +38,19 @@ class Flags {
   std::map<std::string, std::string> values_;
 };
 
-// Reads integer flag `name` into `*out`. False, with `*error` naming the
-// flag and its range, when the value is below `min` or does not fit an int.
+// Reads integer flag `name` (`fallback` when absent) into `*out`. False,
+// with `*error` naming the flag and its range, when the value is not
+// entirely an integer ("10s", "4x", "0x1f") or lies outside [min, max].
 bool ReadIntFlag(const Flags& flags, const char* name, int64_t fallback,
-                 int64_t min, int* out, std::string* error);
+                 int64_t min, int* out, std::string* error,
+                 int max = std::numeric_limits<int>::max());
+
+// Reads double flag `name` (`fallback` when absent) into `*out`. False,
+// with `*error` naming the flag and `range`, when the value is not
+// entirely a number ("0.05zz") or `in_range` rejects it (NaN included).
+bool ReadDoubleFlag(const Flags& flags, const char* name, double fallback,
+                    bool (*in_range)(double), const char* range, double* out,
+                    std::string* error);
 
 }  // namespace focus::common
 

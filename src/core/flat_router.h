@@ -32,8 +32,8 @@ inline BatchRouting BatchRoutingMode() {
   return internal::MutableBatchRouting();
 }
 
-// Pins the routing mode for the enclosing scope. Test-only; like
-// simd::ScopedLevelForTesting, set it before any concurrent scan starts.
+// Pins the routing mode for the enclosing scope. Test-only; set it before
+// any concurrent scan starts.
 class ScopedBatchRoutingForTesting {
  public:
   explicit ScopedBatchRoutingForTesting(BatchRouting mode)

@@ -37,9 +37,8 @@ void LitsChangeMonitor::Calibrate() {
         reference_,
         data::SampleIndicesWithReplacement(reference_.num_transactions(),
                                            reference_.num_transactions(), rng));
-    const data::VerticalIndex replicate_index(replicate);
     const lits::LitsModel replicate_model =
-        lits::Apriori(replicate, options_.apriori, &replicate_index);
+        lits::Apriori(replicate, options_.apriori);
     level = std::max(level, LitsUpperBound(reference_model_, replicate_model,
                                            options_.fn.g));
   }
@@ -47,8 +46,8 @@ void LitsChangeMonitor::Calibrate() {
 }
 
 MonitorReport LitsChangeMonitor::Inspect(data::TxnSourceRef snapshot) const {
-  // One scan builds the snapshot's index; mining and the (possible)
-  // stage-2 extension then both run vertically against it.
+  // One scan builds the snapshot's index: mining reads its item counts,
+  // and the (possible) stage-2 extension runs vertically against it.
   const data::VerticalIndex snapshot_index(snapshot);
   return InspectWithModel(
       snapshot, lits::Apriori(snapshot, options_.apriori, &snapshot_index),

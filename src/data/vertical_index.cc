@@ -1,9 +1,7 @@
 #include "data/vertical_index.h"
 
+#include <bit>
 #include <vector>
-
-#include "common/check.h"
-#include "data/simd_kernels.h"
 
 namespace focus::data {
 
@@ -49,8 +47,15 @@ int64_t VerticalIndex::CountIntersection(std::span<const int32_t> items) const {
   for (size_t m = 0; m < items.size(); ++m) {
     ptrs[m] = bits_.data() + static_cast<size_t>(items[m]) * words_;
   }
-  return simd::IntersectPopcountWords(ptrs, static_cast<int>(items.size()),
-                                      words_);
+  // The k streams advance together, so they stay cache-resident for any
+  // practical itemset size.
+  int64_t count = 0;
+  for (int64_t w = 0; w < words_; ++w) {
+    uint64_t word = ptrs[0][w];
+    for (size_t m = 1; m < items.size(); ++m) word &= ptrs[m][w];
+    count += std::popcount(word);
+  }
+  return count;
 }
 
 }  // namespace focus::data

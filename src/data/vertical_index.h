@@ -14,18 +14,20 @@ namespace focus::data {
 // item. Built in ONE pass over the database — the paper's §3.3.1 "scan
 // each dataset once" budget — and then probed arbitrarily often: the
 // support of an itemset is the popcount of the AND of its members'
-// bitmaps, a word-parallel kernel that touches 64 transactions per
+// bitmaps, a word-parallel loop that touches 64 transactions per
 // instruction instead of walking transactions horizontally. Setting a
 // transaction's bits and bumping its items' counts happen in the SAME
 // loop, so the build really is one touch per occurrence.
 //
 // The classic vertical-mining trade-off: the index costs
 // num_items x ceil(n/64) x 8 bytes (e.g. 1000 items x 1M transactions
-// ~ 125 MiB) and one build scan, and in exchange every later counting
-// pass over the SAME dataset — GCR extension against a rotating set of
-// reference models, Apriori's level-wise passes, sliding-window
-// re-comparisons in the serving layer — skips the raw transactions
-// entirely. Build once, probe many.
+// ~ 125 MiB) and one build scan, and in exchange every later extension
+// of a model over the SAME dataset — GCR extension against a rotating set
+// of reference models, sliding-window re-comparisons in the serving
+// layer — probes a few hundred itemsets without touching the raw
+// transactions. Mining does not use it past level 1: Apriori's level
+// passes count thousands of candidates, and one scan beats that many
+// intersections (lits::Apriori). Build once, probe many.
 class VerticalIndex {
  public:
   // One scan of either backend. Transactions must satisfy TransactionDb's
@@ -56,9 +58,8 @@ class VerticalIndex {
 
   // Absolute occurrence count of the itemset `items` (ascending distinct
   // item ids in [0, num_items)): popcount of the AND of the members'
-  // bitmaps, through the runtime-dispatched data::simd kernels (the k
-  // streams advance together, so they stay cache-resident). The empty
-  // itemset holds in every transaction.
+  // bitmaps, one portable word loop. The empty itemset holds in every
+  // transaction.
   int64_t CountIntersection(std::span<const int32_t> items) const;
 
   // Approximate heap footprint, for capacity planning in caches.

@@ -57,13 +57,11 @@ std::vector<Itemset> GenerateCandidates(const std::vector<Itemset>& frequent) {
 // Level 2 without candidate itemsets. Both 1-subsets of a pair of
 // frequent items are frequent, so Apriori-gen's prune step removes nothing
 // at k = 2: every pair of `items` (the frequent items, ascending) is a
-// candidate. Counts each pair through the index when one is given,
-// otherwise in one scan into a triangle of counters indexed by item rank.
-// Adds the frequent pairs to `model` in the (i < j) order GenerateCandidates
-// emits them, so the model fills in the same order, and returns them
-// sorted.
+// candidate. Counts them in one scan into a triangle of counters indexed
+// by item rank. Adds the frequent pairs to `model` in the (i < j) order
+// GenerateCandidates emits them, so the model fills in the same order, and
+// returns them sorted.
 std::vector<Itemset> MineFrequentPairs(data::TxnSourceRef source,
-                                       const data::VerticalIndex* index,
                                        const std::vector<int32_t>& items,
                                        int64_t threshold, LitsModel& model) {
   const int64_t num_frequent = static_cast<int64_t>(items.size());
@@ -71,42 +69,37 @@ std::vector<Itemset> MineFrequentPairs(data::TxnSourceRef source,
   // The pair of ranks a < b lives at cell b(b-1)/2 + a, so the pairs one
   // transaction adds for the same larger member are contiguous.
   const auto cell = [](int64_t a, int64_t b) { return b * (b - 1) / 2 + a; };
-  std::vector<int64_t> pair_counts;
-  if (index == nullptr) {
-    pair_counts.assign(static_cast<size_t>(cell(0, num_frequent)), 0);
-    std::vector<int32_t> rank(source.num_items(), -1);
-    for (int64_t r = 0; r < num_frequent; ++r) {
-      rank[items[r]] = static_cast<int32_t>(r);
-    }
-    std::vector<int64_t> ranks;  // one transaction's frequent items
-    source.ForEachTransaction(
-        [&](int64_t /*tid*/, std::span<const int32_t> txn) {
-          ranks.clear();
-          int32_t previous_item = -1;
-          for (int32_t item : txn) {
-            // Transactions are sorted, so ranks ascend; a repeated item is
-            // skipped as in SupportCounter::CountRange.
-            if (item == previous_item) continue;
-            previous_item = item;
-            if (rank[item] >= 0) ranks.push_back(rank[item]);
-          }
-          for (size_t q = 1; q < ranks.size(); ++q) {
-            int64_t* row = &pair_counts[cell(0, ranks[q])];
-            for (size_t p = 0; p < q; ++p) ++row[ranks[p]];
-          }
-        });
+  std::vector<int64_t> pair_counts(static_cast<size_t>(cell(0, num_frequent)),
+                                   0);
+  std::vector<int32_t> rank(source.num_items(), -1);
+  for (int64_t r = 0; r < num_frequent; ++r) {
+    rank[items[r]] = static_cast<int32_t>(r);
   }
+  std::vector<int64_t> ranks;  // one transaction's frequent items
+  source.ForEachTransaction(
+      [&](int64_t /*tid*/, std::span<const int32_t> txn) {
+        ranks.clear();
+        int32_t previous_item = -1;
+        for (int32_t item : txn) {
+          // Transactions are sorted, so ranks ascend; a repeated item is
+          // skipped as in SupportCounter::CountRange.
+          if (item == previous_item) continue;
+          previous_item = item;
+          if (rank[item] >= 0) ranks.push_back(rank[item]);
+        }
+        for (size_t q = 1; q < ranks.size(); ++q) {
+          int64_t* row = &pair_counts[cell(0, ranks[q])];
+          for (size_t p = 0; p < q; ++p) ++row[ranks[p]];
+        }
+      });
 
   const double n = static_cast<double>(model.num_transactions());
   std::vector<Itemset> frequent_pairs;
   for (int64_t a = 0; a < num_frequent; ++a) {
     for (int64_t b = a + 1; b < num_frequent; ++b) {
-      const int32_t pair[] = {items[a], items[b]};
-      const int64_t count = index != nullptr
-                                ? index->CountIntersection(pair)
-                                : pair_counts[cell(a, b)];
+      const int64_t count = pair_counts[cell(a, b)];
       if (count < threshold) continue;
-      Itemset itemset({pair[0], pair[1]});
+      Itemset itemset({items[a], items[b]});
       model.Add(itemset, static_cast<double>(count) / n);
       frequent_pairs.push_back(std::move(itemset));
     }
@@ -190,16 +183,14 @@ LitsModel Apriori(data::TxnSourceRef source, const AprioriOptions& options,
   };
   if (!within_size(2)) return model;
   std::vector<Itemset> frequent =
-      MineFrequentPairs(source, index, frequent_items, threshold, model);
+      MineFrequentPairs(source, frequent_items, threshold, model);
 
   // Levels 3 and up: candidate generation with subset pruning.
   for (int k = 3; !frequent.empty() && within_size(k); ++k) {
     const std::vector<Itemset> candidates = GenerateCandidates(frequent);
     if (candidates.empty()) break;
-    const SupportCounter counter(candidates, num_items);
-    const std::vector<int64_t> counts = index != nullptr
-                                            ? counter.CountAbsolute(*index)
-                                            : counter.CountAbsolute(source);
+    const std::vector<int64_t> counts =
+        SupportCounter(candidates, num_items).CountAbsolute(source);
 
     std::vector<Itemset> next_frequent;
     for (size_t i = 0; i < candidates.size(); ++i) {

@@ -64,9 +64,9 @@ struct AprioriOptions {
 // Classic Apriori (Agrawal & Srikant [5]): level-wise candidate
 // generation with subset pruning, one counting scan per level. Level 2
 // needs no candidates: every pair of frequent items survives the prune
-// step, so the pairs are counted directly (one triangular scan, or one
-// index intersection per pair) and only the frequent ones become
-// itemsets. The model fills in the same order either way.
+// step, so the pairs are counted directly in one scan into a triangle of
+// counters, and only the frequent ones become itemsets. Levels 3 and up
+// count their candidates with SupportCounter's bucketed scan.
 //
 // `source` is either transaction backend: block-backed sources stream each
 // counting pass block by block in bounded memory (with the usual
@@ -74,14 +74,11 @@ struct AprioriOptions {
 // every pass computes the same integer counts.
 //
 // When `index` is non-null it must be a vertical index built from
-// `source`; every counting pass (the L1 item scan and each level's
-// candidate scan) then runs against the per-item TID bitmaps instead of
-// re-scanning the raw transactions, which are only consulted for the
-// database dimensions. Counts are identical integers either way, so the
-// mined model is bit-identical to the horizontal one — the index only
-// changes how fast the same supports are obtained, and it amortizes its
-// single build scan across all levels (and across every other counting
-// consumer of the same database).
+// `source`; level 1 then reads its cached item counts instead of scanning.
+// Every later level scans `source`: counting pair by pair through the
+// index costs F(F-1)/2 bitmap intersections for F frequent items, which
+// loses to one scan at every shape measured (docs/PERFORMANCE.md). The
+// model is bit-identical either way.
 LitsModel Apriori(data::TxnSourceRef source, const AprioriOptions& options,
                   const data::VerticalIndex* index = nullptr);
 

@@ -56,33 +56,13 @@ void SupportCounter::CountRange(const data::TransactionDb& db, int64_t begin,
   }
 }
 
-void SupportCounter::CountVerticalRange(const data::VerticalIndex& index,
-                                        int64_t begin, int64_t end,
-                                        std::vector<int64_t>& counts) const {
-  for (int64_t i = begin; i < end; ++i) {
-    counts[i] = index.CountIntersection(itemsets_[i]->items());
-  }
-}
-
 std::vector<int64_t> SupportCounter::CountAbsolute(
     const data::VerticalIndex& index) const {
   FOCUS_CHECK_EQ(index.num_items(), num_items_);
-  std::vector<int64_t> counts(itemsets_.size(), 0);
-  CountVerticalRange(index, 0, static_cast<int64_t>(itemsets_.size()), counts);
-  return counts;
-}
-
-std::vector<int64_t> SupportCounter::CountAbsoluteParallel(
-    const data::VerticalIndex& index, common::ThreadPool& pool) const {
-  FOCUS_CHECK_EQ(index.num_items(), num_items_);
-  std::vector<int64_t> counts(itemsets_.size(), 0);
-  // Shards write disjoint slots of `counts`; each slot's value depends
-  // only on the index, so this equals the serial vertical path exactly.
-  pool.ParallelFor(0, static_cast<int64_t>(itemsets_.size()),
-                   pool.num_threads(),
-                   [&](int /*shard*/, int64_t begin, int64_t end) {
-                     CountVerticalRange(index, begin, end, counts);
-                   });
+  std::vector<int64_t> counts(itemsets_.size());
+  for (size_t i = 0; i < itemsets_.size(); ++i) {
+    counts[i] = index.CountIntersection(itemsets_[i]->items());
+  }
   return counts;
 }
 
@@ -146,11 +126,6 @@ std::vector<double> ToRelative(const std::vector<int64_t>& absolute,
 std::vector<double> SupportCounter::CountRelative(
     const data::VerticalIndex& index) const {
   return ToRelative(CountAbsolute(index), index.num_transactions());
-}
-
-std::vector<double> SupportCounter::CountRelativeParallel(
-    const data::VerticalIndex& index, common::ThreadPool& pool) const {
-  return ToRelative(CountAbsoluteParallel(index, pool), index.num_transactions());
 }
 
 std::vector<double> SupportCounter::CountRelative(

@@ -26,7 +26,7 @@ namespace focus::lits {
 //   * Vertical: a prebuilt data::VerticalIndex supplies per-item TID
 //     bitmaps; each itemset's count is the popcount of the AND of its
 //     members' bitmaps. The index is built in one scan and amortized
-//     across every counting pass over the same database.
+//     across every model extension over the same database.
 class SupportCounter {
  public:
   SupportCounter(std::span<const Itemset> itemsets, int32_t num_items);
@@ -46,34 +46,21 @@ class SupportCounter {
   std::vector<int64_t> CountAbsoluteParallel(data::TxnSourceRef source,
                                              common::ThreadPool& pool) const;
 
-  // Vertical counting path over a prebuilt index of the same database:
-  // bit-identical to CountAbsolute(source) for an index built from it, at
-  // every simd dispatch level.
+  // Vertical counting path over a prebuilt index of the same database,
+  // one CountIntersection per itemset: bit-identical to
+  // CountAbsolute(source) for an index built from it.
   std::vector<int64_t> CountAbsolute(const data::VerticalIndex& index) const;
-
-  // Vertical counting parallelized over ITEMSETS (not transactions): each
-  // itemset's AND+popcount chain is independent, so shards write disjoint
-  // count slots and no merge is needed — trivially bit-identical to the
-  // serial vertical path for every pool size.
-  std::vector<int64_t> CountAbsoluteParallel(const data::VerticalIndex& index,
-                                             common::ThreadPool& pool) const;
 
   // Relative supports (counts / |D|).
   std::vector<double> CountRelative(data::TxnSourceRef source) const;
   std::vector<double> CountRelativeParallel(data::TxnSourceRef source,
                                             common::ThreadPool& pool) const;
   std::vector<double> CountRelative(const data::VerticalIndex& index) const;
-  std::vector<double> CountRelativeParallel(const data::VerticalIndex& index,
-                                            common::ThreadPool& pool) const;
 
  private:
   // Accumulates counts over transactions [begin, end) into `counts`.
   void CountRange(const data::TransactionDb& db, int64_t begin, int64_t end,
                   std::vector<int64_t>& counts) const;
-
-  // Fills `counts` for itemsets [begin, end) from the vertical index.
-  void CountVerticalRange(const data::VerticalIndex& index, int64_t begin,
-                          int64_t end, std::vector<int64_t>& counts) const;
 
   int32_t num_items_;
   std::vector<const Itemset*> itemsets_;

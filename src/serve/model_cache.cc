@@ -90,8 +90,9 @@ MinedSnapshot ModelCache::GetOrMineIndexed(data::TxnSourceRef source,
   if (cache_hit != nullptr) *cache_hit = false;
   // Build outside the lock so concurrent misses on different snapshots
   // proceed in parallel. An in-memory snapshot gets its vertical index in
-  // ONE scan, and Apriori's counting passes then run against it; a
-  // block-backed one is mined by streaming its blocks.
+  // ONE scan, for the model extensions that read it later (Apriori takes
+  // only its item counts); a block-backed one gets none. Mining scans the
+  // snapshot either way, a block-backed one block by block.
   MinedSnapshot mined;
   if (source.memory() != nullptr) {
     mined.index = std::make_shared<const data::VerticalIndex>(source);

@@ -34,14 +34,15 @@ struct ModelCacheStats {
 
 // What one cache miss materializes from a snapshot: the mined model and,
 // for an in-memory snapshot, its vertical index (built in the single scan
-// §3.3.1 budgets) that the model was mined through. Window
+// §3.3.1 budgets; mining reads only its item counts). Window
 // re-comparisons — the same snapshot re-entering as reference or
-// candidate across many model pairs — then probe the index instead of
-// touching raw transactions again. `index` is null for a block-backed
-// snapshot: its mining and stage-2 counting stream its blocks, so the
-// entry holds only the model, and the read routes (which need the index)
-// answer as for a snapshot that has none. Only focus_monitord --ooc makes
-// block-backed snapshots, and it serves no reads.
+// candidate across many model pairs — then extend models by probing the
+// index instead of touching raw transactions again. `index` is null for a
+// block-backed snapshot: its mining and stage-2 counting stream its
+// blocks, so the entry holds only the model, and the read routes (which
+// need the index) answer as for a snapshot that has none. Only
+// focus_monitord --ooc makes block-backed snapshots, and it serves no
+// reads.
 struct MinedSnapshot {
   std::shared_ptr<const lits::LitsModel> model;
   std::shared_ptr<const data::VerticalIndex> index;

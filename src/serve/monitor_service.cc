@@ -12,25 +12,6 @@ namespace focus::serve {
 
 using common::MutexLock;
 
-namespace {
-
-// Reads double flag `name` into `*out`. False, with `*error` naming the
-// flag and `range`, when `in_range` rejects the value (NaN included).
-bool ReadDoubleFlag(const common::Flags& flags, const char* name,
-                    double fallback, bool (*in_range)(double),
-                    const char* range, double* out, std::string* error) {
-  const double value = flags.GetDouble(name, fallback);
-  if (!in_range(value)) {
-    *error = std::string("--") + name + " must be " + range + ", got " +
-             flags.Get(name, "");
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-}  // namespace
-
 std::optional<MonitorServiceOptions> MonitorServiceOptionsFromFlags(
     const common::Flags& flags, std::string* error) {
   MonitorServiceOptions options;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace focus::common {
@@ -55,6 +57,69 @@ TEST(FlagsTest, NumericAccessors) {
   ASSERT_TRUE(flags.has_value());
   EXPECT_DOUBLE_EQ(flags->GetDouble("minsup", 0.0), 0.25);
   EXPECT_EQ(flags->GetInt("top", 0), 12);
+}
+
+TEST(FlagsTest, ReadIntFlagTakesOnlyWholeIntegersInRange) {
+  const auto flags = ParseArgs(
+      {"tool", "--a", "7", "--b", "-3", "--c", "65536"}, {"a", "b", "c", "d"});
+  ASSERT_TRUE(flags.has_value());
+  int value = 0;
+  std::string error;
+  EXPECT_TRUE(ReadIntFlag(*flags, "a", 1, 0, &value, &error));
+  EXPECT_EQ(value, 7);
+  EXPECT_TRUE(ReadIntFlag(*flags, "d", 11, 0, &value, &error));
+  EXPECT_EQ(value, 11);  // absent: the fallback
+  EXPECT_TRUE(ReadIntFlag(*flags, "b", 0, -3, &value, &error));
+  EXPECT_EQ(value, -3);
+
+  EXPECT_FALSE(ReadIntFlag(*flags, "b", 0, 0, &value, &error));
+  EXPECT_EQ(error, "--b must be an integer in [0, 2147483647], got -3");
+  EXPECT_FALSE(ReadIntFlag(*flags, "c", 0, 0, &value, &error, 65535));
+  EXPECT_EQ(error, "--c must be an integer in [0, 65535], got 65536");
+  EXPECT_FALSE(ReadIntFlag(*flags, "d", 70000, 0, &value, &error, 65535));
+}
+
+TEST(FlagsTest, ReadIntFlagRejectsAnythingButANumber) {
+  // atoll reads each of these as a number and ignores the rest.
+  for (const char* text : {"10s", "4x", "0x10", "abc", "", " 5", "1.5",
+                           "5 ", "99999999999999999999"}) {
+    const auto flags = ParseArgs({"tool", "--n", text}, {"n"});
+    ASSERT_TRUE(flags.has_value());
+    int value = -1;
+    std::string error;
+    EXPECT_FALSE(ReadIntFlag(*flags, "n", 1, 0, &value, &error))
+        << "'" << text << "'";
+    EXPECT_EQ(value, -1) << "'" << text << "'";
+    EXPECT_EQ(error, std::string("--n must be an integer in [0, 2147483647], "
+                                 "got ") + text);
+  }
+}
+
+TEST(FlagsTest, ReadDoubleFlagRejectsAnythingButANumber) {
+  const auto at_most_one = [](double v) { return v > 0.0 && v <= 1.0; };
+  for (const char* text : {"0.05zz", "abc", "", " 0.5", "0.5 ", "nan"}) {
+    const auto flags = ParseArgs({"tool", "--x", text}, {"x"});
+    ASSERT_TRUE(flags.has_value());
+    double value = -1.0;
+    std::string error;
+    EXPECT_FALSE(ReadDoubleFlag(*flags, "x", 0.5, at_most_one, "in (0, 1]",
+                                &value, &error))
+        << "'" << text << "'";
+    EXPECT_EQ(value, -1.0) << "'" << text << "'";
+    EXPECT_EQ(error, std::string("--x must be in (0, 1], got ") + text);
+  }
+  for (const auto& [text, expected] :
+       {std::pair<const char*, double>{"0.25", 0.25}, {"1e-2", 0.01},
+        {"1", 1.0}}) {
+    const auto flags = ParseArgs({"tool", "--x", text}, {"x"});
+    ASSERT_TRUE(flags.has_value());
+    double value = -1.0;
+    std::string error;
+    EXPECT_TRUE(ReadDoubleFlag(*flags, "x", 0.5, at_most_one, "in (0, 1]",
+                               &value, &error))
+        << text << ": " << error;
+    EXPECT_EQ(value, expected);
+  }
 }
 
 }  // namespace

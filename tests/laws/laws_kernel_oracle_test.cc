@@ -1,13 +1,12 @@
-// The kernel oracle: ONE differential law swept over every registered
-// counting kernel (horizontal scan, VerticalIndex) × every runnable simd
-// dispatch level (scalar, avx2, avx512) × pool sizes 1/2/4/8. The
-// horizontal scan is the baseline; every other combination must return
-// EXACTLY the same integers (and the same doubles for relative supports
-// and deviations — same integers divided by the same |D|). Workloads come
-// from the proptest generators plus a fixed set of adversarial density
-// fixtures: all-dense, all-sparse, run-heavy, empty items, and odd TID
-// cardinalities and boundaries (4095–4097, 65535/65536) that leave
-// partial vector strides and partial words.
+// The kernel oracle: ONE differential law swept over every counting
+// kernel (horizontal scan, its parallel form at pool sizes 1/2/4/8, and
+// VerticalIndex). The serial horizontal scan is the baseline; every other
+// kernel must return EXACTLY the same integers (and the same doubles for
+// relative supports and deviations — same integers divided by the same
+// |D|). Workloads come from the proptest generators plus a fixed set of
+// adversarial density fixtures: all-dense, all-sparse, run-heavy, empty
+// items, and odd TID cardinalities and boundaries (4095–4097,
+// 65535/65536) that leave partial words.
 
 #include <algorithm>
 #include <cstdint>
@@ -18,7 +17,6 @@
 
 #include "common/thread_pool.h"
 #include "core/lits_deviation.h"
-#include "data/simd_kernels.h"
 #include "data/transaction_db.h"
 #include "data/vertical_index.h"
 #include "itemsets/apriori.h"
@@ -35,21 +33,11 @@ using proptest::Rng;
 
 constexpr int kPoolSizes[] = {1, 2, 4, 8};
 
-std::vector<data::simd::Level> RunnableLevels() {
-  std::vector<data::simd::Level> levels = {data::simd::Level::kScalar};
-  if (data::simd::LevelSupported(data::simd::Level::kAvx2)) {
-    levels.push_back(data::simd::Level::kAvx2);
-  }
-  if (data::simd::LevelSupported(data::simd::Level::kAvx512)) {
-    levels.push_back(data::simd::Level::kAvx512);
-  }
-  return levels;
-}
-
-// Checks every pool size of the vertical path of `counter` against the
-// horizontal baseline, under whatever dispatch level is active. Returns
-// an empty string on success, a diagnostic on the first mismatch.
+// Checks the vertical path and every pool size of the parallel scan of
+// `counter` against the horizontal baseline over `db`. Returns an empty
+// string on success, a diagnostic on the first mismatch.
 std::string CheckAllKernels(const lits::SupportCounter& counter,
+                            const data::TransactionDb& db,
                             const data::VerticalIndex& flat,
                             const std::vector<int64_t>& horizontal,
                             const std::vector<double>& horizontal_rel) {
@@ -61,8 +49,8 @@ std::string CheckAllKernels(const lits::SupportCounter& counter,
   }
   for (const int threads : kPoolSizes) {
     common::ThreadPool pool(threads);
-    if (counter.CountAbsoluteParallel(flat, pool) != horizontal) {
-      return "flat parallel counts differ with " + std::to_string(threads) +
+    if (counter.CountAbsoluteParallel(db, pool) != horizontal) {
+      return "parallel counts differ with " + std::to_string(threads) +
              " threads";
     }
   }
@@ -88,15 +76,9 @@ TEST(LawsKernelOracle, CountsIdenticalAcrossKernelsLevelsAndPools) {
         const std::vector<int64_t> horizontal = counter.CountAbsolute(db);
         const std::vector<double> horizontal_rel = counter.CountRelative(db);
 
-        for (const data::simd::Level level : RunnableLevels()) {
-          data::simd::ScopedLevelForTesting scoped(level);
-          const std::string failure =
-              CheckAllKernels(counter, flat, horizontal, horizontal_rel);
-          if (!failure.empty()) {
-            return PropResult::Fail(
-                failure + " at level " + data::simd::LevelName(level));
-          }
-        }
+        const std::string failure =
+            CheckAllKernels(counter, db, flat, horizontal, horizontal_rel);
+        if (!failure.empty()) return PropResult::Fail(failure);
         return PropResult::Ok();
       },
       proptest::Config::FromEnv(8)));
@@ -119,19 +101,12 @@ TEST(LawsKernelOracle, DeviationsIdenticalAcrossKernelsAndLevels) {
         const double horizontal_regions =
             LitsDeviationOverRegions(gcr, da, db, fn);
 
-        for (const data::simd::Level level : RunnableLevels()) {
-          data::simd::ScopedLevelForTesting scoped(level);
-          if (LitsDeviation(ma, &fa, mb, &fb, fn) != horizontal) {
-            return PropResult::Fail(
-                std::string("flat deviation differs at level ") +
-                data::simd::LevelName(level));
-          }
-          if (LitsDeviationOverRegions(gcr, &fa, &fb, fn) !=
-              horizontal_regions) {
-            return PropResult::Fail(
-                std::string("flat over-regions deviation differs at level ") +
-                data::simd::LevelName(level));
-          }
+        if (LitsDeviation(ma, &fa, mb, &fb, fn) != horizontal) {
+          return PropResult::Fail("flat deviation differs");
+        }
+        if (LitsDeviationOverRegions(gcr, &fa, &fb, fn) !=
+            horizontal_regions) {
+          return PropResult::Fail("flat over-regions deviation differs");
         }
         return PropResult::Ok();
       },
@@ -277,11 +252,9 @@ TEST(LawsKernelOracle, AdversarialDensityFixtures) {
     const std::vector<int64_t> horizontal = counter.CountAbsolute(fixture.db);
     const std::vector<double> horizontal_rel =
         counter.CountRelative(fixture.db);
-    for (const data::simd::Level level : RunnableLevels()) {
-      data::simd::ScopedLevelForTesting scoped(level);
-      EXPECT_EQ(CheckAllKernels(counter, flat, horizontal, horizontal_rel), "")
-          << "level=" << data::simd::LevelName(level);
-    }
+    EXPECT_EQ(CheckAllKernels(counter, fixture.db, flat, horizontal,
+                              horizontal_rel),
+              "");
   }
 }
 

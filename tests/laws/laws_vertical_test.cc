@@ -1,10 +1,10 @@
 // Differential oracles for the vertical (TID-bitmap) counting path: on
-// every generated workload the vertical kernels must be BIT-IDENTICAL to
-// the horizontal scan — integer counts equal, relative supports equal as
-// doubles (same integers divided by the same |D|), and the
-// parallel-over-itemsets variant equal for every pool size. The same
-// contract lifted through the stack: Apriori mining and the GCR-extension
-// deviation must not change when handed a prebuilt index.
+// every generated workload vertical counting must be BIT-IDENTICAL to the
+// horizontal scan and to its parallel form at every pool size — integer
+// counts equal, and relative supports equal as doubles (same integers
+// divided by the same |D|). The same contract lifted through the stack:
+// Apriori mining and the GCR-extension deviation must not change when
+// handed a prebuilt index.
 // Apriori's level 2 is pinned at the scale its pair counting targets:
 // hundreds of frequent items, so tens of thousands of pairs.
 
@@ -65,13 +65,13 @@ TEST(LawsVertical, SupportCountsIdenticalToHorizontalAndAllPoolSizes) {
           return PropResult::Fail("vertical relative supports differ");
         for (const int threads : kPoolSizes) {
           common::ThreadPool pool(threads);
-          if (counter.CountAbsoluteParallel(index, pool) != horizontal)
+          if (counter.CountAbsoluteParallel(db, pool) != horizontal)
             return PropResult::Fail(
-                "vertical-parallel absolute counts differ with " +
+                "parallel absolute counts differ with " +
                 std::to_string(threads) + " threads");
-          if (counter.CountRelativeParallel(index, pool) != horizontal_rel)
+          if (counter.CountRelativeParallel(db, pool) != horizontal_rel)
             return PropResult::Fail(
-                "vertical-parallel relative supports differ with " +
+                "parallel relative supports differ with " +
                 std::to_string(threads) + " threads");
         }
         return PropResult::Ok();

@@ -284,7 +284,7 @@ TEST_F(MonitordSpoolTest, OutOfRangeBlockSizeIsAUsageError) {
   std::stringstream good;
   io::SaveTransactionDb(SmallDb(8, 30), good);
   WriteSpoolFile("s1__000_good.txns", good.str());
-  for (const char* value : {"0", "9007199254740992"}) {
+  for (const char* value : {"0", "9007199254740992", "4x"}) {
     std::string log;
     const int status =
         RunOnce(&log, std::string("--ooc 1 --block-size-kib ") + value);

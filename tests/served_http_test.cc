@@ -68,27 +68,22 @@ class ServedHttpTest : public ::testing::Test {
 
   void TearDown() override {
     if (pid_ > 0) {  // a test failed before the clean shutdown
-      kill(pid_, SIGKILL);
+      kill(-pid_, SIGKILL);  // the daemon's whole process group
       waitpid(pid_, nullptr, 0);
     }
     fs::remove_all(root_);
   }
 
-  // Spawns the daemon (plus `extra_args`) and waits for --port-file to
-  // announce the bound port. Returns false (failing the test) on a boot
-  // timeout.
-  bool StartDaemon(const std::vector<std::string>& extra_args = {}) {
-    std::vector<std::string> args = {
-        FOCUS_SERVED_PATH, "--reference", reference_path_, "--port", "0",
-        "--port-file", port_file_, "--calibration", "1", "--replicates",
-        "1", "--threads", "2", "--queue", "8"};
-    args.insert(args.end(), extra_args.begin(), extra_args.end());
+  // Forks and execs the daemon with `args` (after argv[0]) in a process
+  // group of its own, logging to stdout.txt. Does not wait.
+  void Spawn(std::vector<std::string> args) {
+    args.insert(args.begin(), FOCUS_SERVED_PATH);
     std::vector<char*> argv;
     for (std::string& arg : args) argv.push_back(arg.data());
     argv.push_back(nullptr);
     pid_ = fork();
     if (pid_ == 0) {
-      // Child: exec the daemon on an ephemeral port, logs to files.
+      setpgid(0, 0);
       const int out = open((root_ / "stdout.txt").c_str(),
                            O_WRONLY | O_CREAT | O_TRUNC, 0644);
       dup2(out, STDOUT_FILENO);
@@ -96,6 +91,19 @@ class ServedHttpTest : public ::testing::Test {
       execv(FOCUS_SERVED_PATH, argv.data());
       _exit(127);  // exec failed
     }
+    setpgid(pid_, pid_);  // also here, so the group exists on return
+  }
+
+  // Spawns the daemon (plus `extra_args`) and waits for --port-file to
+  // announce the bound port. Returns false (failing the test) on a boot
+  // timeout.
+  bool StartDaemon(const std::vector<std::string>& extra_args = {}) {
+    std::vector<std::string> args = {
+        "--reference", reference_path_, "--port", "0", "--port-file",
+        port_file_, "--calibration", "1", "--replicates", "1", "--threads",
+        "2", "--queue", "8"};
+    args.insert(args.end(), extra_args.begin(), extra_args.end());
+    Spawn(args);
     for (int i = 0; i < 200; ++i) {
       std::ifstream in(port_file_);
       int port = 0;
@@ -283,24 +291,20 @@ TEST_F(ServedHttpTest, OutOfRangePortAndConnectionCapAreUsageErrors) {
       {"--read-deadline-ms", "0", "--port", "0"},
       {"--read-deadline-ms", "-5", "--port", "0"},
       {"--ingest-wait-ms", "4294967296", "--port", "0"},
-      {"--ingest-wait-ms", "-1", "--port", "0"}};
+      {"--ingest-wait-ms", "-1", "--port", "0"},
+      // Numbers with anything after them: atoll read "10s" as 10 and
+      // "0x" as 0, atof "0.05zz" as 0.05, and "abc" as 0.
+      {"--read-deadline-ms", "10s", "--port", "0"},
+      {"--shards", "abc", "--port", "0"},
+      {"--threads", "4x", "--port", "0"},
+      {"--slack", "abc", "--port", "0"},
+      {"--minsup", "0.05zz", "--port", "0"},
+      {"--port", "0x"}};
   for (const std::vector<std::string>& flags : cases) {
-    std::vector<std::string> args = {FOCUS_SERVED_PATH, "--reference",
-                                     reference_path_, "--port-file",
-                                     port_file_};
+    std::vector<std::string> args = {"--reference", reference_path_,
+                                     "--port-file", port_file_};
     args.insert(args.end(), flags.begin(), flags.end());
-    std::vector<char*> argv;
-    for (std::string& arg : args) argv.push_back(arg.data());
-    argv.push_back(nullptr);
-    pid_ = fork();
-    if (pid_ == 0) {
-      const int out = open((root_ / "stdout.txt").c_str(),
-                           O_WRONLY | O_CREAT | O_TRUNC, 0644);
-      dup2(out, STDOUT_FILENO);
-      dup2(out, STDERR_FILENO);
-      execv(FOCUS_SERVED_PATH, argv.data());
-      _exit(127);  // exec failed
-    }
+    Spawn(args);
     // A daemon that took the flags keeps serving; TearDown kills it.
     int status = 0;
     pid_t reaped = 0;
@@ -320,6 +324,37 @@ TEST_F(ServedHttpTest, OutOfRangePortAndConnectionCapAreUsageErrors) {
     EXPECT_NE(text.str().find(flags[0]), std::string::npos) << text.str();
     EXPECT_FALSE(fs::exists(port_file_)) << flags[0];
   }
+}
+
+// A signal during start-up ends the daemon at once. Calibrating this
+// reference a million times takes minutes (in bounded memory: the
+// reference has 10 items), and SIGTERM comes half a second in, while the
+// in-process worker calibrates. The daemon must die of the signal within
+// seconds, without writing --port-file.
+TEST_F(ServedHttpTest, SigtermDuringCalibrationEndsStartup) {
+  Spawn({"--reference", reference_path_, "--port", "0", "--port-file",
+         port_file_, "--calibration", "1000000", "--threads", "1"});
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  ASSERT_EQ(kill(pid_, SIGTERM), 0);
+  int status = 0;
+  pid_t reaped = 0;
+  for (int i = 0; i < 250 && reaped == 0; ++i) {
+    reaped = waitpid(pid_, &status, WNOHANG);
+    if (reaped == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  }
+  ASSERT_EQ(reaped, pid_) << "still running 5 s after SIGTERM";
+  const pid_t group = pid_;
+  pid_ = -1;
+  std::ifstream log(root_ / "stdout.txt");
+  std::stringstream text;
+  text << log.rdbuf();
+  ASSERT_TRUE(WIFSIGNALED(status)) << text.str();
+  EXPECT_EQ(WTERMSIG(status), SIGTERM);
+  EXPECT_FALSE(fs::exists(port_file_));
+  EXPECT_EQ(text.str().find("listening"), std::string::npos) << text.str();
+  EXPECT_EQ(kill(-group, 0), -1) << "a process of the daemon is left";
 }
 
 }  // namespace

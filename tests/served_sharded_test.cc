@@ -82,10 +82,31 @@ class ServedShardedTest : public ::testing::Test {
 
   void TearDown() override {
     if (pid_ > 0) {  // a test failed before the clean shutdown
-      kill(pid_, SIGKILL);
+      kill(-pid_, SIGKILL);  // the daemon and its workers: one group
       waitpid(pid_, nullptr, 0);
     }
     fs::remove_all(root_);
+  }
+
+  // Forks and execs the daemon with `args` (after argv[0]) in a process
+  // group of its own, which its forked workers join, logging to
+  // stdout.txt. Does not wait.
+  void Spawn(std::vector<std::string> args) {
+    args.insert(args.begin(), FOCUS_SERVED_PATH);
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    pid_ = fork();
+    if (pid_ == 0) {
+      setpgid(0, 0);
+      const int out = open((root_ / "stdout.txt").c_str(),
+                           O_WRONLY | O_CREAT | O_TRUNC, 0644);
+      dup2(out, STDOUT_FILENO);
+      dup2(out, STDERR_FILENO);
+      execv(FOCUS_SERVED_PATH, argv.data());
+      _exit(127);  // exec failed
+    }
+    setpgid(pid_, pid_);  // also here, so the group exists on return
   }
 
   // Spawns the sharded daemon (2 workers, 2 reactors) and waits for
@@ -93,20 +114,10 @@ class ServedShardedTest : public ::testing::Test {
   // after every worker answered a ping, so a successful boot already
   // proves fork + Unix-socket serve + PingAll.
   bool StartDaemon() {
-    pid_ = fork();
-    if (pid_ == 0) {
-      const int out = open((root_ / "stdout.txt").c_str(),
-                           O_WRONLY | O_CREAT | O_TRUNC, 0644);
-      dup2(out, STDOUT_FILENO);
-      dup2(out, STDERR_FILENO);
-      execl(FOCUS_SERVED_PATH, FOCUS_SERVED_PATH, "--reference",
-            reference_path_.c_str(), "--port", "0", "--port-file",
-            port_file_.c_str(), "--shards", "2", "--reactors", "2",
-            "--shard-dir", (root_ / "shards").c_str(), "--minsup", "0.3",
-            "--calibration", "1", "--replicates", "1", "--threads", "2",
-            "--queue", "8", static_cast<char*>(nullptr));
-      _exit(127);  // exec failed
-    }
+    Spawn({"--reference", reference_path_, "--port", "0", "--port-file",
+           port_file_, "--shards", "2", "--reactors", "2", "--shard-dir",
+           (root_ / "shards").string(), "--minsup", "0.3", "--calibration",
+           "1", "--replicates", "1", "--threads", "2", "--queue", "8"});
     for (int i = 0; i < 400; ++i) {
       std::ifstream in(port_file_);
       int port = 0;
@@ -268,20 +279,10 @@ TEST_F(ServedShardedTest, SigtermFinishesAcceptedWorkAcrossShards) {
 // Forked workers keep no event log, so --events with --shards >= 1 is a
 // usage error up front instead of a flag that silently writes nothing.
 TEST_F(ServedShardedTest, EventsFlagIsAUsageError) {
-  const std::string events_path = (root_ / "events.jsonl").string();
-  pid_ = fork();
-  if (pid_ == 0) {
-    const int out = open((root_ / "stdout.txt").c_str(),
-                         O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    dup2(out, STDOUT_FILENO);
-    dup2(out, STDERR_FILENO);
-    execl(FOCUS_SERVED_PATH, FOCUS_SERVED_PATH, "--reference",
-          reference_path_.c_str(), "--port", "0", "--port-file",
-          port_file_.c_str(), "--shards", "2", "--shard-dir",
-          (root_ / "shards").c_str(), "--events", events_path.c_str(),
-          static_cast<char*>(nullptr));
-    _exit(127);  // exec failed
-  }
+  Spawn({"--reference", reference_path_, "--port", "0", "--port-file",
+         port_file_, "--shards", "2", "--shard-dir",
+         (root_ / "shards").string(), "--events",
+         (root_ / "events.jsonl").string()});
   int status = 0;
   ASSERT_EQ(waitpid(pid_, &status, 0), pid_);
   pid_ = -1;
@@ -299,17 +300,8 @@ TEST_F(ServedShardedTest, OutOfRangeServiceFlagIsAUsageError) {
   const std::vector<std::pair<const char*, const char*>> cases = {
       {"--warmup", "1"}, {"--replicates", "0"}};
   for (const auto& [flag, value] : cases) {
-    pid_ = fork();
-    if (pid_ == 0) {
-      const int out = open((root_ / "stdout.txt").c_str(),
-                           O_WRONLY | O_CREAT | O_TRUNC, 0644);
-      dup2(out, STDOUT_FILENO);
-      dup2(out, STDERR_FILENO);
-      execl(FOCUS_SERVED_PATH, FOCUS_SERVED_PATH, "--reference",
-            reference_path_.c_str(), "--port", "0", "--port-file",
-            port_file_.c_str(), flag, value, static_cast<char*>(nullptr));
-      _exit(127);  // exec failed
-    }
+    Spawn({"--reference", reference_path_, "--port", "0", "--port-file",
+           port_file_, flag, value});
     // A daemon that took the flag keeps serving; TearDown kills it.
     int status = 0;
     pid_t reaped = 0;
@@ -334,20 +326,10 @@ TEST_F(ServedShardedTest, OutOfRangeServiceFlagIsAUsageError) {
 TEST_F(ServedShardedTest, WorkerThatCannotBindFailsStartupFast) {
   const fs::path shard_dir = root_ / std::string(120, 'd');
   const common::Timer timer;
-  pid_ = fork();
-  if (pid_ == 0) {
-    const int out = open((root_ / "stdout.txt").c_str(),
-                         O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    dup2(out, STDOUT_FILENO);
-    dup2(out, STDERR_FILENO);
-    execl(FOCUS_SERVED_PATH, FOCUS_SERVED_PATH, "--reference",
-          reference_path_.c_str(), "--port", "0", "--port-file",
-          port_file_.c_str(), "--shards", "2", "--shard-dir",
-          shard_dir.c_str(), "--minsup", "0.3", "--calibration", "1",
-          "--replicates", "1", "--threads", "1",
-          static_cast<char*>(nullptr));
-    _exit(127);  // exec failed
-  }
+  Spawn({"--reference", reference_path_, "--port", "0", "--port-file",
+         port_file_, "--shards", "2", "--shard-dir", shard_dir.string(),
+         "--minsup", "0.3", "--calibration", "1", "--replicates", "1",
+         "--threads", "1"});
   int status = 0;
   ASSERT_EQ(waitpid(pid_, &status, 0), pid_);
   pid_ = -1;
@@ -358,6 +340,37 @@ TEST_F(ServedShardedTest, WorkerThatCannotBindFailsStartupFast) {
   EXPECT_NE(ReadLog().find("cannot listen"), std::string::npos) << ReadLog();
   EXPECT_NE(ReadLog().find("not up"), std::string::npos) << ReadLog();
   EXPECT_FALSE(fs::exists(port_file_));
+  EXPECT_FALSE(fs::exists(shard_dir));  // created by the daemon, removed
+}
+
+// A signal during start-up ends the daemon at once: the front end stops
+// waiting for the worker, stops and reaps it, writes no --port-file and
+// dies of the signal. Calibrating this reference a million times takes
+// the worker minutes (in bounded memory: the reference has 10 items), and
+// SIGTERM comes half a second in.
+TEST_F(ServedShardedTest, SigtermDuringCalibrationEndsStartup) {
+  const fs::path shard_dir = root_ / "shards";
+  Spawn({"--reference", reference_path_, "--port", "0", "--port-file",
+         port_file_, "--shards", "1", "--shard-dir", shard_dir.string(),
+         "--calibration", "1000000", "--threads", "1"});
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  ASSERT_EQ(kill(pid_, SIGTERM), 0);
+  int status = 0;
+  pid_t reaped = 0;
+  for (int i = 0; i < 250 && reaped == 0; ++i) {
+    reaped = waitpid(pid_, &status, WNOHANG);
+    if (reaped == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  }
+  ASSERT_EQ(reaped, pid_) << "still running 5 s after SIGTERM";
+  const pid_t group = pid_;
+  pid_ = -1;
+  ASSERT_TRUE(WIFSIGNALED(status)) << ReadLog();
+  EXPECT_EQ(WTERMSIG(status), SIGTERM);
+  EXPECT_FALSE(fs::exists(port_file_));
+  EXPECT_EQ(ReadLog().find("listening"), std::string::npos) << ReadLog();
+  EXPECT_EQ(kill(-group, 0), -1) << "a shard worker is left";
   EXPECT_FALSE(fs::exists(shard_dir));  // created by the daemon, removed
 }
 

@@ -157,16 +157,14 @@ int Run(const common::Flags& flags) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  constexpr int64_t kMaxBlockSizeKib = (int64_t{1} << 21) - 1;
-  const int64_t block_size_kib = flags.GetInt("block-size-kib", 1024);
-  if (block_size_kib < 1 || block_size_kib > kMaxBlockSizeKib) {
-    std::fprintf(stderr,
-                 "--block-size-kib must be an integer in [1, %lld], got %s\n",
-                 static_cast<long long>(kMaxBlockSizeKib),
-                 flags.Get("block-size-kib", "").c_str());
+  constexpr int kMaxBlockSizeKib = (1 << 21) - 1;
+  int block_size_kib = 0;
+  if (!common::ReadIntFlag(flags, "block-size-kib", 1024, 1, &block_size_kib,
+                           &error, kMaxBlockSizeKib)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  const int64_t block_size = block_size_kib * 1024;
+  const int64_t block_size = int64_t{block_size_kib} * 1024;
   std::error_code ec;
   fs::create_directories(fs::path(spool) / "processed", ec);
   fs::create_directories(fs::path(spool) / "rejected", ec);

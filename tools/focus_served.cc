@@ -26,8 +26,9 @@
 //
 // --port 0 binds a kernel-assigned ephemeral port; --port-file writes the
 // bound port as a single line once the server is listening (how the
-// integration tests and scripts find it). An int flag outside its range
-// is a usage error, reported before the reference is read, as is an
+// integration tests and scripts find it). An int flag outside its range,
+// or a numeric flag that is not entirely a number ("10s", "4x"), is a
+// usage error, reported before the reference is read, as is an
 // out-of-range service flag: --port [0, 65535], --shards and
 // --ingest-wait-ms [0, INT_MAX], --reactors and --read-deadline-ms
 // [1, INT_MAX], --max-connections [--reactors, INT_MAX] (each reactor
@@ -55,11 +56,15 @@
 // the listeners close, idle keep-alive connections are shut, in-flight
 // requests finish, then every worker flushes its ingest queue (forked
 // workers are SIGTERMed, drain the same way, and are reaped) and the
-// process exits 0.
+// process exits 0. A signal that arrives before the daemon serves (while
+// it reads the reference or a worker calibrates) ends it at once instead:
+// it writes no --port-file, stops and reaps any forked worker, and dies
+// of that signal (a shell reports 128 + the signal number, 143 for
+// SIGTERM).
 //
 // Exit status: 0 on success (including signal-triggered drain), 1 on
 // usage errors, 2 on I/O or bind failures (or a worker that did not
-// drain cleanly).
+// drain cleanly); killed by the signal when one arrives during start-up.
 
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -129,13 +134,19 @@ int64_t DrainWorker(shard::ShardWorker* worker, int deadline_ms) {
 }
 
 // A forked worker process: one ShardWorker on one Unix socket, drained on
-// SIGTERM. The worker calibrates against the reference before it binds,
-// so the front end's start-up ping waits for that.
+// SIGTERM once it serves. The worker calibrates against the reference
+// before it binds, so the front end's start-up ping waits for that.
 int WorkerMain(const shard::ShardWorkerOptions& options, int read_deadline_ms,
                const data::TransactionDb& reference,
                const std::string& socket_path) {
+  // Until it serves, a signal ends the worker at once: its calibration has
+  // no time bound.
+  std::signal(SIGTERM, SIG_DFL);
+  std::signal(SIGINT, SIG_DFL);
+  if (g_signal != 0) return 0;  // caught between the fork and the reset
   const uint32_t shard_index = options.shard_index;
   shard::ShardWorker worker(options, reference, nullptr);
+  InstallSignalHandlers();
   shard::WireServerOptions server_options;
   server_options.unix_path = socket_path;
   server_options.read_deadline_ms = read_deadline_ms;
@@ -275,7 +286,7 @@ int Run(const common::Flags& flags) {
   // reactor gets max-connections / reactors slots, so fewer connections
   // than reactors would leave one with none.
   int num_shards = 0, num_reactors = 0, max_connections = 0;
-  int read_deadline_ms = 0;
+  int read_deadline_ms = 0, port = 0;
   std::string flag_error;
   if (!common::ReadIntFlag(flags, "shards", 0, 0, &num_shards, &flag_error) ||
       !common::ReadIntFlag(flags, "reactors", 1, 1, &num_reactors,
@@ -283,14 +294,10 @@ int Run(const common::Flags& flags) {
       !common::ReadIntFlag(flags, "max-connections", 256, num_reactors,
                            &max_connections, &flag_error) ||
       !common::ReadIntFlag(flags, "read-deadline-ms", 10'000, 1,
-                           &read_deadline_ms, &flag_error)) {
+                           &read_deadline_ms, &flag_error) ||
+      !common::ReadIntFlag(flags, "port", 8080, 0, &port, &flag_error,
+                           65535)) {
     std::fprintf(stderr, "%s\n", flag_error.c_str());
-    return 1;
-  }
-  const int64_t port = flags.GetInt("port", 8080);
-  if (port < 0 || port > 65535) {
-    std::fprintf(stderr, "--port must be an integer in [0, 65535], got %lld\n",
-                 static_cast<long long>(port));
     return 1;
   }
   const std::string events_path = flags.Get("events", "");
@@ -313,25 +320,25 @@ int Run(const common::Flags& flags) {
     return 2;
   }
 
-  // Handlers go in before any fork so forked workers inherit them;
-  // g_signal is per-process after the fork.
-  InstallSignalHandlers();
-
   // The workers: N forked processes, or (--shards 0) one in this process
   // that shares the daemon's registry, so /metrics carries its unlabelled
-  // service and cache series.
+  // service and cache series. Each worker keeps the default SIGTERM and
+  // SIGINT action until it serves. The front end catches them from before
+  // the first fork, so that it can always stop and reap its workers.
   ForkedShards forked;
   serve::MetricsRegistry metrics;
   std::ofstream events;
   std::unique_ptr<shard::ShardWorker> local_worker;
   std::unique_ptr<shard::LocalShardChannel> local_channel;
   if (num_shards > 0) {
+    InstallSignalHandlers();
     const int status = ForkShards(flags, *worker_options, read_deadline_ms,
                                   *reference, num_shards, &forked);
     if (status != 0) return status;
   } else {
     local_worker = std::make_unique<shard::ShardWorker>(*worker_options,
                                                         *reference, &metrics);
+    InstallSignalHandlers();
     local_channel =
         std::make_unique<shard::LocalShardChannel>(local_worker.get());
     if (!events_path.empty()) {
@@ -401,6 +408,16 @@ int Run(const common::Flags& flags) {
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
+  }
+  if (g_signal != 0) {
+    // A signal before serving ends start-up the way it ends a calibrating
+    // in-process worker: the workers are stopped (one still calibrating
+    // dies of the signal) and reaped, and the daemon dies of it too.
+    const int sig = g_signal;
+    forked.Shutdown(SIGTERM);
+    std::signal(sig, SIG_DFL);
+    std::raise(sig);
+    return 2;  // not reached
   }
 
   const std::string port_file = flags.Get("port-file", "");
