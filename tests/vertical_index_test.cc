@@ -4,10 +4,8 @@
 // masking when num_transactions is not a multiple of 64, item universes
 // that are not a multiple of 64, and absent/empty extremes.
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,7 +15,6 @@
 #include "datagen/quest_gen.h"
 #include "itemsets/itemset.h"
 #include "itemsets/support_counter.h"
-#include "stats/rng.h"
 
 namespace focus::data {
 namespace {
@@ -127,62 +124,6 @@ TEST(VerticalIndexTest, ItemUniverseNotMultipleOf64) {
   EXPECT_EQ(index.ItemCount(64), 0);
   const std::vector<int32_t> pair = {0, 66};
   EXPECT_EQ(index.CountIntersection(pair), 1);
-}
-
-// An index whose item bitmaps are the given words: transaction t holds
-// item i iff bit t of rows[i] is set, so every transaction count is a
-// multiple of 64.
-VerticalIndex IndexOfWords(const std::vector<std::vector<uint64_t>>& rows,
-                           int64_t num_words) {
-  TransactionDb db(static_cast<int32_t>(rows.size()));
-  std::vector<int32_t> items;
-  for (int64_t t = 0; t < 64 * num_words; ++t) {
-    items.clear();
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if ((rows[i][static_cast<size_t>(t / 64)] >> (t % 64)) & 1) {
-        items.push_back(static_cast<int32_t>(i));
-      }
-    }
-    db.AddTransaction(items);
-  }
-  return VerticalIndex(db);
-}
-
-TEST(VerticalIndexTest, CountIntersectionMatchesWordReference) {
-  // Random rows, plus an all-ones and an all-zeros row, over several
-  // lengths; every prefix of up to 19 members (more than fit the stack
-  // pointer array) must count the popcount of the AND of its rows.
-  std::mt19937_64 rng = stats::MakeRng(0xFACADE);
-  for (const int64_t num_words : {1, 3, 8, 17}) {
-    std::vector<std::vector<uint64_t>> rows(
-        21, std::vector<uint64_t>(static_cast<size_t>(num_words)));
-    for (size_t i = 0; i < 19; ++i) {
-      // OR two draws per word (density 3/4), so wide intersections stay
-      // non-empty a little longer.
-      for (uint64_t& word : rows[i]) word = rng() | rng();
-    }
-    std::fill(rows[19].begin(), rows[19].end(), ~uint64_t{0});
-    const VerticalIndex index = IndexOfWords(rows, num_words);
-    ASSERT_EQ(index.num_words(), num_words);
-
-    std::vector<int32_t> members;
-    for (int32_t k = 0; k < 19; ++k) {
-      members.push_back(k);
-      int64_t expected = 0;
-      for (int64_t w = 0; w < num_words; ++w) {
-        uint64_t word = ~uint64_t{0};
-        for (int32_t m : members) word &= rows[m][static_cast<size_t>(w)];
-        expected += std::popcount(word);
-      }
-      EXPECT_EQ(index.CountIntersection(members), expected)
-          << "words=" << num_words << " k=" << members.size();
-    }
-    const std::vector<int32_t> first_and_ones = {0, 19};
-    EXPECT_EQ(index.CountIntersection(first_and_ones), index.ItemCount(0));
-    const std::vector<int32_t> ones_and_zeros = {19, 20};
-    EXPECT_EQ(index.CountIntersection(ones_and_zeros), 0);
-    EXPECT_EQ(index.ItemCount(19), 64 * num_words);
-  }
 }
 
 TEST(VerticalIndexTest, MemoryBytesCoversBitmapsAndCounts) {
