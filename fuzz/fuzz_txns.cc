@@ -1,21 +1,30 @@
 // Fuzz target for the focus-txns-v1 spool parser — the loader that
-// focus_monitord feeds with untrusted files. Beyond not crashing, the
-// parser must be a retraction: anything it ACCEPTS must re-serialize to
-// a form it accepts again, identically (otherwise the daemon's
-// processed/ archive would not round-trip).
+// focus_monitord and focus_served feed with untrusted bytes. Beyond not
+// crashing:
+//   * the loader over a string_view, the loader over a stream and the
+//     istringstream reference parser (proptest/txns_oracle.h) must agree
+//     on accepting, on the rejection reason and on every row;
+//   * the parser must be a retraction: anything it ACCEPTS must
+//     re-serialize to a form it accepts again, identically (otherwise the
+//     daemon's processed/ archive would not round-trip).
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
-#include <string>
+#include <string_view>
 
 #include "io/data_io.h"
+#include "proptest/txns_oracle.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
-  const std::string bytes(reinterpret_cast<const char*>(data), size);
-  std::istringstream in(bytes);
-  const auto db = focus::io::LoadTransactionDb(in);
+  const std::string_view bytes(reinterpret_cast<const char*>(data), size);
+  if (const auto differs = focus::proptest::TxnsLoadersDisagree(bytes)) {
+    std::fprintf(stderr, "loaders disagree: %s\n", differs->c_str());
+    std::abort();
+  }
+  const auto db = focus::io::LoadTransactionDb(bytes);
   if (!db.has_value()) return 0;
 
   std::stringstream resaved;

@@ -46,17 +46,11 @@ void LitsChangeMonitor::Calibrate() {
 }
 
 MonitorReport LitsChangeMonitor::Inspect(data::TxnSourceRef snapshot) const {
-  // One scan builds the snapshot's index: mining reads its item counts,
-  // and the (possible) stage-2 extension runs vertically against it.
-  const data::VerticalIndex snapshot_index(snapshot);
-  return InspectWithModel(
-      snapshot, lits::Apriori(snapshot, options_.apriori, &snapshot_index),
-      &snapshot_index);
+  return InspectWithModel(snapshot, lits::Apriori(snapshot, options_.apriori));
 }
 
 MonitorReport LitsChangeMonitor::InspectWithModel(
     data::TxnSourceRef snapshot, const lits::LitsModel& snapshot_model,
-    const data::VerticalIndex* snapshot_index,
     common::ThreadPool* pool) const {
   MonitorReport report;
   report.upper_bound =
@@ -67,12 +61,8 @@ MonitorReport LitsChangeMonitor::InspectWithModel(
     report.screened_out = true;
     return report;
   }
-  report.deviation =
-      snapshot_index != nullptr
-          ? LitsDeviation(reference_model_, &reference_index_, snapshot_model,
-                          snapshot_index, options_.fn)
-          : LitsDeviation(reference_model_, reference_, snapshot_model,
-                          snapshot, options_.fn);
+  report.deviation = LitsDeviation(reference_model_, reference_,
+                                   snapshot_model, snapshot, options_.fn);
   // The deviation above is LitsDeviationSignificance's, bit for bit, so
   // only its null distribution is left to compute.
   SignificanceOptions significance = options_.significance;

@@ -52,29 +52,25 @@ class LitsChangeMonitor {
                     const MonitorOptions& options);
 
   // Inspects one snapshot; does NOT update the reference. A block-backed
-  // snapshot streams through every stage (index build, mining, stage-2
-  // counting, bootstrap resampling) without ever being materialized as one
-  // flat TransactionDb. Reports are bit-identical across backends.
+  // snapshot streams through every stage (mining, stage-2 counting,
+  // bootstrap resampling) without ever being materialized as one flat
+  // TransactionDb. Reports are bit-identical across backends.
   MonitorReport Inspect(data::TxnSourceRef snapshot) const;
 
   // Same, with a caller-supplied model of `snapshot` (e.g. from the
   // serving layer's mined-model cache) so stage 1 skips re-mining. The
   // model MUST have been mined from `snapshot` with this monitor's
-  // apriori options. When `snapshot_index` is non-null (a vertical index
-  // built from `snapshot`, e.g. the serving layer's per-snapshot index
-  // cache), the stage-2 exact deviation extends both models via TID-bitmap
-  // AND+popcount against this index and the monitor's own reference
-  // index — no re-scan of either dataset's raw transactions. When it is
-  // null (a block-backed snapshot), stage 2 streams the snapshot's blocks
-  // instead. Significance reuses that deviation and computes only the
-  // null distribution (LitsNullDeviations); with a `pool` (e.g. the
-  // serving layer's own, from inside one of its tasks), its replicates run
-  // across it. The report is bit-identical either way, for either
-  // backend, and with or without a pool.
-  MonitorReport InspectWithModel(
-      data::TxnSourceRef snapshot, const lits::LitsModel& snapshot_model,
-      const data::VerticalIndex* snapshot_index = nullptr,
-      common::ThreadPool* pool = nullptr) const;
+  // apriori options. Stage 2 extends both models to their GCR by scanning
+  // the reference and the snapshot once each (a block-backed snapshot
+  // block by block), so a snapshot the screen passes needs no index.
+  // Significance reuses that deviation and computes only the null
+  // distribution (LitsNullDeviations); with a `pool` (e.g. the serving
+  // layer's own, from inside one of its tasks), its replicates run across
+  // it. The report is bit-identical for either backend, and with or
+  // without a pool.
+  MonitorReport InspectWithModel(data::TxnSourceRef snapshot,
+                                 const lits::LitsModel& snapshot_model,
+                                 common::ThreadPool* pool = nullptr) const;
 
   // Replaces the reference with `snapshot` (e.g. after an accepted
   // regime change) and re-calibrates.
@@ -82,6 +78,8 @@ class LitsChangeMonitor {
 
   double alert_threshold() const { return alert_threshold_; }
   const lits::LitsModel& reference_model() const { return reference_model_; }
+  // For read paths that extend the reference model through an index (the
+  // serving layer's deviation queries); Inspect does not use it.
   const data::VerticalIndex& reference_index() const {
     return reference_index_;
   }
@@ -92,7 +90,7 @@ class LitsChangeMonitor {
   MonitorOptions options_;
   data::TransactionDb reference_;
   // Built once per reference (construction / Rebase); declared before the
-  // model so mining can run vertically against it.
+  // model, whose level 1 takes the index's item counts.
   data::VerticalIndex reference_index_;
   lits::LitsModel reference_model_;
   double alert_threshold_ = 0.0;

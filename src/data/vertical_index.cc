@@ -1,9 +1,21 @@
 #include "data/vertical_index.h"
 
-#include <bit>
 #include <vector>
 
 namespace focus::data {
+namespace {
+
+// Branch-free SWAR popcount. The build targets baseline x86-64, where
+// std::popcount has no instruction and becomes a libgcc call per word;
+// this stays inline and needs no CPU dispatch.
+inline int64_t Popcount(uint64_t word) {
+  word -= (word >> 1) & 0x5555555555555555ULL;
+  word = (word & 0x3333333333333333ULL) + ((word >> 2) & 0x3333333333333333ULL);
+  word = (word + (word >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<int64_t>((word * 0x0101010101010101ULL) >> 56);
+}
+
+}  // namespace
 
 VerticalIndex::VerticalIndex(TxnSourceRef source)
     : num_items_(source.num_items()),
@@ -53,7 +65,7 @@ int64_t VerticalIndex::CountIntersection(std::span<const int32_t> items) const {
   for (int64_t w = 0; w < words_; ++w) {
     uint64_t word = ptrs[0][w];
     for (size_t m = 1; m < items.size(); ++m) word &= ptrs[m][w];
-    count += std::popcount(word);
+    count += Popcount(word);
   }
   return count;
 }

@@ -1,10 +1,15 @@
 #include "io/data_io.h"
 
+#include <charconv>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <istream>
+#include <limits>
 #include <ostream>
+#include <span>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "io/model_io.h"
@@ -22,11 +27,6 @@ bool NextLine(std::istream& in, std::istringstream* line) {
   line->str(text);
   return true;
 }
-
-// True when the last extraction consumed the line cleanly: the loop
-// `while (line >> value)` ends either at end-of-line (eofbit set — OK) or
-// at a malformed token (failbit without eofbit — garbage).
-bool ConsumedCleanly(const std::istringstream& line) { return line.eof(); }
 
 // True when only whitespace remains after successful extractions.
 bool OnlyWhitespaceLeft(std::istringstream& line) {
@@ -50,62 +50,170 @@ std::nullopt_t Reject(std::string* error, std::string why) {
   return std::nullopt;
 }
 
-// The focus-txns-v1 parse shared by LoadTransactionDb and the streaming
-// block converter, so both enforce identical strictness. `start` runs
-// once with the validated header counts (before any row); `row` runs once
-// per transaction with range-checked item ids. Returns the rejection
-// reason, or nullopt on success.
-template <typename Start, typename Row>
-std::optional<std::string> ParseTransactionText(std::istream& in,
+// The characters operator>> skips as whitespace in the classic locale.
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+std::string_view SkipSpace(std::string_view text) {
+  size_t i = 0;
+  while (i < text.size() && IsSpace(text[i])) ++i;
+  return text.substr(i);
+}
+
+enum class IntRead { kOk, kNotANumber, kOutOfRange };
+
+// Reads one decimal integer off the front of `*text` as operator>> reads
+// it: leading whitespace, an optional '+' or '-', then every digit that
+// follows. `*text` is left just past the digits. kOutOfRange when the
+// signed value does not fit in T.
+template <typename T>
+IntRead ReadInt(std::string_view* text, T* value) {
+  std::string_view rest = SkipSpace(*text);
+  const bool negative = !rest.empty() && rest[0] == '-';
+  if (!rest.empty() && (rest[0] == '+' || rest[0] == '-')) {
+    rest.remove_prefix(1);
+  }
+  if (rest.empty() || rest[0] < '0' || rest[0] > '9') {
+    return IntRead::kNotANumber;
+  }
+  uint64_t magnitude = 0;
+  const auto [end, ec] =
+      std::from_chars(rest.data(), rest.data() + rest.size(), magnitude);
+  text->remove_prefix(static_cast<size_t>(end - text->data()));
+  const uint64_t limit = static_cast<uint64_t>(std::numeric_limits<T>::max()) +
+                         (negative ? 1 : 0);
+  if (ec == std::errc::result_out_of_range || magnitude > limit) {
+    return IntRead::kOutOfRange;
+  }
+  // Two's-complement negation, well defined on the unsigned value.
+  *value = static_cast<T>(negative ? 0 - magnitude : magnitude);
+  return IntRead::kOk;
+}
+
+// The lines of an in-memory text, split as std::getline splits a stream:
+// at every '\n', plus a last line without one; none once all is consumed.
+class ViewLines {
+ public:
+  explicit ViewLines(std::string_view text) : rest_(text) {}
+
+  bool Next(std::string_view* line) {
+    if (rest_.empty()) return false;
+    const void* newline = std::memchr(rest_.data(), '\n', rest_.size());
+    const size_t length =
+        newline == nullptr
+            ? rest_.size()
+            : static_cast<size_t>(static_cast<const char*>(newline) -
+                                  rest_.data());
+    *line = rest_.substr(0, length);
+    rest_.remove_prefix(newline == nullptr ? length : length + 1);
+    return true;
+  }
+
+  bool OnlyWhitespaceLeft() const { return SkipSpace(rest_).empty(); }
+
+ private:
+  std::string_view rest_;
+};
+
+// The lines of a stream, read with std::getline into one reused buffer,
+// so the converter can stream a text larger than memory.
+class StreamLines {
+ public:
+  explicit StreamLines(std::istream& in) : in_(in) {}
+
+  // `*line` is valid until the next call.
+  bool Next(std::string_view* line) {
+    if (!std::getline(in_, buffer_)) return false;
+    *line = buffer_;
+    return true;
+  }
+
+  bool OnlyWhitespaceLeft() { return OnlyWhitespaceLeftInStream(in_); }
+
+ private:
+  std::istream& in_;
+  std::string buffer_;
+};
+
+std::string Where(int64_t transaction) {
+  return "transaction " + std::to_string(transaction);
+}
+
+// The focus-txns-v1 parse behind both LoadTransactionDb overloads and the
+// streaming block converter, so all three enforce identical strictness.
+// `lines` is a ViewLines or a StreamLines. `start` runs once with the
+// validated header counts (before any row); `row` runs once per
+// transaction with range-checked item ids. Returns the rejection reason,
+// or nullopt on success.
+template <typename Lines, typename Start, typename Row>
+std::optional<std::string> ParseTransactionText(Lines& lines,
                                                 const Start& start,
                                                 const Row& row) {
-  std::istringstream line;
-  if (!NextLine(in, &line)) return "empty file";
-  std::string magic;
-  line >> magic;
-  if (magic != kTxnsMagic) {
+  std::string_view line;
+  if (!lines.Next(&line)) return "empty file";
+  // The magic is the line's first word; more words may follow it.
+  const std::string_view word = SkipSpace(line);
+  size_t word_length = 0;
+  while (word_length < word.size() && !IsSpace(word[word_length])) {
+    ++word_length;
+  }
+  if (word.substr(0, word_length) != kTxnsMagic) {
     return "bad magic (want " + std::string(kTxnsMagic) + ")";
   }
 
-  if (!NextLine(in, &line)) return "missing header line";
+  if (!lines.Next(&line)) return "missing header line";
   int32_t num_items = 0;
   int64_t num_transactions = 0;
-  // Counts that fail to parse (including integer overflow, which sets
-  // failbit) or are out of range reject the file.
-  if (!(line >> num_items >> num_transactions)) {
+  // Counts that fail to parse (including integer overflow) or are out of
+  // range reject the file.
+  if (ReadInt(&line, &num_items) != IntRead::kOk ||
+      ReadInt(&line, &num_transactions) != IntRead::kOk) {
     return "unparseable header counts";
   }
   if (num_items <= 0 || num_transactions < 0) {
     return "header counts out of range";
   }
-  if (!OnlyWhitespaceLeft(line)) {
-    return "trailing garbage after header";
-  }
+  if (!SkipSpace(line).empty()) return "trailing garbage after header";
 
   start(num_items, num_transactions);
   std::vector<int32_t> items;
   for (int64_t t = 0; t < num_transactions; ++t) {
-    const std::string where = "transaction " + std::to_string(t);
-    if (!NextLine(in, &line)) {
-      return "truncated: missing " + where;
-    }
+    if (!lines.Next(&line)) return "truncated: missing " + Where(t);
     items.clear();
-    int32_t item = 0;
-    while (line >> item) {
-      if (item < 0 || item >= num_items) {
-        return where + ": item id out of range";
+    for (line = SkipSpace(line); !line.empty(); line = SkipSpace(line)) {
+      int32_t item = 0;
+      const IntRead read = ReadInt(&line, &item);
+      if (read == IntRead::kNotANumber) {
+        return Where(t) + ": non-numeric token";
+      }
+      if (read == IntRead::kOutOfRange || item < 0 || item >= num_items) {
+        return Where(t) + ": item id out of range";
       }
       items.push_back(item);
     }
-    if (!ConsumedCleanly(line)) {
-      return where + ": non-numeric token";
-    }
-    row(items);
+    row(std::span<const int32_t>(items));
   }
-  if (!OnlyWhitespaceLeftInStream(in)) {
+  if (!lines.OnlyWhitespaceLeft()) {
     return "trailing content after declared transactions";
   }
   return std::nullopt;
+}
+
+// LoadTransactionDb over either line source.
+template <typename Lines>
+std::optional<data::TransactionDb> LoadTransactionLines(Lines& lines,
+                                                        std::string* error) {
+  std::optional<data::TransactionDb> db;
+  const std::optional<std::string> why = ParseTransactionText(
+      lines,
+      [&db](int32_t num_items, int64_t /*num_transactions*/) {
+        db.emplace(num_items);
+      },
+      [&db](std::span<const int32_t> items) { db->AddTransaction(items); });
+  if (why.has_value()) return Reject(error, *why);
+  return db;
 }
 
 }  // namespace
@@ -124,26 +232,26 @@ void SaveTransactionDb(const data::TransactionDb& db, std::ostream& out) {
 
 std::optional<data::TransactionDb> LoadTransactionDb(std::istream& in,
                                                      std::string* error) {
-  std::optional<data::TransactionDb> db;
-  const std::optional<std::string> why = ParseTransactionText(
-      in,
-      [&db](int32_t num_items, int64_t /*num_transactions*/) {
-        db.emplace(num_items);
-      },
-      [&db](const std::vector<int32_t>& items) { db->AddTransaction(items); });
-  if (why.has_value()) return Reject(error, *why);
-  return db;
+  StreamLines lines(in);
+  return LoadTransactionLines(lines, error);
+}
+
+std::optional<data::TransactionDb> LoadTransactionDb(std::string_view text,
+                                                     std::string* error) {
+  ViewLines lines(text);
+  return LoadTransactionLines(lines, error);
 }
 
 bool ConvertTransactionTextToBlocks(std::istream& in, std::ostream& out,
                                     int64_t block_size, std::string* error) {
   std::optional<data::BlockTransactionDbWriter> writer;
+  StreamLines lines(in);
   const std::optional<std::string> why = ParseTransactionText(
-      in,
+      lines,
       [&](int32_t num_items, int64_t /*num_transactions*/) {
         writer.emplace(out, num_items, block_size);
       },
-      [&](const std::vector<int32_t>& items) { writer->Add(items); });
+      [&](std::span<const int32_t> items) { writer->Add(items); });
   if (why.has_value()) {
     if (error != nullptr) *error = *why;
     return false;

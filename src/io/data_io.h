@@ -5,6 +5,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "data/block_txn_db.h"
 #include "data/dataset.h"
@@ -26,12 +27,26 @@ namespace focus::io {
 // after the declared payload all reject the file (the monitoring daemon
 // ingests untrusted spool files through these loaders). On rejection the
 // optional `error` out-param receives a one-line human-readable reason
-// (e.g. "line 3: item id out of range"), which the daemon logs next to
-// the quarantined file.
+// (e.g. "transaction 3: item id out of range"), which the daemon logs
+// next to the quarantined file.
+//
+// One focus-txns-v1 parser backs both LoadTransactionDb overloads and
+// ConvertTransactionTextToBlocks. It reads each line as a string_view and
+// each number with std::from_chars, with operator>>'s rules in the classic
+// locale: whitespace is any of " \t\n\v\f\r" (so CRLF files load), a
+// number may carry one leading '+' or '-', and the magic may be followed
+// by more words. An item id is rejected as out of range wherever it sits,
+// also when it does not fit in int32_t.
 
 void SaveTransactionDb(const data::TransactionDb& db, std::ostream& out);
+// Reads `in` line by line with std::getline into one reused buffer.
 std::optional<data::TransactionDb> LoadTransactionDb(
     std::istream& in, std::string* error = nullptr);
+// Parses an in-memory text in place (an HTTP or wire body), with no
+// stream and no per-line copy; the same answers and reasons as the
+// stream overload.
+std::optional<data::TransactionDb> LoadTransactionDb(
+    std::string_view text, std::string* error = nullptr);
 
 void SaveDataset(const data::Dataset& dataset, std::ostream& out);
 std::optional<data::Dataset> LoadDataset(std::istream& in,

@@ -1,5 +1,7 @@
 #include "serve/model_cache.h"
 
+#include <memory>
+#include <mutex>
 #include <span>
 
 #include "common/check.h"
@@ -36,6 +38,20 @@ uint64_t TransactionDbContentHash(data::TxnSourceRef source) {
   return hash;
 }
 
+LazyVerticalIndex::LazyVerticalIndex(const data::TransactionDb& transactions,
+                                     Counter* builds)
+    : transactions_(std::make_unique<const data::TransactionDb>(transactions)),
+      builds_(builds) {}
+
+const data::VerticalIndex& LazyVerticalIndex::Get() const {
+  std::call_once(built_, [this] {
+    index_.emplace(*transactions_);
+    transactions_.reset();
+    if (builds_ != nullptr) builds_->Increment();
+  });
+  return *index_;
+}
+
 ModelCache::ModelCache(size_t capacity, const lits::AprioriOptions& options,
                        MetricsRegistry* metrics)
     : capacity_(capacity),
@@ -47,7 +63,10 @@ ModelCache::ModelCache(size_t capacity, const lits::AprioriOptions& options,
                           : nullptr),
       evictions_counter_(metrics != nullptr
                              ? &metrics->GetCounter("cache_evictions")
-                             : nullptr) {
+                             : nullptr),
+      index_builds_counter_(metrics != nullptr
+                                ? &metrics->GetCounter("index_builds")
+                                : nullptr) {
   FOCUS_CHECK_GE(capacity, 1u);
 }
 
@@ -88,17 +107,17 @@ MinedSnapshot ModelCache::GetOrMineIndexed(data::TxnSourceRef source,
     CountMissLocked();
   }
   if (cache_hit != nullptr) *cache_hit = false;
-  // Build outside the lock so concurrent misses on different snapshots
-  // proceed in parallel. An in-memory snapshot gets its vertical index in
-  // ONE scan, for the model extensions that read it later (Apriori takes
-  // only its item counts); a block-backed one gets none. Mining scans the
-  // snapshot either way, a block-backed one block by block.
+  // Mine outside the lock so concurrent misses on different snapshots
+  // proceed in parallel. Mining scans the snapshot, a block-backed one
+  // block by block. An in-memory snapshot's index waits for the first
+  // read that extends its model; a block-backed one gets none.
   MinedSnapshot mined;
+  mined.model =
+      std::make_shared<const lits::LitsModel>(lits::Apriori(source, options_));
   if (source.memory() != nullptr) {
-    mined.index = std::make_shared<const data::VerticalIndex>(source);
+    mined.index = std::make_shared<const LazyVerticalIndex>(
+        *source.memory(), index_builds_counter_);
   }
-  mined.model = std::make_shared<const lits::LitsModel>(
-      lits::Apriori(source, options_, mined.index.get()));
   common::MutexLock lock(&mutex_);
   InsertLocked(content_hash, mined);
   return mined;

@@ -4,11 +4,13 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "data/transaction_db.h"
 #include "data/txn_source.h"
 #include "data/vertical_index.h"
 #include "itemsets/apriori.h"
@@ -32,9 +34,35 @@ struct ModelCacheStats {
   int64_t evictions = 0;
 };
 
+// The vertical index of one in-memory snapshot, built when something first
+// probes it. Only measure extension reads an index (§3.3.1): a read route
+// extending the snapshot's model (QueryDeviation, /v1/compare, the sharded
+// extend-regions call). Mining and stage 2 scan the snapshot, and most
+// snapshots are screened out by δ* and never read, so until its first
+// Get() a snapshot costs its transactions (about 100 KiB at 2000 rows),
+// not an index (2000 items x 32 words x 8 B = 512 KiB).
+class LazyVerticalIndex {
+ public:
+  // Keeps a copy of `transactions`. `builds`, when non-null, is bumped once
+  // per index built and must outlive this holder.
+  LazyVerticalIndex(const data::TransactionDb& transactions, Counter* builds);
+
+  // The index. The first call, from any thread, builds it in one scan and
+  // then frees the transactions; concurrent first callers wait for that
+  // one build (std::call_once), and later calls return it at once.
+  const data::VerticalIndex& Get() const;
+
+ private:
+  mutable std::once_flag built_;
+  // Set until the build, null after it.
+  mutable std::unique_ptr<const data::TransactionDb> transactions_;
+  // Set by the build.
+  mutable std::optional<data::VerticalIndex> index_;
+  Counter* const builds_;
+};
+
 // What one cache miss materializes from a snapshot: the mined model and,
-// for an in-memory snapshot, its vertical index (built in the single scan
-// §3.3.1 budgets; mining reads only its item counts). Window
+// for an in-memory snapshot, its lazily built vertical index. Window
 // re-comparisons — the same snapshot re-entering as reference or
 // candidate across many model pairs — then extend models by probing the
 // index instead of touching raw transactions again. `index` is null for a
@@ -45,7 +73,7 @@ struct ModelCacheStats {
 // reads.
 struct MinedSnapshot {
   std::shared_ptr<const lits::LitsModel> model;
-  std::shared_ptr<const data::VerticalIndex> index;
+  std::shared_ptr<const LazyVerticalIndex> index;
 };
 
 // LRU cache of mined lits-models + their vertical indexes keyed by
@@ -57,27 +85,32 @@ struct MinedSnapshot {
 // duplicate work is bounded by one mining pass.
 class ModelCache {
  public:
-  // When `metrics` is non-null (it must outlive the cache), every hit,
-  // miss, and eviction also bumps the registry counters `cache_hits` /
-  // `cache_misses` / `cache_evictions`, so cache behavior is visible on
-  // /metrics and in the monitord JSONL export without polling stats().
+  // When `metrics` is non-null (it must outlive the cache and every entry
+  // it hands out), every hit, miss, and eviction also bumps the registry
+  // counters `cache_hits` / `cache_misses` / `cache_evictions`, and every
+  // index an entry builds bumps `index_builds`, so cache behavior is
+  // visible on /metrics and in the monitord JSONL export without polling
+  // stats().
   ModelCache(size_t capacity, const lits::AprioriOptions& options,
              MetricsRegistry* metrics = nullptr);
 
   // Returns the model + vertical index of `source` under the cache's
-  // mining options, building both on a miss. The entry is keyed by
+  // mining options, mining on a miss. The entry is keyed by
   // `content_hash`, which must be TransactionDbContentHash(source): the
   // caller hashes once (MonitorService::Ingest does, for its 202 reply)
   // and the cache does not hash again. `cache_hit`, when given, reports
-  // whether the build was skipped. A block-backed snapshot streams its
-  // blocks through every mining pass on a miss and gets no index, so a
-  // miss allocates nothing the size of the snapshot; its model is
-  // bit-identical to the one an in-memory copy would produce.
+  // whether mining was skipped. A miss mines by scanning, with no index;
+  // an in-memory snapshot's entry keeps a copy of its transactions, from
+  // which the first LazyVerticalIndex::Get() builds the index. A
+  // block-backed snapshot streams its blocks through every mining pass on
+  // a miss and gets no index, so a miss allocates nothing the size of the
+  // snapshot; its model is bit-identical to the one an in-memory copy
+  // would produce.
   MinedSnapshot GetOrMineIndexed(data::TxnSourceRef source,
                                  uint64_t content_hash,
                                  bool* cache_hit = nullptr) EXCLUDES(mutex_);
 
-  // Full cached entry (model + vertical index) for a precomputed hash —
+  // Full cached entry (model + lazy vertical index) for a precomputed hash —
   // what POST /v1/compare resolves ingested content hashes through so a
   // hit never rescans raw data. Promotes on hit; nullopt on miss (the
   // snapshot was evicted or never mined).
@@ -100,6 +133,7 @@ class ModelCache {
   Counter* const hits_counter_;
   Counter* const misses_counter_;
   Counter* const evictions_counter_;
+  Counter* const index_builds_counter_;
   mutable common::Mutex mutex_;
   // lru_ front = most recently used.
   std::list<uint64_t> lru_ GUARDED_BY(mutex_);

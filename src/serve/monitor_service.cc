@@ -228,12 +228,14 @@ std::optional<StreamDeviation> MonitorService::QueryDeviation(
   }
   // Recompute under the requested (f,g) from the CACHED model + vertical
   // index of the latest snapshot against the monitor's reference pair —
-  // GCR extension via bitmap AND+popcount, no raw-data scan. The monitor
-  // is immutable after construction, so reading it unlocked is safe.
+  // GCR extension via bitmap AND+popcount, no raw-data scan. The first
+  // read of a snapshot builds its index (once, across concurrent readers).
+  // The monitor is immutable after construction, so reading it unlocked is
+  // safe.
   result.deviation =
       core::LitsDeviation(monitor_.reference_model(),
                           &monitor_.reference_index(), *last.model,
-                          last.index.get(), fn);
+                          &last.index->Get(), fn);
   result.has_deviation = true;
   return result;
 }
@@ -279,14 +281,11 @@ StreamEvent MonitorService::Process(Stream* stream, Snapshot snapshot) {
   const MinedSnapshot mined =
       model_cache_.GetOrMineIndexed(source, snapshot.content_hash, &cache_hit);
   event.cache_hit = cache_hit;
-  // The cached vertical index lets stage 2 (when the screen fires) extend
-  // both models via bitmap probes — window re-comparisons never re-scan
-  // the snapshot's raw transactions. A block-backed snapshot has no index,
-  // and stage 2 streams its blocks instead. Stage 2's bootstrap replicates
-  // run across the service's own pool; this drain job runs replicates
-  // itself too, so the nesting cannot deadlock.
-  event.report = monitor_.InspectWithModel(source, *mined.model,
-                                           mined.index.get(), pool_.get());
+  // Stage 2 (when the screen fires) extends both models by scanning, so
+  // no ingest builds an index: only a read of this snapshot does. Stage
+  // 2's bootstrap replicates run across the service's own pool; this drain
+  // job runs replicates itself too, so the nesting cannot deadlock.
+  event.report = monitor_.InspectWithModel(source, *mined.model, pool_.get());
 
   // The CUSUM series runs over delta*: unlike the exact deviation it is
   // computed for every snapshot (screened or not), giving a uniform
@@ -297,8 +296,8 @@ StreamEvent MonitorService::Process(Stream* stream, Snapshot snapshot) {
   event.latency_ms = timer.Millis();
 
   // Publish the queryable per-stream view (GET …/deviation) under the
-  // state lock; the cached model+index pair keeps later (f,g) queries off
-  // the raw data. The stream's worker is the only writer, so the copies
+  // state lock; the cached model and lazy index keep later (f,g) queries
+  // off the raw data. The stream's worker is the only writer, so the copies
   // are coherent.
   {
     MutexLock lock(&state_mutex_);

@@ -203,8 +203,8 @@ class MonitorService {
 
   // Status plus the deviation of the latest processed snapshot against
   // the reference under an arbitrary (f,g), computed over the CACHED
-  // models and vertical indexes (never the raw transactions).
-  // nullopt for unknown streams.
+  // models and vertical indexes (never the raw transactions). The first
+  // query of a snapshot builds its index. nullopt for unknown streams.
   std::optional<StreamDeviation> QueryDeviation(
       const std::string& name, const core::DeviationFunction& fn) const
       EXCLUDES(state_mutex_);
@@ -235,7 +235,7 @@ class MonitorService {
     // Published at the end of each Process under state_mutex_, so
     // queries never race the worker that owns the stream.
     StreamStatus status;
-    MinedSnapshot last_mined;      // model+index of the latest snapshot
+    MinedSnapshot last_mined;      // model+lazy index of the latest snapshot
     int64_t next_sequence = 0;     // of the next accepted Ingest
 
     explicit Stream(const core::CusumOptions& cusum_options)

@@ -1,7 +1,6 @@
 #include "shard/shard_worker.h"
 
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "core/lits_deviation.h"
@@ -88,9 +87,8 @@ Frame ShardWorker::HandleSubmit(const Frame& request) {
     result.error = "empty snapshot body";
     return {MessageType::kSubmitResult, request.request_id, result.Encode()};
   }
-  std::istringstream in(body.snapshot);
   std::string load_error;
-  const auto db = io::LoadTransactionDb(in, &load_error);
+  auto db = io::LoadTransactionDb(body.snapshot, &load_error);
   if (!db.has_value()) {
     if (metrics_ != nullptr) {
       metrics_->GetCounter("ingest_rejected").Increment();
@@ -166,9 +164,10 @@ Frame ShardWorker::HandleCompare(const Frame& request) {
   if (left.has_value() && right.has_value()) {
     result.outcome = CompareOutcome::kBoth;
     // Both snapshots are local: the full single-node answer, same code as
-    // the unsharded /v1/compare.
-    result.deviation = core::LitsDeviation(*left->model, left->index.get(),
-                                           *right->model, right->index.get(),
+    // the unsharded /v1/compare. The first compare of a snapshot builds
+    // its index.
+    result.deviation = core::LitsDeviation(*left->model, &left->index->Get(),
+                                           *right->model, &right->index->Get(),
                                            fn);
     if (metrics_ != nullptr) metrics_->GetCounter("compares").Increment();
   } else if (left.has_value()) {
@@ -210,7 +209,7 @@ Frame ShardWorker::HandleExtendRegions(const Frame& request) {
     // The same measure extension LitsDeviation composes, so the router's
     // recombined answer matches the single-node one bit for bit.
     result.supports = core::LitsExtendModel(body.regions, *mined->model,
-                                            mined->index.get());
+                                            &mined->index->Get());
   }
   return {MessageType::kExtendRegionsResult, request.request_id,
           result.Encode()};

@@ -7,6 +7,8 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "data/dataset.h"
 #include "data/transaction_db.h"
@@ -105,6 +107,93 @@ TEST(DataIoEdgeTest, TransactionTrailingGarbageAfterPayloadRejected) {
   EXPECT_FALSE(LoadTxns(good + "garbage\n").has_value());  // extra junk
   // Trailing whitespace/newlines remain acceptable.
   EXPECT_TRUE(LoadTxns(good + "\n  \n").has_value());
+}
+
+// The reason both LoadTransactionDb overloads give for `text`, checked to
+// be the same; empty when both accept it.
+std::string RejectionReason(const std::string& text) {
+  std::string view_error;
+  const bool view_ok = LoadTransactionDb(std::string_view(text), &view_error)
+                           .has_value();
+  std::istringstream in(text);
+  std::string stream_error;
+  const bool stream_ok = LoadTransactionDb(in, &stream_error).has_value();
+  EXPECT_EQ(view_ok, stream_ok) << text;
+  EXPECT_EQ(view_error, stream_error) << text;
+  return view_ok ? std::string() : view_error;
+}
+
+// The rows both overloads load from `text`, which they must accept.
+std::vector<std::vector<int32_t>> Rows(const std::string& text) {
+  EXPECT_EQ(RejectionReason(text), "") << text;
+  std::vector<std::vector<int32_t>> rows;
+  const auto db = LoadTransactionDb(std::string_view(text));
+  if (!db.has_value()) return rows;
+  for (int64_t t = 0; t < db->num_transactions(); ++t) {
+    const auto txn = db->Transaction(t);
+    rows.emplace_back(txn.begin(), txn.end());
+  }
+  return rows;
+}
+
+TEST(DataIoEdgeTest, TransactionIdOutsideInt32RejectedWhereverItSits) {
+  // Last on its row, alone on a row, first on a row: each used to load
+  // as a shorter row or be called a non-numeric token.
+  for (const char* row : {"1 99999999999", "4294967297", "99999999999 1",
+                          "1 -2147483649", "0 99999999999999999999999"}) {
+    EXPECT_EQ(RejectionReason(std::string("focus-txns-v1\n5 2\n0\n") + row +
+                              "\n"),
+              "transaction 1: item id out of range")
+        << row;
+  }
+}
+
+TEST(DataIoEdgeTest, TransactionRowEndingInALoneSignRejected) {
+  for (const char* row : {"1 -", "1 +", "-", "+\r"}) {
+    EXPECT_EQ(
+        RejectionReason(std::string("focus-txns-v1\n5 1\n") + row + "\n"),
+        "transaction 0: non-numeric token")
+        << row;
+  }
+}
+
+TEST(DataIoEdgeTest, TransactionNumbersReadAsOperatorExtractionReadsThem) {
+  using RowList = std::vector<std::vector<int32_t>>;
+  // One leading '+' per number, also with no space before it; "1-2" is 1
+  // then -2, which is out of range.
+  EXPECT_EQ(Rows("focus-txns-v1\n+5 +3\n+1 +2\n1+2\n-0 +0\n"),
+            (RowList{{1, 2}, {1, 2}, {0}}));
+  EXPECT_EQ(RejectionReason("focus-txns-v1\n5 1\n+-1\n"),
+            "transaction 0: non-numeric token");
+  EXPECT_EQ(RejectionReason("focus-txns-v1\n5 1\n1-2\n"),
+            "transaction 0: item id out of range");
+  // A number stops at the first non-digit; what follows is checked next.
+  EXPECT_EQ(RejectionReason("focus-txns-v1\n5 1\n12abc\n"),
+            "transaction 0: item id out of range");
+  EXPECT_EQ(RejectionReason("focus-txns-v1\n20 1\n12abc\n"),
+            "transaction 0: non-numeric token");
+  EXPECT_EQ(RejectionReason("focus-txns-v1\n0x5 1\n"),
+            "unparseable header counts");
+  EXPECT_EQ(RejectionReason("focus-txns-v1\n5 0x1\n"),
+            "trailing garbage after header");
+}
+
+TEST(DataIoEdgeTest, TransactionWhitespaceIsTheClassicLocales) {
+  using RowList = std::vector<std::vector<int32_t>>;
+  // CRLF line endings, and \v and \f between numbers.
+  EXPECT_EQ(Rows("focus-txns-v1\r\n5 2\r\n0 1\r\n2\r\n\r\n"),
+            (RowList{{0, 1}, {2}}));
+  EXPECT_EQ(Rows("focus-txns-v1\n5\v2\f\n0\v1\f\n\f2\t3\v\n"),
+            (RowList{{0, 1}, {2, 3}}));
+  // The magic is the first word; more words may follow it.
+  EXPECT_EQ(Rows("  focus-txns-v1 extra words\n5 1\n4\n"), (RowList{{4}}));
+  EXPECT_EQ(RejectionReason("focus-txns-v1x\n5 1\n4\n"),
+            "bad magic (want focus-txns-v1)");
+  // A missing last newline, and trailing blank lines, are fine.
+  EXPECT_EQ(Rows("focus-txns-v1\n5 1\n3"), (RowList{{3}}));
+  EXPECT_EQ(Rows("focus-txns-v1\n5 2\n3\n\n"), (RowList{{3}, {}}));
+  EXPECT_EQ(RejectionReason("focus-txns-v1\n5 2\n3\n"),
+            "truncated: missing transaction 1");
 }
 
 data::Dataset TinyDataset() {

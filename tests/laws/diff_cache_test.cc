@@ -1,8 +1,9 @@
 // Differential oracles for serve::ModelCache: a cache hit must return a
 // model indistinguishable from mining cold (the cache is a pure
-// memoization of Apriori keyed by content hash), and LRU eviction under
+// memoization of Apriori keyed by content hash), LRU eviction under
 // random access must never change WHAT is returned — only how often
-// mining runs.
+// mining runs — and a deviation through an entry's lazily built index
+// must equal one through an eager index and one by scanning.
 
 #include <memory>
 #include <string>
@@ -10,10 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include "core/functions.h"
+#include "core/lits_deviation.h"
 #include "core/lits_upper_bound.h"
+#include "data/vertical_index.h"
 #include "itemsets/apriori.h"
 #include "proptest/generators.h"
 #include "proptest/proptest.h"
+#include "serve/metrics.h"
 #include "serve/model_cache.h"
 
 namespace focus::serve {
@@ -110,6 +115,63 @@ TEST(DiffCache, EvictionNeverChangesServedModels) {
           return PropResult::Fail("more evictions than misses");
         if (cache.size() > cache.capacity())
           return PropResult::Fail("cache exceeded its capacity");
+        return PropResult::Ok();
+      },
+      proptest::Config::FromEnv(8)));
+}
+
+TEST(DiffCache, LazyIndexDeviationEqualsEagerAndScan) {
+  // Snapshot a plays the reference (an eager index, as the service's
+  // monitor holds one) and b a cached snapshot: a deviation reads b's lazy
+  // index, and a compare (POST /v1/compare) reads both snapshots' lazy
+  // indexes. Every (f, g) must give the same double through the lazy
+  // indexes, through eager ones and by scanning, and each snapshot builds
+  // its index once, however many reads probe it.
+  EXPECT_TRUE(Check<proptest::LitsPair>(
+      "diff/cache-lazy-index-equals-eager-and-scan",
+      proptest::LitsPairDomain(),
+      [](const proptest::LitsPair& pair) {
+        const data::TransactionDb da = proptest::MaterializeDb(pair.a);
+        const data::TransactionDb db = proptest::MaterializeDb(pair.b);
+        MetricsRegistry registry;
+        ModelCache cache(4, pair.a.apriori, &registry);
+        const uint64_t hash_a = TransactionDbContentHash(da);
+        const uint64_t hash_b = TransactionDbContentHash(db);
+        const MinedSnapshot a = cache.GetOrMineIndexed(da, hash_a);
+        const MinedSnapshot b = cache.GetOrMineIndexed(db, hash_b);
+        const Counter& builds = registry.GetCounter("index_builds");
+        if (builds.Value() != 0)
+          return PropResult::Fail("mining built an index");
+
+        const data::VerticalIndex eager_a(da);
+        const data::VerticalIndex eager_b(db);
+        for (const core::AggregateKind g :
+             {core::AggregateKind::kSum, core::AggregateKind::kMax}) {
+          for (const core::DiffFn& f :
+               {core::AbsoluteDiff(), core::ScaledDiff()}) {
+            core::DeviationFunction fn;
+            fn.f = f;
+            fn.g = g;
+            const double scan = core::LitsDeviation(*a.model, da, *b.model,
+                                                    db, fn);
+            if (core::LitsDeviation(*a.model, &eager_a, *b.model, &eager_b,
+                                    fn) != scan)
+              return PropResult::Fail("eager indexes differ from a scan");
+            if (core::LitsDeviation(*a.model, &eager_a, *b.model,
+                                    &b.index->Get(), fn) != scan)
+              return PropResult::Fail("deviation via a lazy index differs");
+            if (core::LitsDeviation(*a.model, &a.index->Get(), *b.model,
+                                    &b.index->Get(), fn) != scan)
+              return PropResult::Fail("compare via lazy indexes differs");
+          }
+        }
+        // Equal snapshots share one cache entry, hence one index.
+        if (builds.Value() != (hash_a == hash_b ? 1 : 2))
+          return PropResult::Fail("index_builds = " +
+                                  std::to_string(builds.Value()) +
+                                  ", want one per distinct snapshot");
+        if (!(a.index->Get() == eager_a) || !(b.index->Get() == eager_b))
+          return PropResult::Fail("a lazy index differs from an eager one");
         return PropResult::Ok();
       },
       proptest::Config::FromEnv(8)));

@@ -17,6 +17,7 @@
 #include "io/model_io.h"
 #include "proptest/generators.h"
 #include "proptest/proptest.h"
+#include "proptest/txns_oracle.h"
 #include "serve/model_cache.h"
 
 namespace focus::io {
@@ -156,7 +157,9 @@ TEST(DiffRoundtrip, DecisionTreeSaveLoadPreservesRouting) {
 // Flip/insert/delete random bytes in a valid serialized artifact and run
 // the loader. It must never crash; when it still accepts the input, a
 // second save→load must be stable (load is a retraction: load∘save∘load
-// = load).
+// = load). A mutated transaction text is also loaded three ways (over a
+// string_view, over a stream, and by the istringstream reference parser),
+// which must agree on accepting, on the reason and on the rows.
 TEST(DiffRoundtrip, LoadersSurviveRandomByteMutations) {
   EXPECT_TRUE(Check<proptest::LitsWorkload>(
       "diff/loader-mutation-robustness", proptest::LitsWorkloadDomain(),
@@ -191,6 +194,9 @@ TEST(DiffRoundtrip, LoadersSurviveRandomByteMutations) {
             }
             std::istringstream mutated(bytes);
             if (pristine == db_bytes.str()) {
+              if (const auto differs = proptest::TxnsLoadersDisagree(bytes)) {
+                return PropResult::Fail("txns loaders disagree: " + *differs);
+              }
               const auto result = LoadTransactionDb(mutated);
               if (result.has_value()) {
                 std::stringstream resaved;

@@ -218,9 +218,9 @@ TEST(LawsShard, CompareIdenticalToSingleNodeIncludingCrossShard) {
           single.service_.model_cache().LookupMined(right);
       EXPECT_TRUE(left_mined.has_value());
       EXPECT_TRUE(right_mined.has_value());
-      return core::LitsDeviation(*left_mined->model, left_mined->index.get(),
-                                 *right_mined->model, right_mined->index.get(),
-                                 fn);
+      return core::LitsDeviation(
+          *left_mined->model, &left_mined->index->Get(), *right_mined->model,
+          &right_mined->index->Get(), fn);
     };
 
     // All ordered pairs: covers same-shard pairs, cross-shard pairs, and

@@ -76,8 +76,8 @@ TEST(LitsChangeMonitorTest, SelfInspectionIsQuiet) {
   EXPECT_DOUBLE_EQ(report.upper_bound, 0.0);
 }
 
-// Stage 2 reuses the deviation the monitor computed through its indexes
-// and runs only the null distribution, across a pool when given one, from
+// Stage 2 reuses the deviation the monitor computed by scanning and runs
+// only the null distribution, across a pool when given one, from
 // inside one of the pool's tasks as the serving layer calls it. Both
 // numbers must equal the standalone significance test's, bit for bit.
 TEST(LitsChangeMonitorTest, PooledStageTwoMatchesStandaloneSignificance) {
@@ -98,7 +98,7 @@ TEST(LitsChangeMonitorTest, PooledStageTwoMatchesStandaloneSignificance) {
         options.significance);
     const MonitorReport report =
         pool.Submit([&]() {
-              return monitor.InspectWithModel(snapshot, model, &index, &pool);
+              return monitor.InspectWithModel(snapshot, model, &pool);
             })
             .get();
     ASSERT_FALSE(report.screened_out) << "seed " << seed;

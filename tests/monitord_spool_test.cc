@@ -14,6 +14,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -99,21 +100,30 @@ class MonitordSpoolTest : public ::testing::Test {
 
   void TearDown() override { fs::remove_all(root_); }
 
-  // Runs the daemon once over <root>/`spool`, adding `extra_flags`;
-  // returns its std::system status and fills the captured stderr text.
-  int RunOnce(std::string* captured_stderr, const std::string& extra_flags = "",
-              const std::string& spool = "spool") {
+  // Runs the daemon over <root>/`spool` with `flags` after --spool and
+  // --reference; returns its std::system status and fills the captured
+  // stderr text.
+  int Run(std::string* captured_stderr, const std::string& flags,
+          const std::string& spool = "spool") {
     const fs::path err_file = root_ / "stderr.txt";
     const fs::path out_file = root_ / "stdout.txt";
     const std::string cmd =
         std::string(FOCUS_MONITORD_PATH) + " --spool " +
-        (root_ / spool).string() + " --reference " + reference_ +
-        " --once 1 --threads 2 --queue 8 --replicates 1 --calibration 1" +
-        " --warmup 2 " + extra_flags + " > " + out_file.string() + " 2> " +
-        err_file.string();
+        (root_ / spool).string() + " --reference " + reference_ + " " +
+        flags + " > " + out_file.string() + " 2> " + err_file.string();
     const int status = std::system(cmd.c_str());
     *captured_stderr = Slurp(err_file);
     return status;
+  }
+
+  // Runs the daemon once over <root>/`spool`, adding `extra_flags`.
+  int RunOnce(std::string* captured_stderr, const std::string& extra_flags = "",
+              const std::string& spool = "spool") {
+    return Run(captured_stderr,
+               "--once 1 --threads 2 --queue 8 --replicates 1 "
+               "--calibration 1 --warmup 2 " +
+                   extra_flags,
+               spool);
   }
 
   void WriteSpoolFile(const std::string& name, const std::string& content,
@@ -295,6 +305,28 @@ TEST_F(MonitordSpoolTest, OutOfRangeBlockSizeIsAUsageError) {
         << log;
     // The usage error comes before any spool work.
     EXPECT_TRUE(fs::exists(root_ / "spool" / "s1__000_good.txns")) << value;
+  }
+}
+
+TEST_F(MonitordSpoolTest, NumericFlagWithTrailingGarbageIsAUsageError) {
+  std::stringstream good;
+  io::SaveTransactionDb(SmallDb(8, 30), good);
+  WriteSpoolFile("s1__000_good.txns", good.str());
+  const std::pair<const char*, const char*> rows[] = {
+      {"--once 1x", "--once must be an integer in [0, 1], got 1x"},
+      {"--once 1 --poll-ms 10s",
+       "--poll-ms must be an integer in [1, 2147483647], got 10s"},
+      {"--once 1 --idle-exit-ms 1000x",
+       "--idle-exit-ms must be an integer in [0, 2147483647], got 1000x"},
+  };
+  for (const auto& [flags, message] : rows) {
+    std::string log;
+    const int status = Run(&log, flags);
+    ASSERT_TRUE(WIFEXITED(status)) << flags << ": " << log;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << flags << ": " << log;
+    EXPECT_EQ(log, std::string(message) + "\n") << flags;
+    // The usage error comes before any spool work.
+    EXPECT_TRUE(fs::exists(root_ / "spool" / "s1__000_good.txns")) << flags;
   }
 }
 

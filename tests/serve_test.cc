@@ -863,6 +863,96 @@ std::optional<MonitorServiceOptions> OptionsFromArgs(
   return MonitorServiceOptionsFromFlags(*flags, error);
 }
 
+// ------------------------------------------------------------ lazy index
+
+// The deviation QueryDeviation must return for `latest` under `fn`:
+// through eager indexes of the reference and the snapshot.
+double EagerDeviation(const data::TransactionDb& latest,
+                      const core::DeviationFunction& fn) {
+  const MonitorServiceOptions options = SmallServiceOptions();
+  const core::LitsChangeMonitor direct(QuestDb(1000), options.monitor);
+  const data::VerticalIndex latest_index(latest);
+  return core::LitsDeviation(
+      direct.reference_model(), &direct.reference_index(),
+      lits::Apriori(latest, options.monitor.apriori), &latest_index, fn);
+}
+
+TEST(LazyIndexTest, IngestsBuildNoIndexAndTheFirstReadBuildsOne) {
+  MetricsRegistry metrics;
+  MonitorService service(SmallServiceOptions(), QuestDb(1000), &metrics);
+  // Same-process snapshots, which the screen passes over.
+  for (const uint64_t seed : {11, 12, 13, 14}) {
+    ASSERT_EQ(service.Ingest(MakeSnapshot("s", seed), std::nullopt).status,
+              SubmitResult::kAccepted);
+  }
+  service.Flush();
+  ASSERT_GT(metrics.GetCounter("screened_out").Value(), 0);
+  EXPECT_EQ(metrics.GetCounter("index_builds").Value(), 0);
+
+  // The first read of the latest snapshot builds its index; later reads,
+  // under any (f, g), reuse it.
+  core::DeviationFunction fn;
+  const auto first = service.QueryDeviation("s", fn);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(first->has_deviation);
+  EXPECT_EQ(metrics.GetCounter("index_builds").Value(), 1);
+  EXPECT_EQ(first->deviation, EagerDeviation(QuestDb(14), fn));
+  fn.f = core::ScaledDiff();
+  fn.g = core::AggregateKind::kMax;
+  const auto second = service.QueryDeviation("s", fn);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->deviation, EagerDeviation(QuestDb(14), fn));
+  EXPECT_EQ(metrics.GetCounter("index_builds").Value(), 1);
+}
+
+TEST(LazyIndexTest, StageTwoBuildsNoIndex) {
+  MetricsRegistry metrics;
+  MonitorServiceOptions options = SmallServiceOptions();
+  options.monitor.alert_factor = 1e-9;  // every snapshot reaches stage 2
+  MonitorService service(options, QuestDb(1000), &metrics);
+  for (const uint64_t pattern_seed : {99, 7}) {
+    ASSERT_EQ(service.Ingest(MakeSnapshot("s", 21, pattern_seed),
+                             std::nullopt)
+                  .status,
+              SubmitResult::kAccepted);
+  }
+  service.Flush();
+  EXPECT_EQ(metrics.GetCounter("screened_out").Value(), 0);
+  EXPECT_EQ(metrics.GetCounter("index_builds").Value(), 0);
+}
+
+TEST(LazyIndexTest, ConcurrentFirstReadsBuildOneIndex) {
+  MetricsRegistry metrics;
+  MonitorService service(SmallServiceOptions(), QuestDb(1000), &metrics);
+  ASSERT_EQ(service.Ingest(MakeSnapshot("s", 31), std::nullopt).status,
+            SubmitResult::kAccepted);
+  service.Flush();
+  ASSERT_EQ(metrics.GetCounter("index_builds").Value(), 0);
+
+  // Eight readers released together all race to the unbuilt index.
+  constexpr int kReaders = 8;
+  const core::DeviationFunction fn;
+  std::atomic<bool> go{false};
+  std::vector<std::optional<StreamDeviation>> results(kReaders);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      results[r] = service.QueryDeviation("s", fn);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(metrics.GetCounter("index_builds").Value(), 1);
+  const double eager = EagerDeviation(QuestDb(31), fn);
+  for (int r = 0; r < kReaders; ++r) {
+    ASSERT_TRUE(results[r].has_value()) << r;
+    ASSERT_TRUE(results[r]->has_deviation) << r;
+    EXPECT_EQ(results[r]->deviation, eager) << r;
+  }
+}
+
 TEST(MonitorServiceOptionsTest, DefaultsAndRangeBoundsAreAccepted) {
   std::string error;
   const auto defaults = OptionsFromArgs({}, &error);

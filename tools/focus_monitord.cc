@@ -26,6 +26,10 @@
 //     [--poll-ms 200] [--metrics-every-ms 2000]
 //     [--once 1] [--max-snapshots N] [--idle-exit-ms M]
 //
+// Every numeric flag must be entirely an integer in its range (--ooc and
+// --once 0 or 1, --poll-ms >= 1, the other counts and times >= 0); "10s"
+// or "1x" is a usage error, reported before the reference is read.
+//
 // Spool protocol: snapshot files are named `<stream>__<anything>.txns`
 // (files without the `__` separator feed the stream "default"). Files in
 // one stream are processed in lexicographic filename order — use a
@@ -165,6 +169,24 @@ int Run(const common::Flags& flags) {
     return 1;
   }
   const int64_t block_size = int64_t{block_size_kib} * 1024;
+  int ooc = 0;
+  int once = 0;
+  int max_snapshots = 0;
+  int idle_exit_ms = 0;
+  int poll_ms = 0;
+  int metrics_every_ms = 0;
+  if (!common::ReadIntFlag(flags, "ooc", 0, 0, &ooc, &error, 1) ||
+      !common::ReadIntFlag(flags, "once", 0, 0, &once, &error, 1) ||
+      !common::ReadIntFlag(flags, "max-snapshots", 0, 0, &max_snapshots,
+                           &error) ||
+      !common::ReadIntFlag(flags, "idle-exit-ms", 0, 0, &idle_exit_ms,
+                           &error) ||
+      !common::ReadIntFlag(flags, "poll-ms", 200, 1, &poll_ms, &error) ||
+      !common::ReadIntFlag(flags, "metrics-every-ms", 2000, 0,
+                           &metrics_every_ms, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
+  }
   std::error_code ec;
   fs::create_directories(fs::path(spool) / "processed", ec);
   fs::create_directories(fs::path(spool) / "rejected", ec);
@@ -179,8 +201,6 @@ int Run(const common::Flags& flags) {
                  reference_path.c_str());
     return 2;
   }
-
-  const bool ooc = flags.GetInt("ooc", 0) != 0;
 
   JsonlWriter events(flags.Get("events", spool + "/events.jsonl"));
   JsonlWriter metrics_log(flags.Get("metrics", spool + "/metrics.jsonl"));
@@ -205,12 +225,6 @@ int Run(const common::Flags& flags) {
                   event.report.upper_bound, event.cusum);
     }
   });
-
-  const bool once = flags.GetInt("once", 0) != 0;
-  const int64_t max_snapshots = flags.GetInt("max-snapshots", 0);
-  const int64_t idle_exit_ms = flags.GetInt("idle-exit-ms", 0);
-  const int64_t poll_ms = std::max<int64_t>(1, flags.GetInt("poll-ms", 200));
-  const int64_t metrics_every_ms = flags.GetInt("metrics-every-ms", 2000);
 
   std::printf(
       "focus_monitord: spool=%s reference=%s (%lld txns, calibrated once "
