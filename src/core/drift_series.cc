@@ -29,7 +29,6 @@ DriftPoint DeviationCusum::Observe(double deviation) {
       if (sd_ <= 0.0) sd_ = std::max(1e-12, 0.05 * std::fabs(mean_));
       baseline_ready_ = true;
     }
-    history_.push_back(point);
     return point;
   }
 
@@ -40,7 +39,6 @@ DriftPoint DeviationCusum::Observe(double deviation) {
     point.change_point = true;
     statistic_ = 0.0;  // reset after signalling
   }
-  history_.push_back(point);
   return point;
 }
 

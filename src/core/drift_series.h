@@ -46,7 +46,6 @@ class DeviationCusum {
   bool baseline_ready() const { return baseline_ready_; }
   double baseline_mean() const { return mean_; }
   double baseline_sd() const { return sd_; }
-  const std::vector<DriftPoint>& history() const { return history_; }
 
  private:
   CusumOptions options_;
@@ -55,7 +54,6 @@ class DeviationCusum {
   double mean_ = 0.0;
   double sd_ = 0.0;
   double statistic_ = 0.0;
-  std::vector<DriftPoint> history_;
 };
 
 // One-shot convenience: annotate a whole series.

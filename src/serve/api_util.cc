@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <optional>
 
 #include "serve/metrics.h"
 
@@ -32,25 +33,21 @@ bool ParseHashHex(const std::string& text, uint64_t* out) {
 bool ParseDeviationFunction(const std::map<std::string, std::string>& params,
                             core::DeviationFunction* fn, std::string* f_name,
                             std::string* g_name) {
-  *f_name = "abs";
-  *g_name = "sum";
-  if (const auto it = params.find("f"); it != params.end()) *f_name = it->second;
-  if (const auto it = params.find("g"); it != params.end()) *g_name = it->second;
-  if (*f_name == "abs") {
-    fn->f = core::AbsoluteDiff();
-  } else if (*f_name == "scaled") {
-    fn->f = core::ScaledDiff();
-  } else {
-    return false;
-  }
-  if (*g_name == "sum") {
-    fn->g = core::AggregateKind::kSum;
-  } else if (*g_name == "max") {
-    fn->g = core::AggregateKind::kMax;
-  } else {
-    return false;
-  }
+  const std::optional<FgChoice> fg = FgChoice::FromParams(params);
+  if (!fg.has_value()) return false;
+  *fn = fg->function();
+  *f_name = fg->f_name();
+  *g_name = fg->g_name();
   return true;
+}
+
+std::string FgJson(FgChoice fg) {
+  std::string out = "\"f\":\"";
+  out += fg.f_name();
+  out += "\",\"g\":\"";
+  out += fg.g_name();
+  out += "\"";
+  return out;
 }
 
 std::string StatusJson(const StreamStatus& status) {
@@ -103,10 +100,11 @@ SummaryResult AggregateSummary(std::vector<SummaryEntry>* entries,
   return result;
 }
 
-std::string SummaryJson(const std::string& f_name, const std::string& g_name,
+std::string SummaryJson(FgChoice fg,
                         const std::vector<SummaryEntry>& sorted_entries,
                         const SummaryResult& result) {
-  std::string out = "{\"f\":\"" + f_name + "\",\"g\":\"" + g_name + "\"";
+  std::string out = "{";
+  out += FgJson(fg);
   out += ",\"num_streams\":" + std::to_string(result.num_streams);
   out += ",\"num_values\":" + std::to_string(result.num_values);
   if (result.has_aggregate) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/functions.h"
+#include "serve/fg_choice.h"
 #include "serve/monitor_service.h"
 
 namespace focus::serve {
@@ -21,11 +22,15 @@ namespace focus::serve {
 std::string HashHex(uint64_t hash);
 bool ParseHashHex(const std::string& text, uint64_t* out);
 
-// The deviation function named by ?f=abs|scaled&g=sum|max (defaults:
-// abs, sum). False on an unrecognized name.
+// FgChoice::FromParams spelled as the function and names of the pair:
+// false on an unrecognized name. perfbench/replay.cc parses its f and g
+// arguments through this.
 bool ParseDeviationFunction(const std::map<std::string, std::string>& params,
                             core::DeviationFunction* fn, std::string* f_name,
                             std::string* g_name);
+
+// "f":"<f name>","g":"<g name>" (no surrounding braces).
+std::string FgJson(FgChoice fg);
 
 // The shared JSON fragment for one stream's status (no surrounding
 // braces).
@@ -57,7 +62,7 @@ SummaryResult AggregateSummary(std::vector<SummaryEntry>* entries,
 
 // Renders the /v1/deviation/summary response body from an aggregate and
 // its (already sorted) entries.
-std::string SummaryJson(const std::string& f_name, const std::string& g_name,
+std::string SummaryJson(FgChoice fg,
                         const std::vector<SummaryEntry>& sorted_entries,
                         const SummaryResult& result);
 

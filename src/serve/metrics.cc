@@ -1,6 +1,7 @@
 #include "serve/metrics.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -39,14 +40,22 @@ std::string JsonEscape(const std::string& text) {
 
 std::string JsonNumber(double value) {
   if (!std::isfinite(value)) return "null";  // JSON has no inf/nan
+  // The shortest %.*g that round-trips. No precision below the digit count
+  // of the shortest round-trip decimal (std::to_chars) can round-trip, so
+  // the search starts there; it usually ends there too.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  // Trim to the shortest representation that round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[32];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, value);
-    if (std::strtod(shorter, nullptr) == value) return shorter;
+  const char* const end =
+      std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::scientific)
+          .ptr;
+  int precision = 0;
+  for (const char* c = buf; c != end && *c != 'e'; ++c) {
+    precision += (*c >= '0' && *c <= '9') ? 1 : 0;
   }
+  for (; precision < 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+    if (std::strtod(buf, nullptr) == value) return buf;
+  }
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
   return buf;
 }
 

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/mutex.h"
+#include "core/lits_deviation.h"
 
 namespace focus::serve {
 namespace {
@@ -66,7 +67,13 @@ ModelCache::ModelCache(size_t capacity, const lits::AprioriOptions& options,
                              : nullptr),
       index_builds_counter_(metrics != nullptr
                                 ? &metrics->GetCounter("index_builds")
-                                : nullptr) {
+                                : nullptr),
+      read_memo_hits_(metrics != nullptr
+                          ? &metrics->GetCounter("read_memo_hits")
+                          : nullptr),
+      read_memo_misses_(metrics != nullptr
+                            ? &metrics->GetCounter("read_memo_misses")
+                            : nullptr) {
   FOCUS_CHECK_GE(capacity, 1u);
 }
 
@@ -90,6 +97,36 @@ std::optional<MinedSnapshot> ModelCache::LookupMined(uint64_t content_hash) {
   CountHitLocked();
   lru_.splice(lru_.begin(), lru_, it->second.position);
   return it->second.mined;
+}
+
+double ModelCache::Compare(uint64_t left_hash, const MinedSnapshot& left,
+                           uint64_t right_hash, const MinedSnapshot& right,
+                           FgChoice fg) {
+  {
+    common::MutexLock lock(&mutex_);
+    const auto it = entries_.find(left_hash);
+    if (it != entries_.end()) {
+      const auto memo = it->second.compares.find(right_hash);
+      if (memo != it->second.compares.end() &&
+          memo->second[fg.index()].has_value()) {
+        if (read_memo_hits_ != nullptr) read_memo_hits_->Increment();
+        return *memo->second[fg.index()];
+      }
+    }
+  }
+  // The first compare of a snapshot builds its index.
+  const double deviation =
+      core::LitsDeviation(*left.model, &left.index->Get(), *right.model,
+                          &right.index->Get(), fg.function());
+  {
+    common::MutexLock lock(&mutex_);
+    const auto it = entries_.find(left_hash);
+    if (it != entries_.end() && entries_.contains(right_hash)) {
+      it->second.compares[right_hash][fg.index()] = deviation;
+    }
+  }
+  if (read_memo_misses_ != nullptr) read_memo_misses_->Increment();
+  return deviation;
 }
 
 MinedSnapshot ModelCache::GetOrMineIndexed(data::TxnSourceRef source,
@@ -136,11 +173,12 @@ void ModelCache::InsertLocked(uint64_t key, MinedSnapshot mined) {
     const uint64_t victim = lru_.back();
     lru_.pop_back();
     entries_.erase(victim);
+    for (auto& [hash, entry] : entries_) entry.compares.erase(victim);
     ++stats_.evictions;
     if (evictions_counter_ != nullptr) evictions_counter_->Increment();
   }
   lru_.push_front(key);
-  entries_[key] = Entry{std::move(mined), lru_.begin()};
+  entries_[key] = Entry{std::move(mined), lru_.begin(), {}};
 }
 
 ModelCacheStats ModelCache::stats() const {

@@ -1,6 +1,7 @@
 #ifndef FOCUS_SERVE_MODEL_CACHE_H_
 #define FOCUS_SERVE_MODEL_CACHE_H_
 
+#include <array>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -14,6 +15,7 @@
 #include "data/txn_source.h"
 #include "data/vertical_index.h"
 #include "itemsets/apriori.h"
+#include "serve/fg_choice.h"
 #include "serve/metrics.h"
 
 namespace focus::serve {
@@ -80,17 +82,19 @@ struct MinedSnapshot {
 // snapshot content hash, so a snapshot that re-enters the spool (retries,
 // fan-out to several streams, repeated deviations against rotating
 // references) skips both the Apriori pass and every later raw-data scan.
-// Thread-safe; mining happens OUTSIDE the lock, so two concurrent misses
-// on the same key may both mine — the second insert wins and the
-// duplicate work is bounded by one mining pass.
+// Beside each entry it memoizes the compares (POST /v1/compare) that
+// entry is the left side of. Thread-safe; mining and compares happen
+// OUTSIDE the lock, so two concurrent misses on the same key may both
+// mine — the second insert wins and the duplicate work is bounded by one
+// mining pass.
 class ModelCache {
  public:
   // When `metrics` is non-null (it must outlive the cache and every entry
   // it hands out), every hit, miss, and eviction also bumps the registry
-  // counters `cache_hits` / `cache_misses` / `cache_evictions`, and every
-  // index an entry builds bumps `index_builds`, so cache behavior is
-  // visible on /metrics and in the monitord JSONL export without polling
-  // stats().
+  // counters `cache_hits` / `cache_misses` / `cache_evictions`, every
+  // index an entry builds bumps `index_builds`, and every Compare bumps
+  // `read_memo_hits` or `read_memo_misses`, so cache behavior is visible
+  // on /metrics and in the monitord JSONL export without polling stats().
   ModelCache(size_t capacity, const lits::AprioriOptions& options,
              MetricsRegistry* metrics = nullptr);
 
@@ -117,6 +121,17 @@ class ModelCache {
   std::optional<MinedSnapshot> LookupMined(uint64_t content_hash)
       EXCLUDES(mutex_);
 
+  // δ_(f,g) of the snapshot `left` against `right`, which LookupMined
+  // returned for `left_hash` and `right_hash`. The first call for the pair
+  // under `fg` computes it through their lazy indexes (a registry
+  // `read_memo_misses`) and stores it, but only while both hashes are
+  // still cached; a repeat returns the stored double (a `read_memo_hits`).
+  // Evicting a hash drops every result it is a side of, so at most
+  // FgChoice::kCount x capacity² results are held.
+  double Compare(uint64_t left_hash, const MinedSnapshot& left,
+                 uint64_t right_hash, const MinedSnapshot& right, FgChoice fg)
+      EXCLUDES(mutex_);
+
   ModelCacheStats stats() const EXCLUDES(mutex_);
   size_t size() const EXCLUDES(mutex_);
   size_t capacity() const { return capacity_; }
@@ -134,12 +149,18 @@ class ModelCache {
   Counter* const misses_counter_;
   Counter* const evictions_counter_;
   Counter* const index_builds_counter_;
+  Counter* const read_memo_hits_;
+  Counter* const read_memo_misses_;
   mutable common::Mutex mutex_;
   // lru_ front = most recently used.
   std::list<uint64_t> lru_ GUARDED_BY(mutex_);
   struct Entry {
     MinedSnapshot mined;
     std::list<uint64_t>::iterator position;
+    // Compares against each cached right-hand hash, by FgChoice::index().
+    std::unordered_map<uint64_t,
+                       std::array<std::optional<double>, FgChoice::kCount>>
+        compares;
   };
   std::unordered_map<uint64_t, Entry> entries_ GUARDED_BY(mutex_);
   ModelCacheStats stats_ GUARDED_BY(mutex_);

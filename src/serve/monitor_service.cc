@@ -82,6 +82,12 @@ MonitorService::MonitorService(const MonitorServiceOptions& options,
       submitted_counter_(metrics != nullptr
                              ? &metrics->GetCounter("snapshots_submitted")
                              : nullptr),
+      read_memo_hits_(metrics != nullptr
+                          ? &metrics->GetCounter("read_memo_hits")
+                          : nullptr),
+      read_memo_misses_(metrics != nullptr
+                            ? &metrics->GetCounter("read_memo_misses")
+                            : nullptr),
       monitor_(reference, options.monitor),
       model_cache_(options.model_cache_capacity, options.monitor.apriori,
                    metrics),
@@ -209,15 +215,27 @@ std::optional<StreamStatus> MonitorService::GetStreamStatus(
 }
 
 std::optional<StreamDeviation> MonitorService::QueryDeviation(
-    const std::string& name, const core::DeviationFunction& fn) const {
+    const std::string& name, FgChoice fg) const {
   StreamDeviation result;
+  Stream* stream = nullptr;
   MinedSnapshot last;
   {
     MutexLock lock(&state_mutex_);
     const auto it = streams_.find(name);
     if (it == streams_.end()) return std::nullopt;
-    result.status = it->second->status;
-    last = it->second->last_mined;
+    stream = it->second.get();
+    result.status = stream->status;
+    if (const std::optional<double>& memo = stream->deviations[fg.index()];
+        memo.has_value()) {
+      result.has_deviation = true;
+      result.deviation = *memo;
+    } else {
+      last = stream->last_mined;
+    }
+  }
+  if (result.has_deviation) {
+    if (read_memo_hits_ != nullptr) read_memo_hits_->Increment();
+    return result;
   }
   // A block-backed latest snapshot has no index, so it reports no
   // deviation. Only focus_monitord --ooc ingests such snapshots, and it
@@ -226,17 +244,26 @@ std::optional<StreamDeviation> MonitorService::QueryDeviation(
       last.index == nullptr) {
     return result;
   }
-  // Recompute under the requested (f,g) from the CACHED model + vertical
-  // index of the latest snapshot against the monitor's reference pair —
-  // GCR extension via bitmap AND+popcount, no raw-data scan. The first
-  // read of a snapshot builds its index (once, across concurrent readers).
-  // The monitor is immutable after construction, so reading it unlocked is
-  // safe.
+  // Compute under `fg` from the CACHED model + vertical index of the latest
+  // snapshot against the monitor's reference pair — GCR extension via
+  // bitmap AND+popcount, no raw-data scan. The first read of a snapshot
+  // builds its index (once, across concurrent readers). The monitor is
+  // immutable after construction, so reading it unlocked is safe.
   result.deviation =
       core::LitsDeviation(monitor_.reference_model(),
                           &monitor_.reference_index(), *last.model,
-                          &last.index->Get(), fn);
+                          &last.index->Get(), fg.function());
   result.has_deviation = true;
+  {
+    // Every publish bumps `processed`: an unchanged count means the stream
+    // still shows the snapshot this deviation was computed for. Streams
+    // are never removed, so `stream` is still valid.
+    MutexLock lock(&state_mutex_);
+    if (stream->status.processed == result.status.processed) {
+      stream->deviations[fg.index()] = result.deviation;
+    }
+  }
+  if (read_memo_misses_ != nullptr) read_memo_misses_->Increment();
   return result;
 }
 
@@ -335,6 +362,7 @@ void MonitorService::PublishStatusLocked(Stream* stream,
   status.baseline_mean = stream->cusum.baseline_mean();
   status.baseline_sd = stream->cusum.baseline_sd();
   stream->last_mined = mined;
+  stream->deviations.fill(std::nullopt);
 }
 
 void MonitorService::FinishOne() {

@@ -1,6 +1,7 @@
 #ifndef FOCUS_SERVE_MONITOR_SERVICE_H_
 #define FOCUS_SERVE_MONITOR_SERVICE_H_
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -20,6 +21,7 @@
 #include "data/block_txn_db.h"
 #include "data/transaction_db.h"
 #include "data/txn_source.h"
+#include "serve/fg_choice.h"
 #include "serve/metrics.h"
 #include "serve/model_cache.h"
 
@@ -125,7 +127,7 @@ struct StreamStatus {
   double baseline_sd = 0.0;
 };
 
-// StreamStatus plus a deviation recomputed under a caller-chosen (f,g).
+// StreamStatus plus the deviation under a caller-chosen (f,g).
 struct StreamDeviation {
   StreamStatus status;
   bool has_deviation = false;  // false while status.has_snapshot is false
@@ -202,11 +204,16 @@ class MonitorService {
       EXCLUDES(state_mutex_);
 
   // Status plus the deviation of the latest processed snapshot against
-  // the reference under an arbitrary (f,g), computed over the CACHED
-  // models and vertical indexes (never the raw transactions). The first
-  // query of a snapshot builds its index. nullopt for unknown streams.
-  std::optional<StreamDeviation> QueryDeviation(
-      const std::string& name, const core::DeviationFunction& fn) const
+  // the reference under `fg`, computed over the CACHED models and vertical
+  // indexes (never the raw transactions). The first query of a snapshot
+  // builds its index. The stream memoizes the deviation under each `fg`
+  // until its next publish: a repeat read returns the stored double (a
+  // registry `read_memo_hits`), and a read that computes (a
+  // `read_memo_misses`) stores its result only if no publish happened
+  // meanwhile, so a reply's deviation always belongs to the snapshot its
+  // status reports. nullopt for unknown streams.
+  std::optional<StreamDeviation> QueryDeviation(const std::string& name,
+                                                FgChoice fg) const
       EXCLUDES(state_mutex_);
 
   // Blocks until every snapshot accepted so far has been processed.
@@ -226,7 +233,7 @@ class MonitorService {
  private:
   struct Stream {
     core::DeviationCusum cusum;
-    // The next five fields are guarded by the owning service's
+    // The next six fields are guarded by the owning service's
     // state_mutex_ (a nested struct cannot name the outer instance's
     // mutex in GUARDED_BY); every access happens inside the REQUIRES(
     // state_mutex_) helpers below or under an explicit MutexLock.
@@ -236,6 +243,9 @@ class MonitorService {
     // queries never race the worker that owns the stream.
     StreamStatus status;
     MinedSnapshot last_mined;      // model+lazy index of the latest snapshot
+    // last_mined's deviation under each FgChoice (by index()), filled by
+    // QueryDeviation and cleared by each publish.
+    std::array<std::optional<double>, FgChoice::kCount> deviations;
     int64_t next_sequence = 0;     // of the next accepted Ingest
 
     explicit Stream(const core::CusumOptions& cusum_options)
@@ -263,10 +273,13 @@ class MonitorService {
   // The series updated under state_mutex_, resolved once at construction
   // (stable addresses) or null: a registry lookup there would hold the
   // state lock while waiting for the registry's, e.g. behind a /metrics
-  // render.
+  // render. The read memo's two counters are resolved alike, to keep a
+  // registry lookup off every read.
   Gauge* const streams_gauge_;
   Gauge* const queue_depth_gauge_;
   Counter* const submitted_counter_;
+  Counter* const read_memo_hits_;
+  Counter* const read_memo_misses_;
   // Built in the constructor, before the pool starts, and never mutated
   // after: every stream's drain job and QueryDeviation read it
   // concurrently without a lock.

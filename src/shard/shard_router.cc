@@ -71,19 +71,12 @@ ShardRouter::Status ShardRouter::Submit(const std::string& stream,
 }
 
 ShardRouter::Status ShardRouter::QueryDeviation(const std::string& stream,
-                                                uint8_t f_code,
-                                                uint8_t g_code,
+                                                serve::FgChoice fg,
                                                 DeviationResultBody* result,
                                                 std::string* error) {
-  core::DeviationFunction fn;
-  if (!DeviationFunctionFromCodes(f_code, g_code, &fn)) {
-    if (error != nullptr) *error = "unknown deviation function codes";
-    return Status::kInvalid;
-  }
   DeviationQueryBody body;
   body.stream = stream;
-  body.f_code = f_code;
-  body.g_code = g_code;
+  body.fg = fg;
   if (!Exchange(shards_[ring_.ShardFor(stream)],
                 MessageType::kDeviationQuery, body.Encode(),
                 MessageType::kDeviationResult, result, error)) {
@@ -93,20 +86,14 @@ ShardRouter::Status ShardRouter::QueryDeviation(const std::string& stream,
 }
 
 ShardRouter::Status ShardRouter::Compare(uint64_t left_hash,
-                                         uint64_t right_hash, uint8_t f_code,
-                                         uint8_t g_code, double* deviation,
+                                         uint64_t right_hash,
+                                         serve::FgChoice fg, double* deviation,
                                          std::vector<uint64_t>* missing,
                                          std::string* error) {
-  core::DeviationFunction fn;
-  if (!DeviationFunctionFromCodes(f_code, g_code, &fn)) {
-    if (error != nullptr) *error = "unknown deviation function codes";
-    return Status::kInvalid;
-  }
   CompareBody body;
   body.left_hash = left_hash;
   body.right_hash = right_hash;
-  body.f_code = f_code;
-  body.g_code = g_code;
+  body.fg = fg;
   const std::string payload = body.Encode();
 
   // Scatter: a content hash can live on any shard (it is owned by
@@ -136,7 +123,7 @@ ShardRouter::Status ShardRouter::Compare(uint64_t left_hash,
   }
   if (left_shard >= 0 && right_shard >= 0) {
     return CrossShardCompare(left_shard, left_hash, right_shard, right_hash,
-                             f_code, g_code, deviation, error);
+                             fg, deviation, error);
   }
   if (missing != nullptr) {
     if (left_shard < 0) missing->push_back(left_hash);
@@ -149,7 +136,7 @@ ShardRouter::Status ShardRouter::Compare(uint64_t left_hash,
 
 ShardRouter::Status ShardRouter::CrossShardCompare(
     int left_shard, uint64_t left_hash, int right_shard, uint64_t right_hash,
-    uint8_t f_code, uint8_t g_code, double* deviation, std::string* error) {
+    serve::FgChoice fg, double* deviation, std::string* error) {
   // Phase 1: each owner's structural component Γ(M) (sorted) and |D|.
   ModelRegionsResultBody left_model, right_model;
   const auto fetch_regions = [&](int shard, uint64_t hash,
@@ -201,10 +188,6 @@ ShardRouter::Status ShardRouter::CrossShardCompare(
   status = extend(right_shard, right_hash, &right_extended);
   if (status != Status::kOk) return status;
 
-  core::DeviationFunction fn;
-  if (!DeviationFunctionFromCodes(f_code, g_code, &fn)) {
-    return Status::kInvalid;  // validated by the caller already
-  }
   // Supports traveled as IEEE-754 bits, so this aggregation sees the very
   // doubles the owning shards computed: delta^1_(f,g) over the GCR, bit-
   // identical to LitsDeviation on one node.
@@ -212,22 +195,15 @@ ShardRouter::Status ShardRouter::CrossShardCompare(
       left_extended.supports,
       static_cast<double>(left_extended.num_transactions),
       right_extended.supports,
-      static_cast<double>(right_extended.num_transactions), fn);
+      static_cast<double>(right_extended.num_transactions), fg.function());
   return Status::kOk;
 }
 
 ShardRouter::Status ShardRouter::Summary(
-    uint8_t f_code, uint8_t g_code,
-    std::vector<serve::SummaryEntry>* entries, serve::SummaryResult* result,
-    std::string* error) {
-  core::DeviationFunction fn;
-  if (!DeviationFunctionFromCodes(f_code, g_code, &fn)) {
-    if (error != nullptr) *error = "unknown deviation function codes";
-    return Status::kInvalid;
-  }
+    serve::FgChoice fg, std::vector<serve::SummaryEntry>* entries,
+    serve::SummaryResult* result, std::string* error) {
   StreamPartialsBody body;
-  body.f_code = f_code;
-  body.g_code = g_code;
+  body.fg = fg;
   const std::string payload = body.Encode();
 
   entries->clear();
@@ -248,7 +224,7 @@ ShardRouter::Status ShardRouter::Summary(
   // The canonical fold (sorted-name order) shared with the single-node
   // summary handler: g_sum only reproduces the single-node bits when the
   // per-stream terms recombine in the same global order.
-  *result = serve::AggregateSummary(entries, fn.g);
+  *result = serve::AggregateSummary(entries, fg.aggregate());
   return Status::kOk;
 }
 

@@ -43,7 +43,6 @@ class ShardRouter {
   enum class Status {
     kOk,
     kNotFound,    // unknown stream / hash on the owning shard(s)
-    kInvalid,     // malformed request (bad deviation codes, ...)
     kShardDown,   // transport failure -> 503
   };
 
@@ -63,20 +62,18 @@ class ShardRouter {
                 std::string* error);
 
   // Per-stream deviation from the owning shard.
-  Status QueryDeviation(const std::string& stream, uint8_t f_code,
-                        uint8_t g_code, DeviationResultBody* result,
-                        std::string* error);
+  Status QueryDeviation(const std::string& stream, serve::FgChoice fg,
+                        DeviationResultBody* result, std::string* error);
 
   // Compare by content hash. kNotFound fills `missing` with the hashes no
   // shard holds.
-  Status Compare(uint64_t left_hash, uint64_t right_hash, uint8_t f_code,
-                 uint8_t g_code, double* deviation,
-                 std::vector<uint64_t>* missing, std::string* error);
+  Status Compare(uint64_t left_hash, uint64_t right_hash, serve::FgChoice fg,
+                 double* deviation, std::vector<uint64_t>* missing,
+                 std::string* error);
 
   // Cross-stream aggregate over every shard: merged per-stream entries
   // (sorted by name) + the canonical fold.
-  Status Summary(uint8_t f_code, uint8_t g_code,
-                 std::vector<serve::SummaryEntry>* entries,
+  Status Summary(serve::FgChoice fg, std::vector<serve::SummaryEntry>* entries,
                  serve::SummaryResult* result, std::string* error);
 
   // Pings every shard; false (with `error`) when any is unreachable.
@@ -87,7 +84,7 @@ class ShardRouter {
   // GCR, extend both models remotely, aggregate locally.
   Status CrossShardCompare(int left_shard, uint64_t left_hash,
                            int right_shard, uint64_t right_hash,
-                           uint8_t f_code, uint8_t g_code, double* deviation,
+                           serve::FgChoice fg, double* deviation,
                            std::string* error);
 
   const std::vector<ShardChannel*> shards_;

@@ -133,12 +133,8 @@ Frame ShardWorker::HandleDeviationQuery(const Frame& request) {
   if (!body.Decode(request.payload)) {
     return ErrorFrame(request.request_id, "malformed deviation query");
   }
-  core::DeviationFunction fn;
-  if (!DeviationFunctionFromCodes(body.f_code, body.g_code, &fn)) {
-    return ErrorFrame(request.request_id, "unknown deviation function codes");
-  }
   DeviationResultBody result;
-  const auto deviation = service_.QueryDeviation(body.stream, fn);
+  const auto deviation = service_.QueryDeviation(body.stream, body.fg);
   if (deviation.has_value()) {
     result.found = 1;
     result.status = deviation->status;
@@ -153,10 +149,6 @@ Frame ShardWorker::HandleCompare(const Frame& request) {
   if (!body.Decode(request.payload)) {
     return ErrorFrame(request.request_id, "malformed compare payload");
   }
-  core::DeviationFunction fn;
-  if (!DeviationFunctionFromCodes(body.f_code, body.g_code, &fn)) {
-    return ErrorFrame(request.request_id, "unknown deviation function codes");
-  }
   serve::ModelCache& cache = service_.model_cache();
   const auto left = cache.LookupMined(body.left_hash);
   const auto right = cache.LookupMined(body.right_hash);
@@ -164,11 +156,9 @@ Frame ShardWorker::HandleCompare(const Frame& request) {
   if (left.has_value() && right.has_value()) {
     result.outcome = CompareOutcome::kBoth;
     // Both snapshots are local: the full single-node answer, same code as
-    // the unsharded /v1/compare. The first compare of a snapshot builds
-    // its index.
-    result.deviation = core::LitsDeviation(*left->model, &left->index->Get(),
-                                           *right->model, &right->index->Get(),
-                                           fn);
+    // the unsharded /v1/compare, memoized beside the cache entries.
+    result.deviation = cache.Compare(body.left_hash, *left, body.right_hash,
+                                     *right, body.fg);
     if (metrics_ != nullptr) metrics_->GetCounter("compares").Increment();
   } else if (left.has_value()) {
     result.outcome = CompareOutcome::kLeftOnly;
@@ -220,13 +210,9 @@ Frame ShardWorker::HandleStreamPartials(const Frame& request) {
   if (!body.Decode(request.payload)) {
     return ErrorFrame(request.request_id, "malformed stream-partials payload");
   }
-  core::DeviationFunction fn;
-  if (!DeviationFunctionFromCodes(body.f_code, body.g_code, &fn)) {
-    return ErrorFrame(request.request_id, "unknown deviation function codes");
-  }
   PartialAggregateBody result;
   for (const std::string& name : service_.ListStreams()) {
-    const auto deviation = service_.QueryDeviation(name, fn);
+    const auto deviation = service_.QueryDeviation(name, body.fg);
     if (!deviation.has_value()) continue;
     PartialAggregateBody::Entry entry;
     entry.stream = name;

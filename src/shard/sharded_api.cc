@@ -1,17 +1,28 @@
 #include "shard/sharded_api.h"
 
+#include <optional>
 #include <utility>
 
 #include "serve/api_util.h"
 
 namespace focus::shard {
 
+using serve::FgChoice;
+using serve::FgJson;
 using serve::HashHex;
 using serve::JsonEscape;
 using serve::JsonNumber;
-using serve::ParseDeviationFunction;
 using serve::ParseHashHex;
 using serve::StatusJson;
+
+namespace {
+
+net::HttpResponse UnknownFunctionResponse() {
+  return net::ErrorResponse(
+      400, "unknown deviation function; use f=abs|scaled and g=sum|max");
+}
+
+}  // namespace
 
 ShardedApi::ShardedApi(const ShardedApiOptions& options, ShardRouter* router,
                        serve::MetricsRegistry* metrics)
@@ -124,32 +135,26 @@ net::HttpResponse ShardedApi::HandleIngest(const net::HttpRequest& request,
 
 net::HttpResponse ShardedApi::HandleDeviation(const net::HttpRequest& request,
                                               const net::PathParams& params) {
-  core::DeviationFunction fn;
-  std::string f_name, g_name;
-  if (!ParseDeviationFunction(request.query, &fn, &f_name, &g_name)) {
-    return net::ErrorResponse(400, "unknown deviation function; use "
-                                   "f=abs|scaled and g=sum|max");
-  }
-  uint8_t f_code, g_code;
-  DeviationCodesFromNames(f_name, g_name, &f_code, &g_code);
+  const std::optional<FgChoice> fg = FgChoice::FromParams(request.query);
+  if (!fg.has_value()) return UnknownFunctionResponse();
   const std::string& name = params.at("name");
   const int shard = router_->ShardFor(name);
   CountShardOp(shard, "shard_deviation_queries");
   DeviationResultBody result;
   std::string error;
-  switch (router_->QueryDeviation(name, f_code, g_code, &result, &error)) {
+  switch (router_->QueryDeviation(name, *fg, &result, &error)) {
     case ShardRouter::Status::kShardDown:
       return ShardDownResponse(error);
     case ShardRouter::Status::kNotFound:
       return net::ErrorResponse(404, "unknown stream");
-    case ShardRouter::Status::kInvalid:
-      return net::ErrorResponse(400, error);
     case ShardRouter::Status::kOk:
       break;
   }
   net::HttpResponse response;
   response.body = "{\"stream\":\"" + JsonEscape(name) + "\"";
-  response.body += ",\"f\":\"" + f_name + "\",\"g\":\"" + g_name + "\",";
+  response.body += ",";
+  response.body += FgJson(*fg);
+  response.body += ",";
   response.body += StatusJson(result.status);
   if (result.has_deviation != 0) {
     response.body += ",\"deviation\":" + JsonNumber(result.deviation);
@@ -165,14 +170,8 @@ net::HttpResponse ShardedApi::HandleCompare(const net::HttpRequest& request) {
       params[key] = value;
     }
   }
-  core::DeviationFunction fn;
-  std::string f_name, g_name;
-  if (!ParseDeviationFunction(params, &fn, &f_name, &g_name)) {
-    return net::ErrorResponse(400, "unknown deviation function; use "
-                                   "f=abs|scaled and g=sum|max");
-  }
-  uint8_t f_code, g_code;
-  DeviationCodesFromNames(f_name, g_name, &f_code, &g_code);
+  const std::optional<FgChoice> fg = FgChoice::FromParams(params);
+  if (!fg.has_value()) return UnknownFunctionResponse();
   uint64_t left_hash = 0, right_hash = 0;
   const auto left_it = params.find("left");
   const auto right_it = params.find("right");
@@ -189,8 +188,8 @@ net::HttpResponse ShardedApi::HandleCompare(const net::HttpRequest& request) {
   double deviation = 0.0;
   std::vector<uint64_t> missing;
   std::string error;
-  switch (router_->Compare(left_hash, right_hash, f_code, g_code, &deviation,
-                           &missing, &error)) {
+  switch (router_->Compare(left_hash, right_hash, *fg, &deviation, &missing,
+                           &error)) {
     case ShardRouter::Status::kShardDown:
       return ShardDownResponse(error);
     case ShardRouter::Status::kNotFound: {
@@ -203,41 +202,30 @@ net::HttpResponse ShardedApi::HandleCompare(const net::HttpRequest& request) {
           404, "snapshot hash not in any shard's model cache (evicted, "
                "still queued, or never ingested): " + rendered);
     }
-    case ShardRouter::Status::kInvalid:
-      return net::ErrorResponse(400, error);
     case ShardRouter::Status::kOk:
       break;
   }
   net::HttpResponse response;
   response.body = "{\"left\":\"" + left_it->second + "\"";
   response.body += ",\"right\":\"" + right_it->second + "\"";
-  response.body += ",\"f\":\"" + f_name + "\",\"g\":\"" + g_name + "\"";
+  response.body += ",";
+  response.body += FgJson(*fg);
   response.body += ",\"deviation\":" + JsonNumber(deviation) + "}\n";
   return response;
 }
 
 net::HttpResponse ShardedApi::HandleSummary(const net::HttpRequest& request) {
-  core::DeviationFunction fn;
-  std::string f_name, g_name;
-  if (!ParseDeviationFunction(request.query, &fn, &f_name, &g_name)) {
-    return net::ErrorResponse(400, "unknown deviation function; use "
-                                   "f=abs|scaled and g=sum|max");
-  }
-  uint8_t f_code, g_code;
-  DeviationCodesFromNames(f_name, g_name, &f_code, &g_code);
+  const std::optional<FgChoice> fg = FgChoice::FromParams(request.query);
+  if (!fg.has_value()) return UnknownFunctionResponse();
   std::vector<serve::SummaryEntry> entries;
   serve::SummaryResult result;
   std::string error;
-  switch (router_->Summary(f_code, g_code, &entries, &result, &error)) {
-    case ShardRouter::Status::kShardDown:
-      return ShardDownResponse(error);
-    case ShardRouter::Status::kInvalid:
-      return net::ErrorResponse(400, error);
-    default:
-      break;
+  if (router_->Summary(*fg, &entries, &result, &error) ==
+      ShardRouter::Status::kShardDown) {
+    return ShardDownResponse(error);
   }
   net::HttpResponse response;
-  response.body = serve::SummaryJson(f_name, g_name, entries, result);
+  response.body = serve::SummaryJson(*fg, entries, result);
   return response;
 }
 

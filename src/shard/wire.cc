@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <optional>
 
 namespace focus::shard {
 namespace {
@@ -179,6 +180,11 @@ void PayloadWriter::PutRegions(const std::vector<lits::Itemset>& regions) {
   for (const lits::Itemset& region : regions) PutItemset(region);
 }
 
+void PayloadWriter::PutFg(serve::FgChoice fg) {
+  PutU8(fg.f_code());
+  PutU8(fg.g_code());
+}
+
 bool PayloadReader::Take(size_t n, const char** out) {
   if (!ok_ || bytes_.size() - offset_ < n) {
     ok_ = false;
@@ -279,45 +285,17 @@ bool PayloadReader::GetRegions(std::vector<lits::Itemset>* regions) {
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// Deviation-function codes.
-
-bool DeviationCodesFromNames(const std::string& f_name,
-                             const std::string& g_name, uint8_t* f_code,
-                             uint8_t* g_code) {
-  if (f_name == "abs") {
-    *f_code = kDiffAbs;
-  } else if (f_name == "scaled") {
-    *f_code = kDiffScaled;
-  } else {
+bool PayloadReader::GetFg(serve::FgChoice* fg) {
+  uint8_t f_code = 0;
+  uint8_t g_code = 0;
+  if (!GetU8(&f_code) || !GetU8(&g_code)) return false;
+  const std::optional<serve::FgChoice> decoded =
+      serve::FgChoice::FromCodes(f_code, g_code);
+  if (!decoded.has_value()) {
+    ok_ = false;
     return false;
   }
-  if (g_name == "sum") {
-    *g_code = kAggSum;
-  } else if (g_name == "max") {
-    *g_code = kAggMax;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool DeviationFunctionFromCodes(uint8_t f_code, uint8_t g_code,
-                                core::DeviationFunction* fn) {
-  if (f_code == kDiffAbs) {
-    fn->f = core::AbsoluteDiff();
-  } else if (f_code == kDiffScaled) {
-    fn->f = core::ScaledDiff();
-  } else {
-    return false;
-  }
-  if (g_code == kAggSum) {
-    fn->g = core::AggregateKind::kSum;
-  } else if (g_code == kAggMax) {
-    fn->g = core::AggregateKind::kMax;
-  } else {
-    return false;
-  }
+  *fg = *decoded;
   return true;
 }
 
@@ -370,15 +348,13 @@ bool SubmitResultBody::Decode(std::string_view payload) {
 std::string DeviationQueryBody::Encode() const {
   PayloadWriter out;
   out.PutString(stream);
-  out.PutU8(f_code);
-  out.PutU8(g_code);
+  out.PutFg(fg);
   return out.Take();
 }
 
 bool DeviationQueryBody::Decode(std::string_view payload) {
   PayloadReader in(payload);
-  return in.GetString(&stream) && in.GetU8(&f_code) && in.GetU8(&g_code) &&
-         in.AtEnd();
+  return in.GetString(&stream) && in.GetFg(&fg) && in.AtEnd();
 }
 
 std::string DeviationResultBody::Encode() const {
@@ -400,15 +376,14 @@ std::string CompareBody::Encode() const {
   PayloadWriter out;
   out.PutU64(left_hash);
   out.PutU64(right_hash);
-  out.PutU8(f_code);
-  out.PutU8(g_code);
+  out.PutFg(fg);
   return out.Take();
 }
 
 bool CompareBody::Decode(std::string_view payload) {
   PayloadReader in(payload);
-  return in.GetU64(&left_hash) && in.GetU64(&right_hash) &&
-         in.GetU8(&f_code) && in.GetU8(&g_code) && in.AtEnd();
+  return in.GetU64(&left_hash) && in.GetU64(&right_hash) && in.GetFg(&fg) &&
+         in.AtEnd();
 }
 
 std::string CompareResultBody::Encode() const {
@@ -494,14 +469,13 @@ bool ExtendRegionsResultBody::Decode(std::string_view payload) {
 
 std::string StreamPartialsBody::Encode() const {
   PayloadWriter out;
-  out.PutU8(f_code);
-  out.PutU8(g_code);
+  out.PutFg(fg);
   return out.Take();
 }
 
 bool StreamPartialsBody::Decode(std::string_view payload) {
   PayloadReader in(payload);
-  return in.GetU8(&f_code) && in.GetU8(&g_code) && in.AtEnd();
+  return in.GetFg(&fg) && in.AtEnd();
 }
 
 std::string PartialAggregateBody::Encode() const {

@@ -7,8 +7,8 @@
 #include <string_view>
 #include <vector>
 
-#include "core/functions.h"
 #include "itemsets/itemset.h"
+#include "serve/fg_choice.h"
 #include "serve/monitor_service.h"
 
 namespace focus::shard {
@@ -115,6 +115,7 @@ class PayloadWriter {
   void PutString(std::string_view text);
   void PutItemset(const lits::Itemset& itemset);
   void PutRegions(const std::vector<lits::Itemset>& regions);
+  void PutFg(serve::FgChoice fg);  // f code byte, then g code byte
 
   const std::string& bytes() const { return bytes_; }
   std::string Take() { return std::move(bytes_); }
@@ -141,6 +142,7 @@ class PayloadReader {
   bool GetString(std::string* text);
   bool GetItemset(lits::Itemset* itemset);
   bool GetRegions(std::vector<lits::Itemset>* regions);
+  bool GetFg(serve::FgChoice* fg);  // fails on a code FgChoice does not name
 
   bool ok() const { return ok_; }
   // True when the whole payload was consumed without error.
@@ -154,22 +156,6 @@ class PayloadReader {
   size_t offset_ = 0;
   bool ok_ = true;
 };
-
-// ---------------------------------------------------------------------------
-// Deviation-function codes. The wire carries (f,g) as one byte each; the
-// mapping must stay in lockstep with serve::ParseDeviationFunction's
-// names.
-
-inline constexpr uint8_t kDiffAbs = 0;
-inline constexpr uint8_t kDiffScaled = 1;
-inline constexpr uint8_t kAggSum = 0;
-inline constexpr uint8_t kAggMax = 1;
-
-bool DeviationCodesFromNames(const std::string& f_name,
-                             const std::string& g_name, uint8_t* f_code,
-                             uint8_t* g_code);
-bool DeviationFunctionFromCodes(uint8_t f_code, uint8_t g_code,
-                                core::DeviationFunction* fn);
 
 // ---------------------------------------------------------------------------
 // Message bodies. Each struct encodes to / decodes from a frame payload;
@@ -205,8 +191,7 @@ struct SubmitResultBody {
 
 struct DeviationQueryBody {
   std::string stream;
-  uint8_t f_code = kDiffAbs;
-  uint8_t g_code = kAggSum;
+  serve::FgChoice fg;
 
   std::string Encode() const;
   bool Decode(std::string_view payload);
@@ -233,8 +218,7 @@ enum class CompareOutcome : uint8_t {
 struct CompareBody {
   uint64_t left_hash = 0;
   uint64_t right_hash = 0;
-  uint8_t f_code = kDiffAbs;
-  uint8_t g_code = kAggSum;
+  serve::FgChoice fg;
 
   std::string Encode() const;
   bool Decode(std::string_view payload);
@@ -282,8 +266,7 @@ struct ExtendRegionsResultBody {
 };
 
 struct StreamPartialsBody {
-  uint8_t f_code = kDiffAbs;
-  uint8_t g_code = kAggSum;
+  serve::FgChoice fg;
 
   std::string Encode() const;
   bool Decode(std::string_view payload);

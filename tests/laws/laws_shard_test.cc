@@ -55,13 +55,13 @@ std::string Serialize(const data::TransactionDb& db) {
 
 std::string StreamName(int i) { return "stream-" + std::to_string(i); }
 
-// Every (f_code, g_code) pair the wire can carry.
-struct FgCase {
-  uint8_t f, g;
-};
-constexpr FgCase kFgCases[] = {
-    {kDiffAbs, kAggSum}, {kDiffAbs, kAggMax},
-    {kDiffScaled, kAggSum}, {kDiffScaled, kAggMax}};
+// Every (f, g) pair the wire can carry.
+using serve::FgChoice;
+constexpr FgChoice kFgCases[] = {
+    {FgChoice::F::kAbs, FgChoice::G::kSum},
+    {FgChoice::F::kAbs, FgChoice::G::kMax},
+    {FgChoice::F::kScaled, FgChoice::G::kSum},
+    {FgChoice::F::kScaled, FgChoice::G::kMax}};
 
 // Large caches so no mined model is evicted mid-test (evictions would
 // turn compares into 404s, not wrong answers).
@@ -172,17 +172,15 @@ TEST(LawsShard, PerStreamDeviationIdenticalToSingleNode) {
     Sharded sharded(num_shards, reference);
     FeedBoth(&single, &sharded);
     for (int i = 0; i < kNumStreams; ++i) {
-      for (const FgCase& fg : kFgCases) {
-        core::DeviationFunction fn;
-        ASSERT_TRUE(DeviationFunctionFromCodes(fg.f, fg.g, &fn));
+      for (const FgChoice fg : kFgCases) {
         const auto expected =
-            single.service_.QueryDeviation(StreamName(i), fn);
+            single.service_.QueryDeviation(StreamName(i), fg);
         ASSERT_TRUE(expected.has_value());
 
         DeviationResultBody actual;
         std::string error;
-        ASSERT_EQ(sharded.router().QueryDeviation(StreamName(i), fg.f, fg.g,
-                                                  &actual, &error),
+        ASSERT_EQ(sharded.router().QueryDeviation(StreamName(i), fg, &actual,
+                                                  &error),
                   ShardRouter::Status::kOk)
             << error;
         ASSERT_EQ(actual.found, 1);
@@ -191,7 +189,7 @@ TEST(LawsShard, PerStreamDeviationIdenticalToSingleNode) {
         // Bit-identical, not nearly-equal.
         EXPECT_EQ(actual.deviation, expected->deviation)
             << "shards=" << num_shards << " stream=" << i << " f="
-            << int{fg.f} << " g=" << int{fg.g};
+            << fg.f_name() << " g=" << fg.g_name();
         EXPECT_EQ(actual.status.sequence, expected->status.sequence);
         EXPECT_EQ(actual.status.delta_star, expected->status.delta_star);
         EXPECT_EQ(actual.status.deviation, expected->status.deviation);
@@ -227,23 +225,20 @@ TEST(LawsShard, CompareIdenticalToSingleNodeIncludingCrossShard) {
     // self-compare, under every (f,g).
     for (int a = 0; a < kNumStreams; ++a) {
       for (int b = 0; b < kNumStreams; ++b) {
-        for (const FgCase& fg : kFgCases) {
-          core::DeviationFunction fn;
-          ASSERT_TRUE(DeviationFunctionFromCodes(fg.f, fg.g, &fn));
+        for (const FgChoice fg : kFgCases) {
           const double expected =
-              single_compare(hashes.at(a), hashes.at(b), fn);
+              single_compare(hashes.at(a), hashes.at(b), fg.function());
 
           double actual = -1.0;
           std::vector<uint64_t> missing;
           std::string error;
-          ASSERT_EQ(sharded.router().Compare(hashes.at(a), hashes.at(b),
-                                             fg.f, fg.g, &actual, &missing,
-                                             &error),
+          ASSERT_EQ(sharded.router().Compare(hashes.at(a), hashes.at(b), fg,
+                                             &actual, &missing, &error),
                     ShardRouter::Status::kOk)
               << error;
           EXPECT_EQ(actual, expected)
               << "shards=" << num_shards << " pair=(" << a << "," << b
-              << ") f=" << int{fg.f} << " g=" << int{fg.g};
+              << ") f=" << fg.f_name() << " g=" << fg.g_name();
         }
       }
     }
@@ -256,14 +251,13 @@ TEST(LawsShard, SummaryIdenticalToSingleNodeFold) {
   for (const int num_shards : kShardCounts) {
     Sharded sharded(num_shards, reference);
     FeedBoth(&single, &sharded);
-    for (const FgCase& fg : kFgCases) {
-      core::DeviationFunction fn;
-      ASSERT_TRUE(DeviationFunctionFromCodes(fg.f, fg.g, &fn));
+    for (const FgChoice fg : kFgCases) {
+      const core::DeviationFunction fn = fg.function();
 
       // The single-node fold, exactly as HandleSummary performs it.
       std::vector<serve::SummaryEntry> expected_entries;
       for (const std::string& name : single.service_.ListStreams()) {
-        const auto deviation = single.service_.QueryDeviation(name, fn);
+        const auto deviation = single.service_.QueryDeviation(name, fg);
         ASSERT_TRUE(deviation.has_value());
         expected_entries.push_back(serve::SummaryEntry{
             name, deviation->has_deviation, deviation->deviation});
@@ -274,16 +268,15 @@ TEST(LawsShard, SummaryIdenticalToSingleNodeFold) {
       std::vector<serve::SummaryEntry> entries;
       serve::SummaryResult actual;
       std::string error;
-      ASSERT_EQ(sharded.router().Summary(fg.f, fg.g, &entries, &actual,
-                                         &error),
+      ASSERT_EQ(sharded.router().Summary(fg, &entries, &actual, &error),
                 ShardRouter::Status::kOk)
           << error;
       EXPECT_EQ(actual.num_streams, expected.num_streams);
       EXPECT_EQ(actual.num_values, expected.num_values);
       EXPECT_EQ(actual.has_aggregate, expected.has_aggregate);
       EXPECT_EQ(actual.aggregate, expected.aggregate)
-          << "shards=" << num_shards << " f=" << int{fg.f} << " g="
-          << int{fg.g};
+          << "shards=" << num_shards << " f=" << fg.f_name() << " g="
+          << fg.g_name();
       ASSERT_EQ(entries.size(), expected_entries.size());
       for (size_t i = 0; i < entries.size(); ++i) {
         EXPECT_EQ(entries[i].stream, expected_entries[i].stream);

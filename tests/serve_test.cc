@@ -9,11 +9,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -30,6 +37,7 @@
 #include "serve/metrics.h"
 #include "serve/model_cache.h"
 #include "serve/monitor_service.h"
+#include "stats/rng.h"
 
 namespace focus::serve {
 namespace {
@@ -232,6 +240,63 @@ TEST(MetricsTest, JsonHelpers) {
   EXPECT_EQ(JsonNumber(0.0), "0");
   // Shortest representation must round-trip.
   EXPECT_EQ(std::stod(JsonNumber(0.1)), 0.1);
+}
+
+// JsonNumber as it was before its search began at std::to_chars's digit
+// count: every precision from 1 up, then %.17g. The strings it gives are
+// the ones every reply, event and /metrics line has always carried.
+std::string TrialLoopJsonNumber(double value) {
+  if (!std::isfinite(value)) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  for (int precision = 1; precision < 17; ++precision) {
+    char shorter[32];
+    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, value);
+    if (std::strtod(shorter, nullptr) == value) return shorter;
+  }
+  return buf;
+}
+
+TEST(MetricsTest, JsonNumberMatchesTrialLoopReference) {
+  std::vector<double> values = Histogram::DefaultLatencyBucketsMs();
+  const double min_normal = std::numeric_limits<double>::min();
+  const double max = std::numeric_limits<double>::max();
+  for (const double value :
+       {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(), min_normal / 3,
+        std::nextafter(min_normal, 0.0), min_normal, max, -max,
+        std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), 0.1, 0.3, 1.0 / 3, 1e-5,
+        5e-324, 1e15, 1e16, 1e17, 9007199254740993.0, 123456789.125}) {
+    values.push_back(value);
+  }
+  for (int i = -4096; i <= 4096; ++i) values.push_back(i);
+  std::mt19937_64 rng = stats::MakeRng(0x4A534F4E);
+  for (int i = 0; i < (1 << 20); ++i) {
+    values.push_back(std::bit_cast<double>(static_cast<uint64_t>(rng())));
+  }
+  // The reference tries up to 16 precisions per value, so the values are
+  // split over a few threads.
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<double>> mismatches(kThreads);
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&values, &mismatches, t] {
+      for (size_t i = t; i < values.size(); i += kThreads) {
+        if (JsonNumber(values[i]) != TrialLoopJsonNumber(values[i])) {
+          mismatches[t].push_back(values[i]);
+        }
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (const std::vector<double>& found : mismatches) {
+    for (const double value : found) {
+      ADD_FAILURE() << "bits 0x" << std::hex << std::bit_cast<uint64_t>(value)
+                    << ": " << JsonNumber(value)
+                    << " != " << TrialLoopJsonNumber(value);
+    }
+  }
 }
 
 TEST(MetricsTest, PrometheusTextExposition) {
@@ -804,10 +869,9 @@ TEST(MonitorServiceTest, StatusAndQueryDeviationTrackLatestSnapshot) {
   EXPECT_FALSE(empty->has_snapshot);
 
   // Before any snapshot, QueryDeviation reports status but no deviation.
-  core::DeviationFunction fn;
-  fn.f = core::AbsoluteDiff();
-  fn.g = core::AggregateKind::kSum;
-  auto no_data = service.QueryDeviation("s", fn);
+  const FgChoice abs_sum(FgChoice::F::kAbs, FgChoice::G::kSum);
+  const core::DeviationFunction fn = abs_sum.function();
+  auto no_data = service.QueryDeviation("s", abs_sum);
   ASSERT_TRUE(no_data.has_value());
   EXPECT_FALSE(no_data->has_deviation);
 
@@ -826,7 +890,7 @@ TEST(MonitorServiceTest, StatusAndQueryDeviationTrackLatestSnapshot) {
 
   // The query recomputes from the CACHED model+index of snapshot 43 and
   // must agree with a direct vertical LitsDeviation over the same data.
-  const auto result = service.QueryDeviation("s", fn);
+  const auto result = service.QueryDeviation("s", abs_sum);
   ASSERT_TRUE(result.has_value());
   ASSERT_TRUE(result->has_deviation);
   core::LitsChangeMonitor direct(QuestDb(1000),
@@ -841,9 +905,7 @@ TEST(MonitorServiceTest, StatusAndQueryDeviationTrackLatestSnapshot) {
                                        &latest_index, fn));
 
   // Different (f,g) choices answer from the same cached state.
-  core::DeviationFunction scaled_max;
-  scaled_max.f = core::ScaledDiff();
-  scaled_max.g = core::AggregateKind::kMax;
+  const FgChoice scaled_max(FgChoice::F::kScaled, FgChoice::G::kMax);
   const auto other = service.QueryDeviation("s", scaled_max);
   ASSERT_TRUE(other.has_value());
   EXPECT_TRUE(other->has_deviation);
@@ -891,17 +953,16 @@ TEST(LazyIndexTest, IngestsBuildNoIndexAndTheFirstReadBuildsOne) {
 
   // The first read of the latest snapshot builds its index; later reads,
   // under any (f, g), reuse it.
-  core::DeviationFunction fn;
-  const auto first = service.QueryDeviation("s", fn);
+  FgChoice fg;
+  const auto first = service.QueryDeviation("s", fg);
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(first->has_deviation);
   EXPECT_EQ(metrics.GetCounter("index_builds").Value(), 1);
-  EXPECT_EQ(first->deviation, EagerDeviation(QuestDb(14), fn));
-  fn.f = core::ScaledDiff();
-  fn.g = core::AggregateKind::kMax;
-  const auto second = service.QueryDeviation("s", fn);
+  EXPECT_EQ(first->deviation, EagerDeviation(QuestDb(14), fg.function()));
+  fg = FgChoice(FgChoice::F::kScaled, FgChoice::G::kMax);
+  const auto second = service.QueryDeviation("s", fg);
   ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->deviation, EagerDeviation(QuestDb(14), fn));
+  EXPECT_EQ(second->deviation, EagerDeviation(QuestDb(14), fg.function()));
   EXPECT_EQ(metrics.GetCounter("index_builds").Value(), 1);
 }
 
@@ -931,14 +992,15 @@ TEST(LazyIndexTest, ConcurrentFirstReadsBuildOneIndex) {
 
   // Eight readers released together all race to the unbuilt index.
   constexpr int kReaders = 8;
-  const core::DeviationFunction fn;
+  const FgChoice fg;
+  const core::DeviationFunction fn = fg.function();
   std::atomic<bool> go{false};
   std::vector<std::optional<StreamDeviation>> results(kReaders);
   std::vector<std::thread> readers;
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      results[r] = service.QueryDeviation("s", fn);
+      results[r] = service.QueryDeviation("s", fg);
     });
   }
   go.store(true, std::memory_order_release);

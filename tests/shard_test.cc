@@ -30,6 +30,8 @@
 namespace focus::shard {
 namespace {
 
+using serve::FgChoice;
+
 data::TransactionDb QuestDb(uint64_t seed, int num_transactions = 300) {
   datagen::QuestParams params;
   params.num_transactions = num_transactions;
@@ -206,15 +208,43 @@ TEST(WireCodecTest, MessageBodiesRoundTrip) {
 }
 
 TEST(WireCodecTest, DeviationCodeMapping) {
-  uint8_t f = 99, g = 99;
-  ASSERT_TRUE(DeviationCodesFromNames("scaled", "max", &f, &g));
-  EXPECT_EQ(f, kDiffScaled);
-  EXPECT_EQ(g, kAggMax);
-  EXPECT_FALSE(DeviationCodesFromNames("cubed", "max", &f, &g));
+  // Query names, wire codes and functions all come from FgChoice's table.
+  for (uint8_t f_code = 0; f_code < 2; ++f_code) {
+    for (uint8_t g_code = 0; g_code < 2; ++g_code) {
+      const auto fg = FgChoice::FromCodes(f_code, g_code);
+      ASSERT_TRUE(fg.has_value());
+      EXPECT_EQ(fg->f_code(), f_code);
+      EXPECT_EQ(fg->g_code(), g_code);
+      EXPECT_EQ(fg->index(), 2 * f_code + g_code);
+      EXPECT_EQ(FgChoice::FromParams({{"f", std::string(fg->f_name())},
+                                      {"g", std::string(fg->g_name())}}),
+                fg);
+    }
+  }
+  const auto scaled_max = FgChoice::FromParams({{"f", "scaled"}, {"g", "max"}});
+  ASSERT_TRUE(scaled_max.has_value());
+  EXPECT_EQ(scaled_max->f_code(), 1);
+  EXPECT_EQ(scaled_max->g_code(), 1);
+  EXPECT_EQ(scaled_max->function().g, core::AggregateKind::kMax);
+  EXPECT_EQ(scaled_max->function().f(1, 3, 10, 10),
+            core::ScaledDiff()(1, 3, 10, 10));
+  EXPECT_EQ(FgChoice().function().f(1, 3, 10, 10),
+            core::AbsoluteDiff()(1, 3, 10, 10));
+  EXPECT_FALSE(FgChoice::FromParams({{"f", "cubed"}, {"g", "max"}}));
+  EXPECT_FALSE(FgChoice::FromParams({{"f", "abs"}, {"g", "avg"}}));
+  EXPECT_EQ(FgChoice::FromParams({}), FgChoice());  // abs, sum
+  EXPECT_EQ(FgChoice::FromCodes(0, 0), FgChoice());
+  EXPECT_FALSE(FgChoice::FromCodes(7, 0));
 
-  core::DeviationFunction fn;
-  ASSERT_TRUE(DeviationFunctionFromCodes(kDiffAbs, kAggSum, &fn));
-  EXPECT_FALSE(DeviationFunctionFromCodes(7, kAggSum, &fn));
+  // The pair travels as its two code bytes; any other byte fails to decode.
+  StreamPartialsBody body;
+  body.fg = *scaled_max;
+  EXPECT_EQ(body.Encode(), std::string("\x01\x01", 2));
+  StreamPartialsBody out;
+  EXPECT_FALSE(out.Decode(std::string("\x07\x00", 2)));
+  EXPECT_FALSE(out.Decode(std::string("\x00\x02", 2)));
+  ASSERT_TRUE(out.Decode(body.Encode()));
+  EXPECT_EQ(out.fg, *scaled_max);
 }
 
 // ---------------------------------------------------------------- decoder
@@ -222,7 +252,8 @@ TEST(WireCodecTest, DeviationCodeMapping) {
 TEST(WireDecoderTest, ByteAtATimeMatchesOneShot) {
   Frame ping{MessageType::kPing, 1, ""};
   Frame query{MessageType::kDeviationQuery, 2,
-              DeviationQueryBody{"s1", kDiffAbs, kAggMax}.Encode()};
+              DeviationQueryBody{"s1", {FgChoice::F::kAbs, FgChoice::G::kMax}}
+                  .Encode()};
   const std::string wire = EncodeFrame(ping) + EncodeFrame(query);
 
   WireDecoder one_shot;
@@ -387,7 +418,7 @@ TEST_F(WireSocketTest, SubmitThenQueryOverSocket) {
 
   worker_->service().Flush();
 
-  DeviationQueryBody query{"payments", kDiffAbs, kAggSum};
+  DeviationQueryBody query{"payments", FgChoice()};
   ASSERT_TRUE(client.Call(MessageType::kDeviationQuery, query.Encode(),
                           &response, &error))
       << error;
@@ -397,7 +428,7 @@ TEST_F(WireSocketTest, SubmitThenQueryOverSocket) {
   EXPECT_EQ(deviation.has_deviation, 1);
   EXPECT_GT(deviation.deviation, 0.0);
 
-  DeviationQueryBody unknown{"nope", kDiffAbs, kAggSum};
+  DeviationQueryBody unknown{"nope", FgChoice()};
   ASSERT_TRUE(client.Call(MessageType::kDeviationQuery, unknown.Encode(),
                           &response, &error))
       << error;
@@ -692,8 +723,7 @@ TEST(ShardRouterTest, RoutesIngestAndQueriesToOwningShard) {
   for (int i = 0; i < 6; ++i) {
     const std::string stream = "stream-" + std::to_string(i);
     DeviationResultBody result;
-    ASSERT_EQ(router.QueryDeviation(stream, kDiffAbs, kAggSum, &result,
-                                    &error),
+    ASSERT_EQ(router.QueryDeviation(stream, FgChoice(), &result, &error),
               ShardRouter::Status::kOk)
         << error;
     EXPECT_EQ(result.found, 1);
@@ -707,13 +737,12 @@ TEST(ShardRouterTest, RoutesIngestAndQueriesToOwningShard) {
   }
 
   DeviationResultBody result;
-  EXPECT_EQ(router.QueryDeviation("absent", kDiffAbs, kAggSum, &result,
-                                  &error),
+  EXPECT_EQ(router.QueryDeviation("absent", FgChoice(), &result, &error),
             ShardRouter::Status::kNotFound);
 
   std::vector<serve::SummaryEntry> entries;
   serve::SummaryResult summary;
-  ASSERT_EQ(router.Summary(kDiffAbs, kAggSum, &entries, &summary, &error),
+  ASSERT_EQ(router.Summary(FgChoice(), &entries, &summary, &error),
             ShardRouter::Status::kOk)
       << error;
   EXPECT_EQ(summary.num_streams, 6);
@@ -772,8 +801,8 @@ TEST(ShardRouterTest, CompareAcrossShards) {
   double cross = 0.0;
   std::vector<uint64_t> missing;
   ASSERT_EQ(router.Compare(left_submit.content_hash,
-                           right_submit.content_hash, kDiffAbs, kAggSum,
-                           &cross, &missing, &error),
+                           right_submit.content_hash, FgChoice(), &cross,
+                           &missing, &error),
             ShardRouter::Status::kOk)
       << error;
   EXPECT_GT(cross, 0.0);
@@ -781,22 +810,29 @@ TEST(ShardRouterTest, CompareAcrossShards) {
   // Self-compare of one hash: same shard holds both, deviation 0.
   double self = 1.0;
   ASSERT_EQ(router.Compare(left_submit.content_hash,
-                           left_submit.content_hash, kDiffAbs, kAggSum,
-                           &self, &missing, &error),
+                           left_submit.content_hash, FgChoice(), &self,
+                           &missing, &error),
             ShardRouter::Status::kOk)
       << error;
   EXPECT_EQ(self, 0.0);
 
   // Unknown hashes are reported, not 500s.
-  ASSERT_EQ(router.Compare(0x1111, 0x2222, kDiffAbs, kAggSum, &cross,
-                           &missing, &error),
+  ASSERT_EQ(router.Compare(0x1111, 0x2222, FgChoice(), &cross, &missing,
+                           &error),
             ShardRouter::Status::kNotFound);
   EXPECT_EQ(missing.size(), 2u);
 
-  EXPECT_EQ(router.Compare(left_submit.content_hash,
-                           right_submit.content_hash, 9, 9, &cross, &missing,
-                           &error),
-            ShardRouter::Status::kInvalid);
+  // A compare frame whose (f, g) bytes name no function gets an error
+  // frame from the worker.
+  PayloadWriter unknown_fg;
+  unknown_fg.PutU64(left_submit.content_hash);
+  unknown_fg.PutU64(right_submit.content_hash);
+  unknown_fg.PutU8(9);
+  unknown_fg.PutU8(9);
+  EXPECT_EQ(workers[0]
+                ->HandleFrame(Frame{MessageType::kCompare, 1, unknown_fg.Take()})
+                .type,
+            MessageType::kError);
 
   for (auto& worker : workers) worker->Stop();
 }
