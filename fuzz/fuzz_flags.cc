@@ -46,8 +46,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       {"spool", "reference", "minsup", "threads", "once", "queue"});
   if (flags.has_value()) {
     flags->Get("spool", "");
-    flags->GetDouble("minsup", 0.01);
-    flags->GetInt("threads", 4);
+    double minsup = 0.0;
+    int threads = 0;
+    std::string error;
+    focus::common::ReadDoubleFlag(
+        *flags, "minsup", 0.01, [](double v) { return v > 0.0 && v <= 1.0; },
+        "in (0, 1]", &minsup, &error);
+    focus::common::ReadIntFlag(*flags, "threads", 4, 1, &threads, &error);
     flags->Has("once");
   }
   return 0;

@@ -1,6 +1,6 @@
 // Fuzz target for the focus-txns-v1 spool parser — the loader that
-// focus_monitord and focus_served feed with untrusted bytes. Beyond not
-// crashing:
+// focus_served feeds with untrusted bytes, from HTTP bodies and from
+// --spool files. Beyond not crashing:
 //   * the loader over a string_view, the loader over a stream and the
 //     istringstream reference parser (proptest/txns_oracle.h) must agree
 //     on accepting, on the rejection reason and on every row;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <system_error>
 
 namespace focus::common {
@@ -57,16 +56,6 @@ std::string Flags::Get(const std::string& key,
                        const std::string& fallback) const {
   const auto it = values_.find(key);
   return it == values_.end() ? fallback : it->second;
-}
-
-double Flags::GetDouble(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::atof(it->second.c_str());
-}
-
-int64_t Flags::GetInt(const std::string& key, int64_t fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::atoll(it->second.c_str());
 }
 
 bool ReadIntFlag(const Flags& flags, const char* name, int64_t fallback,

@@ -11,7 +11,7 @@
 namespace focus::common {
 
 // Hardened `--flag value` parser shared by the CLI tools (focus_cli,
-// focus_monitord). Every flag takes exactly one value. Malformed command
+// focus_served). Every flag takes exactly one value. Malformed command
 // lines are rejected with a diagnostic on stderr rather than silently
 // ignored:
 //   * a token that is not a --flag where one is expected,
@@ -27,9 +27,8 @@ class Flags {
   static std::optional<Flags> Parse(int argc, char* const* argv, int first,
                                     const std::vector<std::string>& allowed);
 
+  // The raw value; numbers go through ReadIntFlag and ReadDoubleFlag.
   std::string Get(const std::string& key, const std::string& fallback) const;
-  double GetDouble(const std::string& key, double fallback) const;
-  int64_t GetInt(const std::string& key, int64_t fallback) const;
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
 
  private:

@@ -9,6 +9,14 @@
 
 namespace focus::serve {
 
+bool ValidStreamName(std::string_view name) {
+  if (name.empty() || name.size() > kMaxStreamName) return false;
+  return std::all_of(name.begin(), name.end(), [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+           (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+  });
+}
+
 std::string HashHex(uint64_t hash) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016" PRIx64, hash);

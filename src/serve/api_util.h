@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/functions.h"
@@ -17,6 +18,13 @@ namespace focus::serve {
 // law checker asserts bit-identical answers against a bare MonitorService,
 // which requires the oracle and the router to fold aggregates through the
 // same code.
+
+// The longest stream name either ingest source (HTTP or --spool) takes.
+inline constexpr size_t kMaxStreamName = 128;
+
+// Whether `name` can name a stream: [A-Za-z0-9._-]{1,kMaxStreamName}, so
+// every stream is addressable in a URL path segment.
+bool ValidStreamName(std::string_view name);
 
 // 16-digit lowercase hex of a content hash, and its inverse.
 std::string HashHex(uint64_t hash);

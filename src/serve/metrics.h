@@ -96,7 +96,7 @@ class MetricsRegistry {
 
   // Prometheus text exposition format (version 0.0.4): every counter,
   // gauge, and histogram under `prefix_` + a sanitized metric name, with
-  // # TYPE comments — what GET /metrics serves and focus_monitord's
+  // # TYPE comments — what GET /metrics serves and focus_served's
   // --prom textfile contains.
   std::string ToPrometheusText(const std::string& prefix = "focus_") const
       EXCLUDES(mutex_);

@@ -70,9 +70,9 @@ class LazyVerticalIndex {
 // index instead of touching raw transactions again. `index` is null for a
 // block-backed snapshot: its mining and stage-2 counting stream its
 // blocks, so the entry holds only the model, and the read routes (which
-// need the index) answer as for a snapshot that has none. Only
-// focus_monitord --ooc makes block-backed snapshots, and it serves no
-// reads.
+// need the index) answer as for a snapshot they do not hold: compare and
+// extend-regions as for an unknown hash, a stream read with no deviation.
+// Only focus_served --spool --ooc makes block-backed snapshots.
 struct MinedSnapshot {
   std::shared_ptr<const lits::LitsModel> model;
   std::shared_ptr<const LazyVerticalIndex> index;
@@ -94,7 +94,7 @@ class ModelCache {
   // counters `cache_hits` / `cache_misses` / `cache_evictions`, every
   // index an entry builds bumps `index_builds`, and every Compare bumps
   // `read_memo_hits` or `read_memo_misses`, so cache behavior is visible
-  // on /metrics and in the monitord JSONL export without polling stats().
+  // on /metrics and in the --metrics JSONL log without polling stats().
   ModelCache(size_t capacity, const lits::AprioriOptions& options,
              MetricsRegistry* metrics = nullptr);
 

@@ -238,8 +238,7 @@ std::optional<StreamDeviation> MonitorService::QueryDeviation(
     return result;
   }
   // A block-backed latest snapshot has no index, so it reports no
-  // deviation. Only focus_monitord --ooc ingests such snapshots, and it
-  // serves no reads.
+  // deviation. Only focus_served --spool --ooc ingests such snapshots.
   if (!result.status.has_snapshot || last.model == nullptr ||
       last.index == nullptr) {
     return result;

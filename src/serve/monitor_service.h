@@ -41,9 +41,9 @@ struct MonitorServiceOptions {
   size_t model_cache_capacity = 64; // mined-model LRU entries
 };
 
-// The service flags focus_monitord and focus_served share, with their
-// defaults: --minsup 0.01 --factor 2.0 --calibration 5 --replicates 9
-// --warmup 5 --slack 0.5 --decision 5.0 --threads 4 --queue 64 --cache 64.
+// The service flags of focus_served, with their defaults: --minsup 0.01
+// --factor 2.0 --calibration 5 --replicates 9 --warmup 5 --slack 0.5
+// --decision 5.0 --threads 4 --queue 64 --cache 64.
 // A value outside the range the service checks (minsup in (0, 1],
 // factor > 0, calibration >= 1, replicates >= 1, warmup >= 2, slack >= 0,
 // decision > 0, threads, queue and cache >= 1) gives nullopt and one line

@@ -1,6 +1,7 @@
 #include "shard/shard_worker.h"
 
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "core/lits_deviation.h"
@@ -8,6 +9,19 @@
 #include "serve/model_cache.h"
 
 namespace focus::shard {
+namespace {
+
+// The cache entry of `hash`, if a read can extend its model. A
+// block-backed (--spool --ooc) snapshot has no index to extend through,
+// so compare and extend-regions treat it as one this shard does not hold.
+std::optional<serve::MinedSnapshot> LookupReadable(serve::ModelCache& cache,
+                                                   uint64_t hash) {
+  std::optional<serve::MinedSnapshot> mined = cache.LookupMined(hash);
+  if (mined.has_value() && mined->index == nullptr) return std::nullopt;
+  return mined;
+}
+
+}  // namespace
 
 ShardWorker::ShardWorker(const ShardWorkerOptions& options,
                          const data::TransactionDb& reference,
@@ -150,8 +164,8 @@ Frame ShardWorker::HandleCompare(const Frame& request) {
     return ErrorFrame(request.request_id, "malformed compare payload");
   }
   serve::ModelCache& cache = service_.model_cache();
-  const auto left = cache.LookupMined(body.left_hash);
-  const auto right = cache.LookupMined(body.right_hash);
+  const auto left = LookupReadable(cache, body.left_hash);
+  const auto right = LookupReadable(cache, body.right_hash);
   CompareResultBody result;
   if (left.has_value() && right.has_value()) {
     result.outcome = CompareOutcome::kBoth;
@@ -192,7 +206,7 @@ Frame ShardWorker::HandleExtendRegions(const Frame& request) {
     return ErrorFrame(request.request_id, "malformed extend-regions payload");
   }
   ExtendRegionsResultBody result;
-  const auto mined = service_.model_cache().LookupMined(body.content_hash);
+  const auto mined = LookupReadable(service_.model_cache(), body.content_hash);
   if (mined.has_value()) {
     result.found = 1;
     result.num_transactions = mined->model->num_transactions();

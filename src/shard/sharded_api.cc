@@ -17,6 +17,12 @@ using serve::StatusJson;
 
 namespace {
 
+// Adds the one-second Retry-After that every 429 and 503 carries.
+net::HttpResponse RetryAfter(net::HttpResponse response) {
+  response.headers.emplace_back("retry-after", "1");
+  return response;
+}
+
 net::HttpResponse UnknownFunctionResponse() {
   return net::ErrorResponse(
       400, "unknown deviation function; use f=abs|scaled and g=sum|max");
@@ -28,28 +34,12 @@ ShardedApi::ShardedApi(const ShardedApiOptions& options, ShardRouter* router,
                        serve::MetricsRegistry* metrics)
     : options_(options), router_(router), metrics_(metrics) {}
 
-bool ShardedApi::ValidStreamName(const std::string& name) const {
-  if (name.empty() || name.size() > options_.max_stream_name) return false;
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
-}
-
 void ShardedApi::CountShardOp(int shard, const char* op) {
   if (metrics_ == nullptr) return;
   metrics_
       ->GetCounter(std::string(op) + "{shard=\"" + std::to_string(shard) +
                    "\"}")
       .Increment();
-}
-
-net::HttpResponse ShardedApi::RetryAfter(net::HttpResponse response) {
-  response.headers.emplace_back("retry-after",
-                                std::to_string(options_.retry_after_s));
-  return response;
 }
 
 net::HttpResponse ShardedApi::ShardDownResponse(const std::string& error) {
@@ -97,7 +87,7 @@ net::Router ShardedApi::BuildRouter() {
 net::HttpResponse ShardedApi::HandleIngest(const net::HttpRequest& request,
                                            const net::PathParams& params) {
   const std::string& name = params.at("name");
-  if (!ValidStreamName(name)) {
+  if (!serve::ValidStreamName(name)) {
     return net::ErrorResponse(400, "invalid stream name");
   }
   if (request.body.empty()) {
@@ -200,7 +190,9 @@ net::HttpResponse ShardedApi::HandleCompare(const net::HttpRequest& request) {
       }
       return net::ErrorResponse(
           404, "snapshot hash not in any shard's model cache (evicted, "
-               "still queued, or never ingested): " + rendered);
+               "still queued, or never ingested), or block-backed by "
+               "--spool --ooc and so without the index a compare needs: " +
+                   rendered);
     }
     case ShardRouter::Status::kOk:
       break;

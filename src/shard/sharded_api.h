@@ -12,10 +12,6 @@
 namespace focus::shard {
 
 struct ShardedApiOptions {
-  // Retry-After seconds advertised with 429/503 responses.
-  int retry_after_s = 1;
-  // Stream names must match [A-Za-z0-9._-]{1,max_stream_name}.
-  size_t max_stream_name = 128;
   // Which front-end reactor this api instance serves; used to label the
   // reactor's server stats in /metrics (each reactor owns its own api +
   // router so shard calls never serialize across reactors).
@@ -69,8 +65,6 @@ class ShardedApi {
   net::HttpResponse HandleHealth();
 
   net::HttpResponse ShardDownResponse(const std::string& error);
-  net::HttpResponse RetryAfter(net::HttpResponse response);
-  bool ValidStreamName(const std::string& name) const;
   void CountShardOp(int shard, const char* op);
 
   const ShardedApiOptions options_;

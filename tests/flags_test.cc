@@ -1,7 +1,12 @@
 #include "common/flags.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,8 +25,8 @@ TEST(FlagsTest, ParsesFlagValuePairs) {
                                {"out", "seed", "items"});
   ASSERT_TRUE(flags.has_value());
   EXPECT_EQ(flags->Get("out", ""), "a.txns");
-  EXPECT_EQ(flags->GetInt("seed", 0), 7);
-  EXPECT_EQ(flags->GetInt("items", 123), 123);  // fallback
+  EXPECT_EQ(flags->Get("seed", ""), "7");
+  EXPECT_EQ(flags->Get("items", "123"), "123");  // fallback
   EXPECT_TRUE(flags->Has("out"));
   EXPECT_FALSE(flags->Has("items"));
 }
@@ -55,8 +60,15 @@ TEST(FlagsTest, NumericAccessors) {
   const auto flags =
       ParseArgs({"tool", "--minsup", "0.25", "--top", "12"}, {"minsup", "top"});
   ASSERT_TRUE(flags.has_value());
-  EXPECT_DOUBLE_EQ(flags->GetDouble("minsup", 0.0), 0.25);
-  EXPECT_EQ(flags->GetInt("top", 0), 12);
+  double minsup = 0.0;
+  int top = 0;
+  std::string error;
+  EXPECT_TRUE(ReadDoubleFlag(
+      *flags, "minsup", 0.0, [](double v) { return v > 0.0; }, "> 0", &minsup,
+      &error));
+  EXPECT_EQ(minsup, 0.25);
+  EXPECT_TRUE(ReadIntFlag(*flags, "top", 0, 1, &top, &error));
+  EXPECT_EQ(top, 12);
 }
 
 TEST(FlagsTest, ReadIntFlagTakesOnlyWholeIntegersInRange) {
@@ -119,6 +131,32 @@ TEST(FlagsTest, ReadDoubleFlagRejectsAnythingButANumber) {
                                &value, &error))
         << text << ": " << error;
     EXPECT_EQ(value, expected);
+  }
+}
+
+// focus_cli reads its numbers strictly too: the real binary answers a
+// malformed count with a usage error naming the flag, where atoll wrote
+// 10 rows for "10x" and "abc" aborted in the generator.
+TEST(FlagsTest, FocusCliRejectsMalformedNumbers) {
+  const std::filesystem::path dir = ::testing::TempDir();
+  const std::filesystem::path out = dir / "focus_cli_flags.txns";
+  const std::filesystem::path err = dir / "focus_cli_flags.stderr";
+  for (const std::string value : {"10x", "abc"}) {
+    std::filesystem::remove(out);
+    const std::string cmd = std::string(FOCUS_CLI_PATH) +
+                            " gen-quest --out " + out.string() +
+                            " --transactions " + value + " > /dev/null 2> " +
+                            err.string();
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << value;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << value;
+    std::ifstream in(err);
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(text.str(),
+              "--transactions must be an integer in [1, 2147483647], got " +
+                  value + "\n");
+    EXPECT_FALSE(std::filesystem::exists(out)) << value;
   }
 }
 

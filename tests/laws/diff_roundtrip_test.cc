@@ -2,8 +2,8 @@
 // identity for every substrate and model family (all doubles are written
 // with setprecision(17), so equality below is EXACT), and loaders fed
 // randomly mutated bytes must reject or load cleanly — never crash.
-// Round-trip fidelity is what lets focus_monitord compare a freshly
-// mined model against a reference persisted by an earlier process.
+// Round-trip fidelity is what lets a monitor compare a freshly mined
+// model against a reference persisted by an earlier process.
 
 #include <sstream>
 #include <string>

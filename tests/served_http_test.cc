@@ -4,96 +4,30 @@
 // the graceful drain — accepted work finishes, the process exits 0.
 
 #include <csignal>
-#include <fcntl.h>
-#include <sys/types.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <numeric>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "data/transaction_db.h"
-#include "io/data_io.h"
 #include "net/http_client.h"
+#include "served_daemon.h"
 
 namespace focus {
 namespace {
 
 namespace fs = std::filesystem;
+using tests::Serialize;
+using tests::SmallDb;
 
-data::TransactionDb SmallDb(int32_t num_items, int64_t transactions,
-                            int64_t salt = 0) {
-  data::TransactionDb db(num_items);
-  std::vector<int32_t> items;
-  for (int64_t t = 0; t < transactions; ++t) {
-    items.clear();
-    for (int32_t i = 0; i < num_items; ++i) {
-      if ((t + i + salt) % 3 != 0) items.push_back(i);
-    }
-    db.AddTransaction(items);
-  }
-  return db;
-}
-
-std::string Serialize(const data::TransactionDb& db) {
-  std::ostringstream out;
-  io::SaveTransactionDb(db, out);
-  return out.str();
-}
-
-class ServedHttpTest : public ::testing::Test {
+class ServedHttpTest : public tests::ServedDaemonTest {
  protected:
-  void SetUp() override {
-    root_ = fs::path(::testing::TempDir()) /
-            ("served_http_" +
-             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-             "_" + ::testing::UnitTest::GetInstance()
-                       ->current_test_info()
-                       ->name());
-    fs::remove_all(root_);
-    fs::create_directories(root_);
-    reference_path_ = (root_ / "reference.txns").string();
-    port_file_ = (root_ / "port.txt").string();
-    ASSERT_TRUE(io::SaveTransactionDbToFile(SmallDb(10, 60), reference_path_));
-  }
-
-  void TearDown() override {
-    if (pid_ > 0) {  // a test failed before the clean shutdown
-      kill(-pid_, SIGKILL);  // the daemon's whole process group
-      waitpid(pid_, nullptr, 0);
-    }
-    fs::remove_all(root_);
-  }
-
-  // Forks and execs the daemon with `args` (after argv[0]) in a process
-  // group of its own, logging to stdout.txt. Does not wait.
-  void Spawn(std::vector<std::string> args) {
-    args.insert(args.begin(), FOCUS_SERVED_PATH);
-    std::vector<char*> argv;
-    for (std::string& arg : args) argv.push_back(arg.data());
-    argv.push_back(nullptr);
-    pid_ = fork();
-    if (pid_ == 0) {
-      setpgid(0, 0);
-      const int out = open((root_ / "stdout.txt").c_str(),
-                           O_WRONLY | O_CREAT | O_TRUNC, 0644);
-      dup2(out, STDOUT_FILENO);
-      dup2(out, STDERR_FILENO);
-      execv(FOCUS_SERVED_PATH, argv.data());
-      _exit(127);  // exec failed
-    }
-    setpgid(pid_, pid_);  // also here, so the group exists on return
-  }
-
   // Spawns the daemon (plus `extra_args`) and waits for --port-file to
   // announce the bound port. Returns false (failing the test) on a boot
   // timeout.
@@ -104,33 +38,8 @@ class ServedHttpTest : public ::testing::Test {
         "2", "--queue", "8"};
     args.insert(args.end(), extra_args.begin(), extra_args.end());
     Spawn(args);
-    for (int i = 0; i < 200; ++i) {
-      std::ifstream in(port_file_);
-      int port = 0;
-      if (in >> port && port > 0) {
-        port_ = static_cast<uint16_t>(port);
-        return true;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    }
-    ADD_FAILURE() << "daemon never wrote " << port_file_;
-    return false;
+    return WaitForPort(200);
   }
-
-  // SIGTERM + waitpid; returns the daemon's exit code (-1 on signal death).
-  int TerminateDaemon() {
-    kill(pid_, SIGTERM);
-    int status = 0;
-    waitpid(pid_, &status, 0);
-    pid_ = -1;
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  }
-
-  fs::path root_;
-  std::string reference_path_;
-  std::string port_file_;
-  pid_t pid_ = -1;
-  uint16_t port_ = 0;
 };
 
 TEST_F(ServedHttpTest, ServesIngestAndDrainsOnSigterm) {
@@ -181,12 +90,9 @@ TEST_F(ServedHttpTest, ServesIngestAndDrainsOnSigterm) {
   EXPECT_EQ(TerminateDaemon(), 0);
 
   // Its stdout records the drain and the final counts.
-  std::ifstream log(root_ / "stdout.txt");
-  std::stringstream text;
-  text << log.rdbuf();
-  EXPECT_NE(text.str().find("draining"), std::string::npos) << text.str();
-  EXPECT_NE(text.str().find("4 snapshots processed"), std::string::npos)
-      << text.str();
+  const std::string log = ReadLog();
+  EXPECT_NE(log.find("draining"), std::string::npos) << log;
+  EXPECT_NE(log.find("4 snapshots processed"), std::string::npos) << log;
 }
 
 TEST_F(ServedHttpTest, SigtermFinishesQueuedSnapshotsBeforeExit) {
@@ -208,13 +114,10 @@ TEST_F(ServedHttpTest, SigtermFinishesQueuedSnapshotsBeforeExit) {
   ASSERT_GT(accepted, 0);
   EXPECT_EQ(TerminateDaemon(), 0);
 
-  std::ifstream log(root_ / "stdout.txt");
-  std::stringstream text;
-  text << log.rdbuf();
-  EXPECT_NE(text.str().find(std::to_string(accepted) +
-                            " snapshots processed"),
+  const std::string log = ReadLog();
+  EXPECT_NE(log.find(std::to_string(accepted) + " snapshots processed"),
             std::string::npos)
-      << text.str();
+      << log;
 }
 
 // Single-node with two reactors: both SO_REUSEPORT event loops forward
@@ -259,15 +162,12 @@ TEST_F(ServedHttpTest, ReactorsShareOneWorkerWithDenseSequences) {
   EXPECT_EQ(all, dense);
 
   EXPECT_EQ(TerminateDaemon(), 0);
-  std::ifstream log(root_ / "stdout.txt");
-  std::stringstream text;
-  text << log.rdbuf();
-  EXPECT_NE(text.str().find("x 2 reactors"), std::string::npos)
-      << text.str();
-  EXPECT_NE(text.str().find(std::to_string(kConnections * kPerConnection) +
-                            " snapshots processed"),
+  const std::string log = ReadLog();
+  EXPECT_NE(log.find("x 2 reactors"), std::string::npos) << log;
+  EXPECT_NE(log.find(std::to_string(kConnections * kPerConnection) +
+                     " snapshots processed"),
             std::string::npos)
-      << text.str();
+      << log;
 }
 
 // A --port outside [0, 65535] and a --max-connections below --reactors are
@@ -307,21 +207,12 @@ TEST_F(ServedHttpTest, OutOfRangePortAndConnectionCapAreUsageErrors) {
     Spawn(args);
     // A daemon that took the flags keeps serving; TearDown kills it.
     int status = 0;
-    pid_t reaped = 0;
-    for (int i = 0; i < 500 && reaped == 0; ++i) {
-      reaped = waitpid(pid_, &status, WNOHANG);
-      if (reaped == 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-    }
-    ASSERT_EQ(reaped, pid_) << flags[0] << " " << flags[1] << " was accepted";
-    pid_ = -1;
-    std::ifstream log(root_ / "stdout.txt");
-    std::stringstream text;
-    text << log.rdbuf();
-    ASSERT_TRUE(WIFEXITED(status)) << text.str();
-    EXPECT_EQ(WEXITSTATUS(status), 1) << text.str();
-    EXPECT_NE(text.str().find(flags[0]), std::string::npos) << text.str();
+    ASSERT_TRUE(WaitForExit(10'000, &status))
+        << flags[0] << " " << flags[1] << " was accepted";
+    const std::string log = ReadLog();
+    ASSERT_TRUE(WIFEXITED(status)) << log;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << log;
+    EXPECT_NE(log.find(flags[0]), std::string::npos) << log;
     EXPECT_FALSE(fs::exists(port_file_)) << flags[0];
   }
 }
@@ -336,24 +227,14 @@ TEST_F(ServedHttpTest, SigtermDuringCalibrationEndsStartup) {
          port_file_, "--calibration", "1000000", "--threads", "1"});
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   ASSERT_EQ(kill(pid_, SIGTERM), 0);
-  int status = 0;
-  pid_t reaped = 0;
-  for (int i = 0; i < 250 && reaped == 0; ++i) {
-    reaped = waitpid(pid_, &status, WNOHANG);
-    if (reaped == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  }
-  ASSERT_EQ(reaped, pid_) << "still running 5 s after SIGTERM";
   const pid_t group = pid_;
-  pid_ = -1;
-  std::ifstream log(root_ / "stdout.txt");
-  std::stringstream text;
-  text << log.rdbuf();
-  ASSERT_TRUE(WIFSIGNALED(status)) << text.str();
+  int status = 0;
+  ASSERT_TRUE(WaitForExit(5000, &status)) << "still running 5 s after SIGTERM";
+  const std::string log = ReadLog();
+  ASSERT_TRUE(WIFSIGNALED(status)) << log;
   EXPECT_EQ(WTERMSIG(status), SIGTERM);
   EXPECT_FALSE(fs::exists(port_file_));
-  EXPECT_EQ(text.str().find("listening"), std::string::npos) << text.str();
+  EXPECT_EQ(log.find("listening"), std::string::npos) << log;
   EXPECT_EQ(kill(-group, 0), -1) << "a process of the daemon is left";
 }
 

@@ -5,15 +5,10 @@
 // — every worker reaps cleanly and the parent exits 0.
 
 #include <csignal>
-#include <fcntl.h>
-#include <sys/types.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,34 +17,15 @@
 #include <gtest/gtest.h>
 
 #include "common/timer.h"
-#include "data/transaction_db.h"
-#include "io/data_io.h"
 #include "net/http_client.h"
+#include "served_daemon.h"
 
 namespace focus {
 namespace {
 
 namespace fs = std::filesystem;
-
-data::TransactionDb SmallDb(int32_t num_items, int64_t transactions,
-                            int64_t salt = 0) {
-  data::TransactionDb db(num_items);
-  std::vector<int32_t> items;
-  for (int64_t t = 0; t < transactions; ++t) {
-    items.clear();
-    for (int32_t i = 0; i < num_items; ++i) {
-      if ((t + i + salt) % 3 != 0) items.push_back(i);
-    }
-    db.AddTransaction(items);
-  }
-  return db;
-}
-
-std::string Serialize(const data::TransactionDb& db) {
-  std::ostringstream out;
-  io::SaveTransactionDb(db, out);
-  return out.str();
-}
+using tests::Serialize;
+using tests::SmallDb;
 
 // Pulls the string value of `key` out of a flat JSON object body.
 std::string JsonString(const std::string& body, const std::string& key) {
@@ -62,96 +38,20 @@ std::string JsonString(const std::string& body, const std::string& key) {
   return body.substr(start, end - start);
 }
 
-class ServedShardedTest : public ::testing::Test {
+class ServedShardedTest : public tests::ServedDaemonTest {
  protected:
-  void SetUp() override {
-    root_ = fs::path(::testing::TempDir()) /
-            ("served_sharded_" +
-             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-             "_" + ::testing::UnitTest::GetInstance()
-                       ->current_test_info()
-                       ->name());
-    fs::remove_all(root_);
-    // The daemon must create the missing --shard-dir itself (same
-    // contract as focus_monitord's spool directory).
-    fs::create_directories(root_);
-    reference_path_ = (root_ / "reference.txns").string();
-    port_file_ = (root_ / "port.txt").string();
-    ASSERT_TRUE(io::SaveTransactionDbToFile(SmallDb(10, 60), reference_path_));
-  }
-
-  void TearDown() override {
-    if (pid_ > 0) {  // a test failed before the clean shutdown
-      kill(-pid_, SIGKILL);  // the daemon and its workers: one group
-      waitpid(pid_, nullptr, 0);
-    }
-    fs::remove_all(root_);
-  }
-
-  // Forks and execs the daemon with `args` (after argv[0]) in a process
-  // group of its own, which its forked workers join, logging to
-  // stdout.txt. Does not wait.
-  void Spawn(std::vector<std::string> args) {
-    args.insert(args.begin(), FOCUS_SERVED_PATH);
-    std::vector<char*> argv;
-    for (std::string& arg : args) argv.push_back(arg.data());
-    argv.push_back(nullptr);
-    pid_ = fork();
-    if (pid_ == 0) {
-      setpgid(0, 0);
-      const int out = open((root_ / "stdout.txt").c_str(),
-                           O_WRONLY | O_CREAT | O_TRUNC, 0644);
-      dup2(out, STDOUT_FILENO);
-      dup2(out, STDERR_FILENO);
-      execv(FOCUS_SERVED_PATH, argv.data());
-      _exit(127);  // exec failed
-    }
-    setpgid(pid_, pid_);  // also here, so the group exists on return
-  }
-
   // Spawns the sharded daemon (2 workers, 2 reactors) and waits for
   // --port-file to announce the bound port. The port file is only written
   // after every worker answered a ping, so a successful boot already
-  // proves fork + Unix-socket serve + PingAll.
+  // proves fork + Unix-socket serve + PingAll. The daemon must create the
+  // missing --shard-dir itself (same contract as --spool).
   bool StartDaemon() {
     Spawn({"--reference", reference_path_, "--port", "0", "--port-file",
            port_file_, "--shards", "2", "--reactors", "2", "--shard-dir",
            (root_ / "shards").string(), "--minsup", "0.3", "--calibration",
            "1", "--replicates", "1", "--threads", "2", "--queue", "8"});
-    for (int i = 0; i < 400; ++i) {
-      std::ifstream in(port_file_);
-      int port = 0;
-      if (in >> port && port > 0) {
-        port_ = static_cast<uint16_t>(port);
-        return true;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    }
-    ADD_FAILURE() << "daemon never wrote " << port_file_;
-    return false;
+    return WaitForPort(400);
   }
-
-  // SIGTERM + waitpid; returns the daemon's exit code (-1 on signal death).
-  int TerminateDaemon() {
-    kill(pid_, SIGTERM);
-    int status = 0;
-    waitpid(pid_, &status, 0);
-    pid_ = -1;
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  }
-
-  std::string ReadLog() {
-    std::ifstream log(root_ / "stdout.txt");
-    std::stringstream text;
-    text << log.rdbuf();
-    return text.str();
-  }
-
-  fs::path root_;
-  std::string reference_path_;
-  std::string port_file_;
-  pid_t pid_ = -1;
-  uint16_t port_ = 0;
 };
 
 TEST_F(ServedShardedTest, ScatterGathersAndSigtermDrainsAllWorkers) {
@@ -304,15 +204,8 @@ TEST_F(ServedShardedTest, OutOfRangeServiceFlagIsAUsageError) {
            port_file_, flag, value});
     // A daemon that took the flag keeps serving; TearDown kills it.
     int status = 0;
-    pid_t reaped = 0;
-    for (int i = 0; i < 500 && reaped == 0; ++i) {
-      reaped = waitpid(pid_, &status, WNOHANG);
-      if (reaped == 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-    }
-    ASSERT_EQ(reaped, pid_) << flag << " " << value << " was accepted";
-    pid_ = -1;
+    ASSERT_TRUE(WaitForExit(10'000, &status))
+        << flag << " " << value << " was accepted";
     ASSERT_TRUE(WIFEXITED(status)) << ReadLog();
     EXPECT_EQ(WEXITSTATUS(status), 1) << ReadLog();
     EXPECT_NE(ReadLog().find(flag), std::string::npos) << ReadLog();
@@ -355,17 +248,9 @@ TEST_F(ServedShardedTest, SigtermDuringCalibrationEndsStartup) {
          "--calibration", "1000000", "--threads", "1"});
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   ASSERT_EQ(kill(pid_, SIGTERM), 0);
-  int status = 0;
-  pid_t reaped = 0;
-  for (int i = 0; i < 250 && reaped == 0; ++i) {
-    reaped = waitpid(pid_, &status, WNOHANG);
-    if (reaped == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  }
-  ASSERT_EQ(reaped, pid_) << "still running 5 s after SIGTERM";
   const pid_t group = pid_;
-  pid_ = -1;
+  int status = 0;
+  ASSERT_TRUE(WaitForExit(5000, &status)) << "still running 5 s after SIGTERM";
   ASSERT_TRUE(WIFSIGNALED(status)) << ReadLog();
   EXPECT_EQ(WTERMSIG(status), SIGTERM);
   EXPECT_FALSE(fs::exists(port_file_));

@@ -1,19 +1,22 @@
-// End-to-end coverage of focus_monitord's spool: the REAL daemon binary
-// (compiled path in FOCUS_MONITORD_PATH) is run over a spool seeded with
+// End-to-end coverage of focus_served --spool: the REAL daemon binary
+// (compiled path in FOCUS_SERVED_PATH) is run over a spool seeded with
 // malformed snapshot fixtures, and every fixture must be quarantined in
 // <spool>/rejected/ EXACTLY once with a reason logged to stderr, while
 // well-formed snapshots flow to <spool>/processed/. The same holds under
-// --ooc 1, which must also emit the same events as flat ingest.
+// --ooc 1, which must also emit the same events as flat ingest. A spool
+// run ends through the daemon's drain, and its streams answer over HTTP.
 
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,6 +25,8 @@
 #include "data/transaction_db.h"
 #include "datagen/quest_gen.h"
 #include "io/data_io.h"
+#include "net/http_client.h"
+#include "served_daemon.h"
 
 namespace focus {
 namespace {
@@ -83,37 +88,36 @@ data::TransactionDb SmallDb(int32_t num_items, int64_t transactions) {
   return db;
 }
 
-class MonitordSpoolTest : public ::testing::Test {
+// focus_served --spool, end to end. The suite is named for the spool
+// monitoring daemon, and the name stays stable so the case ids do.
+class MonitordSpoolTest : public tests::ServedDaemonTest {
  protected:
   void SetUp() override {
-    root_ = fs::path(::testing::TempDir()) /
-            ("monitord_spool_" +
-             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-             "_" + ::testing::UnitTest::GetInstance()
-                       ->current_test_info()
-                       ->name());
-    fs::remove_all(root_);
+    tests::ServedDaemonTest::SetUp();
     fs::create_directories(root_ / "spool");
-    reference_ = (root_ / "reference.txns").string();
-    ASSERT_TRUE(io::SaveTransactionDbToFile(SmallDb(8, 40), reference_));
+    ASSERT_TRUE(io::SaveTransactionDbToFile(SmallDb(8, 40), reference_path_));
   }
 
-  void TearDown() override { fs::remove_all(root_); }
-
-  // Runs the daemon over <root>/`spool` with `flags` after --spool and
-  // --reference; returns its std::system status and fills the captured
-  // stderr text.
-  int Run(std::string* captured_stderr, const std::string& flags,
-          const std::string& spool = "spool") {
+  // Runs focus_served --port 0 with `args`, to its exit; returns its
+  // std::system status and fills the captured stderr text.
+  int RunServed(std::string* captured_stderr, const std::string& args) {
     const fs::path err_file = root_ / "stderr.txt";
     const fs::path out_file = root_ / "stdout.txt";
-    const std::string cmd =
-        std::string(FOCUS_MONITORD_PATH) + " --spool " +
-        (root_ / spool).string() + " --reference " + reference_ + " " +
-        flags + " > " + out_file.string() + " 2> " + err_file.string();
+    const std::string cmd = std::string(FOCUS_SERVED_PATH) + " --port 0 " +
+                            args + " > " + out_file.string() + " 2> " +
+                            err_file.string();
     const int status = std::system(cmd.c_str());
     *captured_stderr = Slurp(err_file);
     return status;
+  }
+
+  // Runs the daemon over <root>/`spool` with `flags` after --spool and
+  // --reference.
+  int Run(std::string* captured_stderr, const std::string& flags,
+          const std::string& spool = "spool") {
+    return RunServed(captured_stderr, "--spool " + (root_ / spool).string() +
+                                          " --reference " + reference_path_ +
+                                          " " + flags);
   }
 
   // Runs the daemon once over <root>/`spool`, adding `extra_flags`.
@@ -148,8 +152,13 @@ class MonitordSpoolTest : public ::testing::Test {
   // quarantined exactly once with its loader reason.
   void ExpectEveryMalformedFixtureRejectedOnce(const std::string& extra_flags);
 
-  fs::path root_;
-  std::string reference_;
+  // The event log's lines, in order.
+  std::vector<std::string> EventLines() {
+    std::vector<std::string> lines;
+    std::istringstream in(Slurp(root_ / "spool" / "events.jsonl"));
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    return lines;
+  }
 };
 
 void MonitordSpoolTest::ExpectEveryMalformedFixtureRejectedOnce(
@@ -250,8 +259,8 @@ TEST_F(MonitordSpoolTest, OocIngestEmitsTheSameEventsAsFlat) {
   params.pattern_seed = 99;
   params.num_transactions = 2000;
   params.seed = 1000;
-  ASSERT_TRUE(
-      io::SaveTransactionDbToFile(datagen::GenerateQuest(params), reference_));
+  ASSERT_TRUE(io::SaveTransactionDbToFile(datagen::GenerateQuest(params),
+                                          reference_path_));
 
   // Two streams of same-process snapshots, each ending on one from a
   // drifted process, so stage 2 runs (on blocks, under --ooc). One spool
@@ -328,6 +337,189 @@ TEST_F(MonitordSpoolTest, NumericFlagWithTrailingGarbageIsAUsageError) {
     // The usage error comes before any spool work.
     EXPECT_TRUE(fs::exists(root_ / "spool" / "s1__000_good.txns")) << flags;
   }
+}
+
+// A spool file's stream part must be a stream name HTTP can address, or
+// the file is quarantined like a malformed one: "__x" would feed the
+// stream "" and "a b__1" the stream "a b".
+TEST_F(MonitordSpoolTest, InvalidStreamNameRejectedOnceWithReason) {
+  std::stringstream good;
+  io::SaveTransactionDb(SmallDb(8, 30), good);
+  for (const char* name : {"__x.txns", "a b__1.txns", "ok__000.txns"}) {
+    WriteSpoolFile(name, good.str());
+  }
+  std::string log;
+  ASSERT_EQ(RunOnce(&log), 0) << log;
+  std::vector<std::string> rejected = FilesIn("rejected");
+  std::sort(rejected.begin(), rejected.end());
+  EXPECT_EQ(rejected, (std::vector<std::string>{"__x.txns", "a b__1.txns"}));
+  EXPECT_EQ(FilesIn("processed"), std::vector<std::string>{"ok__000.txns"});
+  for (const char* name : {"__x.txns", "a b__1.txns"}) {
+    EXPECT_NE(log.find(std::string("rejected malformed snapshot ") + name +
+                       ": invalid stream name\n"),
+              std::string::npos)
+        << log;
+  }
+
+  std::string second_log;
+  ASSERT_EQ(RunOnce(&second_log), 0) << second_log;
+  EXPECT_EQ(FilesIn("rejected").size(), 2u);
+  EXPECT_EQ(second_log.find("rejected malformed snapshot"), std::string::npos);
+}
+
+// --spool feeds the in-process worker, so --shards 2 cannot take it, and a
+// spool flag without --spool has nothing to act on. Both are usage errors
+// reported before the reference is read (it does not exist here).
+TEST_F(MonitordSpoolTest, SpoolWithShardsOrSpoolFlagWithoutSpoolIsUsageError) {
+  const std::string missing = (root_ / "missing.txns").string();
+  const std::pair<std::string, const char*> rows[] = {
+      {"--spool " + (root_ / "spool").string() + " --shards 2",
+       "--spool needs --shards 0: it feeds the in-process worker"},
+      {"--once 1", "--once needs --spool"},
+  };
+  for (const auto& [flags, message] : rows) {
+    std::string log;
+    const int status = RunServed(&log, "--reference " + missing + " " + flags);
+    ASSERT_TRUE(WIFEXITED(status)) << flags << ": " << log;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << flags << ": " << log;
+    EXPECT_EQ(log, std::string(message) + "\n") << flags;
+  }
+}
+
+// A SIGTERM during a spool run ends it through the daemon's drain: exit 0,
+// and every file the scanner moved to processed/ has exactly one event
+// line. Every snapshot here passes the delta* screen and runs 40 bootstrap
+// replicates on one thread, so the signal lands while accepted snapshots
+// still wait to be processed.
+TEST_F(MonitordSpoolTest, SigtermProcessesEveryAcceptedFileBeforeExit) {
+  datagen::QuestParams params;
+  params.avg_transaction_length = 10;
+  params.num_items = 100;
+  params.num_patterns = 300;
+  params.pattern_seed = 99;
+  params.num_transactions = 2000;
+  params.seed = 1000;
+  ASSERT_TRUE(io::SaveTransactionDbToFile(datagen::GenerateQuest(params),
+                                          reference_path_));
+  constexpr int kFiles = 12;
+  params.pattern_seed = 7;  // a drifted process
+  for (int i = 0; i < kFiles; ++i) {
+    params.seed = 3000 + i;
+    std::stringstream bytes;
+    io::SaveTransactionDb(datagen::GenerateQuest(params), bytes);
+    WriteSpoolFile("drift__" + std::to_string(100 + i) + ".txns",
+                   bytes.str());
+  }
+
+  Spawn({"--spool", (root_ / "spool").string(), "--reference",
+         reference_path_, "--port", "0", "--port-file", port_file_,
+         "--minsup", "0.02", "--factor", "1.5", "--calibration", "1",
+         "--replicates", "40", "--threads", "1", "--poll-ms", "20"});
+  ASSERT_TRUE(WaitForPort(400));
+  for (int i = 0; i < 500 && FilesIn("processed").size() < kFiles; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(FilesIn("processed").size(), static_cast<size_t>(kFiles));
+  const size_t events_at_signal = EventLines().size();
+  EXPECT_EQ(TerminateDaemon(), 0) << ReadLog();
+
+  EXPECT_LT(events_at_signal, static_cast<size_t>(kFiles));
+  const std::vector<std::string> events = EventLines();
+  EXPECT_EQ(events.size(), static_cast<size_t>(kFiles));
+  for (const std::string& name : FilesIn("processed")) {
+    EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                            [&](const std::string& event) {
+                              return event.find("\"source\":\"" + name +
+                                                "\"") != std::string::npos;
+                            }),
+              1)
+        << name;
+  }
+  EXPECT_NE(ReadLog().find(std::to_string(kFiles) + " snapshots processed, " +
+                           std::to_string(kFiles) + " from the spool"),
+            std::string::npos)
+      << ReadLog();
+}
+
+// A spool-fed stream is a queryable record over HTTP like a POST-fed one.
+TEST_F(MonitordSpoolTest, ServesTheDeviationOfASpoolFedStream) {
+  std::stringstream good;
+  io::SaveTransactionDb(SmallDb(8, 30), good);
+  WriteSpoolFile("s1__000.txns", good.str());
+  Spawn({"--spool", (root_ / "spool").string(), "--reference",
+         reference_path_, "--port", "0", "--port-file", port_file_,
+         "--calibration", "1", "--replicates", "1", "--threads", "2",
+         "--poll-ms", "20"});
+  ASSERT_TRUE(WaitForPort(400));
+  net::HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port_));
+  std::string body;
+  for (int i = 0; i < 200; ++i) {
+    const auto deviation = client.Get("/v1/streams/s1/deviation");
+    ASSERT_TRUE(deviation.has_value());
+    body = deviation->body;
+    if (deviation->status == 200 &&
+        body.find("\"processed\":1") != std::string::npos) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  EXPECT_NE(body.find("\"processed\":1"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"deviation\":"), std::string::npos) << body;
+  EXPECT_EQ(TerminateDaemon(), 0) << ReadLog();
+}
+
+// An --ooc snapshot is cached block-backed, with no index to compare
+// through. POSTing the same bytes hits that entry, and a compare of its
+// hash answers 404 instead of crashing the worker; the daemon keeps
+// serving.
+TEST_F(MonitordSpoolTest, CompareOfABlockBackedSnapshotAnswers404) {
+  std::stringstream good;
+  io::SaveTransactionDb(SmallDb(8, 30), good);
+  WriteSpoolFile("s1__000.txns", good.str());
+  Spawn({"--spool", (root_ / "spool").string(), "--reference",
+         reference_path_, "--port", "0", "--port-file", port_file_,
+         "--ooc", "1", "--block-size-kib", "4", "--calibration", "1",
+         "--replicates", "1", "--threads", "2", "--poll-ms", "20"});
+  ASSERT_TRUE(WaitForPort(400));
+  const auto wait_for_events = [&](size_t n) {
+    for (int i = 0; i < 400 && EventLines().size() < n; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    }
+    return EventLines().size() == n;
+  };
+  ASSERT_TRUE(wait_for_events(1));
+
+  net::HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port_));
+  const auto ingest =
+      client.Post("/v1/streams/s1/snapshots", good.str(), "text/plain");
+  ASSERT_TRUE(ingest.has_value());
+  ASSERT_EQ(ingest->status, 202) << ingest->body;
+  const std::string key = "\"content_hash\":\"";
+  const size_t at = ingest->body.find(key);
+  ASSERT_NE(at, std::string::npos) << ingest->body;
+  const std::string hash = ingest->body.substr(at + key.size(), 16);
+  ASSERT_TRUE(wait_for_events(2));
+  EXPECT_NE(EventLines()[1].find("\"cache_hit\":true"), std::string::npos)
+      << EventLines()[1];
+
+  const auto compare = client.Post(
+      "/v1/compare", "left=" + hash + "&right=" + hash,
+      "application/x-www-form-urlencoded");
+  ASSERT_TRUE(compare.has_value());
+  EXPECT_EQ(compare->status, 404) << compare->body;
+  EXPECT_NE(compare->body.find("block-backed"), std::string::npos)
+      << compare->body;
+  const auto deviation = client.Get("/v1/streams/s1/deviation");
+  ASSERT_TRUE(deviation.has_value());
+  EXPECT_EQ(deviation->status, 200) << deviation->body;
+  EXPECT_EQ(deviation->body.find("\"deviation\":"), std::string::npos)
+      << deviation->body;
+  const auto health = client.Get("/healthz");
+  ASSERT_TRUE(health.has_value());
+  EXPECT_EQ(health->status, 200);
+  EXPECT_EQ(TerminateDaemon(), 0) << ReadLog();
 }
 
 TEST(DataIoErrorReasons, LoaderReportsSpecificReasons) {

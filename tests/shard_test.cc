@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "back_pressure.h"
+#include "data/block_txn_db.h"
 #include "datagen/quest_gen.h"
 #include "io/data_io.h"
 #include "shard/hash_ring.h"
@@ -675,6 +676,58 @@ TEST(ShardWorkerTest, DrainingWorkerAnswers503) {
   SubmitResultBody result;
   ASSERT_TRUE(result.Decode(response.payload));
   EXPECT_EQ(result.status, 503);
+  worker.Stop();
+}
+
+// A block-backed snapshot (focus_served --spool --ooc) is cached with no
+// index, so compare and extend-regions, which extend its model through
+// one, answer as for a hash this worker does not hold.
+TEST(ShardWorkerTest, BlockBackedSnapshotAnswersAsNotHeld) {
+  const data::TransactionDb reference = QuestDb(1);
+  ShardWorker worker(ShardWorkerOptions{}, reference, nullptr);
+  const data::TransactionDb db = QuestDb(2);
+  std::ostringstream blocks;
+  data::BlockTransactionDbWriter writer(blocks, db.num_items(), 4096);
+  for (int64_t t = 0; t < db.num_transactions(); ++t) {
+    writer.Add(db.Transaction(t));
+  }
+  writer.Finish();
+  data::BlockStoreOptions options;
+  options.block_size = 4096;
+  std::string error;
+  serve::Snapshot snapshot;
+  snapshot.stream = "s";
+  snapshot.block_db = data::BlockTransactionDb::Open(
+      std::make_unique<std::istringstream>(std::move(blocks).str()), options,
+      &error);
+  ASSERT_NE(snapshot.block_db, nullptr) << error;
+  const serve::IngestResult ingest =
+      worker.service().Ingest(std::move(snapshot), std::nullopt);
+  ASSERT_EQ(ingest.status, serve::SubmitResult::kAccepted);
+  worker.service().Flush();
+  ASSERT_TRUE(worker.service()
+                  .model_cache()
+                  .LookupMined(ingest.content_hash)
+                  .has_value());
+
+  CompareBody compare;
+  compare.left_hash = ingest.content_hash;
+  compare.right_hash = ingest.content_hash;
+  CompareResultBody compared;
+  ASSERT_TRUE(compared.Decode(
+      worker.HandleFrame(Frame{MessageType::kCompare, 1, compare.Encode()})
+          .payload));
+  EXPECT_EQ(compared.outcome, CompareOutcome::kNeither);
+
+  ExtendRegionsBody extend;
+  extend.content_hash = ingest.content_hash;
+  extend.regions = {lits::Itemset{0}};
+  ExtendRegionsResultBody extended;
+  ASSERT_TRUE(extended.Decode(
+      worker
+          .HandleFrame(Frame{MessageType::kExtendRegions, 2, extend.Encode()})
+          .payload));
+  EXPECT_EQ(extended.found, 0);
   worker.Stop();
 }
 

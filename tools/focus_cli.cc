@@ -19,6 +19,10 @@
 //   focus_cli bound      --model1 A.model --model2 B.model [--g sum|max]
 //   focus_cli rank       --db1 A.txns --db2 B.txns [--minsup s] [--top n]
 //
+// A numeric flag must be entirely a number in its command's range (counts
+// >= 1, seeds >= 0, --minsup in (0, 1], …); "10x" or "abc" is a usage
+// error whose one stderr line names the flag and the range.
+//
 // Exit status: 0 on success, 1 on usage errors, 2 on I/O failures.
 
 #include <cstdio>
@@ -33,9 +37,38 @@
 namespace focus::cli {
 namespace {
 
-// Shared hardened parser (also used by focus_monitord): unknown flags and
+// Shared hardened parser (also used by focus_served): unknown flags and
 // flags missing their value are hard errors, not silently ignored.
 using common::Flags;
+using common::ReadDoubleFlag;
+using common::ReadIntFlag;
+
+bool Positive(double v) { return v > 0.0; }
+
+// Prints a numeric flag's error; returns the usage status.
+int UsageError(const std::string& error) {
+  std::fprintf(stderr, "%s\n", error.c_str());
+  return 1;
+}
+
+// --minsup, the Apriori support threshold.
+bool ReadMinsup(const Flags& flags, double* out, std::string* error) {
+  return ReadDoubleFlag(
+      flags, "minsup", 0.01, [](double v) { return v > 0.0 && v <= 1.0; },
+      "in (0, 1]", out, error);
+}
+
+// --max-depth and --min-leaf of the CART builder.
+bool ReadCartFlags(const Flags& flags, dt::CartOptions* options,
+                   std::string* error) {
+  int min_leaf = 0;
+  if (!ReadIntFlag(flags, "max-depth", 8, 0, &options->max_depth, error) ||
+      !ReadIntFlag(flags, "min-leaf", 50, 1, &min_leaf, error)) {
+    return false;
+  }
+  options->min_leaf_size = min_leaf;
+  return true;
+}
 
 core::DeviationFunction ParseDeviationFunction(const Flags& flags) {
   core::DeviationFunction fn;
@@ -48,13 +81,24 @@ core::DeviationFunction ParseDeviationFunction(const Flags& flags) {
 
 int GenQuest(const Flags& flags) {
   datagen::QuestParams params;
-  params.num_transactions = flags.GetInt("transactions", 10000);
-  params.num_items = static_cast<int32_t>(flags.GetInt("items", 1000));
-  params.num_patterns = static_cast<int32_t>(flags.GetInt("patterns", 4000));
-  params.avg_pattern_length = flags.GetDouble("patlen", 4);
-  params.avg_transaction_length = flags.GetDouble("txnlen", 20);
-  params.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  params.pattern_seed = static_cast<uint64_t>(flags.GetInt("pattern-seed", 0));
+  int transactions = 0, items = 0, patterns = 0, seed = 0, pattern_seed = 0;
+  std::string error;
+  if (!ReadIntFlag(flags, "transactions", 10000, 1, &transactions, &error) ||
+      !ReadIntFlag(flags, "items", 1000, 1, &items, &error) ||
+      !ReadIntFlag(flags, "patterns", 4000, 1, &patterns, &error) ||
+      !ReadDoubleFlag(flags, "patlen", 4, Positive, "> 0",
+                      &params.avg_pattern_length, &error) ||
+      !ReadDoubleFlag(flags, "txnlen", 20, Positive, "> 0",
+                      &params.avg_transaction_length, &error) ||
+      !ReadIntFlag(flags, "seed", 1, 0, &seed, &error) ||
+      !ReadIntFlag(flags, "pattern-seed", 0, 0, &pattern_seed, &error)) {
+    return UsageError(error);
+  }
+  params.num_transactions = transactions;
+  params.num_items = items;
+  params.num_patterns = patterns;
+  params.seed = static_cast<uint64_t>(seed);
+  params.pattern_seed = static_cast<uint64_t>(pattern_seed);
   const std::string out = flags.Get("out", "");
   if (out.empty()) {
     std::fprintf(stderr, "gen-quest requires --out\n");
@@ -73,15 +117,19 @@ int GenQuest(const Flags& flags) {
 
 int GenClass(const Flags& flags) {
   datagen::ClassGenParams params;
-  params.num_rows = flags.GetInt("rows", 10000);
-  const int64_t function = flags.GetInt("function", 1);
-  if (function < 1 || function > 7) {
-    std::fprintf(stderr, "--function must be 1..7\n");
-    return 1;
+  int rows = 0, function = 0, seed = 0;
+  std::string error;
+  if (!ReadIntFlag(flags, "rows", 10000, 1, &rows, &error) ||
+      !ReadIntFlag(flags, "function", 1, 1, &function, &error, 7) ||
+      !ReadDoubleFlag(
+          flags, "noise", 0.0, [](double v) { return v >= 0.0 && v <= 1.0; },
+          "in [0, 1]", &params.label_noise, &error) ||
+      !ReadIntFlag(flags, "seed", 1, 0, &seed, &error)) {
+    return UsageError(error);
   }
+  params.num_rows = rows;
   params.function = static_cast<datagen::ClassFunction>(function);
-  params.label_noise = flags.GetDouble("noise", 0.0);
-  params.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  params.seed = static_cast<uint64_t>(seed);
   const std::string out = flags.Get("out", "");
   if (out.empty()) {
     std::fprintf(stderr, "gen-class requires --out\n");
@@ -99,14 +147,17 @@ int GenClass(const Flags& flags) {
 }
 
 int Mine(const Flags& flags) {
+  lits::AprioriOptions options;
+  std::string error;
+  if (!ReadMinsup(flags, &options.min_support, &error) ||
+      !ReadIntFlag(flags, "maxk", 0, 0, &options.max_itemset_size, &error)) {
+    return UsageError(error);
+  }
   const auto db = io::LoadTransactionDbFromFile(flags.Get("db", ""));
   if (!db.has_value()) {
     std::fprintf(stderr, "cannot read --db\n");
     return 2;
   }
-  lits::AprioriOptions options;
-  options.min_support = flags.GetDouble("minsup", 0.01);
-  options.max_itemset_size = static_cast<int>(flags.GetInt("maxk", 0));
   const std::string miner = flags.Get("miner", "apriori");
   if (miner != "apriori" && miner != "fpgrowth") {
     std::fprintf(stderr, "--miner must be apriori or fpgrowth\n");
@@ -127,14 +178,14 @@ int Mine(const Flags& flags) {
 }
 
 int Train(const Flags& flags) {
+  dt::CartOptions options;
+  std::string error;
+  if (!ReadCartFlags(flags, &options, &error)) return UsageError(error);
   const auto dataset = io::LoadDatasetFromFile(flags.Get("data", ""));
   if (!dataset.has_value()) {
     std::fprintf(stderr, "cannot read --data\n");
     return 2;
   }
-  dt::CartOptions options;
-  options.max_depth = static_cast<int>(flags.GetInt("max-depth", 8));
-  options.min_leaf_size = flags.GetInt("min-leaf", 50);
   if (flags.Get("criterion", "gini") == "entropy") {
     options.criterion = dt::SplitCriterion::kEntropy;
   }
@@ -153,14 +204,19 @@ int Train(const Flags& flags) {
 }
 
 int Deviate(const Flags& flags) {
+  lits::AprioriOptions apriori;
+  int replicates = 0;
+  std::string error;
+  if (!ReadMinsup(flags, &apriori.min_support, &error) ||
+      !ReadIntFlag(flags, "replicates", 0, 0, &replicates, &error)) {
+    return UsageError(error);
+  }
   const auto d1 = io::LoadTransactionDbFromFile(flags.Get("db1", ""));
   const auto d2 = io::LoadTransactionDbFromFile(flags.Get("db2", ""));
   if (!d1.has_value() || !d2.has_value()) {
     std::fprintf(stderr, "cannot read --db1/--db2\n");
     return 2;
   }
-  lits::AprioriOptions apriori;
-  apriori.min_support = flags.GetDouble("minsup", 0.01);
   const core::DeviationFunction fn = ParseDeviationFunction(flags);
 
   const lits::LitsModel m1 = lits::Apriori(*d1, apriori);
@@ -168,7 +224,6 @@ int Deviate(const Flags& flags) {
   std::printf("delta  = %.6f\n", core::LitsDeviation(m1, *d1, m2, *d2, fn));
   std::printf("delta* = %.6f\n", core::LitsUpperBound(m1, m2, fn.g));
 
-  const int replicates = static_cast<int>(flags.GetInt("replicates", 0));
   if (replicates > 0) {
     core::SignificanceOptions options;
     options.num_replicates = replicates;
@@ -181,15 +236,19 @@ int Deviate(const Flags& flags) {
 }
 
 int DeviateDt(const Flags& flags) {
+  dt::CartOptions cart;
+  int replicates = 0;
+  std::string error;
+  if (!ReadCartFlags(flags, &cart, &error) ||
+      !ReadIntFlag(flags, "replicates", 0, 0, &replicates, &error)) {
+    return UsageError(error);
+  }
   const auto d1 = io::LoadDatasetFromFile(flags.Get("data1", ""));
   const auto d2 = io::LoadDatasetFromFile(flags.Get("data2", ""));
   if (!d1.has_value() || !d2.has_value()) {
     std::fprintf(stderr, "cannot read --data1/--data2\n");
     return 2;
   }
-  dt::CartOptions cart;
-  cart.max_depth = static_cast<int>(flags.GetInt("max-depth", 8));
-  cart.min_leaf_size = flags.GetInt("min-leaf", 50);
   const core::DeviationFunction fn = ParseDeviationFunction(flags);
 
   const core::DtModel m1(dt::BuildCart(*d1, cart), *d1);
@@ -200,7 +259,6 @@ int DeviateDt(const Flags& flags) {
   std::printf("ME(tree(D1), D2) = %.4f\n",
               core::MisclassificationError(m1.tree(), *d2));
 
-  const int replicates = static_cast<int>(flags.GetInt("replicates", 0));
   if (replicates > 0) {
     core::SignificanceOptions sig_options;
     sig_options.num_replicates = replicates;
@@ -227,20 +285,25 @@ int Bound(const Flags& flags) {
 }
 
 int Rank(const Flags& flags) {
+  lits::AprioriOptions apriori;
+  int top = 0;
+  std::string error;
+  if (!ReadMinsup(flags, &apriori.min_support, &error) ||
+      !ReadIntFlag(flags, "top", 10, 1, &top, &error)) {
+    return UsageError(error);
+  }
   const auto d1 = io::LoadTransactionDbFromFile(flags.Get("db1", ""));
   const auto d2 = io::LoadTransactionDbFromFile(flags.Get("db2", ""));
   if (!d1.has_value() || !d2.has_value()) {
     std::fprintf(stderr, "cannot read --db1/--db2\n");
     return 2;
   }
-  lits::AprioriOptions apriori;
-  apriori.min_support = flags.GetDouble("minsup", 0.01);
   const lits::LitsModel m1 = lits::Apriori(*d1, apriori);
   const lits::LitsModel m2 = lits::Apriori(*d2, apriori);
   const auto ranked = core::RankLitsRegions(core::LitsGcr(m1, m2), m1, *d1,
                                             m2, *d2, core::AbsoluteDiff());
-  const size_t top = static_cast<size_t>(flags.GetInt("top", 10));
-  for (const auto& entry : core::SelectTopN(ranked, top)) {
+  for (const auto& entry :
+       core::SelectTopN(ranked, static_cast<size_t>(top))) {
     std::printf("%-24s %.4f -> %.4f  |diff| %.4f\n",
                 entry.itemset.ToString().c_str(), entry.support1,
                 entry.support2, entry.deviation);
@@ -252,6 +315,11 @@ int Rank(const Flags& flags) {
 // FastMap embedding of a model collection over the delta* metric
 // (§4.1.1's visual-comparison use).
 int Embed(const Flags& flags) {
+  int dims = 0;
+  std::string error;
+  if (!ReadIntFlag(flags, "dims", 2, 1, &dims, &error)) {
+    return UsageError(error);
+  }
   const std::string list = flags.Get("models", "");
   if (list.empty()) {
     std::fprintf(stderr, "embed requires --models a.model,b.model,...\n");
@@ -279,7 +347,6 @@ int Embed(const Flags& flags) {
     }
     models.push_back(std::move(*model));
   }
-  const int dims = static_cast<int>(flags.GetInt("dims", 2));
   const auto matrix = core::LitsUpperBoundMatrix(models, core::AggregateKind::kSum);
   const core::FastMapResult embedded = core::FastMapEmbedding(matrix, dims);
   for (size_t i = 0; i < paths.size(); ++i) {
@@ -295,6 +362,15 @@ int Embed(const Flags& flags) {
 // Two-stage snapshot monitoring (delta* screen, then exact deviation +
 // significance) over a list of snapshot files.
 int MonitorCmd(const Flags& flags) {
+  core::MonitorOptions options;
+  std::string error;
+  if (!ReadMinsup(flags, &options.apriori.min_support, &error) ||
+      !ReadDoubleFlag(flags, "factor", 2.0, Positive, "> 0",
+                      &options.alert_factor, &error) ||
+      !ReadIntFlag(flags, "replicates", 9, 1,
+                   &options.significance.num_replicates, &error)) {
+    return UsageError(error);
+  }
   const auto reference =
       io::LoadTransactionDbFromFile(flags.Get("reference", ""));
   if (!reference.has_value()) {
@@ -315,11 +391,6 @@ int MonitorCmd(const Flags& flags) {
     std::fprintf(stderr, "monitor requires --snapshots a.txns,b.txns,...\n");
     return 1;
   }
-  core::MonitorOptions options;
-  options.apriori.min_support = flags.GetDouble("minsup", 0.01);
-  options.alert_factor = flags.GetDouble("factor", 2.0);
-  options.significance.num_replicates =
-      static_cast<int>(flags.GetInt("replicates", 9));
   const core::LitsChangeMonitor monitor(*reference, options);
   std::printf("alert threshold (delta*): %.4f\n", monitor.alert_threshold());
   std::printf("%-24s %10s %8s %10s %6s %s\n", "snapshot", "delta*", "screen",

@@ -22,45 +22,66 @@
 //     [--threads 4] [--queue 64] [--cache 64]
 //     [--max-connections 256] [--read-deadline-ms 10000]
 //     [--ingest-wait-ms 20] [--events PATH]
+//     [--metrics PATH] [--prom PATH] [--metrics-every-ms 2000]
 //     [--shards 0] [--reactors 1] [--shard-dir PATH]
+//     [--spool DIR [--ooc 0] [--block-size-kib 1024] [--poll-ms 200]
+//                  [--once 0] [--max-snapshots 0] [--idle-exit-ms 0]]
 //
 // --port 0 binds a kernel-assigned ephemeral port; --port-file writes the
 // bound port as a single line once the server is listening (how the
 // integration tests and scripts find it). An int flag outside its range,
 // or a numeric flag that is not entirely a number ("10s", "4x"), is a
 // usage error, reported before the reference is read, as is an
-// out-of-range service flag: --port [0, 65535], --shards and
-// --ingest-wait-ms [0, INT_MAX], --reactors and --read-deadline-ms
-// [1, INT_MAX], --max-connections [--reactors, INT_MAX] (each reactor
-// takes an equal share of the connections).
+// out-of-range service flag: --port [0, 65535], --shards,
+// --ingest-wait-ms and --metrics-every-ms [0, INT_MAX], --reactors and
+// --read-deadline-ms [1, INT_MAX], --max-connections [--reactors, INT_MAX]
+// (each reactor takes an equal share of the connections).
+//
+// --metrics PATH appends the registry as one JSONL line every
+// --metrics-every-ms and after the drain; --prom PATH rewrites it then as
+// a Prometheus textfile (written aside, then renamed into place).
+//
+// --spool DIR (--shards 0 only) also feeds the in-process worker, from the
+// main thread: every --poll-ms it ingests DIR's `*.txns` files in name
+// order (`<stream>__<anything>.txns`, else the stream "default") and
+// moves each to DIR/processed/ once accepted, or to DIR/rejected/ with
+// its reason on stderr (malformed, unscreenable, or a stream name that
+// HTTP could not address). --ooc 1 screens each file from blocks of
+// --block-size-kib [1, 2097151], never flat. --events and --metrics
+// default to DIR/events.jsonl and DIR/metrics.jsonl. --once 1, and
+// --max-snapshots N accepted or --idle-exit-ms M idle, end the run
+// through the SIGTERM drain. Without --spool, --ooc, --block-size-kib,
+// --poll-ms, --once, --max-snapshots and --idle-exit-ms are usage errors.
+// See docs/SERVING.md for the spool protocol.
 //
 // Every deployment is the one of docs/SHARDING.md: --reactors
 // SO_REUSEPORT event loops, each with its own shard::ShardedApi and
 // ShardRouter, in front of shard workers that each run a full
 // MonitorService. --shards 0 (the default) runs one worker in this
 // process behind a LocalShardChannel; --events PATH appends its
-// StreamEvent JSONL there. --shards N (N >= 1) forks N worker processes,
-// each serving the shard wire protocol, over the same net::Server loop
-// as the reactors' HTTP, on a Unix socket under --shard-dir
-// (default: a fresh temp directory); they keep no event log, so --events
-// is a usage error there. Workers are forked before any thread exists, so
-// the daemon stays clean under TSan. The answers are bit-identical for
-// every N (tests/laws/laws_shard_test.cc).
+// StreamEvent JSONL there and echoes each alert or change point as one
+// stdout line. --shards N (N >= 1) forks N worker processes, each serving
+// the shard wire protocol, over the same net::Server loop as the
+// reactors' HTTP, on a Unix socket under --shard-dir (default: a fresh
+// temp directory); they keep no event log, so --events and --spool are
+// usage errors there. Workers are forked before any thread exists, so the
+// daemon stays clean under TSan. The answers are bit-identical for every
+// N (tests/laws/laws_shard_test.cc).
 //
 // Each worker mines and calibrates the reference once, at start-up, before
 // --port-file is written; streams then register in O(1), so no request
 // waits for a reference build. A worker that exits during start-up fails
 // the daemon with status 2.
 //
-// SIGTERM/SIGINT trigger a graceful drain: /healthz flips to "draining",
-// the listeners close, idle keep-alive connections are shut, in-flight
-// requests finish, then every worker flushes its ingest queue (forked
-// workers are SIGTERMed, drain the same way, and are reaped) and the
-// process exits 0. A signal that arrives before the daemon serves (while
-// it reads the reference or a worker calibrates) ends it at once instead:
-// it writes no --port-file, stops and reaps any forked worker, and dies
-// of that signal (a shell reports 128 + the signal number, 143 for
-// SIGTERM).
+// SIGTERM/SIGINT trigger a graceful drain: the spool scanner stops before
+// its next file, /healthz flips to "draining", the listeners close, idle
+// keep-alive connections are shut, in-flight requests finish, then every
+// worker flushes its ingest queue (forked workers are SIGTERMed, drain the
+// same way, and are reaped) and the process exits 0. A signal that
+// arrives before the daemon serves (while it reads the reference or a
+// worker calibrates) ends it at once instead: it writes no --port-file,
+// stops and reaps any forked worker, and dies of that signal (a shell
+// reports 128 + the signal number, 143 for SIGTERM).
 //
 // Exit status: 0 on success (including signal-triggered drain), 1 on
 // usage errors, 2 on I/O or bind failures (or a worker that did not
@@ -70,12 +91,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -84,8 +107,11 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "data/block_store.h"
+#include "data/block_txn_db.h"
 #include "io/data_io.h"
 #include "net/http_server.h"
+#include "serve/api_util.h"
 #include "serve/metrics.h"
 #include "serve/monitor_service.h"
 #include "shard/shard_client.h"
@@ -95,6 +121,8 @@
 
 namespace focus::daemon {
 namespace {
+
+namespace fs = std::filesystem;
 
 volatile std::sig_atomic_t g_signal = 0;
 
@@ -106,6 +134,167 @@ void InstallSignalHandlers() {
 #ifdef SIGPIPE
   std::signal(SIGPIPE, SIG_IGN);
 #endif
+}
+
+// Rewrites a Prometheus textfile atomically (write tmp, rename) so a
+// scraping textfile collector never reads a torn file.
+bool WritePromFile(const std::string& path,
+                   const serve::MetricsRegistry& metrics) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    if (!out) return false;
+    out << metrics.ToPrometheusText();
+    if (!out.flush()) return false;
+  }
+  std::error_code ec;
+  fs::rename(tmp, path, ec);
+  return !ec;
+}
+
+// --ooc ingest: stream-converts one text spool snapshot into a block file
+// beside it, opens the result as an out-of-core database, and unlinks the
+// block path immediately (the reader's open stream keeps the inode alive),
+// so neither a crash nor normal processing leaves block files behind.
+// Null + `*error` on malformed input — same strictness as the flat loader.
+std::shared_ptr<const data::BlockTransactionDb> OpenSpoolSnapshotBlocks(
+    const fs::path& path, int64_t block_size, std::string* error) {
+  std::ifstream in(path);
+  if (!in) {
+    *error = "cannot open file";
+    return nullptr;
+  }
+  const std::string block_path = path.string() + ".fblk";
+  {
+    const auto out = data::OpenBlockFileForWrite(block_path);
+    if (out == nullptr) {
+      *error = "cannot create block file";
+      return nullptr;
+    }
+    if (!io::ConvertTransactionTextToBlocks(in, *out, block_size, error)) {
+      std::remove(block_path.c_str());
+      return nullptr;
+    }
+  }
+  data::BlockStoreOptions options;
+  options.block_size = block_size;
+  std::string open_error;
+  std::shared_ptr<const data::BlockTransactionDb> db =
+      data::BlockTransactionDb::OpenFile(block_path, options, &open_error);
+  std::remove(block_path.c_str());
+  if (db == nullptr) *error = "block reopen: " + open_error;
+  return db;
+}
+
+// --spool DIR: the directory the main thread feeds to the in-process
+// worker's service, and when that feed ends.
+struct Spool {
+  std::string dir;
+  int ooc = 0;
+  int block_size_kib = 0;
+  int poll_ms = 0;
+  int once = 0;
+  int max_snapshots = 0;
+  int idle_exit_ms = 0;
+  int64_t accepted = 0;  // files moved to processed/
+  int64_t idle_ms = 0;   // polled since the last scan that found a file
+
+  // One scan: hands each `*.txns` file, in name order, to `service`,
+  // waiting as long as its backpressure lasts, and moves it to processed/
+  // once accepted or to rejected/ with the reason. Stops before the next
+  // file on a signal, or when the service refuses work; the files left
+  // wait for the next run.
+  void Scan(serve::MonitorService* service, serve::MetricsRegistry* metrics) {
+    std::error_code ec;
+    std::vector<fs::path> batch;
+    for (const auto& entry : fs::directory_iterator(dir, ec)) {
+      if (entry.is_regular_file(ec) && entry.path().extension() == ".txns") {
+        batch.push_back(entry.path());
+      }
+    }
+    std::sort(batch.begin(), batch.end());
+    if (!batch.empty()) idle_ms = 0;
+
+    for (const fs::path& path : batch) {
+      if (g_signal != 0) return;
+      const std::string name = path.filename().string();
+      // `<stream>__rest.txns`; a file without the separator feeds
+      // "default".
+      const std::string stem = path.stem().string();
+      const size_t sep = stem.find("__");
+      serve::Snapshot snapshot;
+      snapshot.stream =
+          sep == std::string::npos ? "default" : stem.substr(0, sep);
+      snapshot.source = name;
+      // Each way to fail leaves its reason here.
+      std::string reason;
+      if (!serve::ValidStreamName(snapshot.stream)) {
+        reason = "invalid stream name";
+      } else if (ooc != 0) {
+        snapshot.block_db = OpenSpoolSnapshotBlocks(
+            path, int64_t{block_size_kib} * 1024, &reason);
+      } else if (auto db =
+                     io::LoadTransactionDbFromFile(path.string(), &reason)) {
+        snapshot.db = std::move(*db);
+      }
+      if (reason.empty()) {
+        // A snapshot the service cannot screen is quarantined like a
+        // malformed file.
+        const serve::IngestResult ingest =
+            service->Ingest(std::move(snapshot), std::nullopt);
+        if (ingest.status == serve::SubmitResult::kAccepted) {
+          fs::rename(path, fs::path(dir) / "processed" / name, ec);
+          ++accepted;
+          continue;
+        }
+        if (ingest.status != serve::SubmitResult::kInvalid) return;
+        reason = ingest.reason;
+      }
+      metrics->GetCounter("spool_rejected_files").Increment();
+      fs::rename(path, fs::path(dir) / "rejected" / name, ec);
+      std::fprintf(stderr, "rejected malformed snapshot %s: %s\n",
+                   name.c_str(), reason.c_str());
+    }
+  }
+
+  // Whether the run ends after this scan.
+  bool Done() const {
+    return once != 0 || (max_snapshots > 0 && accepted >= max_snapshots) ||
+           (idle_exit_ms > 0 && idle_ms >= idle_exit_ms);
+  }
+};
+
+// The --spool flags into `*spool`, which stays empty without --spool.
+// False, with `*error` naming the flag, when one is out of range or is
+// given without --spool.
+bool ReadSpoolFlags(const common::Flags& flags, std::optional<Spool>* spool,
+                    std::string* error) {
+  Spool read;
+  read.dir = flags.Get("spool", "");
+  if (read.dir.empty()) {
+    for (const char* name : {"ooc", "block-size-kib", "poll-ms", "once",
+                             "max-snapshots", "idle-exit-ms"}) {
+      if (flags.Has(name)) {
+        *error = std::string("--") + name + " needs --spool";
+        return false;
+      }
+    }
+    return true;
+  }
+  constexpr int kMaxBlockSizeKib = (1 << 21) - 1;
+  if (!common::ReadIntFlag(flags, "block-size-kib", 1024, 1,
+                           &read.block_size_kib, error, kMaxBlockSizeKib) ||
+      !common::ReadIntFlag(flags, "ooc", 0, 0, &read.ooc, error, 1) ||
+      !common::ReadIntFlag(flags, "once", 0, 0, &read.once, error, 1) ||
+      !common::ReadIntFlag(flags, "max-snapshots", 0, 0, &read.max_snapshots,
+                           error) ||
+      !common::ReadIntFlag(flags, "idle-exit-ms", 0, 0, &read.idle_exit_ms,
+                           error) ||
+      !common::ReadIntFlag(flags, "poll-ms", 200, 1, &read.poll_ms, error)) {
+    return false;
+  }
+  *spool = std::move(read);
+  return true;
 }
 
 // The options every shard worker runs with, shard_index aside; nullopt,
@@ -237,8 +426,8 @@ int ForkShards(const common::Flags& flags,
     shards->dir.assign(buffer.data());
     shards->made_dir = true;
   } else if (::mkdir(shards->dir.c_str(), 0700) == 0) {
-    // Same contract as focus_monitord's spool dir: create a missing
-    // --shard-dir instead of erroring (and clean it up on exit).
+    // Same contract as --spool: create a missing --shard-dir instead of
+    // erroring (and clean it up on exit).
     shards->made_dir = true;
   } else if (errno != EEXIST) {
     std::fprintf(stderr, "focus_served: cannot create shard dir %s: %s\n",
@@ -300,11 +489,23 @@ int Run(const common::Flags& flags) {
     std::fprintf(stderr, "%s\n", flag_error.c_str());
     return 1;
   }
-  const std::string events_path = flags.Get("events", "");
-  if (num_shards > 0 && !events_path.empty()) {
+  std::optional<Spool> spool;
+  int metrics_every_ms = 0;
+  if (!ReadSpoolFlags(flags, &spool, &flag_error) ||
+      !common::ReadIntFlag(flags, "metrics-every-ms", 2000, 0,
+                           &metrics_every_ms, &flag_error)) {
+    std::fprintf(stderr, "%s\n", flag_error.c_str());
+    return 1;
+  }
+  if (num_shards > 0 && !flags.Get("events", "").empty()) {
     std::fprintf(stderr,
                  "--events needs --shards 0: forked shard workers keep no "
                  "event log\n");
+    return 1;
+  }
+  if (num_shards > 0 && spool.has_value()) {
+    std::fprintf(stderr,
+                 "--spool needs --shards 0: it feeds the in-process worker\n");
     return 1;
   }
   const std::optional<shard::ShardWorkerOptions> worker_options =
@@ -312,6 +513,22 @@ int Run(const common::Flags& flags) {
   if (!worker_options.has_value()) {
     std::fprintf(stderr, "%s\n", flag_error.c_str());
     return 1;
+  }
+  const std::string spool_dir = spool.has_value() ? spool->dir : "";
+  const std::string events_path = flags.Get(
+      "events", spool.has_value() ? spool_dir + "/events.jsonl" : "");
+  const std::string metrics_path = flags.Get(
+      "metrics", spool.has_value() ? spool_dir + "/metrics.jsonl" : "");
+  const std::string prom_path = flags.Get("prom", "");
+  if (spool.has_value()) {  // a missing spool directory is created
+    for (const char* sub : {"processed", "rejected"}) {
+      std::error_code ec;
+      fs::create_directories(fs::path(spool_dir) / sub, ec);
+      if (ec) {
+        std::fprintf(stderr, "cannot prepare --spool %s\n", spool_dir.c_str());
+        return 2;
+      }
+    }
   }
   const auto reference = io::LoadTransactionDbFromFile(reference_path);
   if (!reference.has_value()) {
@@ -327,6 +544,15 @@ int Run(const common::Flags& flags) {
   // the first fork, so that it can always stop and reap its workers.
   ForkedShards forked;
   serve::MetricsRegistry metrics;
+  std::ofstream metrics_log;
+  if (!metrics_path.empty()) {
+    metrics_log.open(metrics_path, std::ios::app);
+    if (!metrics_log) {
+      std::fprintf(stderr, "cannot open --metrics %s for append\n",
+                   metrics_path.c_str());
+      return 2;
+    }
+  }
   std::ofstream events;
   std::unique_ptr<shard::ShardWorker> local_worker;
   std::unique_ptr<shard::LocalShardChannel> local_channel;
@@ -352,6 +578,14 @@ int Run(const common::Flags& flags) {
           [&events](const serve::StreamEvent& event) {
             events << event.ToJson() << '\n';
             events.flush();
+            if (event.change_point || event.report.alert) {
+              std::printf("[%s #%lld] %s%s delta*=%.4f cusum=%.2f\n",
+                          event.stream.c_str(),
+                          static_cast<long long>(event.sequence),
+                          event.report.alert ? "ALERT " : "",
+                          event.change_point ? "CHANGE-POINT" : "",
+                          event.report.upper_bound, event.cusum);
+            }
           });
     }
   }
@@ -437,19 +671,45 @@ int Run(const common::Flags& flags) {
                       : std::to_string(num_shards) + " shards";
   std::printf(
       "focus_served: listening on %s:%u, %s x %d reactors, reference=%s "
-      "(%lld txns)\n",
+      "(%lld txns)%s%s\n",
       flags.Get("address", "127.0.0.1").c_str(),
       static_cast<unsigned>(bound_port), workers.c_str(), num_reactors,
       reference_path.c_str(),
-      static_cast<long long>(reference->num_transactions()));
+      static_cast<long long>(reference->num_transactions()),
+      spool.has_value() ? ", spool=" : "", spool_dir.c_str());
   std::fflush(stdout);
 
+  const auto write_metrics = [&] {
+    if (metrics_log.is_open()) {
+      metrics.WriteJsonLine(metrics_log);
+      metrics_log.flush();
+    }
+    if (!prom_path.empty() && !WritePromFile(prom_path, metrics)) {
+      std::fprintf(stderr, "cannot write --prom %s\n", prom_path.c_str());
+    }
+  };
+  // The main thread feeds --spool and ticks --metrics and --prom until a
+  // signal or a spool exit condition; either one then drains.
+  const int poll_ms = spool.has_value() ? spool->poll_ms : 50;
+  int64_t since_metrics_ms = metrics_every_ms;  // one tick up front
   while (g_signal == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    if (spool.has_value()) spool->Scan(&local_worker->service(), &metrics);
+    if (since_metrics_ms >= metrics_every_ms) {
+      write_metrics();
+      since_metrics_ms = 0;
+    }
+    if (spool.has_value() && spool->Done()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
+    since_metrics_ms += poll_ms;
+    if (spool.has_value()) spool->idle_ms += poll_ms;
   }
 
-  std::printf("focus_served: signal %d, draining…\n",
-              static_cast<int>(g_signal));
+  if (g_signal != 0) {
+    std::printf("focus_served: signal %d, draining…\n",
+                static_cast<int>(g_signal));
+  } else {
+    std::printf("focus_served: spool done, draining…\n");
+  }
   std::fflush(stdout);
   // Front end first (stop taking requests), then the workers, which
   // finish everything already accepted.
@@ -464,11 +724,17 @@ int Run(const common::Flags& flags) {
   if (local_worker != nullptr) {
     const int64_t processed = DrainWorker(local_worker.get(), read_deadline_ms);
     worker_summary = std::to_string(processed) + " snapshots processed";
+    if (spool.has_value()) {
+      worker_summary +=
+          ", " + std::to_string(spool->accepted) + " from the spool";
+    }
   } else {
     workers_clean = forked.Shutdown(SIGTERM);
     worker_summary = std::to_string(num_shards) + " workers " +
                      (workers_clean ? "clean" : "UNCLEAN");
   }
+
+  write_metrics();
 
   int64_t requests = 0, connections = 0;
   for (const Reactor& reactor : reactors) {
@@ -492,8 +758,9 @@ int main(int argc, char** argv) {
       {"reference", "address", "port", "port-file", "minsup", "factor",
        "replicates", "calibration", "warmup", "slack", "decision", "threads",
        "queue", "cache", "max-connections", "read-deadline-ms",
-       "ingest-wait-ms", "events", "shards", "reactors",
-       "shard-dir"});
+       "ingest-wait-ms", "events", "metrics", "prom", "metrics-every-ms",
+       "shards", "reactors", "shard-dir", "spool", "ooc", "block-size-kib",
+       "poll-ms", "once", "max-snapshots", "idle-exit-ms"});
   if (!flags.has_value()) return 1;
   return focus::daemon::Run(*flags);
 }
