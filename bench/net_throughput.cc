@@ -1,9 +1,17 @@
 // Network serving throughput: loopback HTTP clients driving the full
-// stack with the mixed workload a deployment sees — snapshot ingest,
-// deviation polls, and cache-served compares — through focus_served's
-// front end: max(N, 1) SO_REUSEPORT reactors → ShardedApi → ShardRouter →
-// max(N, 1) in-process ShardWorkers (full wire codec per call), for
-// --shards=N (default 0, the single-node deployment: one of each).
+// stack through focus_served's front end, built the way the daemon builds
+// its own (shard::StartReactor): max(N, 1) SO_REUSEPORT reactors →
+// ShardedApi → ShardRouter → max(N, 1) in-process ShardWorkers (full wire
+// codec per call), for --shards=N (default 0, the single-node deployment:
+// one of each). At --shards 0 an ingest's reply is deferred: the worker
+// parses, hashes and admits the snapshot on its ingest threads while the
+// reactor serves. At --shards N every shard call blocks its reactor until
+// the worker answers, as ShardClient's do in focus_served --shards N.
+// Two request mixes:
+//   mixed  ingest, deviation and compare in a 2:3:1 mix, 8 to 128 clients;
+//   query  4 clients, 2% ingests and the rest deviation, compare, summary,
+//          healthz and metrics in equal shares over ingested snapshots,
+//          like perfbench's query_mix.
 // Emits JSON lines:
 //   {"bench":"net_throughput","config":…,"clients":N,"shards":…,
 //    "requests":…,"seconds":…,"requests_per_sec":…,…}
@@ -28,6 +36,7 @@
 #include "net/http_server.h"
 #include "serve/metrics.h"
 #include "serve/monitor_service.h"
+#include "shard/shard_channel.h"
 #include "shard/shard_router.h"
 #include "shard/shard_worker.h"
 #include "shard/sharded_api.h"
@@ -67,21 +76,59 @@ serve::MonitorServiceOptions ServiceConfig() {
   return options;
 }
 
+// A shard reached the way focus_served --shards N reaches one: CallAsync
+// is ShardChannel's default, which waits in Call, as ShardClient's does.
+// Only the kernel socket hop to a forked worker is elided.
+class BlockingChannel : public shard::ShardChannel {
+ public:
+  explicit BlockingChannel(shard::ShardWorker* worker) : local_(worker) {}
+
+  bool Call(shard::MessageType type, const std::string& payload,
+            shard::Frame* response, std::string* error) override {
+    return local_.Call(type, payload, response, error);
+  }
+
+ private:
+  shard::LocalShardChannel local_;
+};
+
+enum class Kind { kIngest, kDeviation, kCompare, kSummary, kHealthz, kMetrics };
+
+// A connection's requests repeat this cycle.
+using Mix = std::vector<Kind>;
+
+Mix MixedMix() {
+  return {Kind::kIngest, Kind::kDeviation, Kind::kDeviation,
+          Kind::kIngest, Kind::kDeviation, Kind::kCompare};
+}
+
+// One ingest per 50 requests; the 49 reads cycle through the read routes.
+Mix QueryMix() {
+  const Kind reads[] = {Kind::kDeviation, Kind::kCompare, Kind::kSummary,
+                        Kind::kHealthz, Kind::kMetrics};
+  Mix mix = {Kind::kIngest};
+  for (int i = 0; i < 49; ++i) mix.push_back(reads[i % 5]);
+  return mix;
+}
+
 struct DriveCounts {
   int64_t accepted = 0;
   int64_t overloaded = 0;
-  int64_t reads = 0;
+  int64_t reads = 0;  // deviation, summary, healthz and metrics
   int64_t compares = 0;
   double seconds = 0.0;
 };
 
 // Drives `clients` concurrent keep-alive connections against the server
-// at `port`, each issuing ingest/deviation/compare in a 2:3:1 mix; every
-// shard count sees the identical byte stream. `flush` runs inside the
-// measured window so the figure includes draining the ingest queue, as a
-// real deployment would.
+// at `port`, each issuing `mix` in turn; every shard count sees the
+// identical byte stream. A compare names the last two hashes its
+// connection ingested, starting from two of `seed_hashes` when given.
+// `flush` runs inside the measured window so the figure includes draining
+// the ingest queue, as a real deployment would.
 DriveCounts DriveClients(uint16_t port, int clients, int requests_per_client,
+                         const Mix& mix,
                          const std::vector<std::string>& bodies,
+                         const std::vector<std::string>& seed_hashes,
                          const std::function<void()>& flush) {
   std::atomic<int64_t> accepted{0}, overloaded{0}, reads{0}, compares{0};
   const auto start = std::chrono::steady_clock::now();
@@ -93,10 +140,18 @@ DriveCounts DriveClients(uint16_t port, int clients, int requests_per_client,
       if (!client.Connect("127.0.0.1", port)) return;
       const std::string stream = "s" + std::to_string(c % 4);
       std::string left, right;  // content hashes seen on this connection
+      if (!seed_hashes.empty()) {
+        left = seed_hashes[c % seed_hashes.size()];
+        right = seed_hashes[(c + 1) % seed_hashes.size()];
+      }
+      const auto read = [&](const std::string& target) {
+        if (!client.Get(target).has_value()) return false;
+        reads.fetch_add(1);
+        return true;
+      };
       for (int i = 0; i < requests_per_client; ++i) {
-        switch (i % 6) {
-          case 0:
-          case 3: {  // ingest
+        switch (mix[i % mix.size()]) {
+          case Kind::kIngest: {
             const auto response = client.Post(
                 "/v1/streams/" + stream + "/snapshots",
                 bodies[(c + i) % bodies.size()], "text/plain");
@@ -110,7 +165,7 @@ DriveCounts DriveClients(uint16_t port, int clients, int requests_per_client,
             }
             break;
           }
-          case 5: {  // compare two previously ingested snapshots
+          case Kind::kCompare: {  // two previously ingested snapshots
             if (left.empty() || right.empty()) break;
             const auto response = client.Post(
                 "/v1/compare?left=" + left + "&right=" + right, "",
@@ -119,13 +174,18 @@ DriveCounts DriveClients(uint16_t port, int clients, int requests_per_client,
             compares.fetch_add(1);
             break;
           }
-          default: {  // deviation poll
-            const auto response =
-                client.Get("/v1/streams/" + stream + "/deviation");
-            if (!response.has_value()) return;
-            reads.fetch_add(1);
+          case Kind::kDeviation:
+            if (!read("/v1/streams/" + stream + "/deviation")) return;
             break;
-          }
+          case Kind::kSummary:
+            if (!read("/v1/deviation/summary")) return;
+            break;
+          case Kind::kHealthz:
+            if (!read("/healthz")) return;
+            break;
+          case Kind::kMetrics:
+            if (!read("/metrics")) return;
+            break;
         }
       }
     });
@@ -150,17 +210,17 @@ void EmitLine(const char* label, int clients, int shards, int64_t total,
   // only run concurrently when the host has cores to put them on, so a
   // sharded figure from a 1-cpu container measures protocol overhead
   // (parity with the single loop), not scale-out.
-  char line[448];
+  char line[512];
   std::snprintf(
       line, sizeof(line),
       "{\"bench\":\"net_throughput\",\"config\":\"%s\",\"clients\":%d,"
-      "\"shards\":%d,\"host_cpus\":%u,\"requests\":%lld,"
-      "\"snapshot_transactions\":%lld,"
+      "\"shards\":%d,\"host_cpus\":%u,\"build_type\":\"%s\","
+      "\"requests\":%lld,\"snapshot_transactions\":%lld,"
       "\"seconds\":%.4f,\"requests_per_sec\":%.2f,\"ingest_accepted\":%lld,"
-      "\"ingest_overloaded\":%lld,\"deviation_reads\":%lld,"
+      "\"ingest_overloaded\":%lld,\"reads\":%lld,"
       "\"compares\":%lld,\"snapshots_processed\":%lld}",
       label, clients, shards, std::thread::hardware_concurrency(),
-      static_cast<long long>(total),
+      FOCUS_BUILD_TYPE, static_cast<long long>(total),
       static_cast<long long>(snapshot_size), counts.seconds,
       total / counts.seconds, static_cast<long long>(counts.accepted),
       static_cast<long long>(counts.overloaded),
@@ -185,18 +245,21 @@ std::vector<std::string> SnapshotPool(int unique_snapshots,
 // One SO_REUSEPORT reactor per worker, each running its own ShardedApi +
 // ShardRouter over in-process ShardWorkers (the law tests pin that every
 // shard count answers bit-identically). Every call still encodes and
-// decodes full wire frames, so the protocol cost is measured; only the
-// kernel socket hop is elided. Each worker owns a full MonitorService, as
-// in a real deployment; --shards 0 runs one, as focus_served does.
+// decodes full wire frames, so the protocol cost is measured. --shards 0
+// reaches its one worker through a LocalShardChannel, as focus_served
+// does; --shards N reaches each through a BlockingChannel. Each worker
+// owns a full MonitorService, as in a real deployment. With
+// `seed_pool`, the snapshot pool is ingested first, untimed, so compares
+// and reads find processed snapshots from the first request on.
 void RunShardedConfig(const char* label, int clients, int requests_per_client,
-                      int64_t snapshot_size, int unique_snapshots,
-                      int num_shards) {
+                      const Mix& mix, bool seed_pool, int64_t snapshot_size,
+                      int unique_snapshots, int num_shards) {
   serve::MetricsRegistry metrics;
   const data::TransactionDb reference = SnapshotDb(snapshot_size, 1000);
 
   const int num_workers = std::max(num_shards, 1);
   std::vector<std::unique_ptr<shard::ShardWorker>> workers;
-  std::vector<std::unique_ptr<shard::LocalShardChannel>> channels;
+  std::vector<std::unique_ptr<shard::ShardChannel>> channels;
   std::vector<shard::ShardChannel*> channel_ptrs;
   for (int s = 0; s < num_workers; ++s) {
     shard::ShardWorkerOptions worker_options;
@@ -204,47 +267,57 @@ void RunShardedConfig(const char* label, int clients, int requests_per_client,
     worker_options.service = ServiceConfig();
     workers.push_back(std::make_unique<shard::ShardWorker>(
         worker_options, reference, &metrics));
-    channels.push_back(
-        std::make_unique<shard::LocalShardChannel>(workers.back().get()));
+    if (num_shards > 0) {
+      channels.push_back(
+          std::make_unique<BlockingChannel>(workers.back().get()));
+    } else {
+      channels.push_back(
+          std::make_unique<shard::LocalShardChannel>(workers.back().get()));
+    }
     channel_ptrs.push_back(channels.back().get());
   }
 
-  // Reactors share one listening port via SO_REUSEPORT; the kernel
-  // spreads connections across them. Each owns its router + api so shard
-  // calls never serialize across reactors.
-  struct Reactor {
-    std::unique_ptr<shard::ShardRouter> router;
-    std::unique_ptr<shard::ShardedApi> api;
-    std::unique_ptr<net::HttpServer> server;
-  };
-  std::vector<Reactor> reactors(static_cast<size_t>(num_workers));
+  std::vector<shard::Reactor> reactors(static_cast<size_t>(num_workers));
   uint16_t port = 0;
   for (size_t r = 0; r < reactors.size(); ++r) {
-    reactors[r].router = std::make_unique<shard::ShardRouter>(channel_ptrs);
-    shard::ShardedApiOptions api_options;
-    api_options.reactor_index = static_cast<int>(r);
-    reactors[r].api = std::make_unique<shard::ShardedApi>(
-        api_options, reactors[r].router.get(), &metrics);
     net::HttpServerOptions server_options;
     server_options.port = port;
     server_options.reuse_port = reactors.size() > 1;
-    reactors[r].server = std::make_unique<net::HttpServer>(
-        server_options, reactors[r].api->BuildRouter());
-    reactors[r].api->AttachServer(reactors[r].server.get());
-    if (!reactors[r].server->Start()) {
-      std::fprintf(stderr, "net_throughput: cannot start reactor %zu\n", r);
+    std::string error;
+    if (!shard::StartReactor(static_cast<int>(r), channel_ptrs, &metrics,
+                             server_options, &reactors[r], &error)) {
+      std::fprintf(stderr, "net_throughput: cannot start reactor %zu: %s\n",
+                   r, error.c_str());
       return;
     }
     port = reactors[r].server->port();
   }
+  const auto flush = [&]() {
+    for (auto& worker : workers) worker->service().Flush();
+  };
 
   const std::vector<std::string> bodies =
       SnapshotPool(unique_snapshots, snapshot_size);
-  const DriveCounts counts =
-      DriveClients(port, clients, requests_per_client, bodies, [&]() {
-        for (auto& worker : workers) worker->service().Flush();
-      });
-  int64_t total = 0;
+  std::vector<std::string> seed_hashes;
+  if (seed_pool) {
+    net::HttpClient client;
+    if (!client.Connect("127.0.0.1", port)) return;
+    for (size_t i = 0; i < bodies.size(); ++i) {
+      const auto response = client.Post(
+          "/v1/streams/s" + std::to_string(i % 4) + "/snapshots", bodies[i],
+          "text/plain");
+      if (!response.has_value() || response->status != 202) return;
+      seed_hashes.push_back(JsonField(response->body, "content_hash"));
+    }
+    flush();
+  }
+  int64_t untimed = 0;
+  for (auto& reactor : reactors) {
+    untimed += reactor.server->stats().requests_handled;
+  }
+  const DriveCounts counts = DriveClients(
+      port, clients, requests_per_client, mix, bodies, seed_hashes, flush);
+  int64_t total = -untimed;
   for (auto& reactor : reactors) {
     total += reactor.server->stats().requests_handled;
   }
@@ -252,7 +325,7 @@ void RunShardedConfig(const char* label, int clients, int requests_per_client,
   int64_t processed = 0;
   for (auto& worker : workers) {
     processed += worker->service().processed();
-    worker->service().Shutdown();
+    worker->Stop();
   }
 
   EmitLine(label, clients, num_shards, total, snapshot_size, counts,
@@ -275,18 +348,21 @@ int Run(int argc, char** argv) {
   const int requests_per_client =
       static_cast<int>(bench::ScaledCount(60, 300));
   const int64_t snapshot_size = bench::ScaledCount(1000, 20000);
+  const std::string suffix =
+      shards > 0 ? "_shards" + std::to_string(shards) : "";
   const int kClients[] = {8, 16, 64, 128};
   for (int clients : kClients) {
-    char label[64];
-    if (shards > 0) {
-      std::snprintf(label, sizeof(label), "mixed_%d_clients_shards%d",
-                    clients, shards);
-    } else {
-      std::snprintf(label, sizeof(label), "mixed_%d_clients", clients);
-    }
-    RunShardedConfig(label, clients, requests_per_client, snapshot_size,
+    const std::string label =
+        "mixed_" + std::to_string(clients) + "_clients" + suffix;
+    RunShardedConfig(label.c_str(), clients, requests_per_client, MixedMix(),
+                     /*seed_pool=*/false, snapshot_size,
                      /*unique_snapshots=*/8, shards);
   }
+  const std::string label = "query_4_clients" + suffix;
+  RunShardedConfig(label.c_str(), /*clients=*/4,
+                   static_cast<int>(bench::ScaledCount(2500, 12500)),
+                   QueryMix(), /*seed_pool=*/true, snapshot_size,
+                   /*unique_snapshots=*/8, shards);
   return 0;
 }
 

@@ -1,6 +1,8 @@
 #include "net/http_server.h"
 
+#include <deque>
 #include <memory>
+#include <optional>
 #include <utility>
 
 namespace focus::net {
@@ -28,19 +30,31 @@ class HttpCodec : public Codec {
     return Input::kMalformed;
   }
 
-  bool Answer(bool draining, std::deque<std::string>* out) override {
+  After Answer(bool draining, const DeferredReply& later,
+               std::deque<std::string>* out) override {
     if (status_ == HttpParser::Status::kError) {
       Queue(ErrorResponse(parser_.error_status(), parser_.error()),
             /*keep_alive=*/false, out);
-      return false;
+      return After::kClose;
     }
-    const HttpRequest& request = parser_.request();
     // While draining, finish this request but refuse to keep the
     // connection: clients re-connect elsewhere.
-    const bool keep_alive = request.keep_alive && !draining;
-    Queue(router_->Dispatch(request), keep_alive, out);
+    const bool keep_alive = parser_.request().keep_alive && !draining;
+    HttpResponse response = router_->Dispatch(parser_.request());
     if (keep_alive) status_ = parser_.Reset();
-    return keep_alive;
+    if (response.pending != nullptr) {
+      // The handler answers on another thread, which also serializes it.
+      std::optional<HttpResponse> sent = response.pending->OnSend(
+          [keep_alive, later](HttpResponse sent_later) {
+            std::deque<std::string> buffers;
+            Queue(std::move(sent_later), keep_alive, &buffers);
+            later.Complete(std::move(buffers), !keep_alive);
+          });
+      if (!sent.has_value()) return After::kAwait;
+      response = std::move(*sent);
+    }
+    Queue(std::move(response), keep_alive, out);
+    return keep_alive ? After::kRead : After::kClose;
   }
 
   bool idle() const override { return parser_.idle(); }

@@ -1,5 +1,7 @@
 #include "net/http_types.h"
 
+#include <utility>
+
 namespace focus::net {
 namespace {
 
@@ -11,6 +13,41 @@ int HexDigit(char c) {
 }
 
 }  // namespace
+
+HttpResponse HttpResponse::Later(std::shared_ptr<PendingResponse> pending) {
+  HttpResponse response;
+  response.pending = std::move(pending);
+  return response;
+}
+
+PendingResponse::~PendingResponse() {
+  // No other owner is left, so nothing races this read.
+  if (sink_ == nullptr) return;
+  HttpResponse response;
+  response.status = 500;
+  response.body = "{\"error\":\"the handler dropped its reply\"}\n";
+  sink_(std::move(response));
+}
+
+void PendingResponse::Send(HttpResponse response) {
+  std::function<void(HttpResponse)> sink;
+  {
+    common::MutexLock lock(&mutex_);
+    if (sink_ == nullptr) {
+      early_ = std::move(response);
+      return;
+    }
+    sink.swap(sink_);
+  }
+  sink(std::move(response));
+}
+
+std::optional<HttpResponse> PendingResponse::OnSend(
+    std::function<void(HttpResponse)> sink) {
+  common::MutexLock lock(&mutex_);
+  if (!early_.has_value()) sink_ = std::move(sink);
+  return std::exchange(early_, std::nullopt);
+}
 
 const std::string* HttpRequest::FindHeader(std::string_view lower_name) const {
   for (const auto& [name, value] : headers) {

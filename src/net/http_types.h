@@ -1,11 +1,17 @@
 #ifndef FOCUS_NET_HTTP_TYPES_H_
 #define FOCUS_NET_HTTP_TYPES_H_
 
+#include <functional>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 
 namespace focus::net {
 
@@ -26,6 +32,8 @@ struct HttpRequest {
   const std::string* FindHeader(std::string_view lower_name) const;
 };
 
+class PendingResponse;
+
 struct HttpResponse {
   int status = 200;
   std::string content_type = "application/json";
@@ -33,6 +41,39 @@ struct HttpResponse {
   // Extra headers (e.g. {"retry-after","1"}); Content-Length, Connection
   // and Content-Type are emitted by the serializer.
   std::vector<std::pair<std::string, std::string>> headers;
+  // Set by Later(): the real response comes through `pending`, and the
+  // fields above are unused.
+  std::shared_ptr<PendingResponse> pending;
+
+  // What a handler returns when it answers later, from any thread,
+  // through `pending`.
+  static HttpResponse Later(std::shared_ptr<PendingResponse> pending);
+};
+
+// A response its handler sends after returning: the handler returns
+// HttpResponse::Later(p) and calls p->Send once, on any thread. Until then
+// the connection reads and answers nothing more, so replies keep request
+// order. One that is never sent answers 500 when the last owner lets go.
+class PendingResponse {
+ public:
+  PendingResponse() = default;
+  PendingResponse(const PendingResponse&) = delete;
+  PendingResponse& operator=(const PendingResponse&) = delete;
+  ~PendingResponse();
+
+  void Send(HttpResponse response) EXCLUDES(mutex_);
+
+  // The server's side: `sink` gets the response on the thread that sends
+  // it. If it was sent already, it is returned instead and `sink` is
+  // dropped.
+  std::optional<HttpResponse> OnSend(std::function<void(HttpResponse)> sink)
+      EXCLUDES(mutex_);
+
+ private:
+  common::Mutex mutex_;
+  std::optional<HttpResponse> early_ GUARDED_BY(mutex_);  // sent before OnSend
+  // Set by OnSend until Send takes it.
+  std::function<void(HttpResponse)> sink_ GUARDED_BY(mutex_);
 };
 
 // Canonical reason phrase ("Not Found"); "Unknown" for unlisted codes.

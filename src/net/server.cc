@@ -10,6 +10,7 @@
 
 #include "common/check.h"
 #include "common/mutex.h"
+#include "common/thread_annotations.h"
 
 namespace focus::net {
 namespace {
@@ -25,10 +26,65 @@ constexpr size_t kMaxReplyIov = 16;
 
 }  // namespace
 
+// Completed deferred replies, from any thread to the loop. Open while the
+// loop runs; a reply posted before Open or after Close is dropped, and
+// the wake pipe is written only under the mutex while open, so a late
+// reply never writes to a closed (and maybe reused) descriptor.
+class ReplyMailbox {
+ public:
+  struct Reply {
+    int fd;
+    uint64_t id;
+    std::deque<std::string> buffers;
+    bool close;
+  };
+
+  void Open(int wake_fd) EXCLUDES(mutex_) {
+    common::MutexLock lock(&mutex_);
+    wake_fd_ = wake_fd;
+  }
+
+  void Post(Reply reply) EXCLUDES(mutex_) {
+    common::MutexLock lock(&mutex_);
+    if (wake_fd_ < 0) return;
+    // A non-empty list has a wake byte on its way already: the loop
+    // drains the pipe before it takes the list.
+    const bool wake = replies_.empty();
+    replies_.push_back(std::move(reply));
+    if (wake) {
+      const char byte = 'r';
+      [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &byte, 1);
+    }
+  }
+
+  std::vector<Reply> Take() EXCLUDES(mutex_) {
+    common::MutexLock lock(&mutex_);
+    return std::exchange(replies_, {});
+  }
+
+  void Close() EXCLUDES(mutex_) {
+    std::vector<Reply> dropped;
+    common::MutexLock lock(&mutex_);
+    wake_fd_ = -1;
+    dropped.swap(replies_);
+  }
+
+ private:
+  common::Mutex mutex_;
+  int wake_fd_ GUARDED_BY(mutex_) = -1;
+  std::vector<Reply> replies_ GUARDED_BY(mutex_);
+};
+
+void DeferredReply::Complete(std::deque<std::string> buffers,
+                             bool close) const {
+  mailbox_->Post({fd_, id_, std::move(buffers), close});
+}
+
 Server::Server(const ServerOptions& options, Protocol protocol)
     : options_(options),
       protocol_(std::move(protocol)),
-      poller_(options.force_poll) {}
+      poller_(options.force_poll),
+      mailbox_(std::make_shared<ReplyMailbox>()) {}
 
 Server::~Server() { Stop(); }
 
@@ -56,6 +112,7 @@ bool Server::Start(std::string* error) {
   }
   poller_.Add(listen_fd_.get(), /*want_read=*/true, /*want_write=*/false);
   poller_.Add(wake_read_.get(), /*want_read=*/true, /*want_write=*/false);
+  mailbox_->Open(wake_write_.get());
   started_.store(true);
   loop_ = std::thread([this]() { Loop(); });
   return true;
@@ -106,6 +163,7 @@ void Server::Loop() {
       if (event.fd == wake_read_.get()) {
         char sink[64];
         while (::read(wake_read_.get(), sink, sizeof(sink)) > 0) {}
+        DeliverReplies(now);
         continue;
       }
       if (event.fd == listen_fd_.get()) {
@@ -136,10 +194,10 @@ void Server::Loop() {
         listen_fd_.Reset();
       }
       // Close connections sitting idle between requests; in-flight ones
-      // finish their reply first.
+      // finish their reply first, deferred ones included.
       std::vector<Connection*> idle;
       for (auto& [fd, conn] : connections_) {
-        if (conn->codec->idle() && conn->out.empty()) {
+        if (!conn->awaiting && conn->codec->idle() && conn->out.empty()) {
           // focus-analyze: allow(nondet-iteration) — close order is irrelevant
           idle.push_back(conn.get());
         }
@@ -161,6 +219,8 @@ void Server::Loop() {
     poller_.Remove(listen_fd_.get());
     listen_fd_.Reset();
   }
+  // Replies still on their way find no server.
+  mailbox_->Close();
 }
 
 void Server::AcceptNew(Clock::time_point now) {
@@ -186,6 +246,7 @@ void Server::AcceptNew(Clock::time_point now) {
     const int fd = client.get();
     auto conn = std::make_unique<Connection>();
     conn->fd = std::move(client);
+    conn->id = next_connection_id_++;
     conn->codec = protocol_.new_codec();
     conn->last_activity = now;
     if (!poller_.Add(fd, /*want_read=*/true, /*want_write=*/false)) continue;
@@ -202,8 +263,9 @@ void Server::HandleReadable(Connection* conn, Clock::time_point now) {
     if (n > 0) {
       conn->last_activity = now;
       conn->codec->Feed(std::string_view(buffer, n));
-      // Closed, or replies wait for the socket: read no further.
-      if (!Pump(conn, now) || conn->want_write) return;
+      // Closed, replies wait for the socket, or a deferred reply is due:
+      // read no further.
+      if (!Pump(conn, now) || !conn->want_read) return;
       continue;
     }
     if (n < 0) {
@@ -220,7 +282,8 @@ void Server::HandleReadable(Connection* conn, Clock::time_point now) {
 bool Server::Pump(Connection* conn, Clock::time_point now) {
   bool need_more = false;
   do {
-    while (!conn->close_after_write && conn->out.size() < kMaxReplyIov) {
+    while (!conn->close_after_write && !conn->awaiting &&
+           conn->out.size() < kMaxReplyIov) {
       const Codec::Input input = conn->codec->next();
       if (input == Codec::Input::kNeedMore) {
         need_more = true;
@@ -230,21 +293,54 @@ bool Server::Pump(Connection* conn, Clock::time_point now) {
       // stats (GET /metrics) sees its own request.
       (input == Codec::Input::kRequest ? requests_ : parse_errors_)
           .fetch_add(1, std::memory_order_relaxed);
-      conn->close_after_write = !conn->codec->Answer(
-          draining_.load(std::memory_order_relaxed), &conn->out);
+      switch (conn->codec->Answer(
+          draining_.load(std::memory_order_relaxed),
+          DeferredReply(mailbox_, conn->fd.get(), conn->id), &conn->out)) {
+        case Codec::After::kRead:
+          break;
+        case Codec::After::kClose:
+          conn->close_after_write = true;
+          break;
+        case Codec::After::kAwait:
+          conn->awaiting = true;
+          break;
+      }
     }
     if (!FlushWrites(conn, now)) return false;
     // An empty queue here means close_after_write is unset (FlushWrites
-    // would have closed), so only a codec short of bytes stops the loop.
-  } while (conn->out.empty() && !need_more);
+    // would have closed), so only a codec short of bytes, or a deferred
+    // reply, stops the loop.
+  } while (conn->out.empty() && !need_more && !conn->awaiting);
   // Back-pressure: while replies are queued, wait for the socket to take
-  // them and read nothing; once they are written, read again.
+  // them and read nothing; once they are written, read again, unless a
+  // deferred reply is due (its arrival pumps the connection again).
   const bool want_write = !conn->out.empty();
-  if (want_write != conn->want_write) {
+  const bool want_read = !want_write && !conn->awaiting;
+  if (want_write != conn->want_write || want_read != conn->want_read) {
     conn->want_write = want_write;
-    poller_.Update(conn->fd.get(), /*want_read=*/!want_write, want_write);
+    conn->want_read = want_read;
+    poller_.Update(conn->fd.get(), want_read, want_write);
   }
   return true;
+}
+
+void Server::DeliverReplies(Clock::time_point now) {
+  for (ReplyMailbox::Reply& reply : mailbox_->Take()) {
+    const auto it = connections_.find(reply.fd);
+    // Gone, or the fd now belongs to a newer connection: drop the reply.
+    if (it == connections_.end() || it->second->id != reply.id ||
+        !it->second->awaiting) {
+      continue;
+    }
+    Connection* conn = it->second.get();
+    conn->awaiting = false;
+    conn->last_activity = now;
+    for (std::string& buffer : reply.buffers) {
+      conn->out.push_back(std::move(buffer));
+    }
+    if (reply.close) conn->close_after_write = true;
+    Pump(conn, now);
+  }
 }
 
 bool Server::FlushWrites(Connection* conn, Clock::time_point now) {
@@ -300,8 +396,11 @@ void Server::CloseExpired(Clock::time_point now) {
   const auto deadline = std::chrono::milliseconds(options_.read_deadline_ms);
   std::vector<Connection*> expired;
   for (auto& [fd, conn] : connections_) {
+    // A connection awaiting a deferred reply is not silent: the server
+    // owes it bytes.
+    if (conn->awaiting || now - conn->last_activity <= deadline) continue;
     // focus-analyze: allow(nondet-iteration) — close order is irrelevant
-    if (now - conn->last_activity > deadline) expired.push_back(conn.get());
+    expired.push_back(conn.get());
   }
   for (Connection* conn : expired) {
     // Count after the close, so a reader that sees the count also sees

@@ -11,6 +11,7 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -43,6 +44,29 @@ struct ServerStats {
   int64_t open_connections = 0;
 };
 
+class ReplyMailbox;  // server.cc: completed replies on their way to the loop
+
+// The reply to one request, finished after Codec::Answer returned, on any
+// thread. It names its connection by an id the server never reuses, not by
+// the fd, which the kernel hands to the next connection: a reply whose
+// connection has closed meanwhile, or whose server has stopped, is dropped.
+class DeferredReply {
+ public:
+  // Queues `buffers` (each non-empty) as the awaited reply and wakes the
+  // loop; with `close`, the connection ends once they are written. Call at
+  // most once per awaited reply.
+  void Complete(std::deque<std::string> buffers, bool close) const;
+
+ private:
+  friend class Server;
+  DeferredReply(std::shared_ptr<ReplyMailbox> mailbox, int fd, uint64_t id)
+      : mailbox_(std::move(mailbox)), fd_(fd), id_(id) {}
+
+  std::shared_ptr<ReplyMailbox> mailbox_;
+  int fd_;
+  uint64_t id_;
+};
+
 // One connection's side of a protocol: an incremental decoder plus the
 // handler that answers each decoded request.
 class Codec {
@@ -52,6 +76,13 @@ class Codec {
     kNeedMore,   // no complete request
     kRequest,    // a complete request
     kMalformed,  // input the protocol rejects; the connection ends
+  };
+
+  // What the connection does once Answer returns.
+  enum class After {
+    kRead,   // the reply is in `out`; go on to the next request
+    kClose,  // the reply is in `out`; close once it is written
+    kAwait,  // a copy of `later` completes the reply
   };
 
   Codec() = default;
@@ -65,11 +96,13 @@ class Codec {
 
   virtual Input next() const = 0;
 
-  // Answers next() — a request, or malformed input with an error reply —
-  // appending the reply to `out` as non-empty buffers. False when the
-  // connection closes once the reply is written. `draining` is the
-  // server's drain state.
-  virtual bool Answer(bool draining, std::deque<std::string>* out) = 0;
+  // Answers next() — a request, or malformed input with an error reply.
+  // The reply goes into `out` as non-empty buffers, or, with kAwait,
+  // through `later` from any thread; until it arrives the connection is
+  // neither read nor answered, so replies keep request order. `draining`
+  // is the server's drain state.
+  virtual After Answer(bool draining, const DeferredReply& later,
+                       std::deque<std::string>* out) = 0;
 
   // The drain rule: true when no byte of a next request has arrived, so
   // a draining server may close the connection.
@@ -91,15 +124,19 @@ struct Protocol {
 
 // Single-threaded server: one event-loop thread multiplexes the listener
 // and every connection through a level-triggered Poller (epoll on Linux,
-// poll elsewhere); the protocol's handlers run inline on that thread, so
-// they must either be fast or delegate to their own executor. Accepts,
-// reads and writes are non-blocking. Replies queue per connection as
-// buffers that go out in sendmsg iovec batches, so a burst of pipelined
-// replies costs one syscall and no concatenation.
+// poll elsewhere). The protocol's handlers run inline on that thread, so
+// they must be fast, or defer their reply (Codec::After::kAwait) and
+// finish it on their own executor: the loop picks a completed
+// DeferredReply up through its self-pipe and serves other connections
+// meanwhile. Accepts, reads and writes are non-blocking. Replies queue per
+// connection as buffers that go out in sendmsg iovec batches, so a burst
+// of pipelined replies costs one syscall and no concatenation.
 //
 // Back-pressure: a connection is answered one batch of replies at a time,
-// and not read while replies it has not taken are queued, so a client
-// that pipelines without reading holds a bounded amount of server memory.
+// and not read while replies it has not taken are queued, or while it
+// awaits a deferred reply, so a client that pipelines without reading
+// holds a bounded amount of server memory. A connection awaiting a
+// deferred reply is closed neither by the read deadline nor by the drain.
 //
 // Malformed input is answered with the protocol's error reply and a
 // closed connection — never a crash or a hang.
@@ -136,6 +173,7 @@ class Server {
 
   struct Connection {
     UniqueFd fd;
+    uint64_t id = 0;  // never reused, unlike the fd
     std::unique_ptr<Codec> codec;
     // Replies not yet written. Invariant: buffers are non-empty and the
     // front one is never fully written (FlushWrites pops exhausted
@@ -143,7 +181,10 @@ class Server {
     std::deque<std::string> out;
     size_t out_offset = 0;  // bytes of out.front() already written
     bool close_after_write = false;
-    // Registered interest: write while replies are queued, else read.
+    bool awaiting = false;  // a DeferredReply is due
+    // Registered interest: write while replies are queued, else read
+    // unless a deferred reply is due.
+    bool want_read = true;
     bool want_write = false;
     Clock::time_point last_activity;
   };
@@ -159,6 +200,9 @@ class Server {
   // full. Closes the connection, and returns false, on a write error or
   // once a close_after_write queue is written.
   bool FlushWrites(Connection* conn, Clock::time_point now);
+  // Hands each completed DeferredReply to its connection, if that is
+  // still open, and pumps it.
+  void DeliverReplies(Clock::time_point now);
   void CloseConnection(Connection* conn);
   void CloseExpired(Clock::time_point now);
   void Wake();
@@ -172,6 +216,10 @@ class Server {
 
   Poller poller_;
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
+  uint64_t next_connection_id_ = 1;
+  // Shared with every DeferredReply handed out, which may outlive the
+  // server.
+  const std::shared_ptr<ReplyMailbox> mailbox_;
 
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};

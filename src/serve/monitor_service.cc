@@ -82,6 +82,9 @@ MonitorService::MonitorService(const MonitorServiceOptions& options,
       submitted_counter_(metrics != nullptr
                              ? &metrics->GetCounter("snapshots_submitted")
                              : nullptr),
+      shed_counter_(metrics != nullptr
+                        ? &metrics->GetCounter("snapshots_shed")
+                        : nullptr),
       read_memo_hits_(metrics != nullptr
                           ? &metrics->GetCounter("read_memo_hits")
                           : nullptr),
@@ -170,9 +173,7 @@ IngestResult MonitorService::Ingest(
     }
     if (shutdown_) return {.status = SubmitResult::kShutdown};
     if (!ready) {
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter("snapshots_shed").Increment();
-      }
+      if (shed_counter_ != nullptr) shed_counter_->Increment();
       return {.status = SubmitResult::kOverloaded};
     }
     // Numbering and appending under one lock hold make the stream's

@@ -278,6 +278,7 @@ class MonitorService {
   Gauge* const streams_gauge_;
   Gauge* const queue_depth_gauge_;
   Counter* const submitted_counter_;
+  Counter* const shed_counter_;
   Counter* const read_memo_hits_;
   Counter* const read_memo_misses_;
   // Built in the constructor, before the pool starts, and never mutated

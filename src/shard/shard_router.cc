@@ -1,6 +1,8 @@
 #include "shard/shard_router.h"
 
 #include <algorithm>
+#include <future>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -9,14 +11,11 @@
 namespace focus::shard {
 namespace {
 
-// One request/reply exchange with a shard. False (with `error`) on a
-// transport failure or a reply that is not a well-formed `reply_type`.
+// Unpacks a `reply_type` reply into `reply`. False (with `error`) when the
+// frame is another type or does not decode.
 template <typename Body>
-bool Exchange(ShardChannel* shard, MessageType type,
-              const std::string& payload, MessageType reply_type,
-              Body* reply, std::string* error) {
-  Frame response;
-  if (!shard->Call(type, payload, &response, error)) return false;
+bool DecodeReply(const Frame& response, MessageType reply_type, Body* reply,
+                 std::string* error) {
   if (response.type != reply_type || !reply->Decode(response.payload)) {
     if (error != nullptr) {
       *error = "malformed reply of type " +
@@ -27,24 +26,45 @@ bool Exchange(ShardChannel* shard, MessageType type,
   return true;
 }
 
+// One request/reply exchange with a shard. False (with `error`) on a
+// transport failure or a reply that is not a well-formed `reply_type`.
+template <typename Body>
+bool Exchange(ShardChannel* shard, MessageType type,
+              const std::string& payload, MessageType reply_type,
+              Body* reply, std::string* error) {
+  Frame response;
+  return shard->Call(type, payload, &response, error) &&
+         DecodeReply(response, reply_type, reply, error);
+}
+
+// A worker's kError frame as a failed call: false, with its message.
+bool Unwrap(const Frame& response, std::string* error) {
+  if (response.type != MessageType::kError) return true;
+  ErrorBody body;
+  if (error != nullptr) {
+    *error = body.Decode(response.payload) ? body.message
+                                           : "malformed error frame";
+  }
+  return false;
+}
+
 }  // namespace
 
 bool LocalShardChannel::Call(MessageType type, const std::string& payload,
                              Frame* response, std::string* error) {
-  Frame request;
-  request.type = type;
-  request.request_id = 0;
-  request.payload = payload;
-  *response = worker_->HandleFrame(request);
-  if (response->type == MessageType::kError) {
-    ErrorBody body;
-    if (error != nullptr) {
-      *error = body.Decode(response->payload) ? body.message
-                                              : "malformed error frame";
-    }
-    return false;
-  }
-  return true;
+  *response = worker_->HandleFrame(Frame{type, 0, payload});
+  return Unwrap(*response, error);
+}
+
+void LocalShardChannel::CallAsync(MessageType type, std::string payload,
+                                  Done done) {
+  worker_->HandleFrameAsync(
+      Frame{type, 0, std::move(payload)},
+      [done = std::move(done)](Frame response) {
+        std::string error;
+        const bool ok = Unwrap(response, &error);
+        done(ok, std::move(response), std::move(error));
+      });
 }
 
 ShardRouter::ShardRouter(std::vector<ShardChannel*> shards,
@@ -54,20 +74,39 @@ ShardRouter::ShardRouter(std::vector<ShardChannel*> shards,
   FOCUS_CHECK(!shards_.empty());
 }
 
+void ShardRouter::SubmitAsync(const std::string& stream,
+                              std::string_view source,
+                              std::string_view snapshot_text,
+                              SubmitDone done) {
+  shards_[ring_.ShardFor(stream)]->CallAsync(
+      MessageType::kSubmitSnapshot,
+      SubmitSnapshotBody::Encode(stream, source, snapshot_text),
+      [done = std::move(done)](bool ok, Frame response, std::string error) {
+        SubmitResultBody result;
+        ok = ok && DecodeReply(response, MessageType::kSubmitResult, &result,
+                               &error);
+        done(ok ? Status::kOk : Status::kShardDown, result, error);
+      });
+}
+
 ShardRouter::Status ShardRouter::Submit(const std::string& stream,
-                                        const std::string& source,
-                                        const std::string& snapshot_text,
+                                        std::string_view source,
+                                        std::string_view snapshot_text,
                                         SubmitResultBody* result,
                                         std::string* error) {
-  SubmitSnapshotBody body;
-  body.stream = stream;
-  body.source = source;
-  body.snapshot = snapshot_text;
-  return Exchange(shards_[ring_.ShardFor(stream)],
-                  MessageType::kSubmitSnapshot, body.Encode(),
-                  MessageType::kSubmitResult, result, error)
-             ? Status::kOk
-             : Status::kShardDown;
+  // Shared with the callback, so the promise outlives a set_value that is
+  // still returning on the channel's thread when this one wakes.
+  auto outcome = std::make_shared<std::promise<Status>>();
+  std::future<Status> ready = outcome->get_future();
+  SubmitAsync(stream, source, snapshot_text,
+              [outcome, result, error](Status status,
+                                       const SubmitResultBody& reply,
+                                       const std::string& reply_error) {
+                *result = reply;
+                if (error != nullptr) *error = reply_error;
+                outcome->set_value(status);
+              });
+  return ready.get();
 }
 
 ShardRouter::Status ShardRouter::QueryDeviation(const std::string& stream,

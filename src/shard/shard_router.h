@@ -2,7 +2,9 @@
 #define FOCUS_SHARD_SHARD_ROUTER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/api_util.h"
@@ -15,13 +17,16 @@ namespace focus::shard {
 
 // In-process ShardChannel: dispatches directly into a ShardWorker (the
 // encode/decode still happens in the worker's body codecs, so the same
-// bytes-level contract is exercised).
+// bytes-level contract is exercised). CallAsync hands the frame to
+// ShardWorker::HandleFrameAsync, which admits a snapshot on the worker's
+// ingest threads, so the calling reactor never waits for one.
 class LocalShardChannel : public ShardChannel {
  public:
   explicit LocalShardChannel(ShardWorker* worker) : worker_(worker) {}
 
   bool Call(MessageType type, const std::string& payload, Frame* response,
             std::string* error) override;
+  void CallAsync(MessageType type, std::string payload, Done done) override;
 
  private:
   ShardWorker* const worker_;
@@ -55,10 +60,21 @@ class ShardRouter {
     return ring_.ShardFor(stream);
   }
 
-  // Ingest: routes to the owning shard. kOk means the shard answered
-  // (result.status carries the HTTP-style verdict, 202/400/429/503).
-  Status Submit(const std::string& stream, const std::string& source,
-                const std::string& snapshot_text, SubmitResultBody* result,
+  // Ingest: routes to the owning shard. Encodes the payload from
+  // `snapshot_text` before it returns, then `done` gets the outcome on
+  // whichever thread the shard's channel finishes on (the in-process
+  // worker's ingest threads at --shards 0; this one, blocking, through a
+  // ShardClient). kOk means the shard answered (result.status carries the
+  // HTTP-style verdict, 202/400/429/503).
+  using SubmitDone = std::function<void(
+      Status status, const SubmitResultBody& result, const std::string& error)>;
+  void SubmitAsync(const std::string& stream, std::string_view source,
+                   std::string_view snapshot_text, SubmitDone done);
+
+  // SubmitAsync, waiting for its outcome. Never call it from a thread the
+  // channel may finish on (a worker's ingest thread).
+  Status Submit(const std::string& stream, std::string_view source,
+                std::string_view snapshot_text, SubmitResultBody* result,
                 std::string* error);
 
   // Per-stream deviation from the owning shard.

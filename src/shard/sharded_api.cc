@@ -1,5 +1,6 @@
 #include "shard/sharded_api.h"
 
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -28,6 +29,45 @@ net::HttpResponse UnknownFunctionResponse() {
       400, "unknown deviation function; use f=abs|scaled and g=sum|max");
 }
 
+// 503 + Retry-After for a shard transport failure, counted in `metrics`
+// (may be null).
+net::HttpResponse ShardDownResponse(serve::MetricsRegistry* metrics,
+                                    const std::string& error) {
+  if (metrics != nullptr) {
+    metrics->GetCounter("shard_transport_errors").Increment();
+  }
+  return RetryAfter(net::ErrorResponse(503, "shard unavailable: " + error));
+}
+
+// The reply to an ingest of `name` that the owning shard answered with
+// `status`, `result` and `error`.
+net::HttpResponse IngestResponse(const std::string& name,
+                                 ShardRouter::Status status,
+                                 const SubmitResultBody& result,
+                                 const std::string& error,
+                                 serve::MetricsRegistry* metrics) {
+  if (status == ShardRouter::Status::kShardDown) {
+    return ShardDownResponse(metrics, error);
+  }
+  switch (result.status) {
+    case 202:
+      break;
+    case 429:
+      return RetryAfter(net::ErrorResponse(429, result.error));
+    case 503:
+      return RetryAfter(net::ErrorResponse(503, result.error));
+    default:
+      return net::ErrorResponse(result.status, result.error);
+  }
+  net::HttpResponse response;
+  response.status = 202;
+  response.body = "{\"stream\":\"" + JsonEscape(name) + "\"";
+  response.body += ",\"sequence\":" + std::to_string(result.sequence);
+  response.body +=
+      ",\"content_hash\":\"" + HashHex(result.content_hash) + "\"}\n";
+  return response;
+}
+
 }  // namespace
 
 ShardedApi::ShardedApi(const ShardedApiOptions& options, ShardRouter* router,
@@ -40,14 +80,6 @@ void ShardedApi::CountShardOp(int shard, const char* op) {
       ->GetCounter(std::string(op) + "{shard=\"" + std::to_string(shard) +
                    "\"}")
       .Increment();
-}
-
-net::HttpResponse ShardedApi::ShardDownResponse(const std::string& error) {
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("shard_transport_errors").Increment();
-  }
-  return RetryAfter(
-      net::ErrorResponse(503, "shard unavailable: " + error));
 }
 
 net::Router ShardedApi::BuildRouter() {
@@ -94,33 +126,20 @@ net::HttpResponse ShardedApi::HandleIngest(const net::HttpRequest& request,
     return net::ErrorResponse(400, "empty snapshot body");
   }
   // The body forwards verbatim: parsing, hashing, and sequencing all
-  // happen on the owning shard (the single owner of the stream).
+  // happen on the owning shard (the single owner of the stream), and the
+  // reply goes out when the shard answers, on whichever thread that is.
+  // The loop serves other connections meanwhile.
   const int shard = router_->ShardFor(name);
   CountShardOp(shard, "shard_ingests");
-  SubmitResultBody result;
-  std::string error;
-  const ShardRouter::Status status =
-      router_->Submit(name, "http", request.body, &result, &error);
-  if (status == ShardRouter::Status::kShardDown) {
-    return ShardDownResponse(error);
-  }
-  switch (result.status) {
-    case 202:
-      break;
-    case 429:
-      return RetryAfter(net::ErrorResponse(429, result.error));
-    case 503:
-      return RetryAfter(net::ErrorResponse(503, result.error));
-    default:
-      return net::ErrorResponse(result.status, result.error);
-  }
-  net::HttpResponse response;
-  response.status = 202;
-  response.body = "{\"stream\":\"" + JsonEscape(name) + "\"";
-  response.body += ",\"sequence\":" + std::to_string(result.sequence);
-  response.body +=
-      ",\"content_hash\":\"" + HashHex(result.content_hash) + "\"}\n";
-  return response;
+  auto pending = std::make_shared<net::PendingResponse>();
+  router_->SubmitAsync(
+      name, "http", request.body,
+      [pending, name, metrics = metrics_](ShardRouter::Status status,
+                                          const SubmitResultBody& result,
+                                          const std::string& error) {
+        pending->Send(IngestResponse(name, status, result, error, metrics));
+      });
+  return net::HttpResponse::Later(std::move(pending));
 }
 
 net::HttpResponse ShardedApi::HandleDeviation(const net::HttpRequest& request,
@@ -134,7 +153,7 @@ net::HttpResponse ShardedApi::HandleDeviation(const net::HttpRequest& request,
   std::string error;
   switch (router_->QueryDeviation(name, *fg, &result, &error)) {
     case ShardRouter::Status::kShardDown:
-      return ShardDownResponse(error);
+      return ShardDownResponse(metrics_, error);
     case ShardRouter::Status::kNotFound:
       return net::ErrorResponse(404, "unknown stream");
     case ShardRouter::Status::kOk:
@@ -181,7 +200,7 @@ net::HttpResponse ShardedApi::HandleCompare(const net::HttpRequest& request) {
   switch (router_->Compare(left_hash, right_hash, *fg, &deviation, &missing,
                            &error)) {
     case ShardRouter::Status::kShardDown:
-      return ShardDownResponse(error);
+      return ShardDownResponse(metrics_, error);
     case ShardRouter::Status::kNotFound: {
       std::string rendered;
       for (uint64_t hash : missing) {
@@ -214,7 +233,7 @@ net::HttpResponse ShardedApi::HandleSummary(const net::HttpRequest& request) {
   std::string error;
   if (router_->Summary(*fg, &entries, &result, &error) ==
       ShardRouter::Status::kShardDown) {
-    return ShardDownResponse(error);
+    return ShardDownResponse(metrics_, error);
   }
   net::HttpResponse response;
   response.body = serve::SummaryJson(*fg, entries, result);
@@ -256,6 +275,21 @@ net::HttpResponse ShardedApi::HandleHealth() {
   response.body = draining_.load() ? "{\"status\":\"draining\"}\n"
                                    : "{\"status\":\"ok\"}\n";
   return response;
+}
+
+bool StartReactor(int index, std::vector<ShardChannel*> channels,
+                  serve::MetricsRegistry* metrics,
+                  const net::HttpServerOptions& options, Reactor* reactor,
+                  std::string* error) {
+  reactor->router = std::make_unique<ShardRouter>(std::move(channels));
+  ShardedApiOptions api_options;
+  api_options.reactor_index = index;
+  reactor->api = std::make_unique<ShardedApi>(api_options,
+                                              reactor->router.get(), metrics);
+  reactor->server =
+      std::make_unique<net::HttpServer>(options, reactor->api->BuildRouter());
+  reactor->api->AttachServer(reactor->server.get());
+  return reactor->server->Start(error);
 }
 
 }  // namespace focus::shard

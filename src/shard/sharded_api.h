@@ -2,7 +2,9 @@
 #define FOCUS_SHARD_SHARDED_API_H_
 
 #include <atomic>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "net/http_server.h"
 #include "net/router.h"
@@ -37,9 +39,14 @@ struct ShardedApiOptions {
 //
 // The front end never parses snapshot bodies — an ingest forwards the raw
 // bytes to the owning shard, which parses, hashes, and sequences them.
-// Handlers run on the reactor's event loop; the heavy work (mining,
-// screening) stays on the workers' MonitorService pools. A shard
-// transport failure answers 503 with Retry-After.
+// Handlers run on the reactor's event loop. The ingest handler defers its
+// reply (net::HttpResponse::Later): at --shards 0 the in-process worker
+// parses, hashes and admits the snapshot on its ingest threads, waiting
+// out --ingest-wait-ms there, and the 202 goes out once the snapshot is
+// numbered, while the loop serves other connections. Through a
+// ShardClient (--shards N) the call still blocks the loop. Mining and
+// screening run on the workers' MonitorService pools. A shard transport
+// failure answers 503 with Retry-After.
 class ShardedApi {
  public:
   // `router` and `metrics` must outlive the api; `metrics` may be null.
@@ -64,7 +71,6 @@ class ShardedApi {
   net::HttpResponse HandleMetrics(const net::HttpRequest& request);
   net::HttpResponse HandleHealth();
 
-  net::HttpResponse ShardDownResponse(const std::string& error);
   void CountShardOp(int shard, const char* op);
 
   const ShardedApiOptions options_;
@@ -73,6 +79,25 @@ class ShardedApi {
   const net::HttpServer* server_ = nullptr;
   std::atomic<bool> draining_{false};
 };
+
+// One front-end event loop of focus_served: a ShardRouter over the
+// shards' channels, the ShardedApi on it, and the HttpServer serving that
+// api. Every reactor owns its router and api, so shard calls never
+// serialize across reactors.
+struct Reactor {
+  std::unique_ptr<ShardRouter> router;
+  std::unique_ptr<ShardedApi> api;
+  std::unique_ptr<net::HttpServer> server;
+};
+
+// Builds reactor `index` over `channels` (one per shard, in shard order;
+// they and `metrics` must outlive it) and starts its loop with `options`.
+// False, with `*error`, when the server cannot start. focus_served and
+// bench/net_throughput build their front ends through this.
+bool StartReactor(int index, std::vector<ShardChannel*> channels,
+                  serve::MetricsRegistry* metrics,
+                  const net::HttpServerOptions& options, Reactor* reactor,
+                  std::string* error);
 
 }  // namespace focus::shard
 

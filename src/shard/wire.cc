@@ -239,11 +239,18 @@ bool PayloadReader::GetDouble(double* value) {
 }
 
 bool PayloadReader::GetString(std::string* text) {
+  std::string_view view;
+  if (!GetStringView(&view)) return false;
+  text->assign(view);
+  return true;
+}
+
+bool PayloadReader::GetStringView(std::string_view* text) {
   uint32_t length;
   if (!GetU32(&length)) return false;
   const char* at;
   if (!Take(length, &at)) return false;
-  text->assign(at, length);
+  *text = std::string_view(at, length);
   return true;
 }
 
@@ -316,7 +323,9 @@ bool PongBody::Decode(std::string_view payload) {
          in.GetU8(&draining) && in.AtEnd();
 }
 
-std::string SubmitSnapshotBody::Encode() const {
+std::string SubmitSnapshotBody::Encode(std::string_view stream,
+                                       std::string_view source,
+                                       std::string_view snapshot) {
   PayloadWriter out;
   out.PutString(stream);
   out.PutString(source);
@@ -325,9 +334,17 @@ std::string SubmitSnapshotBody::Encode() const {
 }
 
 bool SubmitSnapshotBody::Decode(std::string_view payload) {
+  std::string_view text;
+  if (!Decode(payload, &text)) return false;
+  snapshot.assign(text);
+  return true;
+}
+
+bool SubmitSnapshotBody::Decode(std::string_view payload,
+                                std::string_view* snapshot_text) {
   PayloadReader in(payload);
   return in.GetString(&stream) && in.GetString(&source) &&
-         in.GetString(&snapshot) && in.AtEnd();
+         in.GetStringView(snapshot_text) && in.AtEnd();
 }
 
 std::string SubmitResultBody::Encode() const {

@@ -140,6 +140,8 @@ class PayloadReader {
   bool GetI64(int64_t* value);
   bool GetDouble(double* value);
   bool GetString(std::string* text);
+  // The string's bytes inside the payload, not a copy.
+  bool GetStringView(std::string_view* text);
   bool GetItemset(lits::Itemset* itemset);
   bool GetRegions(std::vector<lits::Itemset>* regions);
   bool GetFg(serve::FgChoice* fg);  // fails on a code FgChoice does not name
@@ -175,8 +177,17 @@ struct SubmitSnapshotBody {
   std::string source;
   std::string snapshot;  // focus-txns-v1 text, parsed shard-side
 
-  std::string Encode() const;
+  std::string Encode() const { return Encode(stream, source, snapshot); }
   bool Decode(std::string_view payload);
+
+  // The payload of these three fields, built straight from the caller's
+  // bytes (the front end encodes an HTTP body without copying it first).
+  static std::string Encode(std::string_view stream, std::string_view source,
+                            std::string_view snapshot);
+  // Decodes stream and source and views the snapshot, the payload's last
+  // field, in place: `*snapshot_text` points into `payload`, which the
+  // worker parses without copying.
+  bool Decode(std::string_view payload, std::string_view* snapshot_text);
 };
 
 struct SubmitResultBody {

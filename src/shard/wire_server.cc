@@ -28,14 +28,15 @@ class WireCodec : public net::Codec {
     return Input::kMalformed;
   }
 
-  bool Answer(bool /*draining*/, std::deque<std::string>* out) override {
+  After Answer(bool /*draining*/, const net::DeferredReply& /*later*/,
+               std::deque<std::string>* out) override {
     if (status_ == WireDecoder::Status::kError) {
       out->push_back(EncodeFrame(ErrorFrame(0, decoder_.error())));
-      return false;
+      return After::kClose;
     }
     out->push_back(EncodeFrame((*handler_)(decoder_.frame())));
     status_ = decoder_.Reset();
-    return true;
+    return After::kRead;
   }
 
   bool idle() const override { return decoder_.idle(); }

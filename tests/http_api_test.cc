@@ -430,6 +430,42 @@ TEST(HttpApiTest, BackpressureAnswers429WithRetryAfter) {
             overloaded.load());
 }
 
+// The --ingest-wait-ms wait holds one of the worker's ingest threads,
+// never a thread of the service's drain pool. With one drain thread and
+// one in-flight slot, concurrent posts take turns at the slot and all get
+// 202; a wait on the drain pool would hold the only thread that can run
+// the drain job freeing the slot, until the wait ran out (429).
+TEST(HttpApiTest, IngestWaitNeverHoldsTheDrainThread) {
+  MonitorServiceOptions service_options;
+  service_options.num_threads = 1;
+  service_options.queue_capacity = 1;
+  ApiStack stack(service_options, /*ingest_wait_ms=*/10'000);
+
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3;
+  std::atomic<int> accepted{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      auto client = stack.Client(/*timeout_ms=*/60'000);
+      for (int i = 0; i < kPerThread; ++i) {
+        const std::string body =
+            Serialize(QuestDb(700 + t * kPerThread + i, 200));
+        const auto response =
+            client.Post("/v1/streams/turns/snapshots", body, "text/plain");
+        ASSERT_TRUE(response.has_value());
+        EXPECT_EQ(response->status, 202) << response->body;
+        if (response->status == 202) accepted.fetch_add(1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(accepted.load(), kThreads * kPerThread);
+  stack.service_.Flush();
+  EXPECT_EQ(stack.service_.processed(), kThreads * kPerThread);
+}
+
 TEST(HttpApiTest, DrainRefusesNewConnectionsAndFinishesWork) {
   ApiStack stack;
   auto client = stack.Client();

@@ -1,17 +1,25 @@
 // Tests for the src/net/ layer in isolation: the incremental HTTP/1.1
 // parser (framing, limits, malformed input), request/response types, the
 // router, the poller (both engines), and the event-loop server driven over
-// real loopback sockets by the blocking test client.
+// real loopback sockets by the blocking test client, deferred replies
+// included.
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
+#include <deque>
+#include <memory>
 #include <string>
 #include <thread>
-#include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "back_pressure.h"
+#include "common/mutex.h"
 #include "net/http_client.h"
 #include "net/http_parser.h"
 #include "net/http_server.h"
@@ -670,6 +678,185 @@ TEST(HttpServerTest, ConcurrentClientsAllServed) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(ok.load(), kThreads * kRequestsPerThread);
   EXPECT_EQ(server.stats().requests_handled, kThreads * kRequestsPerThread);
+}
+
+// ------------------------------------------------------- deferred replies
+
+// A router whose GET /later?tag=T parks its reply for the test to send
+// from any thread; GET /ping answers at once.
+class ParkedReplies {
+ public:
+  struct Parked {
+    std::string tag;
+    std::shared_ptr<PendingResponse> pending;
+  };
+
+  Router MakeRouter() {
+    Router router = EchoRouter();
+    router.Handle("GET", "/later",
+                  [this](const HttpRequest& request, const PathParams&) {
+                    auto pending = std::make_shared<PendingResponse>();
+                    common::MutexLock lock(&mutex_);
+                    parked_.push_back({request.query.at("tag"), pending});
+                    cv_.NotifyAll();
+                    return HttpResponse::Later(std::move(pending));
+                  });
+    return router;
+  }
+
+  // Waits until `count` replies are parked, then takes them all.
+  std::vector<Parked> Take(size_t count) {
+    common::MutexLock lock(&mutex_);
+    EXPECT_TRUE(cv_.WaitFor(mutex_, std::chrono::seconds(10),
+                            [&]() REQUIRES(mutex_) {
+                              return parked_.size() >= count;
+                            }));
+    std::vector<Parked> taken(parked_.begin(), parked_.end());
+    parked_.clear();
+    return taken;
+  }
+
+  static void Send(const Parked& parked, std::string body) {
+    HttpResponse response;
+    response.body = std::move(body);
+    parked.pending->Send(std::move(response));
+  }
+
+ private:
+  common::Mutex mutex_;
+  common::CondVar cv_;
+  std::deque<Parked> parked_ GUARDED_BY(mutex_);
+};
+
+TEST(DeferredReplyTest, PipelinedRequestWaitsForTheDeferredOneAhead) {
+  ParkedReplies parked;
+  HttpServer server(HttpServerOptions{}, parked.MakeRouter());
+  ASSERT_TRUE(server.Start());
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(client.SendRaw("GET /later?tag=first HTTP/1.1\r\nHost: x\r\n\r\n"
+                             "GET /ping HTTP/1.1\r\nHost: x\r\n\r\n"));
+  const std::vector<ParkedReplies::Parked> first = parked.Take(1);
+  // The ping behind it is neither answered nor even dispatched.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(server.stats().requests_handled, 1);
+
+  ParkedReplies::Send(first[0], "first");
+  const auto later = client.ReadResponse();
+  ASSERT_TRUE(later.has_value());
+  EXPECT_EQ(later->body, "first");
+  const auto ping = client.ReadResponse();
+  ASSERT_TRUE(ping.has_value());
+  EXPECT_EQ(ping->body, "pong");
+  EXPECT_EQ(server.stats().requests_handled, 2);
+}
+
+TEST(DeferredReplyTest, ReplyForAClosedConnectionNeverReachesANewOne) {
+  ParkedReplies parked;
+  HttpServer server(HttpServerOptions{}, parked.MakeRouter());
+  ASSERT_TRUE(server.Start());
+  std::vector<ParkedReplies::Parked> stale;
+  {
+    std::string error;
+    UniqueFd fd = ConnectTcp("127.0.0.1", server.port(), &error);
+    ASSERT_TRUE(fd.valid()) << error;
+    const std::string request = "GET /later?tag=stale HTTP/1.1\r\n\r\n";
+    ASSERT_EQ(::send(fd.get(), request.data(), request.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()));
+    stale = parked.Take(1);
+    // Reset, not FIN: the server sees the error on a connection it does
+    // not read, and closes it.
+    const linger reset{1, 0};
+    ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_LINGER, &reset,
+                           sizeof(reset)),
+              0);
+  }
+  for (int i = 0; i < 200 && server.stats().open_connections > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(server.stats().open_connections, 0);
+
+  // New connections, each awaiting its own reply. Each is accepted before
+  // the next opens, so the kernel hands the closed connection's fd to the
+  // first: the lowest free fd goes to its client socket, which was opened
+  // before the closed one's server side, and the next to the accept.
+  constexpr int kConnections = 4;
+  std::vector<HttpClient> clients(kConnections);
+  std::vector<ParkedReplies::Parked> fresh;
+  for (int c = 0; c < kConnections; ++c) {
+    ASSERT_TRUE(clients[c].Connect("127.0.0.1", server.port()));
+    ASSERT_TRUE(clients[c].SendRaw("GET /later?tag=" + std::to_string(c) +
+                                   " HTTP/1.1\r\n\r\n"));
+    fresh.push_back(parked.Take(1)[0]);
+  }
+  ParkedReplies::Send(stale[0], "stale");
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (const ParkedReplies::Parked& reply : fresh) {
+    ParkedReplies::Send(reply, reply.tag);
+  }
+  for (int c = 0; c < kConnections; ++c) {
+    const auto response = clients[c].ReadResponse();
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->body, std::to_string(c));
+    const auto ping = clients[c].Get("/ping");
+    ASSERT_TRUE(ping.has_value());
+    EXPECT_EQ(ping->body, "pong");
+  }
+}
+
+TEST(DeferredReplyTest, AwaitingConnectionOutlivesDeadlineAndHoldsTheDrain) {
+  ParkedReplies parked;
+  HttpServerOptions options;
+  options.read_deadline_ms = 100;
+  HttpServer server(options, parked.MakeRouter());
+  ASSERT_TRUE(server.Start());
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(client.SendRaw("GET /later?tag=slow HTTP/1.1\r\n\r\n"));
+  const std::vector<ParkedReplies::Parked> slow = parked.Take(1);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  EXPECT_EQ(server.stats().deadline_closes, 0);
+  EXPECT_EQ(server.stats().open_connections, 1);
+  server.BeginDrain();
+  EXPECT_FALSE(server.WaitDrained(200));
+
+  ParkedReplies::Send(slow[0], "done");
+  const auto response = client.ReadResponse();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->body, "done");
+  EXPECT_TRUE(server.WaitDrained(2000));
+  server.Stop();
+}
+
+TEST(DeferredReplyTest, RepliesSentFromFourThreadsReachTheirConnections) {
+  ParkedReplies parked;
+  HttpServer server(HttpServerOptions{}, parked.MakeRouter());
+  ASSERT_TRUE(server.Start());
+  constexpr int kConnections = 32;
+  constexpr int kSenders = 4;
+  std::vector<HttpClient> clients(kConnections);
+  for (int c = 0; c < kConnections; ++c) {
+    ASSERT_TRUE(clients[c].Connect("127.0.0.1", server.port()));
+    ASSERT_TRUE(clients[c].SendRaw("GET /later?tag=conn-" + std::to_string(c) +
+                                   " HTTP/1.1\r\n\r\n"));
+  }
+  const std::vector<ParkedReplies::Parked> replies = parked.Take(kConnections);
+  std::vector<std::thread> senders;
+  for (int t = 0; t < kSenders; ++t) {
+    senders.emplace_back([&replies, t]() {
+      for (size_t i = t; i < replies.size(); i += kSenders) {
+        ParkedReplies::Send(replies[i], replies[i].tag);
+      }
+    });
+  }
+  for (std::thread& sender : senders) sender.join();
+  for (int c = 0; c < kConnections; ++c) {
+    const auto response = clients[c].ReadResponse();
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->body, "conn-" + std::to_string(c));
+  }
+  EXPECT_EQ(server.stats().requests_handled, kConnections);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <filesystem>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -168,6 +169,57 @@ TEST_F(ServedHttpTest, ReactorsShareOneWorkerWithDenseSequences) {
                      " snapshots processed"),
             std::string::npos)
       << log;
+}
+
+// While a POST waits out --ingest-wait-ms for the one in-flight slot, the
+// reactor that took it keeps serving: /healthz on another connection
+// answers at once, and the held POST still gets its 429 only after the
+// wait. A drifted 2000-row snapshot keeps the slot busy: its stage 2 runs
+// 10000 bootstrap replicates on the one pool thread, for seconds.
+TEST_F(ServedHttpTest, HealthzAnswersWhileAnIngestIsHeld) {
+  Spawn({"--reference", reference_path_, "--port", "0", "--port-file",
+         port_file_, "--calibration", "1", "--replicates", "10000",
+         "--threads", "1", "--queue", "1", "--ingest-wait-ms", "2000"});
+  ASSERT_TRUE(WaitForPort(200));
+  data::TransactionDb drifted(10);
+  for (int t = 0; t < 2000; ++t) {
+    drifted.AddTransaction(t % 2 == 0 ? std::vector<int32_t>{0, 1, 2}
+                                      : std::vector<int32_t>{0, 1});
+  }
+  net::HttpClient busy;
+  ASSERT_TRUE(busy.Connect("127.0.0.1", port_));
+  const auto accepted = busy.Post("/v1/streams/drifted/snapshots",
+                                  Serialize(drifted), "text/plain");
+  ASSERT_TRUE(accepted.has_value());
+  ASSERT_EQ(accepted->status, 202) << accepted->body;
+
+  std::optional<net::HttpClientResponse> held_response;
+  double held_ms = 0.0;
+  std::thread held([&]() {
+    net::HttpClient client(/*timeout_ms=*/30'000);
+    ASSERT_TRUE(client.Connect("127.0.0.1", port_));
+    const auto start = std::chrono::steady_clock::now();
+    held_response = client.Post("/v1/streams/held/snapshots",
+                                Serialize(SmallDb(10, 40, 5)), "text/plain");
+    held_ms = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  net::HttpClient probe;
+  ASSERT_TRUE(probe.Connect("127.0.0.1", port_));
+  const auto start = std::chrono::steady_clock::now();
+  const auto health = probe.Get("/healthz");
+  const double health_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  held.join();
+  ASSERT_TRUE(health.has_value());
+  EXPECT_EQ(health->status, 200);
+  EXPECT_LT(health_ms, 1000.0) << "/healthz waited behind the held ingest";
+  ASSERT_TRUE(held_response.has_value());
+  EXPECT_EQ(held_response->status, 429) << held_response->body;
+  EXPECT_GE(held_ms, 1950.0) << "the 429 came before the wait ran out";
 }
 
 // A --port outside [0, 65535] and a --max-connections below --reactors are

@@ -12,9 +12,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "back_pressure.h"
@@ -677,6 +680,38 @@ TEST(ShardWorkerTest, DrainingWorkerAnswers503) {
   ASSERT_TRUE(result.Decode(response.payload));
   EXPECT_EQ(result.status, 503);
   worker.Stop();
+}
+
+// The in-process front end's path: a submit handed to HandleFrameAsync is
+// admitted on an ingest thread, and one handed over after Stop answers
+// 503 on the caller's thread.
+TEST(ShardWorkerTest, AsyncSubmitIsAdmittedUntilStop) {
+  const data::TransactionDb reference = QuestDb(1);
+  ShardWorker worker(ShardWorkerOptions{}, reference, nullptr);
+  SubmitSnapshotBody submit;
+  submit.stream = "s";
+  submit.snapshot = Serialize(QuestDb(2));
+  const auto submit_async = [&](uint32_t request_id) {
+    auto reply = std::make_shared<std::promise<Frame>>();
+    std::future<Frame> ready = reply->get_future();
+    worker.HandleFrameAsync(
+        Frame{MessageType::kSubmitSnapshot, request_id, submit.Encode()},
+        [reply](Frame response) { reply->set_value(std::move(response)); });
+    return ready.get();
+  };
+
+  Frame response = submit_async(7);
+  EXPECT_EQ(response.request_id, 7u);
+  SubmitResultBody result;
+  ASSERT_TRUE(result.Decode(response.payload));
+  EXPECT_EQ(result.status, 202);
+  EXPECT_EQ(result.sequence, 0);
+
+  worker.Stop();
+  response = submit_async(8);
+  EXPECT_EQ(response.request_id, 8u);
+  ASSERT_TRUE(result.Decode(response.payload));
+  EXPECT_EQ(result.status, 503);
 }
 
 // A block-backed snapshot (focus_served --spool --ooc) is cached with no

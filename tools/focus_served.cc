@@ -58,7 +58,8 @@
 // SO_REUSEPORT event loops, each with its own shard::ShardedApi and
 // ShardRouter, in front of shard workers that each run a full
 // MonitorService. --shards 0 (the default) runs one worker in this
-// process behind a LocalShardChannel; --events PATH appends its
+// process behind a LocalShardChannel, whose ingest threads parse, hash and
+// admit every POST while the reactors keep serving; --events PATH appends its
 // StreamEvent JSONL there and echoes each alert or change point as one
 // stdout line. --shards N (N >= 1) forks N worker processes, each serving
 // the shard wire protocol, over the same net::Server loop as the
@@ -455,14 +456,12 @@ int ForkShards(const common::Flags& flags,
   return 0;
 }
 
-// One SO_REUSEPORT front-end reactor: its own shard clients + router +
-// api + event loop, so nothing serializes across reactors but the kernel
-// accept queue.
+// One SO_REUSEPORT front-end reactor: its own shard clients under its
+// own router, api and event loop, so nothing serializes across reactors
+// but the kernel accept queue.
 struct Reactor {
   std::vector<std::unique_ptr<shard::ShardClient>> clients;
-  std::unique_ptr<shard::ShardRouter> router;
-  std::unique_ptr<shard::ShardedApi> api;
-  std::unique_ptr<net::HttpServer> server;
+  shard::Reactor front;
 };
 
 int Run(const common::Flags& flags) {
@@ -600,12 +599,6 @@ int Run(const common::Flags& flags) {
       reactor.clients.push_back(std::make_unique<shard::ShardClient>(path));
       channels.push_back(reactor.clients.back().get());
     }
-    reactor.router = std::make_unique<shard::ShardRouter>(channels);
-    shard::ShardedApiOptions api_options;
-    api_options.reactor_index = r;
-    reactor.api = std::make_unique<shard::ShardedApi>(
-        api_options, reactor.router.get(), &metrics);
-
     net::HttpServerOptions server_options;
     server_options.bind_address = flags.Get("address", "127.0.0.1");
     // Reactor 0 binds the requested port (possibly ephemeral); the rest
@@ -614,18 +607,16 @@ int Run(const common::Flags& flags) {
     server_options.reuse_port = num_reactors > 1;
     server_options.max_connections = max_connections / num_reactors;
     server_options.read_deadline_ms = read_deadline_ms;
-    reactor.server = std::make_unique<net::HttpServer>(
-        server_options, reactor.api->BuildRouter());
-    reactor.api->AttachServer(reactor.server.get());
     std::string error;
-    if (!reactor.server->Start(&error)) {
+    if (!shard::StartReactor(r, channels, &metrics, server_options,
+                             &reactor.front, &error)) {
       std::fprintf(stderr, "cannot start reactor %d on %s:%d: %s\n", r,
                    server_options.bind_address.c_str(),
                    static_cast<int>(server_options.port), error.c_str());
       forked.Shutdown(SIGTERM);
       return 2;
     }
-    if (r == 0) bound_port = reactor.server->port();
+    if (r == 0) bound_port = reactor.front.server->port();
   }
 
   // Wait until every worker answers a ping (a forked socket appears once
@@ -633,7 +624,7 @@ int Run(const common::Flags& flags) {
   // keep waiting; stop at once on a worker that exited, or on a signal.
   {
     std::string error;
-    while (g_signal == 0 && !reactors[0].router->PingAll(&error)) {
+    while (g_signal == 0 && !reactors[0].front.router->PingAll(&error)) {
       if (!forked.AllRunning(&error)) {
         std::fprintf(stderr, "focus_served: shard workers not up: %s\n",
                      error.c_str());
@@ -713,12 +704,12 @@ int Run(const common::Flags& flags) {
   std::fflush(stdout);
   // Front end first (stop taking requests), then the workers, which
   // finish everything already accepted.
-  for (Reactor& reactor : reactors) reactor.api->SetDraining(true);
-  for (Reactor& reactor : reactors) reactor.server->BeginDrain();
+  for (Reactor& reactor : reactors) reactor.front.api->SetDraining(true);
+  for (Reactor& reactor : reactors) reactor.front.server->BeginDrain();
   for (Reactor& reactor : reactors) {
-    reactor.server->WaitDrained(read_deadline_ms);
+    reactor.front.server->WaitDrained(read_deadline_ms);
   }
-  for (Reactor& reactor : reactors) reactor.server->Stop();
+  for (Reactor& reactor : reactors) reactor.front.server->Stop();
   bool workers_clean = true;
   std::string worker_summary;
   if (local_worker != nullptr) {
@@ -738,7 +729,7 @@ int Run(const common::Flags& flags) {
 
   int64_t requests = 0, connections = 0;
   for (const Reactor& reactor : reactors) {
-    const net::ServerStats stats = reactor.server->stats();
+    const net::ServerStats stats = reactor.front.server->stats();
     requests += stats.requests_handled;
     connections += stats.connections_accepted;
   }
