@@ -53,8 +53,9 @@ class LitsChangeMonitor {
 
   // Inspects one snapshot; does NOT update the reference. A block-backed
   // snapshot streams through every stage (mining, stage-2 counting,
-  // bootstrap resampling) without ever being materialized as one flat
-  // TransactionDb. Reports are bit-identical across backends.
+  // the bootstrap replicates' counting passes) without ever being
+  // materialized as one flat TransactionDb. Reports are bit-identical
+  // across backends.
   MonitorReport Inspect(data::TxnSourceRef snapshot) const;
 
   // Same, with a caller-supplied model of `snapshot` (e.g. from the

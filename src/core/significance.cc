@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
 #include "core/dt_deviation.h"
 #include "core/lits_deviation.h"
 #include "data/sampling.h"
+#include "itemsets/level_miner.h"
 #include "stats/bootstrap.h"
 #include "stats/rng.h"
 
@@ -15,15 +17,54 @@ namespace focus::core {
 
 namespace {
 
-// One replicate's null value: both models re-induced from the resampled
-// pair, then their deviation.
-double ReplicateDeviation(const data::TransactionDb& b1,
-                          const data::TransactionDb& b2,
+// One replicate's null value from counts alone. Pool row r (d1's rows, then
+// d2's) was drawn weights[2r] times into the first resample and
+// weights[2r + 1] times into the second. Both resamples are mined as two
+// columns of one level loop over the drawn rows; every itemset frequent in
+// either comes out with its two counts, in the size-then-lexicographic
+// order LitsGcr sorts into, so folding them as LitsDeviation does gives its
+// value for the two copied resamples, bit for bit.
+double ReplicateDeviation(data::TxnSourceRef d1, data::TxnSourceRef d2,
+                          const std::vector<int64_t>& draw1,
+                          const std::vector<int64_t>& draw2,
                           const lits::AprioriOptions& apriori_options,
                           const DeviationFunction& fn) {
-  const lits::LitsModel bm1 = lits::Apriori(b1, apriori_options);
-  const lits::LitsModel bm2 = lits::Apriori(b2, apriori_options);
-  return LitsDeviation(bm1, b1, bm2, b2, fn);
+  FOCUS_CHECK_EQ(d1.num_items(), d2.num_items());
+  const int64_t n1 = d1.num_transactions();
+  const int64_t pool_rows = n1 + d2.num_transactions();
+  FOCUS_CHECK_LE(pool_rows, kMaxNullPoolTransactions);
+  std::vector<uint32_t> weights(2 * static_cast<size_t>(pool_rows), 0);
+  for (const int64_t t : draw1) ++weights[2 * t];
+  for (const int64_t t : draw2) ++weights[2 * t + 1];
+  const auto rows = [&](auto&& visit) {
+    const auto visit_drawn = [&](int64_t row, std::span<const int32_t> txn) {
+      const uint32_t* row_weights = &weights[2 * row];
+      if ((row_weights[0] | row_weights[1]) != 0) visit(txn, row_weights);
+    };
+    d1.ForEachTransaction(visit_drawn);
+    d2.ForEachTransaction([&](int64_t t, std::span<const int32_t> txn) {
+      visit_drawn(n1 + t, txn);
+    });
+  };
+
+  const int64_t size1 = static_cast<int64_t>(draw1.size());
+  const int64_t size2 = static_cast<int64_t>(draw2.size());
+  const double m1 = static_cast<double>(size1);
+  const double m2 = static_cast<double>(size2);
+  const int32_t num_items = d1.num_items();
+  std::vector<double> supports1;
+  std::vector<double> supports2;
+  lits::MineLevels<uint32_t, 2>(
+      num_items,
+      {lits::AprioriCountThreshold(apriori_options, size1),
+       lits::AprioriCountThreshold(apriori_options, size2)},
+      apriori_options.max_itemset_size,
+      lits::CountItems<uint32_t, 2>(num_items, rows), rows,
+      [&](const auto& /*region*/, const uint32_t* counts) {
+        supports1.push_back(static_cast<double>(counts[0]) / m1);
+        supports2.push_back(static_cast<double>(counts[1]) / m2);
+      });
+  return LitsAggregateRegionDiffs(supports1, m1, supports2, m2, fn);
 }
 
 }  // namespace
@@ -68,11 +109,8 @@ std::vector<double> LitsNullDeviations(
   std::vector<std::vector<int64_t>> draws(2 * static_cast<size_t>(batch));
   const auto run = [&](int first, int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
-      const data::TransactionDb b1 =
-          data::TakeTransactionsPooled(d1, d2, draws[2 * i]);
-      const data::TransactionDb b2 =
-          data::TakeTransactionsPooled(d1, d2, draws[2 * i + 1]);
-      null_values[first + i] = ReplicateDeviation(b1, b2, apriori_options, fn);
+      null_values[first + i] = ReplicateDeviation(
+          d1, d2, draws[2 * i], draws[2 * i + 1], apriori_options, fn);
     }
   };
   for (int first = 0; first < replicates; first += batch) {

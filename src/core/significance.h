@@ -2,6 +2,7 @@
 #define FOCUS_CORE_SIGNIFICANCE_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -42,31 +43,43 @@ struct SignificanceResult {
 
 // lits-models: models are mined from each (re)sampled database with
 // `apriori_options`. The observed deviation streams block-backed operands
-// block by block, and each bootstrap replicate resamples from the LOGICAL
-// pool d1 ++ d2 (data::TakeTransactionsPooled) instead of materializing an
-// appended copy — the pooled null never holds more than one replicate in
-// memory beyond the operands themselves. The RNG draws and every replicate
-// database are the same for either backend, so the result is
-// bit-identical across backends.
+// block by block, and the null distribution is LitsNullDeviations', which
+// never copies a resample. The RNG draws and every count are the same for
+// either backend, so the result is bit-identical across backends.
 SignificanceResult LitsDeviationSignificance(
     data::TxnSourceRef d1, data::TxnSourceRef d2,
     const lits::AprioriOptions& apriori_options, const DeviationFunction& fn,
     const SignificanceOptions& options);
 
+// LitsNullDeviations counts each resample in 32-bit cells, so the pool
+// d1 ++ d2 may hold at most this many transactions (checked).
+// serve::MonitorService::Ingest refuses a snapshot that would exceed it.
+inline constexpr int64_t kMaxNullPoolTransactions =
+    std::numeric_limits<uint32_t>::max();
+
 // The pooled null distribution alone: one deviation per bootstrap
 // replicate, in replicate order, for callers that already hold the
-// observed deviation (LitsChangeMonitor computes it through its indexes).
-// LitsDeviationSignificance(d1, d2, …).significance_percent equals
-// stats::SignificancePercent(observed, LitsNullDeviations(d1, d2, …)).
+// observed deviation (LitsChangeMonitor computes it by scanning both
+// operands). LitsDeviationSignificance(d1, d2, …).significance_percent
+// equals stats::SignificancePercent(observed, LitsNullDeviations(d1, d2,
+// …)).
 //
 // Replicate r draws its |d1| then its |d2| pool indices from one rng
 // seeded with options.seed, in replicate order, so the draws do not
-// depend on the pool. With options.pool, the replicates run in batches
-// of at most pool->num_threads() + 1: the batch's indices are drawn
-// first, then its replicates resample, mine and deviate concurrently,
-// each into its own slot, so memory grows with the pool's width and not
-// with num_replicates. The calling thread runs replicates too, so the
-// call may be made from inside a task of the same pool.
+// depend on the pool. A replicate's value is the deviation between the
+// models Apriori mines from its two resamples, each extended to their
+// GCR, bit for bit, but no resample is copied and nothing is counted
+// twice: the draws become per-row multiplicities over the pool, both
+// resamples are mined together (lits::MineLevels, one pass over the drawn
+// rows per level), and the deviation is folded from the integer counts
+// those passes leave for every itemset frequent in either resample.
+//
+// With options.pool, the replicates run in batches of at most
+// pool->num_threads() + 1: the batch's indices are drawn first, then its
+// replicates run concurrently, each into its own slot, so memory grows
+// with the pool's width and not with num_replicates. The calling thread
+// runs replicates too, so the call may be made from inside a task of the
+// same pool.
 std::vector<double> LitsNullDeviations(
     data::TxnSourceRef d1, data::TxnSourceRef d2,
     const lits::AprioriOptions& apriori_options, const DeviationFunction& fn,

@@ -38,9 +38,10 @@ TransactionDb TakeTransactions(TxnSourceRef source,
 // Extraction from the LOGICAL concatenation a ++ b without materializing
 // the pool: `indices` range over [0, |a| + |b|), with index i < |a| naming
 // a's transaction i and i >= |a| naming b's transaction i - |a|. Equal to
-// TakeTransactions(pool, indices) for pool = a ++ b — the bootstrap
-// significance path resamples through this so a block-backed operand never
-// has to be appended into an in-memory pool.
+// TakeTransactions(pool, indices) for pool = a ++ b. It copies a bootstrap
+// resample as the paper composes a replicate (resample, mine, deviate):
+// the law that core::LitsNullDeviations, which copies no resample, is
+// held to, and perfbench's replay, build their oracle with it.
 TransactionDb TakeTransactionsPooled(TxnSourceRef a, TxnSourceRef b,
                                      const std::vector<int64_t>& indices);
 

@@ -61,12 +61,19 @@ struct AprioriOptions {
   int64_t min_absolute_count = 2;
 };
 
+// The count an itemset needs to be frequent among `num_transactions`
+// transactions: the min_support cutoff, floored by min_absolute_count.
+// Checks min_support in (0, 1] and num_transactions > 0.
+int64_t AprioriCountThreshold(const AprioriOptions& options,
+                              int64_t num_transactions);
+
 // Classic Apriori (Agrawal & Srikant [5]): level-wise candidate
 // generation with subset pruning, one counting scan per level. Level 2
 // needs no candidates: every pair of frequent items survives the prune
 // step, so the pairs are counted directly in one scan into a triangle of
 // counters, and only the frequent ones become itemsets. Levels 3 and up
-// count their candidates with SupportCounter's bucketed scan.
+// count their candidates with SupportCounter's bucketed scan. The level
+// loop is lits::MineLevels (itemsets/level_miner.h) over one column.
 //
 // `source` is either transaction backend: block-backed sources stream each
 // counting pass block by block in bounded memory (with the usual

@@ -30,29 +30,8 @@ void SupportCounter::CountRange(const data::TransactionDb& db, int64_t begin,
 
   std::vector<uint8_t> present(num_items_, 0);
   for (int64_t t = begin; t < end; ++t) {
-    const auto txn = db.Transaction(t);
-    for (int32_t item : txn) present[item] = 1;
-    int32_t previous_item = -1;
-    for (int32_t item : txn) {
-      // TransactionDb guarantees sorted-unique transactions, but a
-      // repeated item here would probe its bucket twice and double-count
-      // every candidate anchored at it — guard rather than trust callers
-      // that bypass AddTransaction's dedup (none exist today).
-      if (item == previous_item) continue;
-      previous_item = item;
-      for (int32_t candidate_index : buckets_[item]) {
-        const Itemset& candidate = *itemsets_[candidate_index];
-        bool all_present = true;
-        for (int32_t member : candidate.items()) {
-          if (!present[member]) {
-            all_present = false;
-            break;
-          }
-        }
-        if (all_present) ++counts[candidate_index];
-      }
-    }
-    for (int32_t item : txn) present[item] = 0;
+    ForEachContained(db.Transaction(t), present,
+                     [&counts](int32_t i) { ++counts[i]; });
   }
 }
 

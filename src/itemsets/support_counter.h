@@ -57,6 +57,37 @@ class SupportCounter {
                                             common::ThreadPool& pool) const;
   std::vector<double> CountRelative(const data::VerticalIndex& index) const;
 
+  // The bucketed probe of one sorted transaction: calls hit(i) for every
+  // non-empty itemset i of the constructor's list that `txn` contains.
+  // `present` is scratch of num_items zeros, and is left that way. Every
+  // horizontal count in this class, and every level from 3 up of
+  // lits::MineLevels, goes through it.
+  template <typename Hit>
+  void ForEachContained(std::span<const int32_t> txn,
+                        std::vector<uint8_t>& present, Hit&& hit) const {
+    for (int32_t item : txn) present[item] = 1;
+    int32_t previous_item = -1;
+    for (int32_t item : txn) {
+      // TransactionDb guarantees sorted-unique transactions, but a
+      // repeated item here would probe its bucket twice and double-count
+      // every candidate anchored at it — guard rather than trust callers
+      // that bypass AddTransaction's dedup (none exist today).
+      if (item == previous_item) continue;
+      previous_item = item;
+      for (int32_t candidate_index : buckets_[item]) {
+        bool all_present = true;
+        for (int32_t member : itemsets_[candidate_index]->items()) {
+          if (!present[member]) {
+            all_present = false;
+            break;
+          }
+        }
+        if (all_present) hit(candidate_index);
+      }
+    }
+    for (int32_t item : txn) present[item] = 0;
+  }
+
  private:
   // Accumulates counts over transactions [begin, end) into `counts`.
   void CountRange(const data::TransactionDb& db, int64_t begin, int64_t end,

@@ -7,6 +7,7 @@
 #include "common/mutex.h"
 #include "common/timer.h"
 #include "core/lits_deviation.h"
+#include "core/significance.h"
 
 namespace focus::serve {
 
@@ -150,6 +151,19 @@ IngestResult MonitorService::Ingest(
                       std::to_string(source.num_items()) +
                       " items; the reference has " +
                       std::to_string(reference_items)};
+  }
+  const int64_t reference_transactions =
+      monitor_.reference_model().num_transactions();
+  if (source.num_transactions() >
+      core::kMaxNullPoolTransactions - reference_transactions) {
+    return {.status = SubmitResult::kInvalid,
+            .reason = "snapshot has " +
+                      std::to_string(source.num_transactions()) +
+                      " transactions; stage 2 pools at most " +
+                      std::to_string(core::kMaxNullPoolTransactions -
+                                     reference_transactions) +
+                      " beside the reference's " +
+                      std::to_string(reference_transactions)};
   }
   // The one content hash of this snapshot: the 202 reply's and the model
   // cache's key.

@@ -187,13 +187,15 @@ class MonitorService {
   // none is running; so a stream's sequence order is its processing order.
   // kOverloaded (the wait ran out) tells a network front end to answer 429
   // and shed the snapshot onto the client; kShutdown follows Shutdown.
-  // Before any of this, a snapshot with no transactions, or with an item
-  // universe other than the reference's, is refused as kInvalid with a
-  // reason: mining and stage 2 need both. A valid snapshot is then hashed,
-  // once and before the wait: the hash goes back in the result and, with
-  // the snapshot, to the model cache. A snapshot that is not accepted
-  // registers nothing and burns no number, which keeps every stream's
-  // sequences dense.
+  // Before any of this, a snapshot with no transactions, with an item
+  // universe other than the reference's, or with more transactions than
+  // stage 2's pool has room for beside the reference's
+  // (core::kMaxNullPoolTransactions), is refused as kInvalid with a
+  // reason: mining and stage 2 need all three. A valid snapshot is then
+  // hashed, once and before the wait: the hash goes back in the result
+  // and, with the snapshot, to the model cache. A snapshot that is not
+  // accepted registers nothing and burns no number, which keeps every
+  // stream's sequences dense.
   IngestResult Ingest(Snapshot snapshot,
                       std::optional<std::chrono::milliseconds> wait)
       EXCLUDES(state_mutex_);

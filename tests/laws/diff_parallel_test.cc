@@ -4,11 +4,13 @@
 // counts merge in shard order. Checked across generated workloads and
 // pool sizes 1/2/4/8 (the PR-1 guarantee every later perf PR must keep).
 // The same holds for the bootstrap replicates of the significance test,
-// which run one per shard, each into its own slot.
+// which run one per shard, each into its own slot, and each of which must
+// equal the deviation between models mined from copied resamples.
 
 #include <future>
 #include <map>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -23,11 +25,14 @@
 #include "core/significance.h"
 #include "data/block_store.h"
 #include "data/block_txn_db.h"
+#include "data/sampling.h"
 #include "data/txn_source.h"
+#include "itemsets/apriori.h"
 #include "itemsets/support_counter.h"
 #include "proptest/generators.h"
 #include "proptest/proptest.h"
 #include "stats/bootstrap.h"
+#include "stats/rng.h"
 
 namespace focus::core {
 namespace {
@@ -286,6 +291,213 @@ TEST(DiffParallel, LitsNullDeviationsIdenticalAcrossPoolSizes) {
         return PropResult::Ok();
       },
       proptest::Config::FromEnv(6)));
+}
+
+// The oracle of the counting kernel: LitsNullDeviations' replicates, each
+// composed the way the paper states it and perfbench's replay copies it.
+// Draw |d1| then |d2| pool indices, copy both resamples out of d1 ++ d2,
+// mine each with Apriori, and take LitsDeviation over their GCR. Per
+// replicate, `three_itemsets` counts the mined models that hold an itemset
+// of size 3 or more, and `empty` those that hold nothing.
+struct MinedReplicates {
+  std::vector<double> deviations;
+  std::vector<int> three_itemsets;
+  std::vector<int> empty;
+};
+
+MinedReplicates MineReplicates(const data::TransactionDb& d1,
+                               const data::TransactionDb& d2,
+                               const lits::AprioriOptions& apriori,
+                               const DeviationFunction& fn,
+                               const SignificanceOptions& options) {
+  const int64_t n1 = d1.num_transactions();
+  const int64_t n2 = d2.num_transactions();
+  std::mt19937_64 rng = stats::MakeRng(options.seed);
+  MinedReplicates mined;
+  for (int r = 0; r < options.num_replicates; ++r) {
+    const std::vector<int64_t> draw1 =
+        data::SampleIndicesWithReplacement(n1 + n2, n1, rng);
+    const std::vector<int64_t> draw2 =
+        data::SampleIndicesWithReplacement(n1 + n2, n2, rng);
+    const data::TransactionDb b1 = data::TakeTransactionsPooled(d1, d2, draw1);
+    const data::TransactionDb b2 = data::TakeTransactionsPooled(d1, d2, draw2);
+    const lits::LitsModel m1 = lits::Apriori(b1, apriori);
+    const lits::LitsModel m2 = lits::Apriori(b2, apriori);
+    mined.deviations.push_back(LitsDeviation(m1, b1, m2, b2, fn));
+    int three = 0;
+    for (const lits::LitsModel* model : {&m1, &m2}) {
+      for (const auto& [itemset, support] : model->supports()) {
+        if (itemset.size() >= 3) {
+          ++three;
+          break;
+        }
+      }
+    }
+    mined.three_itemsets.push_back(three);
+    mined.empty.push_back((m1.size() == 0) + (m2.size() == 0));
+  }
+  return mined;
+}
+
+// The four served (f, g) pairs, and chi-squared.
+std::vector<std::pair<std::string, DeviationFunction>> OracleFunctions() {
+  return {{"abs/sum", {AbsoluteDiff(), AggregateKind::kSum}},
+          {"abs/max", {AbsoluteDiff(), AggregateKind::kMax}},
+          {"scaled/sum", {ScaledDiff(), AggregateKind::kSum}},
+          {"scaled/max", {ScaledDiff(), AggregateKind::kMax}},
+          {"chi2/sum", {ChiSquaredDiff(), AggregateKind::kSum}}};
+}
+
+// Where `counted` (LitsNullDeviations' vector) first differs from the
+// mined oracle's, or "" when every replicate is equal.
+std::string FirstMismatch(const std::vector<double>& counted,
+                          const MinedReplicates& mined) {
+  if (counted.size() != mined.deviations.size()) return "replicate count";
+  for (size_t r = 0; r < counted.size(); ++r) {
+    if (counted[r] != mined.deviations[r]) {
+      std::ostringstream out;
+      out.precision(17);
+      out << "replicate " << r << ": counted " << counted[r] << ", mined "
+          << mined.deviations[r];
+      return out.str();
+    }
+  }
+  return "";
+}
+
+// Stage 2 from counts: every replicate of LitsNullDeviations equals the
+// deviation between the models Apriori mines from its two copied
+// resamples, for max_itemset_size 0 to 3, the default and a higher
+// min_absolute_count, |d1| != |d2|, every served (f, g) plus chi-squared,
+// and d2 in memory or block-backed behind a cache smaller than itself.
+TEST(DiffParallel, LitsNullDeviationsEqualMinedReplicates) {
+  common::ThreadPool readahead(2);
+  data::BlockStoreOptions store;
+  store.block_size = int64_t{4} << 10;
+  store.cache_budget_bytes = int64_t{8} << 10;
+  store.pool = &readahead;
+  const auto functions = OracleFunctions();
+  int replicates_with_three_itemsets = 0;
+  EXPECT_TRUE(Check<proptest::LitsWorkload>(
+      "diff/lits-null-deviations-mined", proptest::LitsWorkloadDomain(),
+      [&](const proptest::LitsWorkload& workload) {
+        proptest::LitsWorkload other = workload;
+        other.quest.seed += 1;
+        other.quest.num_transactions =
+            workload.quest.num_transactions / 2 + 3;
+        const data::TransactionDb d1 = proptest::MaterializeDb(workload);
+        const data::TransactionDb d2 = proptest::MaterializeDb(other);
+        const auto b2 = OpenBlocks(d2, store);
+        if (b2 == nullptr) return PropResult::Fail("block store did not open");
+        const std::pair<data::TxnSourceRef, const char*> operands[] = {
+            {data::TxnSourceRef(d2), "memory"},
+            {data::TxnSourceRef(*b2), "blocks"}};
+
+        SignificanceOptions options;
+        options.seed = workload.quest.seed;
+        options.num_replicates = 4;
+        for (int max_size = 0; max_size <= 3; ++max_size) {
+          for (size_t f = 0; f < functions.size(); ++f) {
+            const auto& [fn_name, fn] = functions[f];
+            lits::AprioriOptions apriori = workload.apriori;
+            apriori.max_itemset_size = max_size;
+            apriori.min_absolute_count = (max_size + f) % 2 == 0 ? 2 : 5;
+            const MinedReplicates mined =
+                MineReplicates(d1, d2, apriori, fn, options);
+            for (int three : mined.three_itemsets) {
+              replicates_with_three_itemsets += three > 0;
+            }
+            for (const auto& [s2, backend] : operands) {
+              const std::string mismatch = FirstMismatch(
+                  LitsNullDeviations(d1, s2, apriori, fn, options), mined);
+              if (!mismatch.empty()) {
+                return PropResult::Fail(
+                    std::string(backend) + ", " + fn_name +
+                    ", max_itemset_size " + std::to_string(max_size) +
+                    ", min_absolute_count " +
+                    std::to_string(apriori.min_absolute_count) + ": " +
+                    mismatch);
+              }
+            }
+          }
+        }
+        return PropResult::Ok();
+      },
+      proptest::Config::FromEnv(12)));
+  // The generated workloads must reach level 3 somewhere, or the law says
+  // nothing about the bucketed probe.
+  EXPECT_GT(replicates_with_three_itemsets, 0);
+}
+
+// `rows` as a database over `num_items` items.
+data::TransactionDb Db(int32_t num_items,
+                       const std::vector<std::vector<int32_t>>& rows) {
+  data::TransactionDb db(num_items);
+  for (const std::vector<int32_t>& row : rows) db.AddTransaction(row);
+  return db;
+}
+
+// No item reaches its threshold in either resample: every pool row holds
+// an item of its own, which a resample would have to draw for half its
+// rows. Both models are empty, the GCR has no region, and every replicate
+// reads 0.
+TEST(DiffParallel, LitsNullDeviationsEqualMinedReplicatesWhenNothingIsFrequent) {
+  std::vector<std::vector<int32_t>> rows1;
+  std::vector<std::vector<int32_t>> rows2;
+  for (int32_t t = 0; t < 30; ++t) rows1.push_back({t});
+  for (int32_t t = 30; t < 41; ++t) rows2.push_back({t});
+  const data::TransactionDb d1 = Db(41, rows1);
+  const data::TransactionDb d2 = Db(41, rows2);
+  lits::AprioriOptions apriori;
+  apriori.min_support = 0.5;
+  SignificanceOptions options;
+  options.num_replicates = 8;
+  for (const auto& [name, fn] : OracleFunctions()) {
+    const MinedReplicates mined = MineReplicates(d1, d2, apriori, fn, options);
+    const std::vector<double> counted =
+        LitsNullDeviations(d1, d2, apriori, fn, options);
+    ASSERT_EQ(counted.size(), mined.deviations.size());
+    for (int r = 0; r < options.num_replicates; ++r) {
+      EXPECT_EQ(counted[r], mined.deviations[r]) << name << ", replicate " << r;
+      EXPECT_EQ(mined.empty[r], 2) << name << ", replicate " << r;
+      EXPECT_EQ(counted[r], 0.0) << name << ", replicate " << r;
+    }
+  }
+}
+
+// Only one resample of a replicate mines a 3-itemset: {0, 1, 2} sits in 4
+// of the pool's 66 rows, so the 60-row resample usually reaches its
+// threshold of 3 and the 6-row one rarely does. Its count in the other
+// resample must still be the one the GCR extension takes.
+TEST(DiffParallel, LitsNullDeviationsEqualMinedReplicatesWhenOneSideHasThree) {
+  std::vector<std::vector<int32_t>> rows1;
+  std::vector<std::vector<int32_t>> rows2;
+  for (int32_t t = 0; t < 60; ++t) {
+    rows1.push_back({t % 3, 3 + t % 5, t % 2 == 0 ? 0 : 8});
+  }
+  for (int32_t t = 0; t < 6; ++t) {
+    rows2.push_back(t < 4 ? std::vector<int32_t>{0, 1, 2, 7}
+                          : std::vector<int32_t>{1, 2, 9});
+  }
+  const data::TransactionDb d1 = Db(10, rows1);
+  const data::TransactionDb d2 = Db(10, rows2);
+  lits::AprioriOptions apriori;
+  apriori.min_support = 0.05;
+  apriori.min_absolute_count = 3;
+  SignificanceOptions options;
+  options.num_replicates = 24;
+  for (const auto& [name, fn] : OracleFunctions()) {
+    const MinedReplicates mined = MineReplicates(d1, d2, apriori, fn, options);
+    const std::vector<double> counted =
+        LitsNullDeviations(d1, d2, apriori, fn, options);
+    ASSERT_EQ(counted.size(), mined.deviations.size());
+    int one_sided = 0;
+    for (int r = 0; r < options.num_replicates; ++r) {
+      EXPECT_EQ(counted[r], mined.deviations[r]) << name << ", replicate " << r;
+      one_sided += mined.three_itemsets[r] == 1;
+    }
+    EXPECT_GT(one_sided, 0) << name;
+  }
 }
 
 }  // namespace
