@@ -1,9 +1,11 @@
 // GCR-extension support counting: horizontal transaction scan vs the
 // vertical TID-bitmap loop (AND+popcount over a prebuilt
-// data::VerticalIndex), the hot path behind LitsDeviation's extension
-// step. Default is a scaled-down size; FOCUS_FULL=1 runs 1M transactions
-// x 64 itemsets. Emits one JSON line (appended to $FOCUS_BENCH_JSON when
-// set):
+// data::VerticalIndex), the two ways LitsDeviation's extension step can
+// count. The served path scans (one scan per published snapshot or
+// compared pair); the index serves only perfbench's replay and library
+// callers of the LitsDeviation index overloads. Default is a scaled-down
+// size; FOCUS_FULL=1 runs 1M transactions x 64 itemsets. Emits one JSON
+// line (appended to $FOCUS_BENCH_JSON when set):
 //   {"bench":"micro_vertical_count","transactions":N,"itemsets":64,
 //    "horizontal_ms_per_pass":…,"index_build_ms":…,"index_mib":…,
 //    "vertical_ms_per_pass":…,"speedup_vertical":…,

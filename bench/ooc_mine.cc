@@ -1,9 +1,10 @@
 // Out-of-core mining end to end: generate, mine, and compare two
 // 1M-transaction Quest datasets (the paper's 1M.20L.1K family, same
 // generating process, independent samples) WITHOUT ever materializing
-// either database — against the in-memory pipeline doing the same work
-// the way a served snapshot gets it (flat VerticalIndex per dataset,
-// Apriori over the materialized database, index-extended deviation).
+// either database — against an in-memory pipeline doing the same work
+// through a vertical index (flat VerticalIndex per dataset, Apriori over
+// the materialized database, index-extended deviation), as
+// BENCH_ooc.json records it. The served path builds no index.
 //
 // Each phase runs in a forked child so /proc/self/status VmHWM is a
 // per-phase peak (fork resets the high-water mark to the parent's small

@@ -5,15 +5,23 @@
 // segmentation-dependent behavior. Completed frames additionally get their
 // payload run through the matching body codec; a payload that decodes must
 // re-encode to something that decodes to the same bytes (round-trip
-// stability), which exercises every PayloadReader bounds check.
+// stability), which exercises every PayloadReader bounds check. Every
+// request frame but a submit is then answered by one in-process
+// ShardWorker holding one small snapshot, with any content hash its body
+// names pointed at that snapshot, so hostile bodies reach the handlers
+// that extend, compare and aggregate models.
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "data/transaction_db.h"
+#include "io/data_io.h"
+#include "shard/shard_worker.h"
 #include "shard/wire.h"
 
 namespace {
@@ -22,6 +30,107 @@ using focus::shard::Frame;
 using focus::shard::MessageType;
 using focus::shard::WireDecoder;
 using focus::shard::WireLimits;
+
+// A 12-item database of 40 rows: row t holds items t, t + 1 and
+// t + `stride` (mod 12), so items and pairs are frequent, and databases
+// of two strides share some frequent pairs but not all.
+focus::data::TransactionDb SmallDb(int32_t stride) {
+  constexpr int32_t kItems = 12;
+  focus::data::TransactionDb db(kItems);
+  for (int32_t t = 0; t < 40; ++t) {
+    const int32_t row[] = {t % kItems, (t + 1) % kItems,
+                           (t + stride) % kItems};
+    db.AddTransaction(row);
+  }
+  return db;
+}
+
+// The worker every input's requests go to, built on the first input with
+// one pool thread and the cheapest calibration, over SmallDb(3) as its
+// reference and holding SmallDb(5) ingested into stream "s".
+class FuzzWorker {
+ public:
+  FuzzWorker() : worker_(Options(), SmallDb(3), nullptr) {
+    std::ostringstream text;
+    focus::io::SaveTransactionDb(SmallDb(5), text);
+    focus::shard::SubmitSnapshotBody submit;
+    submit.stream = "s";
+    submit.snapshot = text.str();
+    focus::shard::SubmitResultBody result;
+    if (!result.Decode(worker_
+                           .HandleFrame(Frame{MessageType::kSubmitSnapshot, 0,
+                                              submit.Encode()})
+                           .payload) ||
+        result.status != 202) {
+      std::abort();
+    }
+    hash_ = result.content_hash;
+    worker_.service().Flush();
+  }
+
+  // Answers a request frame, with the content hash its body names (when
+  // it decodes) pointed at the snapshot. Submits and reply types are not
+  // requests the worker answers here.
+  void Answer(const Frame& frame) {
+    Frame request = frame;
+    switch (frame.type) {
+      case MessageType::kCompare:
+        request.payload = PointedAt<focus::shard::CompareBody>(
+            frame.payload, [this](focus::shard::CompareBody* body) {
+              body->left_hash = hash_;
+              body->right_hash = hash_;
+            });
+        break;
+      case MessageType::kModelRegions:
+        request.payload = PointedAt<focus::shard::ModelRegionsBody>(
+            frame.payload, [this](focus::shard::ModelRegionsBody* body) {
+              body->content_hash = hash_;
+            });
+        break;
+      case MessageType::kExtendRegions:
+        request.payload = PointedAt<focus::shard::ExtendRegionsBody>(
+            frame.payload, [this](focus::shard::ExtendRegionsBody* body) {
+              body->content_hash = hash_;
+            });
+        break;
+      case MessageType::kPing:
+      case MessageType::kDeviationQuery:
+      case MessageType::kStreamPartials:
+        break;
+      default:
+        return;
+    }
+    const Frame reply = worker_.HandleFrame(request);
+    if (reply.request_id != request.request_id) std::abort();
+  }
+
+ private:
+  static focus::shard::ShardWorkerOptions Options() {
+    focus::shard::ShardWorkerOptions options;
+    options.service.num_threads = 1;
+    options.service.monitor.calibration_replicates = 1;
+    options.service.monitor.significance.num_replicates = 1;
+    return options;
+  }
+
+  // `payload` decoded as a Body, re-pointed by `point` and encoded again;
+  // `payload` itself when it does not decode.
+  template <typename Body, typename Point>
+  static std::string PointedAt(const std::string& payload, Point point) {
+    Body body;
+    if (!body.Decode(payload)) return payload;
+    point(&body);
+    return body.Encode();
+  }
+
+  focus::shard::ShardWorker worker_;
+  uint64_t hash_ = 0;
+};
+
+FuzzWorker& Worker() {
+  static FuzzWorker worker;
+  return worker;
+}
 
 // Decodes the payload as the body type its frame claims, and checks
 // decode -> encode -> decode reaches a fixed point.
@@ -97,6 +206,7 @@ void CheckFrame(const Frame& frame) {
       CheckBodyRoundTrip<ErrorBody>(frame.payload);
       break;
   }
+  Worker().Answer(frame);
 }
 
 struct Outcome {

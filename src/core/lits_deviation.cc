@@ -41,15 +41,6 @@ std::vector<double> ExtendModelWith(const std::vector<lits::Itemset>& regions,
 
 std::vector<double> ExtendModel(const std::vector<lits::Itemset>& regions,
                                 const lits::LitsModel& model,
-                                data::TxnSourceRef source) {
-  return ExtendModelWith(
-      regions, model, [source](const std::vector<lits::Itemset>& missing) {
-        return lits::CountSupports(source, missing);
-      });
-}
-
-std::vector<double> ExtendModel(const std::vector<lits::Itemset>& regions,
-                                const lits::LitsModel& model,
                                 const data::VerticalIndex& index) {
   return ExtendModelWith(
       regions, model, [&index](const std::vector<lits::Itemset>& missing) {
@@ -73,9 +64,11 @@ double AggregateRegionDiffs(const std::vector<double>& s1, double n1,
 
 std::vector<double> LitsExtendModel(const std::vector<lits::Itemset>& regions,
                                     const lits::LitsModel& model,
-                                    const data::VerticalIndex* index) {
-  FOCUS_CHECK(index != nullptr) << "measure extension needs an index";
-  return ExtendModel(regions, model, *index);
+                                    data::TxnSourceRef source) {
+  return ExtendModelWith(
+      regions, model, [source](const std::vector<lits::Itemset>& missing) {
+        return lits::CountSupports(source, missing);
+      });
 }
 
 double LitsAggregateRegionDiffs(const std::vector<double>& s1, double n1,
@@ -131,9 +124,9 @@ double LitsDeviation(const lits::LitsModel& m1, data::TxnSourceRef s1,
                      const lits::LitsModel& m2, data::TxnSourceRef s2,
                      const DeviationFunction& fn) {
   const std::vector<lits::Itemset> gcr = LitsGcr(m1, m2);
-  return AggregateRegionDiffs(ExtendModel(gcr, m1, s1),
+  return AggregateRegionDiffs(LitsExtendModel(gcr, m1, s1),
                               static_cast<double>(s1.num_transactions()),
-                              ExtendModel(gcr, m2, s2),
+                              LitsExtendModel(gcr, m2, s2),
                               static_cast<double>(s2.num_transactions()), fn);
 }
 
@@ -146,9 +139,9 @@ double LitsDeviationFocused(const lits::LitsModel& m1, data::TxnSourceRef s1,
     if (focus(itemset)) focused.push_back(std::move(itemset));
   }
   if (focused.empty()) return 0.0;
-  return AggregateRegionDiffs(ExtendModel(focused, m1, s1),
+  return AggregateRegionDiffs(LitsExtendModel(focused, m1, s1),
                               static_cast<double>(s1.num_transactions()),
-                              ExtendModel(focused, m2, s2),
+                              LitsExtendModel(focused, m2, s2),
                               static_cast<double>(s2.num_transactions()), fn);
 }
 
@@ -174,8 +167,8 @@ std::vector<LitsRegionDeviation> LitsPerRegionDeviations(
     const lits::LitsModel& m1, data::TxnSourceRef s1,
     const lits::LitsModel& m2, data::TxnSourceRef s2, const DiffFn& f) {
   const std::vector<lits::Itemset> gcr = LitsGcr(m1, m2);
-  const std::vector<double> supports1 = ExtendModel(gcr, m1, s1);
-  const std::vector<double> supports2 = ExtendModel(gcr, m2, s2);
+  const std::vector<double> supports1 = LitsExtendModel(gcr, m1, s1);
+  const std::vector<double> supports2 = LitsExtendModel(gcr, m2, s2);
   const double n1 = static_cast<double>(s1.num_transactions());
   const double n2 = static_cast<double>(s2.num_transactions());
 

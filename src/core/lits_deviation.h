@@ -41,10 +41,8 @@ double LitsDeviation(const lits::LitsModel& m1, data::TxnSourceRef s1,
 // Vertical-index overloads: identical results (counts are integers and the
 // divisions by |D| match), but the per-region supports missing from each
 // model come from AND+popcount over prebuilt TID bitmaps instead of
-// re-scanning raw transactions. This is the scan-once path the serving
-// layer uses: each in-memory snapshot's index is built one time and then
-// probed by every deviation the window evaluates against it. Both indexes
-// must be non-null (checked).
+// re-scanning raw transactions. No served path calls them: perfbench's
+// replay and the test oracles do. Both indexes must be non-null (checked).
 double LitsDeviationOverRegions(const std::vector<lits::Itemset>& regions,
                                 const data::VerticalIndex* i1,
                                 const data::VerticalIndex* i2,
@@ -54,18 +52,19 @@ double LitsDeviation(const lits::LitsModel& m1, const data::VerticalIndex* i1,
                      const lits::LitsModel& m2, const data::VerticalIndex* i2,
                      const DeviationFunction& fn);
 
-// The two halves of LitsDeviation, exposed for the sharded scatter-gather
-// path (src/shard/): each owning shard extends its model to the GCR with
-// LitsExtendModel, and the router recombines the supports with
-// LitsAggregateRegionDiffs. Because these are the same functions the
-// single-node path composes, the distributed answer is bit-identical.
+// The two halves of LitsDeviation. The serving layer's reads extend a pair
+// of models once and fold every (f, g) from those supports; the sharded
+// scatter-gather path (src/shard/) extends each model on its owning shard
+// and recombines the supports on the router. Because these are the same
+// functions LitsDeviation composes, both answers are bit-identical to it.
 
-// Measure extension of `model` to `regions` (Definition 3.4): stored
-// supports are reused, itemsets the model lacks are counted against the
-// prebuilt vertical index, which must be non-null (checked).
+// Measure extension of `model`, mined from `source`, to `regions`
+// (Definition 3.4): stored supports are reused, and the itemsets the model
+// lacks are counted in one scan of `source` (§3.3.1). Every region must
+// lie within the source's item universe (checked).
 std::vector<double> LitsExtendModel(const std::vector<lits::Itemset>& regions,
                                     const lits::LitsModel& model,
-                                    const data::VerticalIndex* index);
+                                    data::TxnSourceRef source);
 
 // delta^1_(f,g) over already-extended measure components: per-region diffs
 // in region order, then AggregateValues(fn.g, ...).

@@ -17,9 +17,7 @@ LitsChangeMonitor::LitsChangeMonitor(const data::TransactionDb& reference,
                                      const MonitorOptions& options)
     : options_(options),
       reference_(reference),
-      reference_index_(reference_),
-      reference_model_(
-          lits::Apriori(reference_, options_.apriori, &reference_index_)) {
+      reference_model_(lits::Apriori(reference_, options_.apriori)) {
   FOCUS_CHECK_GT(options_.calibration_replicates, 0);
   FOCUS_CHECK_GT(options_.alert_factor, 0.0);
   Calibrate();
@@ -77,8 +75,7 @@ MonitorReport LitsChangeMonitor::InspectWithModel(
 
 void LitsChangeMonitor::Rebase(const data::TransactionDb& snapshot) {
   reference_ = snapshot;
-  reference_index_ = data::VerticalIndex(reference_);
-  reference_model_ = lits::Apriori(reference_, options_.apriori, &reference_index_);
+  reference_model_ = lits::Apriori(reference_, options_.apriori);
   Calibrate();
 }
 

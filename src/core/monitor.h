@@ -8,7 +8,6 @@
 #include "core/significance.h"
 #include "data/transaction_db.h"
 #include "data/txn_source.h"
-#include "data/vertical_index.h"
 #include "itemsets/apriori.h"
 
 namespace focus::core {
@@ -63,12 +62,11 @@ class LitsChangeMonitor {
   // model MUST have been mined from `snapshot` with this monitor's
   // apriori options. Stage 2 extends both models to their GCR by scanning
   // the reference and the snapshot once each (a block-backed snapshot
-  // block by block), so a snapshot the screen passes needs no index.
-  // Significance reuses that deviation and computes only the null
-  // distribution (LitsNullDeviations); with a `pool` (e.g. the serving
-  // layer's own, from inside one of its tasks), its replicates run across
-  // it. The report is bit-identical for either backend, and with or
-  // without a pool.
+  // block by block). Significance reuses that deviation and computes only
+  // the null distribution (LitsNullDeviations); with a `pool` (e.g. the
+  // serving layer's own, from inside one of its tasks), its replicates run
+  // across it. The report is bit-identical for either backend, and with
+  // or without a pool.
   MonitorReport InspectWithModel(data::TxnSourceRef snapshot,
                                  const lits::LitsModel& snapshot_model,
                                  common::ThreadPool* pool = nullptr) const;
@@ -78,21 +76,16 @@ class LitsChangeMonitor {
   void Rebase(const data::TransactionDb& snapshot);
 
   double alert_threshold() const { return alert_threshold_; }
+  // The reference's transactions, which reference_model() was mined from:
+  // read paths extend that model to a GCR by scanning them.
+  const data::TransactionDb& reference() const { return reference_; }
   const lits::LitsModel& reference_model() const { return reference_model_; }
-  // For read paths that extend the reference model through an index (the
-  // serving layer's deviation queries); Inspect does not use it.
-  const data::VerticalIndex& reference_index() const {
-    return reference_index_;
-  }
 
  private:
   void Calibrate();
 
   MonitorOptions options_;
   data::TransactionDb reference_;
-  // Built once per reference (construction / Rebase); declared before the
-  // model, whose level 1 takes the index's item counts.
-  data::VerticalIndex reference_index_;
   lits::LitsModel reference_model_;
   double alert_threshold_ = 0.0;
 };

@@ -1,8 +1,8 @@
 #include "serve/model_cache.h"
 
 #include <memory>
-#include <mutex>
 #include <span>
+#include <vector>
 
 #include "common/check.h"
 #include "common/mutex.h"
@@ -39,18 +39,24 @@ uint64_t TransactionDbContentHash(data::TxnSourceRef source) {
   return hash;
 }
 
-LazyVerticalIndex::LazyVerticalIndex(const data::TransactionDb& transactions,
-                                     Counter* builds)
-    : transactions_(std::make_unique<const data::TransactionDb>(transactions)),
-      builds_(builds) {}
-
-const data::VerticalIndex& LazyVerticalIndex::Get() const {
-  std::call_once(built_, [this] {
-    index_.emplace(*transactions_);
-    transactions_.reset();
-    if (builds_ != nullptr) builds_->Increment();
-  });
-  return *index_;
+FgDeviations LitsDeviationsByFg(const lits::LitsModel& m1,
+                                data::TxnSourceRef s1,
+                                const lits::LitsModel& m2,
+                                data::TxnSourceRef s2) {
+  const std::vector<lits::Itemset> gcr = core::LitsGcr(m1, m2);
+  const std::vector<double> supports1 = core::LitsExtendModel(gcr, m1, s1);
+  const std::vector<double> supports2 = core::LitsExtendModel(gcr, m2, s2);
+  const double n1 = static_cast<double>(s1.num_transactions());
+  const double n2 = static_cast<double>(s2.num_transactions());
+  FgDeviations deviations{};
+  for (const FgChoice::F f : {FgChoice::F::kAbs, FgChoice::F::kScaled}) {
+    for (const FgChoice::G g : {FgChoice::G::kSum, FgChoice::G::kMax}) {
+      const FgChoice fg(f, g);
+      deviations[fg.index()] = core::LitsAggregateRegionDiffs(
+          supports1, n1, supports2, n2, fg.function());
+    }
+  }
+  return deviations;
 }
 
 ModelCache::ModelCache(size_t capacity, const lits::AprioriOptions& options,
@@ -65,9 +71,6 @@ ModelCache::ModelCache(size_t capacity, const lits::AprioriOptions& options,
       evictions_counter_(metrics != nullptr
                              ? &metrics->GetCounter("cache_evictions")
                              : nullptr),
-      index_builds_counter_(metrics != nullptr
-                                ? &metrics->GetCounter("index_builds")
-                                : nullptr),
       read_memo_hits_(metrics != nullptr
                           ? &metrics->GetCounter("read_memo_hits")
                           : nullptr),
@@ -107,31 +110,27 @@ double ModelCache::Compare(uint64_t left_hash, const MinedSnapshot& left,
     const auto it = entries_.find(left_hash);
     if (it != entries_.end()) {
       const auto memo = it->second.compares.find(right_hash);
-      if (memo != it->second.compares.end() &&
-          memo->second[fg.index()].has_value()) {
+      if (memo != it->second.compares.end()) {
         if (read_memo_hits_ != nullptr) read_memo_hits_->Increment();
-        return *memo->second[fg.index()];
+        return memo->second[fg.index()];
       }
     }
   }
-  // The first compare of a snapshot builds its index.
-  const double deviation =
-      core::LitsDeviation(*left.model, &left.index->Get(), *right.model,
-                          &right.index->Get(), fg.function());
+  const FgDeviations deviations = LitsDeviationsByFg(
+      *left.model, *left.transactions, *right.model, *right.transactions);
   {
     common::MutexLock lock(&mutex_);
     const auto it = entries_.find(left_hash);
     if (it != entries_.end() && entries_.contains(right_hash)) {
-      it->second.compares[right_hash][fg.index()] = deviation;
+      it->second.compares[right_hash] = deviations;
     }
   }
   if (read_memo_misses_ != nullptr) read_memo_misses_->Increment();
-  return deviation;
+  return deviations[fg.index()];
 }
 
-MinedSnapshot ModelCache::GetOrMineIndexed(data::TxnSourceRef source,
-                                           uint64_t content_hash,
-                                           bool* cache_hit) {
+MinedSnapshot ModelCache::GetOrMine(data::TxnSourceRef source,
+                                    uint64_t content_hash, bool* cache_hit) {
   {
     common::MutexLock lock(&mutex_);
     const auto it = entries_.find(content_hash);
@@ -146,14 +145,13 @@ MinedSnapshot ModelCache::GetOrMineIndexed(data::TxnSourceRef source,
   if (cache_hit != nullptr) *cache_hit = false;
   // Mine outside the lock so concurrent misses on different snapshots
   // proceed in parallel. Mining scans the snapshot, a block-backed one
-  // block by block. An in-memory snapshot's index waits for the first
-  // read that extends its model; a block-backed one gets none.
+  // block by block.
   MinedSnapshot mined;
   mined.model =
       std::make_shared<const lits::LitsModel>(lits::Apriori(source, options_));
   if (source.memory() != nullptr) {
-    mined.index = std::make_shared<const LazyVerticalIndex>(
-        *source.memory(), index_builds_counter_);
+    mined.transactions =
+        std::make_shared<const data::TransactionDb>(*source.memory());
   }
   common::MutexLock lock(&mutex_);
   InsertLocked(content_hash, mined);

@@ -240,10 +240,9 @@ std::optional<StreamDeviation> MonitorService::QueryDeviation(
     if (it == streams_.end()) return std::nullopt;
     stream = it->second.get();
     result.status = stream->status;
-    if (const std::optional<double>& memo = stream->deviations[fg.index()];
-        memo.has_value()) {
+    if (stream->deviations.has_value()) {
       result.has_deviation = true;
-      result.deviation = *memo;
+      result.deviation = (*stream->deviations)[fg.index()];
     } else {
       last = stream->last_mined;
     }
@@ -252,29 +251,28 @@ std::optional<StreamDeviation> MonitorService::QueryDeviation(
     if (read_memo_hits_ != nullptr) read_memo_hits_->Increment();
     return result;
   }
-  // A block-backed latest snapshot has no index, so it reports no
-  // deviation. Only focus_served --spool --ooc ingests such snapshots.
+  // A block-backed latest snapshot keeps no transactions to extend its
+  // model over, so it reports no deviation. Only focus_served --spool
+  // --ooc ingests such snapshots.
   if (!result.status.has_snapshot || last.model == nullptr ||
-      last.index == nullptr) {
+      last.transactions == nullptr) {
     return result;
   }
-  // Compute under `fg` from the CACHED model + vertical index of the latest
-  // snapshot against the monitor's reference pair — GCR extension via
-  // bitmap AND+popcount, no raw-data scan. The first read of a snapshot
-  // builds its index (once, across concurrent readers). The monitor is
-  // immutable after construction, so reading it unlocked is safe.
-  result.deviation =
-      core::LitsDeviation(monitor_.reference_model(),
-                          &monitor_.reference_index(), *last.model,
-                          &last.index->Get(), fg.function());
+  // Extend the reference's model and the latest snapshot's once, by
+  // scanning both, and fold every (f, g) from those supports. The monitor
+  // is immutable after construction, so reading it unlocked is safe.
+  const FgDeviations deviations =
+      LitsDeviationsByFg(monitor_.reference_model(), monitor_.reference(),
+                         *last.model, *last.transactions);
   result.has_deviation = true;
+  result.deviation = deviations[fg.index()];
   {
     // Every publish bumps `processed`: an unchanged count means the stream
-    // still shows the snapshot this deviation was computed for. Streams
+    // still shows the snapshot these deviations were computed for. Streams
     // are never removed, so `stream` is still valid.
     MutexLock lock(&state_mutex_);
     if (stream->status.processed == result.status.processed) {
-      stream->deviations[fg.index()] = result.deviation;
+      stream->deviations = deviations;
     }
   }
   if (read_memo_misses_ != nullptr) read_memo_misses_->Increment();
@@ -320,11 +318,10 @@ StreamEvent MonitorService::Process(Stream* stream, Snapshot snapshot) {
 
   bool cache_hit = false;
   const MinedSnapshot mined =
-      model_cache_.GetOrMineIndexed(source, snapshot.content_hash, &cache_hit);
+      model_cache_.GetOrMine(source, snapshot.content_hash, &cache_hit);
   event.cache_hit = cache_hit;
-  // Stage 2 (when the screen fires) extends both models by scanning, so
-  // no ingest builds an index: only a read of this snapshot does. Stage
-  // 2's bootstrap replicates run across the service's own pool; this drain
+  // Stage 2 (when the screen fires) extends both models by scanning. Its
+  // bootstrap replicates run across the service's own pool; this drain
   // job runs replicates itself too, so the nesting cannot deadlock.
   event.report = monitor_.InspectWithModel(source, *mined.model, pool_.get());
 
@@ -337,9 +334,8 @@ StreamEvent MonitorService::Process(Stream* stream, Snapshot snapshot) {
   event.latency_ms = timer.Millis();
 
   // Publish the queryable per-stream view (GET …/deviation) under the
-  // state lock; the cached model and lazy index keep later (f,g) queries
-  // off the raw data. The stream's worker is the only writer, so the copies
-  // are coherent.
+  // state lock, with the cached entry the first read extends. The stream's
+  // worker is the only writer, so the copies are coherent.
   {
     MutexLock lock(&state_mutex_);
     PublishStatusLocked(stream, event, mined);
@@ -376,7 +372,7 @@ void MonitorService::PublishStatusLocked(Stream* stream,
   status.baseline_mean = stream->cusum.baseline_mean();
   status.baseline_sd = stream->cusum.baseline_sd();
   stream->last_mined = mined;
-  stream->deviations.fill(std::nullopt);
+  stream->deviations.reset();
 }
 
 void MonitorService::FinishOne() {

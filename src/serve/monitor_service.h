@@ -1,7 +1,6 @@
 #ifndef FOCUS_SERVE_MONITOR_SERVICE_H_
 #define FOCUS_SERVE_MONITOR_SERVICE_H_
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -149,9 +148,9 @@ struct StreamDeviation {
 class MonitorService {
  public:
   // Builds the reference monitor every stream shares: copies `reference`,
-  // indexes and mines it, and calibrates the stage-1 threshold. This is
-  // the expensive step, and it runs here, once per service, before any
-  // thread starts; nothing on an ingest or query path builds a reference.
+  // mines it, and calibrates the stage-1 threshold. This is the expensive
+  // step, and it runs here, once per service, before any thread starts;
+  // nothing on an ingest or query path builds a reference.
   // `reference` may die after the constructor returns. `metrics` may be
   // null (no telemetry); it must outlive the service.
   MonitorService(const MonitorServiceOptions& options,
@@ -206,14 +205,16 @@ class MonitorService {
       EXCLUDES(state_mutex_);
 
   // Status plus the deviation of the latest processed snapshot against
-  // the reference under `fg`, computed over the CACHED models and vertical
-  // indexes (never the raw transactions). The first query of a snapshot
-  // builds its index. The stream memoizes the deviation under each `fg`
-  // until its next publish: a repeat read returns the stored double (a
-  // registry `read_memo_hits`), and a read that computes (a
-  // `read_memo_misses`) stores its result only if no publish happened
-  // meanwhile, so a reply's deviation always belongs to the snapshot its
-  // status reports. nullopt for unknown streams.
+  // the reference under `fg`, from the reference's model and the snapshot's
+  // CACHED model (never mined again). The stream memoizes the deviation
+  // under every FgChoice until its next publish. The first read after a
+  // publish, under any `fg` (a registry `read_memo_misses`), extends both
+  // models to their GCR once, by scanning the reference and the cached
+  // transactions, computes all four (LitsDeviationsByFg), and stores them
+  // only if no publish happened meanwhile, so a reply's deviation always
+  // belongs to the snapshot its status reports. Later reads under any `fg`
+  // return a stored double (a `read_memo_hits`). nullopt for unknown
+  // streams.
   std::optional<StreamDeviation> QueryDeviation(const std::string& name,
                                                 FgChoice fg) const
       EXCLUDES(state_mutex_);
@@ -244,10 +245,10 @@ class MonitorService {
     // Published at the end of each Process under state_mutex_, so
     // queries never race the worker that owns the stream.
     StreamStatus status;
-    MinedSnapshot last_mined;      // model+lazy index of the latest snapshot
-    // last_mined's deviation under each FgChoice (by index()), filled by
+    MinedSnapshot last_mined;      // cache entry of the latest snapshot
+    // last_mined's deviation under every FgChoice, filled by
     // QueryDeviation and cleared by each publish.
-    std::array<std::optional<double>, FgChoice::kCount> deviations;
+    std::optional<FgDeviations> deviations;
     int64_t next_sequence = 0;     // of the next accepted Ingest
 
     explicit Stream(const core::CusumOptions& cusum_options)

@@ -162,7 +162,7 @@ ShardRouter::Status ShardRouter::Compare(uint64_t left_hash,
   }
   if (left_shard >= 0 && right_shard >= 0) {
     return CrossShardCompare(left_shard, left_hash, right_shard, right_hash,
-                             fg, deviation, error);
+                             fg, deviation, missing, error);
   }
   if (missing != nullptr) {
     if (left_shard < 0) missing->push_back(left_hash);
@@ -175,7 +175,14 @@ ShardRouter::Status ShardRouter::Compare(uint64_t left_hash,
 
 ShardRouter::Status ShardRouter::CrossShardCompare(
     int left_shard, uint64_t left_hash, int right_shard, uint64_t right_hash,
-    serve::FgChoice fg, double* deviation, std::string* error) {
+    serve::FgChoice fg, double* deviation, std::vector<uint64_t>* missing,
+    std::string* error) {
+  // The cache can evict a hash between the scatter and either call below;
+  // its owner then answers not found, and the 404 names that hash.
+  const auto not_found = [missing](uint64_t hash) {
+    if (missing != nullptr) missing->push_back(hash);
+    return Status::kNotFound;
+  };
   // Phase 1: each owner's structural component Γ(M) (sorted) and |D|.
   ModelRegionsResultBody left_model, right_model;
   const auto fetch_regions = [&](int shard, uint64_t hash,
@@ -186,8 +193,7 @@ ShardRouter::Status ShardRouter::CrossShardCompare(
                   MessageType::kModelRegionsResult, out, error)) {
       return Status::kShardDown;
     }
-    // The cache can evict between the scatter and this fetch.
-    return out->found != 0 ? Status::kOk : Status::kNotFound;
+    return out->found != 0 ? Status::kOk : not_found(hash);
   };
   Status status = fetch_regions(left_shard, left_hash, &left_model);
   if (status != Status::kOk) return status;
@@ -215,7 +221,7 @@ ShardRouter::Status ShardRouter::CrossShardCompare(
                   MessageType::kExtendRegionsResult, out, error)) {
       return Status::kShardDown;
     }
-    if (out->found == 0) return Status::kNotFound;
+    if (out->found == 0) return not_found(hash);
     if (out->supports.size() != gcr.size()) {
       if (error != nullptr) *error = "extend-regions support count mismatch";
       return Status::kShardDown;

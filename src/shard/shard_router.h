@@ -82,7 +82,8 @@ class ShardRouter {
                         DeviationResultBody* result, std::string* error);
 
   // Compare by content hash. kNotFound fills `missing` with the hashes no
-  // shard holds.
+  // shard holds, or with the one its owner evicted during a cross-shard
+  // compare.
   Status Compare(uint64_t left_hash, uint64_t right_hash, serve::FgChoice fg,
                  double* deviation, std::vector<uint64_t>* missing,
                  std::string* error);
@@ -97,10 +98,12 @@ class ShardRouter {
 
  private:
   // Two-phase cross-shard compare: fetch Γ(M)+n from each owner, form the
-  // GCR, extend both models remotely, aggregate locally.
+  // GCR, extend both models remotely, aggregate locally. kNotFound adds
+  // the hash whose owner no longer holds it to `missing`.
   Status CrossShardCompare(int left_shard, uint64_t left_hash,
                            int right_shard, uint64_t right_hash,
                            serve::FgChoice fg, double* deviation,
+                           std::vector<uint64_t>* missing,
                            std::string* error);
 
   const std::vector<ShardChannel*> shards_;

@@ -13,12 +13,12 @@ namespace focus::shard {
 namespace {
 
 // The cache entry of `hash`, if a read can extend its model. A
-// block-backed (--spool --ooc) snapshot has no index to extend through,
-// so compare and extend-regions treat it as one this shard does not hold.
+// block-backed (--spool --ooc) snapshot keeps no transactions to scan, so
+// compare and extend-regions treat it as one this shard does not hold.
 std::optional<serve::MinedSnapshot> LookupReadable(serve::ModelCache& cache,
                                                    uint64_t hash) {
   std::optional<serve::MinedSnapshot> mined = cache.LookupMined(hash);
-  if (mined.has_value() && mined->index == nullptr) return std::nullopt;
+  if (mined.has_value() && mined->transactions == nullptr) return std::nullopt;
   return mined;
 }
 
@@ -251,12 +251,22 @@ Frame ShardWorker::HandleExtendRegions(const Frame& request) {
   ExtendRegionsResultBody result;
   const auto mined = LookupReadable(service_.model_cache(), body.content_hash);
   if (mined.has_value()) {
+    // The regions come off the wire: an item outside the snapshot's
+    // universe would fail the counter's check and end the process.
+    const data::TransactionDb& transactions = *mined->transactions;
+    for (const lits::Itemset& region : body.regions) {
+      if (!region.WithinUniverse(transactions.num_items())) {
+        return ErrorFrame(request.request_id,
+                          "region outside the item universe");
+      }
+    }
     result.found = 1;
-    result.num_transactions = mined->model->num_transactions();
-    // The same measure extension LitsDeviation composes, so the router's
-    // recombined answer matches the single-node one bit for bit.
-    result.supports = core::LitsExtendModel(body.regions, *mined->model,
-                                            &mined->index->Get());
+    result.num_transactions = transactions.num_transactions();
+    // The same measure extension LitsDeviation composes, by one scan of
+    // the snapshot, so the router's recombined answer matches the
+    // single-node one bit for bit.
+    result.supports =
+        core::LitsExtendModel(body.regions, *mined->model, transactions);
   }
   return {MessageType::kExtendRegionsResult, request.request_id,
           result.Encode()};

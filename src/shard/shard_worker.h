@@ -42,9 +42,9 @@ struct ShardWorkerOptions {
 // many front-end reactors or ingest threads forward ingests.
 class ShardWorker {
  public:
-  // Hands `reference` to the MonitorService, which indexes, mines and
-  // calibrates it here, before the worker serves a frame; the worker keeps
-  // no pointer to it. `metrics` may be null; it must outlive the worker.
+  // Hands `reference` to the MonitorService, which mines and calibrates
+  // it here, before the worker serves a frame; the worker keeps no pointer
+  // to it. `metrics` may be null; it must outlive the worker.
   ShardWorker(const ShardWorkerOptions& options,
               const data::TransactionDb& reference,
               serve::MetricsRegistry* metrics);

@@ -210,7 +210,8 @@ net::HttpResponse ShardedApi::HandleCompare(const net::HttpRequest& request) {
       return net::ErrorResponse(
           404, "snapshot hash not in any shard's model cache (evicted, "
                "still queued, or never ingested), or block-backed by "
-               "--spool --ooc and so without the index a compare needs: " +
+               "--spool --ooc and so without the transactions a compare "
+               "scans: " +
                    rendered);
     }
     case ShardRouter::Status::kOk:

@@ -1,15 +1,15 @@
 // Differential oracles for serve::ModelCache: a cache hit must return a
 // model indistinguishable from mining cold (the cache is a pure
-// memoization of Apriori keyed by content hash), LRU eviction under
+// memoization of Apriori keyed by content hash), and LRU eviction under
 // random access must never change WHAT is returned — only how often
-// mining runs — and a deviation through an entry's lazily built index
-// must equal one through an eager index and one by scanning. The read
-// memos (a stream's deviation per (f, g) until its next publish, a
-// compare per cached pair) are memoizations too: a memoized read must
-// equal a cold one, also while a stream keeps publishing.
+// mining runs. The read memos (a stream's deviations until its next
+// publish, a cached pair's compares) are memoizations too: a memoized read
+// must equal a cold, scanned one, also while a stream keeps publishing,
+// and one miss fills every (f, g).
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -26,7 +26,6 @@
 #include "core/lits_deviation.h"
 #include "core/lits_upper_bound.h"
 #include "core/monitor.h"
-#include "data/vertical_index.h"
 #include "datagen/quest_gen.h"
 #include "io/data_io.h"
 #include "itemsets/apriori.h"
@@ -71,12 +70,12 @@ TEST(DiffCache, HitEqualsColdMiss) {
         ModelCache cache(4, workload.apriori);
         const uint64_t hash = TransactionDbContentHash(db);
         bool hit = true;
-        const auto missed = cache.GetOrMineIndexed(db, hash, &hit).model;
+        const auto missed = cache.GetOrMine(db, hash, &hit).model;
         if (hit) return PropResult::Fail("first access reported a hit");
         if (!SameModel(*missed, cold))
           return PropResult::Fail("cached miss differs from cold mining");
 
-        const auto served = cache.GetOrMineIndexed(db, hash, &hit).model;
+        const auto served = cache.GetOrMine(db, hash, &hit).model;
         if (!hit) return PropResult::Fail("second access reported a miss");
         if (served.get() != missed.get())
           return PropResult::Fail("hit returned a different object");
@@ -100,7 +99,7 @@ TEST(DiffCache, HitEqualsColdMiss) {
 
 TEST(DiffCache, EvictionNeverChangesServedModels) {
   // Three distinct snapshots churning through a capacity-2 cache with a
-  // random access pattern: every GetOrMineIndexed must still serve exactly
+  // random access pattern: every GetOrMine must still serve exactly
   // the cold-mined model for its snapshot, and the hit/miss/eviction
   // ledger must add up.
   EXPECT_TRUE(Check<proptest::LitsTriple>(
@@ -124,7 +123,7 @@ TEST(DiffCache, EvictionNeverChangesServedModels) {
           const auto pick =
               static_cast<size_t>(access_rng.IntIn(0, 2));
           const auto served =
-              cache.GetOrMineIndexed(dbs[pick], hashes[pick]).model;
+              cache.GetOrMine(dbs[pick], hashes[pick]).model;
           ++accesses;
           if (!SameModel(*served, cold[pick]))
             return PropResult::Fail("served model differs from cold mining");
@@ -141,63 +140,6 @@ TEST(DiffCache, EvictionNeverChangesServedModels) {
       proptest::Config::FromEnv(8)));
 }
 
-TEST(DiffCache, LazyIndexDeviationEqualsEagerAndScan) {
-  // Snapshot a plays the reference (an eager index, as the service's
-  // monitor holds one) and b a cached snapshot: a deviation reads b's lazy
-  // index, and a compare (POST /v1/compare) reads both snapshots' lazy
-  // indexes. Every (f, g) must give the same double through the lazy
-  // indexes, through eager ones and by scanning, and each snapshot builds
-  // its index once, however many reads probe it.
-  EXPECT_TRUE(Check<proptest::LitsPair>(
-      "diff/cache-lazy-index-equals-eager-and-scan",
-      proptest::LitsPairDomain(),
-      [](const proptest::LitsPair& pair) {
-        const data::TransactionDb da = proptest::MaterializeDb(pair.a);
-        const data::TransactionDb db = proptest::MaterializeDb(pair.b);
-        MetricsRegistry registry;
-        ModelCache cache(4, pair.a.apriori, &registry);
-        const uint64_t hash_a = TransactionDbContentHash(da);
-        const uint64_t hash_b = TransactionDbContentHash(db);
-        const MinedSnapshot a = cache.GetOrMineIndexed(da, hash_a);
-        const MinedSnapshot b = cache.GetOrMineIndexed(db, hash_b);
-        const Counter& builds = registry.GetCounter("index_builds");
-        if (builds.Value() != 0)
-          return PropResult::Fail("mining built an index");
-
-        const data::VerticalIndex eager_a(da);
-        const data::VerticalIndex eager_b(db);
-        for (const core::AggregateKind g :
-             {core::AggregateKind::kSum, core::AggregateKind::kMax}) {
-          for (const core::DiffFn& f :
-               {core::AbsoluteDiff(), core::ScaledDiff()}) {
-            core::DeviationFunction fn;
-            fn.f = f;
-            fn.g = g;
-            const double scan = core::LitsDeviation(*a.model, da, *b.model,
-                                                    db, fn);
-            if (core::LitsDeviation(*a.model, &eager_a, *b.model, &eager_b,
-                                    fn) != scan)
-              return PropResult::Fail("eager indexes differ from a scan");
-            if (core::LitsDeviation(*a.model, &eager_a, *b.model,
-                                    &b.index->Get(), fn) != scan)
-              return PropResult::Fail("deviation via a lazy index differs");
-            if (core::LitsDeviation(*a.model, &a.index->Get(), *b.model,
-                                    &b.index->Get(), fn) != scan)
-              return PropResult::Fail("compare via lazy indexes differs");
-          }
-        }
-        // Equal snapshots share one cache entry, hence one index.
-        if (builds.Value() != (hash_a == hash_b ? 1 : 2))
-          return PropResult::Fail("index_builds = " +
-                                  std::to_string(builds.Value()) +
-                                  ", want one per distinct snapshot");
-        if (!(a.index->Get() == eager_a) || !(b.index->Get() == eager_b))
-          return PropResult::Fail("a lazy index differs from an eager one");
-        return PropResult::Ok();
-      },
-      proptest::Config::FromEnv(8)));
-}
-
 // ------------------------------------------------------------ read memos
 
 constexpr FgChoice kFgChoices[] = {
@@ -205,6 +147,29 @@ constexpr FgChoice kFgChoices[] = {
     {FgChoice::F::kAbs, FgChoice::G::kMax},
     {FgChoice::F::kScaled, FgChoice::G::kSum},
     {FgChoice::F::kScaled, FgChoice::G::kMax}};
+
+TEST(DiffCache, DeviationsByFgEqualLitsDeviation) {
+  // The one extension every read miss makes, folded four ways, gives
+  // LitsDeviation's double under each (f, g).
+  EXPECT_TRUE(Check<proptest::LitsPair>(
+      "diff/deviations-by-fg-equal-lits-deviation",
+      proptest::LitsPairDomain(),
+      [](const proptest::LitsPair& pair) {
+        const data::TransactionDb da = proptest::MaterializeDb(pair.a);
+        const data::TransactionDb db = proptest::MaterializeDb(pair.b);
+        const lits::LitsModel ma = proptest::Mine(pair.a, da);
+        const lits::LitsModel mb = proptest::Mine(pair.b, db);
+        const FgDeviations deviations = LitsDeviationsByFg(ma, da, mb, db);
+        for (const FgChoice fg : kFgChoices) {
+          if (deviations[fg.index()] !=
+              core::LitsDeviation(ma, da, mb, db, fg.function()))
+            return PropResult::Fail("f=" + std::string(fg.f_name()) +
+                                    " g=" + std::string(fg.g_name()) +
+                                    " differs from LitsDeviation");
+        }
+        return PropResult::Ok();
+      }));
+}
 
 data::TransactionDb QuestSnapshot(uint64_t seed) {
   datagen::QuestParams params;
@@ -226,15 +191,14 @@ MonitorServiceOptions MemoOptions(size_t cache_capacity) {
   return options;
 }
 
-// A snapshot mined and indexed from its raw transactions, apart from any
-// cache.
+// A snapshot mined from its raw transactions, apart from any cache.
 struct ColdSnapshot {
-  ColdSnapshot(const data::TransactionDb& db,
+  ColdSnapshot(const data::TransactionDb& transactions,
                const lits::AprioriOptions& options)
-      : model(lits::Apriori(db, options)), index(db) {}
+      : db(transactions), model(lits::Apriori(db, options)) {}
 
+  data::TransactionDb db;
   lits::LitsModel model;
-  data::VerticalIndex index;
 };
 
 // Every read recomputed from cold snapshots, against the service's
@@ -252,14 +216,14 @@ class ColdOracle {
 
   double Deviation(const ColdSnapshot& snapshot, FgChoice fg) const {
     return core::LitsDeviation(monitor_.reference_model(),
-                               &monitor_.reference_index(), snapshot.model,
-                               &snapshot.index, fg.function());
+                               monitor_.reference(), snapshot.model,
+                               snapshot.db, fg.function());
   }
 
   static double Compare(const ColdSnapshot& left, const ColdSnapshot& right,
                         FgChoice fg) {
-    return core::LitsDeviation(left.model, &left.index, right.model,
-                               &right.index, fg.function());
+    return core::LitsDeviation(left.model, left.db, right.model, right.db,
+                               fg.function());
   }
 
  private:
@@ -328,8 +292,9 @@ TEST(DiffCache, MemoizedReadsEqualColdReads) {
   // Three streams over a four-entry model cache. Each round replaces every
   // stream's latest snapshot and evicts older cache entries; the last
   // round re-ingests round 0's snapshots, whose compare results were
-  // dropped with their entries. Each round reads everything twice: the
-  // first pass computes and fills the memos, the second reads them.
+  // dropped with their entries. Each round reads everything twice under
+  // every (f, g): the first pass under the first (f, g) computes and fills
+  // the memos under all four, and every other pass reads them.
   const data::TransactionDb reference = QuestSnapshot(1);
   const MonitorServiceOptions options = MemoOptions(4);
   ServingStack stack(reference, options);
@@ -399,10 +364,11 @@ TEST(DiffCache, MemoizedReadsEqualColdReads) {
           EXPECT_EQ(deviation, expected) << where << " pair " << pair.first
                                          << "," << pair.second;
         }
-        // The first pass computes the summary's three deviations (then
-        // read by the deviation calls) and nine compares; the second
-        // computes nothing.
-        if (pass == 0) {
+        // The first pass under the first (f, g) computes the summary's
+        // three deviations (then read by the deviation calls) and nine
+        // compares, each under all four (f, g); every other computes
+        // nothing.
+        if (pass == 0 && fg == kFgChoices[0]) {
           EXPECT_EQ(misses.Value() - misses_before, 3 + 9) << where;
           EXPECT_EQ(hits.Value() - hits_before, 3) << where;
         } else {
@@ -535,31 +501,103 @@ TEST(DiffCache, FirstReadAfterAPublishMissesAndARepeatHits) {
             200);
   expect_counts(2, 1, "a summary over the memoized stream");
   ASSERT_EQ(stack.Call("GET", deviation_path, {}).status, 200);
-  expect_counts(2, 2, "a first read under another (f, g)");
+  expect_counts(3, 1, "a read under another (f, g), filled by the first");
 
   const uint64_t second = stack.Ingest("s", QuestSnapshot(12));
   stack.Flush();
   ASSERT_EQ(stack.Call("GET", deviation_path, scaled_max).status, 200);
-  expect_counts(2, 3, "the first read after a publish");
+  expect_counts(3, 2, "the first read after a publish");
   ASSERT_EQ(stack.Call("GET", deviation_path, scaled_max).status, 200);
-  expect_counts(3, 3, "its repeat");
+  expect_counts(4, 2, "its repeat");
 
   const std::map<std::string, std::string> forward = {
       {"left", HashHex(first)}, {"right", HashHex(second)}};
   ASSERT_EQ(stack.Call("POST", "/v1/compare", forward).status, 200);
-  expect_counts(3, 4, "a first compare");
+  expect_counts(4, 3, "a first compare");
   ASSERT_EQ(stack.Call("POST", "/v1/compare", forward).status, 200);
-  expect_counts(4, 4, "a repeat compare");
+  expect_counts(5, 3, "a repeat compare");
   ASSERT_EQ(stack.Call("POST", "/v1/compare",
                        {{"left", HashHex(second)}, {"right", HashHex(first)}})
                 .status,
             200);
-  expect_counts(4, 5, "the reversed pair");
+  expect_counts(5, 4, "the reversed pair");
   EXPECT_EQ(stack.Call("POST", "/v1/compare",
                        {{"left", HashHex(first)}, {"right", "00000000000000ff"}})
                 .status,
             404);
-  expect_counts(4, 5, "a compare of an unknown hash");
+  expect_counts(5, 4, "a compare of an unknown hash");
+}
+
+TEST(DiffCache, OneMissAfterEachPublishFillsEveryFg) {
+  // After each publish, the first read of the stream's deviation, and the
+  // first compare of the new snapshot against the one before it, under any
+  // (f, g), is the only memo miss: it extends both models once and fills
+  // all four (f, g), so reads under the other three hit. Which (f, g) reads
+  // first rotates with the publish. Every answer equals a cold, scanned
+  // LitsDeviation.
+  const data::TransactionDb reference = QuestSnapshot(1);
+  const MonitorServiceOptions options = MemoOptions(8);
+  ServingStack stack(reference, options);
+  const ColdOracle cold(reference, options);
+  const Counter& hits = stack.metrics().GetCounter("read_memo_hits");
+  const Counter& misses = stack.metrics().GetCounter("read_memo_misses");
+  // Reads under all four (f, g), starting at kFgChoices[first], through
+  // `read`, and expects `expected` and one miss then three hits.
+  const auto expect_one_miss =
+      [&](int first, const std::string& where,
+          const std::function<double(FgChoice)>& read,
+          const std::function<double(FgChoice)>& expected) {
+        for (int i = 0; i < FgChoice::kCount; ++i) {
+          const FgChoice fg = kFgChoices[(first + i) % FgChoice::kCount];
+          const std::string at = where + " f=" + std::string(fg.f_name()) +
+                                 " g=" + std::string(fg.g_name());
+          const int64_t hits_before = hits.Value();
+          const int64_t misses_before = misses.Value();
+          EXPECT_EQ(read(fg), expected(fg)) << at;
+          EXPECT_EQ(misses.Value() - misses_before, i == 0 ? 1 : 0) << at;
+          EXPECT_EQ(hits.Value() - hits_before, i == 0 ? 0 : 1) << at;
+        }
+      };
+  std::optional<ColdSnapshot> previous;
+  uint64_t previous_hash = 0;
+  for (int k = 0; k < 2 * FgChoice::kCount; ++k) {
+    const data::TransactionDb db = QuestSnapshot(700 + k);
+    ColdSnapshot latest = cold.Mine(db);
+    const uint64_t hash = stack.Ingest("s", db);
+    stack.Flush();
+    const std::string where = "publish " + std::to_string(k);
+    expect_one_miss(
+        k, where + " stream",
+        [&](FgChoice fg) {
+          shard::DeviationResultBody reply;
+          std::string error;
+          EXPECT_EQ(stack.router().QueryDeviation("s", fg, &reply, &error),
+                    shard::ShardRouter::Status::kOk)
+              << error;
+          EXPECT_EQ(reply.has_deviation, 1);
+          return reply.deviation;
+        },
+        [&](FgChoice fg) { return cold.Deviation(latest, fg); });
+    if (previous.has_value()) {
+      expect_one_miss(
+          k, where + " compare",
+          [&](FgChoice fg) {
+            double deviation = -1.0;
+            std::vector<uint64_t> missing;
+            std::string error;
+            EXPECT_EQ(stack.router().Compare(previous_hash, hash, fg,
+                                             &deviation, &missing, &error),
+                      shard::ShardRouter::Status::kOk)
+                << error;
+            return deviation;
+          },
+          [&](FgChoice fg) {
+            return ColdOracle::Compare(*previous, latest, fg);
+          });
+    }
+    previous = std::move(latest);
+    previous_hash = hash;
+  }
 }
 
 }  // namespace

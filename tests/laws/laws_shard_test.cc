@@ -216,9 +216,10 @@ TEST(LawsShard, CompareIdenticalToSingleNodeIncludingCrossShard) {
           single.service_.model_cache().LookupMined(right);
       EXPECT_TRUE(left_mined.has_value());
       EXPECT_TRUE(right_mined.has_value());
-      return core::LitsDeviation(
-          *left_mined->model, &left_mined->index->Get(), *right_mined->model,
-          &right_mined->index->Get(), fn);
+      return core::LitsDeviation(*left_mined->model,
+                                 *left_mined->transactions,
+                                 *right_mined->model,
+                                 *right_mined->transactions, fn);
     };
 
     // All ordered pairs: covers same-shard pairs, cross-shard pairs, and

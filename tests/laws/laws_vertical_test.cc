@@ -115,16 +115,25 @@ TEST(LawsVertical, LitsDeviationIdenticalWithPrebuiltIndexes) {
         const data::VerticalIndex ia(da);
         const data::VerticalIndex ib(db);
 
-        const DeviationFunction fn;  // (f_a, g_sum)
-        const double horizontal = LitsDeviation(ma, da, mb, db, fn);
-        const double vertical = LitsDeviation(ma, &ia, mb, &ib, fn);
-        if (vertical != horizontal)  // bit-identical, not approximately
-          return PropResult::Fail("indexed deviation differs");
-
+        // Every served (f, g): perfbench's replay computes its deviations
+        // through indexes, the daemon by scanning.
         const std::vector<lits::Itemset> gcr = LitsGcr(ma, mb);
-        if (LitsDeviationOverRegions(gcr, &ia, &ib, fn) !=
-            LitsDeviationOverRegions(gcr, da, db, fn))
-          return PropResult::Fail("indexed over-regions deviation differs");
+        for (const AggregateKind g :
+             {AggregateKind::kSum, AggregateKind::kMax}) {
+          for (const DiffFn& f : {AbsoluteDiff(), ScaledDiff()}) {
+            DeviationFunction fn;
+            fn.f = f;
+            fn.g = g;
+            const double horizontal = LitsDeviation(ma, da, mb, db, fn);
+            const double vertical = LitsDeviation(ma, &ia, mb, &ib, fn);
+            if (vertical != horizontal)  // bit-identical, not approximately
+              return PropResult::Fail("indexed deviation differs");
+            if (LitsDeviationOverRegions(gcr, &ia, &ib, fn) !=
+                LitsDeviationOverRegions(gcr, da, db, fn))
+              return PropResult::Fail(
+                  "indexed over-regions deviation differs");
+          }
+        }
         return PropResult::Ok();
       },
       proptest::Config::FromEnv(8)));

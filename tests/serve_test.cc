@@ -31,7 +31,6 @@
 #include "core/functions.h"
 #include "core/lits_deviation.h"
 #include "core/monitor.h"
-#include "data/vertical_index.h"
 #include "datagen/quest_gen.h"
 #include "itemsets/apriori.h"
 #include "serve/metrics.h"
@@ -69,7 +68,7 @@ Snapshot MakeSnapshot(const std::string& stream, uint64_t seed,
 std::shared_ptr<const lits::LitsModel> Mine(ModelCache& cache,
                                             const data::TransactionDb& db,
                                             bool* hit = nullptr) {
-  return cache.GetOrMineIndexed(db, TransactionDbContentHash(db), hit).model;
+  return cache.GetOrMine(db, TransactionDbContentHash(db), hit).model;
 }
 
 TEST(ModelCacheTest, ContentHashIsContentBased) {
@@ -135,12 +134,12 @@ TEST(ModelCacheTest, LookupMinedResolvesOnlyCachedHashes) {
   ModelCache cache(2, options);
   const data::TransactionDb db = QuestDb(1);
   const uint64_t hash = TransactionDbContentHash(db);
-  const MinedSnapshot mined = cache.GetOrMineIndexed(db, hash);
+  const MinedSnapshot mined = cache.GetOrMine(db, hash);
 
   const auto found = cache.LookupMined(hash);
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(found->model.get(), mined.model.get());
-  EXPECT_EQ(found->index.get(), mined.index.get());
+  EXPECT_EQ(found->transactions.get(), mined.transactions.get());
   EXPECT_FALSE(cache.LookupMined(hash ^ 1).has_value());
 
   // Lookup promotes: after touching db1, inserting two more evicts db2,
@@ -161,7 +160,7 @@ TEST(ModelCacheTest, KeysOnTheHashItIsGiven) {
   ModelCache cache(2, options);
   const data::TransactionDb db = QuestDb(1);
   const uint64_t key = TransactionDbContentHash(db) ^ 1;
-  const MinedSnapshot mined = cache.GetOrMineIndexed(db, key);
+  const MinedSnapshot mined = cache.GetOrMine(db, key);
   const auto found = cache.LookupMined(key);
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(found->model.get(), mined.model.get());
@@ -473,7 +472,7 @@ TEST(MonitorServiceTest, IngestReturnsTheHashTheCacheKeysOn) {
       service.model_cache().LookupMined(result.content_hash);
   ASSERT_TRUE(mined.has_value());
   EXPECT_NE(mined->model, nullptr);
-  EXPECT_NE(mined->index, nullptr);
+  EXPECT_NE(mined->transactions, nullptr);
 }
 
 // One reference, two streams from different processes: each keeps its
@@ -888,21 +887,20 @@ TEST(MonitorServiceTest, StatusAndQueryDeviationTrackLatestSnapshot) {
   EXPECT_EQ(status->sequence, 1);
   EXPECT_GT(status->num_transactions, 0);
 
-  // The query recomputes from the CACHED model+index of snapshot 43 and
-  // must agree with a direct vertical LitsDeviation over the same data.
+  // The query recomputes from the CACHED model and transactions of
+  // snapshot 43 and must agree with a direct, scanned LitsDeviation over
+  // the same data.
   const auto result = service.QueryDeviation("s", abs_sum);
   ASSERT_TRUE(result.has_value());
   ASSERT_TRUE(result->has_deviation);
   core::LitsChangeMonitor direct(QuestDb(1000),
                                  SmallServiceOptions().monitor);
   const data::TransactionDb latest = QuestDb(43);
-  const data::VerticalIndex latest_index(latest);
-  const lits::LitsModel latest_model = lits::Apriori(
-      latest, SmallServiceOptions().monitor.apriori, &latest_index);
-  EXPECT_DOUBLE_EQ(result->deviation,
-                   core::LitsDeviation(direct.reference_model(),
-                                       &direct.reference_index(), latest_model,
-                                       &latest_index, fn));
+  const lits::LitsModel latest_model =
+      lits::Apriori(latest, SmallServiceOptions().monitor.apriori);
+  EXPECT_EQ(result->deviation,
+            core::LitsDeviation(direct.reference_model(), direct.reference(),
+                                latest_model, latest, fn));
 
   // Different (f,g) choices answer from the same cached state.
   const FgChoice scaled_max(FgChoice::F::kScaled, FgChoice::G::kMax);
@@ -923,96 +921,6 @@ std::optional<MonitorServiceOptions> OptionsFromArgs(
        "decision", "threads", "queue", "cache"});
   EXPECT_TRUE(flags.has_value());
   return MonitorServiceOptionsFromFlags(*flags, error);
-}
-
-// ------------------------------------------------------------ lazy index
-
-// The deviation QueryDeviation must return for `latest` under `fn`:
-// through eager indexes of the reference and the snapshot.
-double EagerDeviation(const data::TransactionDb& latest,
-                      const core::DeviationFunction& fn) {
-  const MonitorServiceOptions options = SmallServiceOptions();
-  const core::LitsChangeMonitor direct(QuestDb(1000), options.monitor);
-  const data::VerticalIndex latest_index(latest);
-  return core::LitsDeviation(
-      direct.reference_model(), &direct.reference_index(),
-      lits::Apriori(latest, options.monitor.apriori), &latest_index, fn);
-}
-
-TEST(LazyIndexTest, IngestsBuildNoIndexAndTheFirstReadBuildsOne) {
-  MetricsRegistry metrics;
-  MonitorService service(SmallServiceOptions(), QuestDb(1000), &metrics);
-  // Same-process snapshots, which the screen passes over.
-  for (const uint64_t seed : {11, 12, 13, 14}) {
-    ASSERT_EQ(service.Ingest(MakeSnapshot("s", seed), std::nullopt).status,
-              SubmitResult::kAccepted);
-  }
-  service.Flush();
-  ASSERT_GT(metrics.GetCounter("screened_out").Value(), 0);
-  EXPECT_EQ(metrics.GetCounter("index_builds").Value(), 0);
-
-  // The first read of the latest snapshot builds its index; later reads,
-  // under any (f, g), reuse it.
-  FgChoice fg;
-  const auto first = service.QueryDeviation("s", fg);
-  ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(first->has_deviation);
-  EXPECT_EQ(metrics.GetCounter("index_builds").Value(), 1);
-  EXPECT_EQ(first->deviation, EagerDeviation(QuestDb(14), fg.function()));
-  fg = FgChoice(FgChoice::F::kScaled, FgChoice::G::kMax);
-  const auto second = service.QueryDeviation("s", fg);
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->deviation, EagerDeviation(QuestDb(14), fg.function()));
-  EXPECT_EQ(metrics.GetCounter("index_builds").Value(), 1);
-}
-
-TEST(LazyIndexTest, StageTwoBuildsNoIndex) {
-  MetricsRegistry metrics;
-  MonitorServiceOptions options = SmallServiceOptions();
-  options.monitor.alert_factor = 1e-9;  // every snapshot reaches stage 2
-  MonitorService service(options, QuestDb(1000), &metrics);
-  for (const uint64_t pattern_seed : {99, 7}) {
-    ASSERT_EQ(service.Ingest(MakeSnapshot("s", 21, pattern_seed),
-                             std::nullopt)
-                  .status,
-              SubmitResult::kAccepted);
-  }
-  service.Flush();
-  EXPECT_EQ(metrics.GetCounter("screened_out").Value(), 0);
-  EXPECT_EQ(metrics.GetCounter("index_builds").Value(), 0);
-}
-
-TEST(LazyIndexTest, ConcurrentFirstReadsBuildOneIndex) {
-  MetricsRegistry metrics;
-  MonitorService service(SmallServiceOptions(), QuestDb(1000), &metrics);
-  ASSERT_EQ(service.Ingest(MakeSnapshot("s", 31), std::nullopt).status,
-            SubmitResult::kAccepted);
-  service.Flush();
-  ASSERT_EQ(metrics.GetCounter("index_builds").Value(), 0);
-
-  // Eight readers released together all race to the unbuilt index.
-  constexpr int kReaders = 8;
-  const FgChoice fg;
-  const core::DeviationFunction fn = fg.function();
-  std::atomic<bool> go{false};
-  std::vector<std::optional<StreamDeviation>> results(kReaders);
-  std::vector<std::thread> readers;
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&, r] {
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      results[r] = service.QueryDeviation("s", fg);
-    });
-  }
-  go.store(true, std::memory_order_release);
-  for (std::thread& reader : readers) reader.join();
-
-  EXPECT_EQ(metrics.GetCounter("index_builds").Value(), 1);
-  const double eager = EagerDeviation(QuestDb(31), fn);
-  for (int r = 0; r < kReaders; ++r) {
-    ASSERT_TRUE(results[r].has_value()) << r;
-    ASSERT_TRUE(results[r]->has_deviation) << r;
-    EXPECT_EQ(results[r]->deviation, eager) << r;
-  }
 }
 
 TEST(MonitorServiceOptionsTest, DefaultsAndRangeBoundsAreAccepted) {

@@ -21,13 +21,18 @@
 #include <vector>
 
 #include "back_pressure.h"
+#include "core/lits_deviation.h"
 #include "data/block_txn_db.h"
 #include "datagen/quest_gen.h"
 #include "io/data_io.h"
+#include "itemsets/apriori.h"
+#include "net/router.h"
+#include "serve/api_util.h"
 #include "shard/hash_ring.h"
 #include "shard/shard_client.h"
 #include "shard/shard_router.h"
 #include "shard/shard_worker.h"
+#include "shard/sharded_api.h"
 #include "shard/wire.h"
 #include "shard/wire_server.h"
 
@@ -715,8 +720,8 @@ TEST(ShardWorkerTest, AsyncSubmitIsAdmittedUntilStop) {
 }
 
 // A block-backed snapshot (focus_served --spool --ooc) is cached with no
-// index, so compare and extend-regions, which extend its model through
-// one, answer as for a hash this worker does not hold.
+// transactions, so compare and extend-regions, which extend its model by
+// scanning them, answer as for a hash this worker does not hold.
 TEST(ShardWorkerTest, BlockBackedSnapshotAnswersAsNotHeld) {
   const data::TransactionDb reference = QuestDb(1);
   ShardWorker worker(ShardWorkerOptions{}, reference, nullptr);
@@ -763,6 +768,52 @@ TEST(ShardWorkerTest, BlockBackedSnapshotAnswersAsNotHeld) {
           .HandleFrame(Frame{MessageType::kExtendRegions, 2, extend.Encode()})
           .payload));
   EXPECT_EQ(extended.found, 0);
+  worker.Stop();
+}
+
+// Extend-regions takes its regions off the wire. One naming an item
+// outside the snapshot's universe gets an error frame, and the worker goes
+// on answering: it used to abort in the support counter's check.
+TEST(ShardWorkerTest, ExtendRegionsOutsideTheUniverseAnswersAnError) {
+  const data::TransactionDb reference = QuestDb(1);
+  ShardWorker worker(ShardWorkerOptions{}, reference, nullptr);
+  const data::TransactionDb db = QuestDb(2);
+  SubmitSnapshotBody submit;
+  submit.stream = "s";
+  submit.snapshot = Serialize(db);
+  SubmitResultBody submitted;
+  ASSERT_TRUE(submitted.Decode(
+      worker
+          .HandleFrame(
+              Frame{MessageType::kSubmitSnapshot, 1, submit.Encode()})
+          .payload));
+  ASSERT_EQ(submitted.status, 202) << submitted.error;
+  worker.service().Flush();
+
+  ExtendRegionsBody extend;
+  extend.content_hash = submitted.content_hash;
+  for (const int32_t item : {db.num_items(), 5000, -1}) {
+    extend.regions = {lits::Itemset{0}, lits::Itemset{1, item}};
+    const Frame response = worker.HandleFrame(
+        Frame{MessageType::kExtendRegions, 2, extend.Encode()});
+    ASSERT_EQ(response.type, MessageType::kError) << "item " << item;
+    ErrorBody error;
+    ASSERT_TRUE(error.Decode(response.payload));
+    EXPECT_EQ(error.message, "region outside the item universe");
+  }
+
+  extend.regions = {lits::Itemset{0}, lits::Itemset{1, 2}};
+  const Frame response = worker.HandleFrame(
+      Frame{MessageType::kExtendRegions, 3, extend.Encode()});
+  ASSERT_EQ(response.type, MessageType::kExtendRegionsResult);
+  ExtendRegionsResultBody extended;
+  ASSERT_TRUE(extended.Decode(response.payload));
+  EXPECT_EQ(extended.found, 1);
+  EXPECT_EQ(extended.num_transactions, db.num_transactions());
+  const lits::LitsModel model = lits::Apriori(
+      db, worker.service().model_cache().options());
+  EXPECT_EQ(extended.supports,
+            core::LitsExtendModel(extend.regions, model, db));
   worker.Stop();
 }
 
@@ -923,6 +974,81 @@ TEST(ShardRouterTest, CompareAcrossShards) {
             MessageType::kError);
 
   for (auto& worker : workers) worker->Stop();
+}
+
+// A shard that holds one side of every compare at the scatter and has
+// evicted it by the time the router asks for its model's regions, or, with
+// `regions_found`, for its extension.
+class EvictingShard : public ShardChannel {
+ public:
+  EvictingShard(CompareOutcome outcome, bool regions_found)
+      : outcome_(outcome), regions_found_(regions_found) {}
+
+  bool Call(MessageType type, const std::string& /*payload*/,
+            Frame* response, std::string* /*error*/) override {
+    switch (type) {
+      case MessageType::kCompare: {
+        CompareResultBody result;
+        result.outcome = outcome_;
+        *response = {MessageType::kCompareResult, 0, result.Encode()};
+        break;
+      }
+      case MessageType::kModelRegions: {
+        ModelRegionsResultBody result;
+        result.found = regions_found_ ? 1 : 0;
+        result.num_transactions = 10;
+        *response = {MessageType::kModelRegionsResult, 0, result.Encode()};
+        break;
+      }
+      default:
+        *response = {MessageType::kExtendRegionsResult, 0,
+                     ExtendRegionsResultBody{}.Encode()};
+        break;
+    }
+    return true;
+  }
+
+ private:
+  const CompareOutcome outcome_;
+  const bool regions_found_;
+};
+
+// A hash evicted between a cross-shard compare's scatter and its later
+// calls is the one the 404 names.
+TEST(ShardRouterTest, CrossShardNotFoundNamesTheEvictedHash) {
+  constexpr uint64_t kLeft = 0x1111, kRight = 0x2222;
+  struct Case {
+    bool left_regions_found;
+    bool right_regions_found;
+    uint64_t missing;
+  };
+  // Regions: the left's owner is asked first; extend: likewise, once both
+  // regions were found.
+  for (const Case& c : {Case{false, true, kLeft}, Case{true, false, kRight},
+                        Case{true, true, kLeft}}) {
+    EvictingShard left(CompareOutcome::kLeftOnly, c.left_regions_found);
+    EvictingShard right(CompareOutcome::kRightOnly, c.right_regions_found);
+    ShardRouter router({&left, &right});
+    double deviation = 0.0;
+    std::vector<uint64_t> missing;
+    std::string error;
+    EXPECT_EQ(router.Compare(kLeft, kRight, FgChoice(), &deviation, &missing,
+                             &error),
+              ShardRouter::Status::kNotFound);
+    EXPECT_EQ(missing, std::vector<uint64_t>{c.missing});
+
+    ShardedApi api(ShardedApiOptions{}, &router, nullptr);
+    net::HttpRequest request;
+    request.method = "POST";
+    request.path = "/v1/compare";
+    request.query = {{"left", serve::HashHex(kLeft)},
+                     {"right", serve::HashHex(kRight)}};
+    const net::HttpResponse response = api.BuildRouter().Dispatch(request);
+    EXPECT_EQ(response.status, 404);
+    EXPECT_NE(response.body.find(serve::HashHex(c.missing)),
+              std::string::npos)
+        << response.body;
+  }
 }
 
 TEST(ShardRouterTest, DeadShardSurfacesAsShardDown) {
